@@ -10,6 +10,7 @@ and property positions, so meta-queries work like any other query.
 from .errors import (
     ArityMismatch,
     CyclicTBox,
+    InvalidIri,
     MetaqlError,
     NonNormalizedAxiom,
     OwlSyntaxError,
@@ -50,7 +51,14 @@ from .model import (
 from .owl import Ontology, normalize_ontology, parse_ontology, serialize_ontology
 from .translate import FactBase, axiom_of_fact, tau, translate_ontology
 from .rules import RuleCatalogue, builtin_rules
-from .engine import EvalStats, FactStore, answer_conjunctive_query, evaluate_fixpoint, naive_evaluate
+from .engine import (
+    EvalStats,
+    FactStore,
+    answer_conjunctive_query,
+    evaluate_fixpoint,
+    explain_conjunctive_query,
+    naive_evaluate,
+)
 from .magic import answer_with_demand, magic_transform
 from .sparql import SparqlQuery, TriplePattern, parse_query, to_conjunctive_query, translate_query
 from .oracle import CanonicalModel, TBoxClosure, certain_answers_oracle, chase, tbox_closure
@@ -61,8 +69,8 @@ __all__ = [
     "ArityMismatch", "Atom", "Atomic", "BOTTOM_CLASS", "BOTTOM_PROPERTY",
     "CanonicalModel", "ClassAssertion", "ClassDisjoint", "ClassInclusion",
     "ConjunctiveQuery", "Const", "CyclicTBox", "DifferentIndividuals",
-    "Entity", "EvalStats", "FactBase", "FactStore", "Irreflexive",
-    "MetaqlError", "NonNormalizedAxiom", "Ontology", "OwlSyntaxError",
+    "Entity", "EvalStats", "FactBase", "FactStore", "InvalidIri",
+    "Irreflexive", "MetaqlError", "NonNormalizedAxiom", "Ontology", "OwlSyntaxError",
     "PropAssertion", "PropDisjoint", "PropExpr", "PropInclusion",
     "Reflexive", "Rule", "RuleCatalogue", "SIGNATURE", "Some",
     "SparqlQuery", "TBoxClosure", "TOP_CLASS", "TOP_PROPERTY",
@@ -70,8 +78,8 @@ __all__ = [
     "UnsafeRule", "UnsupportedAxiom", "UnsupportedFeature", "Var",
     "answer_conjunctive_query", "answer_with_demand", "atom",
     "axiom_of_fact", "builtin_rules", "certain_answers_oracle", "chase",
-    "evaluate_fixpoint", "intern", "magic_transform", "naive_evaluate",
-    "normalize_ontology", "parse_ontology", "parse_query",
+    "evaluate_fixpoint", "explain_conjunctive_query", "intern",
+    "magic_transform", "naive_evaluate", "normalize_ontology", "parse_ontology", "parse_query",
     "serialize_ontology", "tau", "tbox_closure", "to_conjunctive_query",
     "translate_ontology", "translate_query",
 ]

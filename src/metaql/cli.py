@@ -25,10 +25,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .engine import FactStore, answer_conjunctive_query, evaluate_fixpoint
+from .engine import FactStore, PlanStep, answer_conjunctive_query, evaluate_fixpoint, explain_conjunctive_query
 from .errors import MetaqlError
 from .magic import answer_with_demand
-from .model import ConjunctiveQuery, display_iri
+from .model import ConjunctiveQuery, Const, display_iri
 from .oracle import certain_answers_oracle
 from .owl import Ontology, normalize_ontology, parse_ontology, serialize_ontology
 from .rules import builtin_rules
@@ -90,7 +90,8 @@ def cmd_rules(args) -> int:
 
 
 def _run_query_pipeline(args):
-    """Shared by query/oracle; returns (answers, timings, extras)."""
+    """Shared by query/oracle; returns (answers, timings, extras, plan),
+    where plan is the --explain report or None."""
     t0 = time.perf_counter()
     ontology = normalize_ontology(parse_ontology(_read_text(args.ontology)))
     t1 = time.perf_counter()
@@ -101,6 +102,9 @@ def _run_query_pipeline(args):
     t2 = time.perf_counter()
 
     extras = {}
+    plan = None
+    if args.explain and (args.backend == "oracle" or args.demand):
+        raise _Usage("--explain requires the materializing query backend")
     if args.backend == "oracle":
         if args.dump_model:
             raise _Usage("--dump-model requires the materializing query backend")
@@ -122,6 +126,8 @@ def _run_query_pipeline(args):
         t3 = time.perf_counter()
         answers = answer_conjunctive_query(store, cq)
         t4 = time.perf_counter()
+        if args.explain:
+            plan = explain_conjunctive_query(store, cq)
         extras["rounds"] = stats.rounds
         if args.check_consistency:
             extras["consistency"] = "violated" if store.relation("violation") else "ok"
@@ -135,11 +141,32 @@ def _run_query_pipeline(args):
         "answer_ms": (t4 - t3) * 1000.0,
         "total_ms": (t4 - t0) * 1000.0,
     }
-    return answers, timings, extras
+    return answers, timings, extras, plan
+
+
+def _format_term(t) -> str:
+    return f"<{display_iri(t.value.iri)}>" if isinstance(t, Const) else f"?{t.name}"
+
+
+def _format_plan(plan: list[PlanStep]) -> list[str]:
+    """One line per step: estimated and actual rows after it, its key
+    columns and its atom."""
+    if not plan:
+        return ["plan: none, a query constant does not occur in the model"]
+    lines = ["step\test_rows\trows\tkey\tatom"]
+    for n, step in enumerate(plan, start=1):
+        a = step.atom
+        key = ",".join(str(p) for p in step.key) or "-"
+        args = ", ".join(_format_term(t) for t in a.args)
+        lines.append(f"{n}\t{step.estimated:.1f}\t{step.actual}\t{key}\t{a.pred}({args})")
+    return lines
 
 
 def cmd_query(args) -> int:
-    answers, timings, extras = _run_query_pipeline(args)
+    answers, timings, extras, plan = _run_query_pipeline(args)
+    if plan is not None:
+        for line in _format_plan(plan):
+            print(line)
     for row in answers:
         print("\t".join(display_iri(v) for v in row))
     if args.stats_json:
@@ -341,6 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stats-json", action="store_true", help="print timings as one JSON line")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--dump-model", metavar="PATH", help="write the saturated model as a sorted .dl file")
+        p.add_argument(
+            "--explain",
+            action="store_true",
+            help="print the join order with each step's key columns and estimated and actual rows",
+        )
         p.set_defaults(backend=name)
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite from a config file")

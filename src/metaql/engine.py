@@ -2,10 +2,18 @@
 
 The store keeps one relation per predicate as a set of tuples over
 interned symbol ids, with hash indexes built lazily for whatever bound
-column patterns the joins ask for.  The fixpoint is computed semi-naive:
-each round joins every rule against the previous round's delta in each
-body position, so nothing is rederived from scratch.  A deliberately
-dumb naive evaluator (string-level, index-free) exists purely as a
+column patterns the joins ask for.  One cost-based planner orders the
+bodies of rules and queries alike: each atom is estimated from the
+store's exact index buckets for its constants and bound columns, the
+cheapest atom goes first, and every later atom shares a variable with
+those before it unless the body is disconnected.  A query's first step
+probes its constants' bucket rather than scanning the relation, and a
+step whose key covers every column is a membership test, never an index.
+
+The fixpoint is computed semi-naive: each round joins every rule against
+the previous round's delta in each body position, that atom pinned first
+in the plan, so nothing is rederived from scratch.  A deliberately dumb
+naive evaluator (string-level, index-free) exists purely as a
 differential-testing twin.
 
 Rule bodies within a round may be evaluated by a small thread pool;
@@ -41,7 +49,6 @@ class FactStore:
         self.relations: dict[str, set[tuple[int, ...]]] = {}
         self._arity: dict[str, int] = {}
         self._indexes: dict[tuple[str, tuple[int, ...]], dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
-        self.generation = 0
 
     # -- symbols ---------------------------------------------------------
 
@@ -78,8 +85,6 @@ class FactStore:
                 added += 1
                 for key_pos, index in indexes:
                     index.setdefault(tuple(t[i] for i in key_pos), []).append(t)
-        if added:
-            self.generation += 1
         return added
 
     def assert_facts(self, facts: Iterable[Atom]) -> int:
@@ -141,23 +146,29 @@ class EvalStats:
 
 
 # ==============================================================================
-# Rule compilation
+# Join planning and rule compilation
 # ==============================================================================
 #
-# A rule is compiled once per evaluation into, for each body order, a list
-# of steps.  Step 0 scans its relation (the delta during fixpoint rounds);
-# later steps probe an index keyed on the positions whose values are
-# already known.  Slots hold variable bindings positionally.
+# One planner orders the body of every rule and query.  An atom's cost is
+# its estimated rows per incoming binding, read off the store's exact
+# index buckets: with only constants in its key, the size of their bucket;
+# with bound variables in it too, the average bucket of that key; with
+# every column in it, 1.  The cheapest atom goes first, then repeatedly
+# the cheapest atom sharing a variable with those placed, so no cross
+# product is built unless the body itself is disconnected.  The ordered
+# body is compiled to steps; slots hold variable bindings positionally.
 
 
 @dataclass(frozen=True)
 class _Step:
     pred: str
-    arity: int
-    # positions holding constants: (position, symbol id)
-    const_checks: tuple[tuple[int, int], ...]
-    # positions bound by earlier atoms: (position, slot)
-    bound: tuple[tuple[int, int], ...]
+    # key columns, ascending: positions holding a constant or a variable
+    # bound by an earlier step; the source of each key value is
+    # ('c', symbol id) or ('s', slot)
+    key_pos: tuple[int, ...]
+    key_src: tuple[tuple[str, int], ...]
+    # the key covers every column: test membership, build no index
+    full: bool
     # first occurrences introduced here: (position, slot); repeated new
     # variables within the atom appear once here plus in `same`
     out: tuple[tuple[int, int], ...]
@@ -173,21 +184,39 @@ class _Plan:
     nslots: int
 
 
-def _order_body(body: Sequence[Atom], first: int, store: FactStore) -> list[int]:
-    """Delta atom first, then greedily most-bound / smallest relation."""
-    remaining = [i for i in range(len(body)) if i != first]
-    order = [first]
-    bound_vars = {t.name for t in body[first].args if isinstance(t, Var)}
-    while remaining:
-        def badness(i: int):
-            a = body[i]
-            unbound = sum(1 for t in a.args if isinstance(t, Var) and t.name not in bound_vars)
-            return (unbound, len(store.relation(a.pred)), a.pred, i)
+def _estimate(a: Atom, bound: set[str], store: FactStore) -> float:
+    """Rows of `a` expected per binding of the variables in `bound`."""
+    key_pos = tuple(p for p, t in enumerate(a.args) if isinstance(t, Const) or t.name in bound)
+    if len(key_pos) == len(a.args):
+        return 1.0
+    rel = store.relation(a.pred)
+    if not key_pos:
+        return float(len(rel))
+    index = store.index(a.pred, key_pos)
+    if all(isinstance(a.args[p], Const) for p in key_pos):
+        return float(len(index.get(tuple(store.intern(a.args[p].value.iri) for p in key_pos), ())))
+    return len(rel) / len(index) if index else 0.0
 
-        nxt = min(remaining, key=badness)
-        remaining.remove(nxt)
-        order.append(nxt)
-        bound_vars |= {t.name for t in body[nxt].args if isinstance(t, Var)}
+
+def _plan(body: Sequence[Atom], store: FactStore, first: int | None = None) -> list[tuple[int, float]]:
+    """Join order for `body` as (atom index, estimated rows per binding)
+    pairs; `first`, the delta atom of a fixpoint round, is pinned first."""
+    remaining = list(range(len(body)))
+    names = [{t.name for t in a.args if isinstance(t, Var)} for a in body]
+    bound: set[str] = set()
+    order = []
+    while remaining:
+        if first is not None and not order:
+            pick, cost = first, _estimate(body[first], bound, store)
+        else:
+            connected = [i for i in remaining if names[i] & bound or not names[i]]
+            pick, cost = min(
+                ((i, _estimate(body[i], bound, store)) for i in (connected or remaining)),
+                key=lambda ic: (ic[1], ic[0]),
+            )
+        remaining.remove(pick)
+        order.append((pick, cost))
+        bound |= names[pick]
     return order
 
 
@@ -196,14 +225,14 @@ def _compile(head: Atom | None, body: Sequence[Atom], order: Sequence[int], stor
     steps = []
     for idx in order:
         a = body[idx]
-        const_checks, bound, out, same = [], [], [], []
+        key, out, same = [], [], []
         first_pos: dict[str, int] = {}
         seen_before = set(slots)  # bound by earlier atoms, not this one
         for pos, t in enumerate(a.args):
             if isinstance(t, Const):
-                const_checks.append((pos, store.intern(t.value.iri)))
+                key.append((pos, ("c", store.intern(t.value.iri))))
             elif t.name in seen_before:
-                bound.append((pos, slots[t.name]))
+                key.append((pos, ("s", slots[t.name])))
             elif t.name in first_pos:
                 same.append((pos, first_pos[t.name]))
             else:
@@ -211,7 +240,14 @@ def _compile(head: Atom | None, body: Sequence[Atom], order: Sequence[int], stor
                 slot = slots.setdefault(t.name, len(slots))
                 out.append((pos, slot))
         steps.append(
-            _Step(a.pred, len(a.args), tuple(const_checks), tuple(bound), tuple(out), tuple(same))
+            _Step(
+                a.pred,
+                tuple(p for p, _ in key),
+                tuple(src for _, src in key),
+                len(key) == len(a.args),
+                tuple(out),
+                tuple(same),
+            )
         )
     if head is None:
         head_pred, head_src = "", ()
@@ -227,26 +263,31 @@ def _compile(head: Atom | None, body: Sequence[Atom], order: Sequence[int], stor
     return _Plan(tuple(steps), head_pred, head_src, len(slots))
 
 
-def _execute(plan: _Plan, store: FactStore, seed: Iterable[tuple[int, ...]], out: set):
-    """Run a compiled plan; step 0 scans `seed`, later steps probe indexes."""
+def _lookup(step: _Step, store: FactStore):
+    """What a probing step looks its key up in: the relation itself when
+    the key covers every column, else the index on the key columns."""
+    if step.full:
+        return store.relation(step.pred)
+    if not step.key_pos:
+        return {(): store.relation(step.pred)}
+    return store.index(step.pred, step.key_pos)
+
+
+def _execute(plan: _Plan, store: FactStore, seed: Iterable[tuple[int, ...]] | None, out: set):
+    """Run a compiled plan.  Step 0 scans `seed` (a fixpoint delta), or
+    probes like every later step when `seed` is None.  A probing step
+    tests membership when its key covers every column, and otherwise
+    takes its key's bucket from an index."""
     steps = plan.steps
     nsteps = len(steps)
     head_src = plan.head_src
     binding = [0] * plan.nslots
+    lookups = [None if i == 0 and seed is not None else _lookup(s, store) for i, s in enumerate(steps)]
 
-    # Pre-resolve probe indexes; key order is (consts..., bounds...) by position.
-    probes = []
-    for step in steps[1:]:
-        key_pos = tuple(sorted([p for p, _ in step.const_checks] + [p for p, _ in step.bound]))
-        probes.append((step, key_pos, store.index(step.pred, key_pos)))
+    def key(step: _Step) -> tuple[int, ...]:
+        return tuple(v if kind == "c" else binding[v] for kind, v in step.key_src)
 
-    def fill(step: _Step, t: tuple[int, ...]) -> bool:
-        for pos, sym in step.const_checks:
-            if t[pos] != sym:
-                return False
-        for pos, slot in step.bound:
-            if t[pos] != binding[slot]:
-                return False
+    def bind(step: _Step, t: tuple[int, ...]) -> bool:
         for pos, first in step.same:
             if t[pos] != t[first]:
                 return False
@@ -254,34 +295,30 @@ def _execute(plan: _Plan, store: FactStore, seed: Iterable[tuple[int, ...]], out
             binding[slot] = t[pos]
         return True
 
-    def probe_key(step: _Step, key_pos: tuple[int, ...]) -> tuple[int, ...]:
-        vals = {}
-        for pos, sym in step.const_checks:
-            vals[pos] = sym
-        for pos, slot in step.bound:
-            vals[pos] = binding[slot]
-        return tuple(vals[p] for p in key_pos)
-
-    def emit():
-        out.add(tuple(sym if kind == "c" else binding[sym] for kind, sym in head_src))
-
     def rec(i: int):
         if i == nsteps:
-            emit()
+            out.add(tuple(v if kind == "c" else binding[v] for kind, v in head_src))
             return
-        step, key_pos, index = probes[i - 1]
-        for t in index.get(probe_key(step, key_pos), ()):
-            if fill(step, t):
+        step = steps[i]
+        if step.full:
+            if key(step) in lookups[i]:
+                rec(i + 1)
+            return
+        for t in lookups[i].get(key(step), ()):
+            if bind(step, t):
                 rec(i + 1)
 
+    if seed is None:
+        rec(0)
+        return
     step0 = steps[0]
-    if nsteps == 1:
-        for t in seed:
-            if fill(step0, t):
-                emit()
-    else:
-        for t in seed:
-            if fill(step0, t):
+    consts = tuple(zip(step0.key_pos, (v for _, v in step0.key_src)))
+    for t in seed:
+        for pos, sym in consts:
+            if t[pos] != sym:
+                break
+        else:
+            if bind(step0, t):
                 rec(1)
 
 
@@ -329,14 +366,11 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
                 key = (id(rule), pos)
                 plan = plan_cache.get(key)
                 if plan is None:
-                    order = _order_body(rule.body, pos, store)
+                    order = [i for i, _ in _plan(rule.body, store, first=pos)]
                     plan = _compile(rule.head, rule.body, order, store)
                     plan_cache[key] = plan
                 for step in plan.steps[1:]:
-                    key_pos = tuple(
-                        sorted([p for p, _ in step.const_checks] + [p for p, _ in step.bound])
-                    )
-                    store.index(step.pred, key_pos)
+                    _lookup(step, store)
                 tasks.append((plan, seed))
 
             def run(task):
@@ -443,25 +477,64 @@ def naive_evaluate(
 # ==============================================================================
 
 
-def answer_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str, ...]]:
-    """Distinct answer bindings, sorted lexicographically by IRI."""
+def _query_plan(store: FactStore, q: ConjunctiveQuery) -> tuple[list[tuple[int, float]], _Plan] | None:
+    """The planned order and compiled plan of `q`, or None when a constant
+    of `q` does not occur in the store, so nothing can match."""
     for a in q.body:
         if a.pred not in KNOWN_ARITY and a.pred not in store.relations:
             raise UnknownPredicate(a.pred)
-        # Constants never seen by the store cannot match anything.
         for t in a.args:
             if isinstance(t, Const) and t.value.iri not in store._sym_ids:
-                return []
-
-    # Greedy start: smallest relation first.
-    first = min(range(len(q.body)), key=lambda i: (len(store.relation(q.body[i].pred)), i))
-    order = _order_body(q.body, first, store)
+                return None
+    order = _plan(q.body, store)
     head = Atom("q", tuple(q.answer_vars))
     try:
-        plan = _compile(head, q.body, order, store)
+        plan = _compile(head, q.body, [i for i, _ in order], store)
     except KeyError as exc:  # head var absent from body
         raise UnsafeQuery(str(exc))
+    return order, plan
+
+
+def answer_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str, ...]]:
+    """Distinct answer bindings, sorted lexicographically by IRI."""
+    planned = _query_plan(store, q)
+    if planned is None:
+        return []
     out: set[tuple[int, ...]] = set()
-    _execute(plan, store, store.relation(q.body[order[0]].pred), out)
+    _execute(planned[1], store, None, out)
     answers = {tuple(store.symbol(s) for s in t) for t in out}
     return sorted(answers)
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    """One step of a query plan as `explain_conjunctive_query` reports it."""
+
+    atom: Atom
+    key: tuple[int, ...]  # the columns looked up by value
+    estimated: float  # bindings expected after this step
+    actual: int  # bindings found after this step
+
+
+def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[PlanStep]:
+    """The join order chosen for `q`, with estimated against actual rows.
+
+    The estimate after a step is the product of the planner's per-binding
+    estimates so far.  Actual rows are counted by running each prefix of
+    the plan on its own, so answering itself keeps no counters.  Empty
+    when a constant of `q` does not occur in the store.
+    """
+    planned = _query_plan(store, q)
+    if planned is None:
+        return []
+    order, plan = planned
+    report = []
+    estimated = 1.0
+    for n, ((idx, cost), step) in enumerate(zip(order, plan.steps), start=1):
+        estimated *= cost
+        prefix = plan.steps[:n]
+        slots = tuple(("s", slot) for s in prefix for _, slot in s.out)
+        rows: set[tuple[int, ...]] = set()
+        _execute(_Plan(prefix, "", slots, plan.nslots), store, None, rows)
+        report.append(PlanStep(q.body[idx], step.key_pos, estimated, len(rows)))
+    return report

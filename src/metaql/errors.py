@@ -11,6 +11,10 @@ class UnknownPrefix(MetaqlError):
         self.prefix = prefix
 
 
+class InvalidIri(MetaqlError, ValueError):
+    """An entity IRI that is empty or contains whitespace."""
+
+
 class OwlSyntaxError(MetaqlError):
     """Malformed input text; carries a 1-based source position."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ArityMismatch, UnknownPrefix, UnsafeQuery, UnsafeRule
+from .errors import ArityMismatch, InvalidIri, UnknownPrefix, UnsafeQuery, UnsafeRule
 
 # ==============================================================================
 # Entities
@@ -36,7 +36,7 @@ class Entity:
 
     def __post_init__(self):
         if not self.iri or any(ch.isspace() for ch in self.iri):
-            raise ValueError(f"bad entity IRI {self.iri!r}")
+            raise InvalidIri(f"bad entity IRI {self.iri!r}")
 
     def __str__(self) -> str:
         return self.iri

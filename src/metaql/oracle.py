@@ -257,7 +257,7 @@ def _check_acyclic(o: Ontology, closure: TBoxClosure):
 
     Membership edges record that every member of one basic concept is a
     member of another without any null being created (atomic inclusions,
-    role hierarchies, reflexivity making a role's两 ends universal).
+    role hierarchies, reflexivity making a role's ends universal).
     Creation edges come from the ontology's own existential axioms: the
     fresh witness lands in the filler, in the incident end of the role,
     and in the top class.  The chase can diverge exactly when a creation

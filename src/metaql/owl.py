@@ -274,11 +274,6 @@ def _class_expr(p: _Parser, prefixes) -> ClassExpr:
     return Atomic(_entity(p, prefixes))
 
 
-def _prop_to_atomic(pe: PropExpr, what: str, tok: _Token) -> Entity:
-    # refl(r^-) and irrefl(r^-) coincide with refl(r) / irrefl(r).
-    return pe.prop
-
-
 def _normalize_prop_inclusion(sub: PropExpr, sup: PropExpr) -> PropInclusion:
     # r^- <= s  is stored as  r <= s^-  (and r^- <= s^- as r <= s).
     if sub.inverse:
@@ -298,8 +293,7 @@ def _check_basic(ce: ClassExpr, keyword: str):
 
 
 def _parse_axiom(p: _Parser, prefixes) -> list[Axiom]:
-    kw_tok = p.next()
-    kw = kw_tok.text
+    kw = p.next().text
 
     if kw in _DISCARDED:
         p.skip_balanced()
@@ -414,13 +408,14 @@ def _parse_axiom(p: _Parser, prefixes) -> list[Axiom]:
         p.expect("lparen")
         pe = _prop_expr(p, prefixes)
         p.expect("rparen")
-        return [Reflexive(_prop_to_atomic(pe, "reflexivity", kw_tok))]
+        # refl(r^-) and irrefl(r^-) coincide with refl(r) / irrefl(r).
+        return [Reflexive(pe.prop)]
 
     if kw == "IrreflexiveObjectProperty":
         p.expect("lparen")
         pe = _prop_expr(p, prefixes)
         p.expect("rparen")
-        return [Irreflexive(_prop_to_atomic(pe, "irreflexivity", kw_tok))]
+        return [Irreflexive(pe.prop)]
 
     if kw == "ClassAssertion":
         p.expect("lparen")

@@ -94,17 +94,6 @@ def tau(ax: Axiom) -> Atom:
 # Inverse direction, used for the bijectivity check and for reading fact
 # dumps back as axioms.
 
-_TBOX_PREDS = frozenset(
-    {
-        "isacCC", "isacCI", "isacRR", "isacIC", "isacIR", "isacII",
-        "isarRR", "isarRI", "isacCR", "isacRC", "isacRI", "refl",
-        "disjrRR", "disjcCC", "disjcCI", "disjcRC", "disjcRR", "disjcRI",
-        "disjcIC", "disjcIR", "disjcII", "disjrRI", "irrefl",
-    }
-)
-_ABOX_PREDS = frozenset({"instc", "instr", "diff"})
-
-
 def _basic_of(kind: str, name: Entity) -> ClassExpr:
     if kind == "C":
         return Atomic(name)

@@ -165,6 +165,42 @@ def test_dump_model_rejected_in_demand_mode(species_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_query_explain_prints_plan_before_answers(tmp_path, capsys):
+    src = tmp_path / "univ2.ofn"
+    src.write_text(university_ontology(2), encoding="utf-8")
+    q7 = (
+        f"PREFIX uni: <{UNI}>\nSELECT ?x ?y WHERE {{ ?x a uni:Student . ?y a uni:Course . "
+        "?x uni:takesCourse ?y . uni:fullProf0_0_0 uni:teacherOf ?y }"
+    )
+    assert main(["query", str(src), "--query-string", q7, "--explain"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:5] == [
+        "step\test_rows\trows\tkey\tatom",
+        f"1\t2.0\t2\t0,1\tinstr(<{UNI}teacherOf>, <{UNI}fullProf0_0_0>, ?y)",
+        f"2\t2.0\t2\t0,1\tinstc(<{UNI}Course>, ?y)",
+        f"3\t7.4\t6\t0,2\tinstr(<{UNI}takesCourse>, ?x, ?y)",
+        f"4\t7.4\t6\t0,1\tinstc(<{UNI}Student>, ?x)",
+    ]
+    assert len(out[5:-1]) == 6 and out[-1].startswith("answers=6")
+    assert main(["query", str(src), "--query-string", q7, "--explain", "--demand"]) == 2
+    assert main(["oracle", str(src), "--query-string", q7, "--explain"]) == 2
+
+
+@pytest.mark.parametrize(
+    "ontology, query",
+    [
+        ("ClassAssertion(<http://a/A> <>)", "SELECT ?x WHERE { ?x a <http://a/A> }"),
+        ("ClassAssertion(<http://a/A> <http://a/b>)", "SELECT ?x WHERE { ?x a <> }"),
+    ],
+    ids=["ontology", "query"],
+)
+def test_empty_iri_is_an_error_not_a_traceback(tmp_path, capsys, ontology, query):
+    src = tmp_path / "empty_iri.ofn"
+    src.write_text(f"Ontology(\n{ontology}\n)\n", encoding="utf-8")
+    assert main(["query", str(src), "--query-string", query]) == 1
+    assert capsys.readouterr().err.startswith("error: bad entity IRI ''")
+
+
 def test_query_reserved_output_uses_owl_spelling(tmp_path, capsys):
     src = tmp_path / "tiny.ofn"
     src.write_text(EXAMPLE_SPECIES, encoding="utf-8")

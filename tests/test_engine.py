@@ -33,9 +33,10 @@ def test_assert_facts_has_set_semantics():
 
 def test_assert_facts_empty_is_noop():
     store = FactStore()
-    gen = store.generation
+    store.assert_facts([atom("instc", E[0], E[1])])
+    size = store.size()
     assert store.assert_facts([]) == 0
-    assert store.generation == gen
+    assert store.size() == size
 
 
 def test_assert_facts_counts_distinct_bulk():
@@ -155,7 +156,8 @@ def test_answers_are_sorted_and_distinct():
     assert answers == sorted(set(answers))
 
 
-def test_query_answers_match_brute_force_enumeration():
+@pytest.mark.parametrize("max_atoms", [3, 5])
+def test_query_answers_match_brute_force_enumeration(max_atoms):
     rng = random.Random(8080)
     for _ in range(40):
         o = random_ontology(rng, max_tbox=6, max_abox=12)
@@ -163,8 +165,21 @@ def test_query_answers_match_brute_force_enumeration():
         store.assert_facts(translate_ontology(o).facts)
         evaluate_fixpoint(store, builtin_rules())
         for _ in range(2):
-            q = random_query(rng, o)
+            q = random_query(rng, o, max_atoms)
             assert store_answers(store, q) == brute_force_answers(store, q)
+
+
+def test_fully_bound_steps_build_no_index():
+    # A step whose key covers every column tests membership in the relation.
+    from metaql import parse_query, to_conjunctive_query
+    from metaql.synthetic import standard_queries, university_ontology
+
+    _, store, _ = saturate(university_ontology(1), check_consistency=True)
+    for _, text in standard_queries():
+        store_answers(store, to_conjunctive_query(parse_query(text)))
+    arity = {pred: len(next(iter(rel))) for pred, rel in store.relations.items() if rel}
+    assert store._indexes
+    assert all(len(key) < arity.get(pred, len(key) + 1) for pred, key in store._indexes)
 
 
 def test_thread_count_does_not_change_the_model():
