@@ -59,7 +59,6 @@ from .engine import (
     explain_conjunctive_query,
     naive_evaluate,
 )
-from .magic import answer_with_demand, magic_transform
 from .sparql import SparqlQuery, TriplePattern, parse_query, to_conjunctive_query, translate_query
 from .oracle import CanonicalModel, TBoxClosure, certain_answers_oracle, chase, tbox_closure
 
@@ -76,10 +75,10 @@ __all__ = [
     "SparqlQuery", "TBoxClosure", "TOP_CLASS", "TOP_PROPERTY",
     "TriplePattern", "UnknownPredicate", "UnknownPrefix", "UnsafeQuery",
     "UnsafeRule", "UnsupportedAxiom", "UnsupportedFeature", "Var",
-    "answer_conjunctive_query", "answer_with_demand", "atom",
+    "answer_conjunctive_query", "atom",
     "axiom_of_fact", "builtin_rules", "certain_answers_oracle", "chase",
     "evaluate_fixpoint", "explain_conjunctive_query", "intern",
-    "magic_transform", "naive_evaluate", "normalize_ontology", "parse_ontology", "parse_query",
+    "naive_evaluate", "normalize_ontology", "parse_ontology", "parse_query",
     "serialize_ontology", "tau", "tbox_closure", "to_conjunctive_query",
     "translate_ontology", "translate_query",
 ]

@@ -22,12 +22,10 @@ import statistics
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .engine import FactStore, PlanStep, answer_conjunctive_query, evaluate_fixpoint, explain_conjunctive_query
 from .errors import MetaqlError
-from .magic import answer_with_demand
 from .model import ConjunctiveQuery, Const, display_iri
 from .oracle import certain_answers_oracle
 from .owl import Ontology, normalize_ontology, parse_ontology, serialize_ontology
@@ -48,6 +46,8 @@ def _read_text(path: str) -> str:
         return p.read_text(encoding="utf-8")
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _Usage(f"cannot read {path}: not UTF-8 text (byte {exc.start})")
 
 
 def _load_query_text(args) -> str:
@@ -103,26 +103,18 @@ def _run_query_pipeline(args):
 
     extras = {}
     plan = None
-    if args.explain and (args.backend == "oracle" or args.demand):
-        raise _Usage("--explain requires the materializing query backend")
     if args.backend == "oracle":
+        if args.explain:
+            raise _Usage("--explain requires the materializing query backend")
         if args.dump_model:
             raise _Usage("--dump-model requires the materializing query backend")
         answers = certain_answers_oracle(ontology, cq)
         t3 = t4 = time.perf_counter()
-    elif args.demand:
-        if args.dump_model:
-            raise _Usage("--dump-model cannot be combined with --demand")
-        answers, stats = answer_with_demand(
-            facts.facts, builtin_rules(args.check_consistency).rules, cq, threads=args.threads
-        )
-        t3 = t4 = time.perf_counter()
-        extras["rounds"] = stats.rounds
     else:
         store = FactStore()
         store.assert_facts(facts.facts)
         catalogue = builtin_rules(check_consistency=args.check_consistency)
-        stats = evaluate_fixpoint(store, catalogue, threads=args.threads)
+        stats = evaluate_fixpoint(store, catalogue)
         t3 = time.perf_counter()
         answers = answer_conjunctive_query(store, cq)
         t4 = time.perf_counter()
@@ -207,9 +199,7 @@ def _parse_bench_config(path: str) -> dict:
         "queries": [],
         "timeout_s": 60.0,
         "repeat": 3,
-        "demand": False,
         "output_csv": "bench.csv",
-        "parallel": 1,
     }
     base_dir = Path(path).resolve().parent
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
@@ -222,14 +212,11 @@ def _parse_bench_config(path: str) -> dict:
             raise _Usage(f"{path}:{lineno}: expected 'key = value'")
         if key in ("ontologies", "queries"):
             config[key] = [str((base_dir / v.strip())) for v in value.split(",") if v.strip()]
-        elif key == "timeout_s":
-            config[key] = float(value)
-        elif key == "repeat":
-            config[key] = int(value)
-        elif key == "parallel":
-            config[key] = int(value)
-        elif key == "demand":
-            config[key] = value.lower() in ("true", "1", "yes")
+        elif key in ("timeout_s", "repeat"):
+            try:
+                config[key] = float(value) if key == "timeout_s" else int(value)
+            except ValueError:
+                raise _Usage(f"{path}:{lineno}: {key} must be a number, got {value!r}")
         elif key == "output_csv":
             config[key] = str(base_dir / value)
         else:
@@ -243,11 +230,9 @@ def _parse_bench_config(path: str) -> dict:
     return config
 
 
-def _bench_one_run(ontology: str, query: str, timeout_s: float, demand: bool) -> dict:
+def _bench_one_run(ontology: str, query: str, timeout_s: float) -> dict:
     """One (ontology, query) execution in a fresh subprocess."""
     cmd = [sys.executable, "-m", "metaql", "query", ontology, "-q", query, "--stats-json"]
-    if demand:
-        cmd.append("--demand")
     row = {
         "dataset": Path(ontology).name,
         "query": Path(query).name,
@@ -301,34 +286,19 @@ def cmd_bench(args) -> int:
         config["output_csv"] = args.output
     if args.timeout is not None:
         config["timeout_s"] = args.timeout
-    if args.parallel is not None:
-        config["parallel"] = args.parallel
 
     pairs = [(o, q) for o in config["ontologies"] for q in config["queries"]]
-
-    def run_pair(pair):
-        ontology, query = pair
-        runs = [
-            _bench_one_run(ontology, query, config["timeout_s"], config["demand"])
-            for _ in range(config["repeat"])
-        ]
-        return runs + [_median_row(runs)]
-
-    if config["parallel"] > 1:
-        with ThreadPoolExecutor(max_workers=config["parallel"]) as pool:
-            blocks = list(pool.map(run_pair, pairs))
-    else:
-        blocks = [run_pair(p) for p in pairs]
+    rows = []
+    for ontology, query in pairs:
+        runs = [_bench_one_run(ontology, query, config["timeout_s"]) for _ in range(config["repeat"])]
+        rows += runs + [_median_row(runs)]
 
     out = Path(config["output_csv"])
     with out.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER, lineterminator="\n")
         writer.writeheader()
-        for block in blocks:
-            for row in block:
-                writer.writerow(row)
-    total_rows = sum(len(b) for b in blocks)
-    print(f"pairs={len(pairs)} rows={total_rows} output={out}")
+        writer.writerows(rows)
+    print(f"pairs={len(pairs)} rows={len(rows)} output={out}")
     return 0
 
 
@@ -362,11 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("ontology")
         p.add_argument("-q", "--query", help="query file (.rq)")
         p.add_argument("--query-string", help="inline query text")
-        p.add_argument("--demand", action="store_true", help="magic-sets demand evaluation")
         p.add_argument("--check-consistency", action="store_true")
         p.add_argument("--report-time", action="store_true", help="print the full timing breakdown")
         p.add_argument("--stats-json", action="store_true", help="print timings as one JSON line")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--dump-model", metavar="PATH", help="write the saturated model as a sorted .dl file")
         p.add_argument(
             "--explain",
@@ -379,11 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("config")
     p_bench.add_argument("-o", "--output", help="override output_csv from the config")
     p_bench.add_argument("--timeout", type=float, help="override timeout_s from the config")
-    p_bench.add_argument(
-        "--parallel",
-        type=int,
-        help="run (ontology, query) pairs concurrently; repeats of a pair stay sequential",
-    )
 
     p_extend = sub.add_parser("extend", help="merge two ontologies (axiom-set union)")
     p_extend.add_argument("base")

@@ -15,16 +15,11 @@ the previous round's delta in each body position, that atom pinned first
 in the plan, so nothing is rederived from scratch.  A deliberately dumb
 naive evaluator (string-level, index-free) exists purely as a
 differential-testing twin.
-
-Rule bodies within a round may be evaluated by a small thread pool;
-rounds are barriers and the merge into the store is single-writer, so
-the result is identical for any thread count.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -327,19 +322,11 @@ def _execute(plan: _Plan, store: FactStore, seed: Iterable[tuple[int, ...]] | No
 # ==============================================================================
 
 
-def _rule_tasks(rules: Sequence[Rule]):
-    for rule in rules:
-        if not rule.body:
-            continue
-        for pos in range(len(rule.body)):
-            yield rule, pos
-
-
-def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule], threads: int = 1) -> EvalStats:
+def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule]) -> EvalStats:
     """Extend the store to the minimal model of its facts plus the rules.
 
-    The result is independent of rule order, join order and thread count;
-    termination is guaranteed because the Herbrand base is finite.
+    The result is independent of rule order, join order and insertion
+    order; termination is guaranteed because the Herbrand base is finite.
     """
     rules = catalogue.rules if isinstance(catalogue, RuleCatalogue) else tuple(catalogue)
     t0 = time.perf_counter()
@@ -352,15 +339,14 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
     delta: dict[str, set[tuple[int, ...]]] = {p: set(r) for p, r in store.relations.items() if r}
     plan_cache: dict[tuple[int, int], _Plan] = {}
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while True:
-            stats.rounds += 1
-            # Plans are compiled and indexes built serially; the parallel
-            # part below only reads the store.
-            tasks = []
-            for rule, pos in _rule_tasks(rules):
-                seed = delta.get(rule.body[pos].pred)
+    while True:
+        stats.rounds += 1
+        # Every join of the round reads the store as it stood at the
+        # round's start; what they derive is merged only afterwards.
+        new: dict[str, set[tuple[int, ...]]] = {}
+        for rule in rules:
+            for pos, a in enumerate(rule.body):
+                seed = delta.get(a.pred)
                 if not seed:
                     continue
                 key = (id(rule), pos)
@@ -369,39 +355,16 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
                     order = [i for i, _ in _plan(rule.body, store, first=pos)]
                     plan = _compile(rule.head, rule.body, order, store)
                     plan_cache[key] = plan
-                for step in plan.steps[1:]:
-                    _lookup(step, store)
-                tasks.append((plan, seed))
-
-            def run(task):
-                plan, seed = task
-                derived: set[tuple[int, ...]] = set()
-                _execute(plan, store, seed, derived)
-                return plan.head_pred, derived
-
-            if pool is not None:
-                results = list(pool.map(run, tasks))
-            else:
-                results = [run(t) for t in tasks]
-
-            # Barrier: merge new facts single-writer, then swap the delta.
-            new: dict[str, set[tuple[int, ...]]] = {}
-            for pred, derived in results:
-                if derived:
-                    new.setdefault(pred, set()).update(derived)
-            delta = {}
-            for pred, tuples in new.items():
-                rel = store.relations.get(pred, set())
-                fresh = tuples - rel
-                if fresh:
-                    store.add_tuples(pred, fresh)
-                    delta[pred] = fresh
-                    stats.facts_derived[pred] = stats.facts_derived.get(pred, 0) + len(fresh)
-            if not delta:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                _execute(plan, store, seed, new.setdefault(plan.head_pred, set()))
+        delta = {}
+        for pred, tuples in new.items():
+            fresh = tuples - store.relation(pred)
+            if fresh:
+                store.add_tuples(pred, fresh)
+                delta[pred] = fresh
+                stats.facts_derived[pred] = stats.facts_derived.get(pred, 0) + len(fresh)
+        if not delta:
+            break
 
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
     return stats

@@ -95,25 +95,28 @@ _TOKEN_RE = re.compile(
 
 
 @dataclass(frozen=True, slots=True)
-class _Token:
+class Token:
     kind: str
     text: str
     line: int
     col: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def tokenize(pattern: re.Pattern, text: str) -> list[Token]:
+    """Split `text` into the tokens of `pattern`, whose named groups are
+    the token kinds; `ws` and `comment` tokens are dropped.  The lexer of
+    both the ontology and the query parser."""
     tokens = []
     line, line_start = 1, 0
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = pattern.match(text, pos)
         if m is None:
             raise OwlSyntaxError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
         kind = m.lastgroup
         chunk = m.group()
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, pos - line_start + 1))
+            tokens.append(Token(kind, chunk, line, pos - line_start + 1))
         newlines = chunk.count("\n")
         if newlines:
             line += newlines
@@ -123,22 +126,22 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> _Token:
+    def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("name", "", 1, 1)
+            last = self.tokens[-1] if self.tokens else Token("name", "", 1, 1)
             raise OwlSyntaxError("unexpected end of input", last.line, last.col)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> Token:
         tok = self.next()
         if tok.kind != kind:
             raise OwlSyntaxError(f"expected {kind}, found {tok.text!r}", tok.line, tok.col)
@@ -193,7 +196,7 @@ _DISCARDED = {"Declaration", "AnnotationAssertion", "Annotation"}
 
 
 def parse_ontology(text: str) -> Ontology:
-    p = _Parser(_tokenize(text))
+    p = _Parser(tokenize(_TOKEN_RE, text))
     prefixes = dict(DEFAULT_PREFIXES)
 
     while (tok := p.peek()) is not None and tok.kind == "name" and tok.text == "Prefix":
@@ -245,14 +248,17 @@ def _entity(p: _Parser, prefixes) -> Entity:
 
 
 def _prop_expr(p: _Parser, prefixes) -> PropExpr:
-    tok = p.peek()
-    if tok is not None and tok.kind == "name" and tok.text == "ObjectInverseOf":
+    # Nested inverses are counted, not recursed into, so no depth of
+    # nesting can exhaust the stack.
+    depth = 0
+    while (tok := p.peek()) is not None and tok.kind == "name" and tok.text == "ObjectInverseOf":
         p.next()
         p.expect("lparen")
-        inner = _prop_expr(p, prefixes)
+        depth += 1
+    pe = PropExpr(_entity(p, prefixes))
+    for _ in range(depth):
         p.expect("rparen")
-        return inner.flipped()
-    return PropExpr(_entity(p, prefixes))
+    return pe.flipped() if depth % 2 else pe
 
 
 def _class_expr(p: _Parser, prefixes) -> ClassExpr:

@@ -27,7 +27,7 @@ from .model import (
     Var,
     intern,
 )
-from .owl import DEFAULT_PREFIXES
+from .owl import DEFAULT_PREFIXES, Token, tokenize
 
 RDF_TYPE = RDF_NS + "type"
 
@@ -102,49 +102,23 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    tokens = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        m = _Q_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise OwlSyntaxError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Tok(kind, chunk, line, pos - line_start + 1))
-        if "\n" in chunk:
-            line += chunk.count("\n")
-            line_start = pos + chunk.rfind("\n") + 1
-        pos = m.end()
-    return tokens
-
-
 def parse_query(text: str) -> SparqlQuery:
-    toks = _tokenize(text)
+    toks = tokenize(_Q_TOKEN_RE, text)
     pos = 0
 
-    def peek() -> _Tok | None:
+    def peek() -> Token | None:
         return toks[pos] if pos < len(toks) else None
 
-    def nxt() -> _Tok:
+    def nxt() -> Token:
         nonlocal pos
         t = peek()
         if t is None:
-            last = toks[-1] if toks else _Tok("name", "", 1, 1)
+            last = toks[-1] if toks else Token("name", "", 1, 1)
             raise OwlSyntaxError("unexpected end of query", last.line, last.col)
         pos += 1
         return t
 
-    def check_unsupported(t: _Tok):
+    def check_unsupported(t: Token):
         if t.kind == "name" and t.text.upper() in _UNSUPPORTED_KEYWORDS:
             raise UnsupportedFeature(_UNSUPPORTED_KEYWORDS[t.text.upper()])
         if t.kind == "string":

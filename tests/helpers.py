@@ -45,13 +45,13 @@ Ontology(
 """
 
 
-def saturate(text: str, check_consistency: bool = False, threads: int = 1):
+def saturate(text: str, check_consistency: bool = False):
     """Parse, normalize, translate and run the fixpoint; returns
     (ontology, store, stats)."""
     ontology = normalize_ontology(parse_ontology(text))
     store = FactStore()
     store.assert_facts(translate_ontology(ontology).facts)
-    stats = evaluate_fixpoint(store, builtin_rules(check_consistency), threads=threads)
+    stats = evaluate_fixpoint(store, builtin_rules(check_consistency))
     return ontology, store, stats
 
 

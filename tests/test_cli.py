@@ -50,6 +50,17 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["query", str(tmp_path / "ghost.ofn"), "--query-string", "x"]) == 2
 
 
+@pytest.mark.parametrize("bad", ["ontology", "query"])
+def test_non_utf8_file_exits_2(tmp_path, species_file, capsys, bad):
+    latin1 = tmp_path / f"latin1.{bad}"
+    latin1.write_bytes("# caf\xe9\n".encode("latin-1"))
+    query = tmp_path / "zoo.rq"
+    query.write_text(ZOO_QUERY, encoding="utf-8")
+    files = {"ontology": species_file, "query": query, bad: latin1}
+    assert main(["query", str(files["ontology"]), "-q", str(files["query"])]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {latin1}: not UTF-8 text (byte 5)\n"
+
+
 def test_rules_dump_and_stats(tmp_path, capsys):
     assert main(["rules", "--stats"]) == 0
     stats_out = capsys.readouterr().out
@@ -82,14 +93,11 @@ def test_query_stats_json(species_file, capsys):
     assert payload["total_ms"] >= 0
 
 
-def test_query_from_file_and_demand(tmp_path, species_file, capsys):
+def test_query_from_file(tmp_path, species_file, capsys):
     qfile = tmp_path / "zoo.rq"
     qfile.write_text(ZOO_QUERY, encoding="utf-8")
     assert main(["query", str(species_file), "-q", str(qfile)]) == 0
-    plain = capsys.readouterr().out.strip().splitlines()[0]
-    assert main(["query", str(species_file), "-q", str(qfile), "--demand"]) == 0
-    demanded = capsys.readouterr().out.strip().splitlines()[0]
-    assert plain == demanded == SPECIES + "Harry"
+    assert capsys.readouterr().out.strip().splitlines()[0] == SPECIES + "Harry"
 
 
 def test_query_check_consistency_flag(tmp_path, capsys):
@@ -124,45 +132,15 @@ def test_oracle_subcommand_matches_query(species_file, capsys):
     assert engine_rows == oracle_rows
 
 
-def test_query_dump_model_is_thread_independent(tmp_path, species_file, capsys):
+def test_query_dump_model_twice_is_byte_identical_and_sorted(tmp_path, species_file, capsys):
     dumps = []
-    for threads, name in ((1, "m1.dl"), (4, "m4.dl")):
+    for name in ("m1.dl", "m2.dl"):
         path = tmp_path / name
-        assert (
-            main(
-                [
-                    "query",
-                    str(species_file),
-                    "--query-string",
-                    ZOO_QUERY,
-                    "--threads",
-                    str(threads),
-                    "--dump-model",
-                    str(path),
-                ]
-            )
-            == 0
-        )
+        assert main(["query", str(species_file), "--query-string", ZOO_QUERY, "--dump-model", str(path)]) == 0
         dumps.append(path.read_bytes())
     capsys.readouterr()
     assert dumps[0] == dumps[1]
     assert dumps[0].decode().splitlines() == sorted(dumps[0].decode().splitlines())
-
-
-def test_dump_model_rejected_in_demand_mode(species_file, tmp_path, capsys):
-    code = main(
-        [
-            "query",
-            str(species_file),
-            "--query-string",
-            ZOO_QUERY,
-            "--demand",
-            "--dump-model",
-            str(tmp_path / "m.dl"),
-        ]
-    )
-    assert code == 2
-    capsys.readouterr()
 
 
 def test_query_explain_prints_plan_before_answers(tmp_path, capsys):
@@ -182,7 +160,6 @@ def test_query_explain_prints_plan_before_answers(tmp_path, capsys):
         f"4\t7.4\t6\t0,1\tinstc(<{UNI}Student>, ?x)",
     ]
     assert len(out[5:-1]) == 6 and out[-1].startswith("answers=6")
-    assert main(["query", str(src), "--query-string", q7, "--explain", "--demand"]) == 2
     assert main(["oracle", str(src), "--query-string", q7, "--explain"]) == 2
 
 
@@ -354,3 +331,7 @@ def test_bench_config_errors_exit_2(tmp_path, capsys):
     assert main(["bench", str(config)]) == 2
     config.write_text("ontologies = a.ofn\nqueries = q.rq\ntimeout_s = -5\n")
     assert main(["bench", str(config)]) == 2
+    for line in ("timeout_s = abc", "repeat = 0x"):
+        config.write_text(f"ontologies = a.ofn\nqueries = q.rq\n{line}\n")
+        assert main(["bench", str(config)]) == 2
+        assert f"{config}:3: " in capsys.readouterr().err

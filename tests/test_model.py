@@ -63,7 +63,7 @@ def test_atom_arity_check():
         atom("instc", e, e, e)
     with pytest.raises(ArityMismatch):
         atom("refl")
-    # Unknown predicates (query heads, magic predicates) are unchecked here.
+    # Unknown predicates (query heads) are unchecked here.
     Atom("q", (Var("X"),))
 
 

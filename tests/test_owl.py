@@ -89,6 +89,16 @@ def test_inverse_on_left_of_property_inclusion_is_normalized():
     assert axs == {PropInclusion(PropExpr(ent("r")), PropExpr(ent("s")))}
 
 
+@pytest.mark.parametrize("depth", [5000, 5001])
+def test_deeply_nested_inverses_fold_by_parity(depth):
+    nested = "ObjectInverseOf(" * depth + ":r" + ")" * depth
+    axs = parse_axioms(f"SubObjectPropertyOf({nested} :s)")
+    odd = depth % 2 == 1
+    assert axs == {PropInclusion(PropExpr(ent("r")), PropExpr(ent("s"), inverse=odd))}
+    with pytest.raises(OwlSyntaxError):
+        parse_axioms(f"SubObjectPropertyOf({nested[:-1]} :s)")
+
+
 def test_nary_disjoint_classes_expand_to_all_pairs():
     axs = parse_axioms("DisjointClasses(:A :B :C)")
     assert len(axs) == 3
