@@ -11,9 +11,15 @@ probes its constants' bucket rather than scanning the relation, and a
 step whose key covers every column is a membership test, never an index.
 
 The fixpoint is computed semi-naive: each round joins every rule against
-the previous round's delta in each body position, that atom pinned first
-in the plan, so nothing is rederived from scratch.  A deliberately dumb
-naive evaluator (string-level, index-free) exists purely as a
+the previous round's delta in each body position, so nothing is
+rederived from scratch.  A body of one or two atoms runs set-at-a-time,
+as one hash join of the whole delta against the other atom's index (or
+a membership test when the delta binds every column of it), and is
+skipped for the round when that other atom's relation is empty.  Longer
+bodies go through the planner with the delta atom pinned first.  Rules
+whose head no body reads (the consistency rules) cannot feed the
+fixpoint; they run once after it, planned like queries.  A deliberately
+dumb naive evaluator (string-level, index-free) exists purely as a
 differential-testing twin.
 """
 
@@ -21,7 +27,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import ArityMismatch, UnknownPredicate, UnsafeQuery
 from .model import (
@@ -33,6 +41,28 @@ from .model import (
     Var,
 )
 from .rules import RuleCatalogue
+
+
+def _columns(cols: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The function taking a tuple to the tuple of its columns `cols`."""
+    if not cols:
+        return lambda t: ()
+    if len(cols) == 1:
+        return itemgetter(slice(cols[0], cols[0] + 1))
+    return itemgetter(*cols)
+
+
+def _picker(srcs: Sequence[tuple[str, int]], width: int) -> Callable[[tuple], tuple]:
+    """The function taking a tuple of `width` columns to the tuple `srcs`
+    names: ('s', column) picks a column, ('c', symbol id) is a constant."""
+    consts = tuple(v for kind, v in srcs if kind == "c")
+    cols, extra = [], width
+    for kind, v in srcs:
+        if kind == "c":
+            v, extra = extra, extra + 1
+        cols.append(v)
+    pick = _columns(cols)
+    return (lambda t: pick(t + consts)) if consts else pick
 
 
 class FactStore:
@@ -70,16 +100,19 @@ class FactStore:
     def add_tuples(self, pred: str, tuples: Iterable[tuple[int, ...]]) -> int:
         rel = self.relations.setdefault(pred, set())
         added = 0
+        arity = self._arity.get(pred, KNOWN_ARITY.get(pred))
         indexes = [
-            (key_pos, index) for (p, key_pos), index in self._indexes.items() if p == pred
+            (_columns(key_pos), index) for (p, key_pos), index in self._indexes.items() if p == pred
         ]
         for t in tuples:
-            self._check_arity(pred, len(t))
+            if len(t) != arity:
+                self._check_arity(pred, len(t))
+                arity = len(t)
             if t not in rel:
                 rel.add(t)
                 added += 1
-                for key_pos, index in indexes:
-                    index.setdefault(tuple(t[i] for i in key_pos), []).append(t)
+                for key, index in indexes:
+                    index.setdefault(key(t), []).append(t)
         return added
 
     def assert_facts(self, facts: Iterable[Atom]) -> int:
@@ -100,8 +133,9 @@ class FactStore:
         got = self._indexes.get((pred, key_pos))
         if got is None:
             got = {}
+            key = _columns(key_pos)
             for t in self.relations.get(pred, ()):
-                got.setdefault(tuple(t[i] for i in key_pos), []).append(t)
+                got.setdefault(key(t), []).append(t)
             self._indexes[(pred, key_pos)] = got
         return got
 
@@ -317,6 +351,65 @@ def _execute(plan: _Plan, store: FactStore, seed: Iterable[tuple[int, ...]] | No
                 rec(1)
 
 
+def _matcher(cols: Sequence[int], srcs: Sequence[tuple[str, int]], width: int):
+    """The test that the columns `cols` of a tuple equal what `srcs` names
+    (constants, or earlier columns of a repeated variable); None when
+    there is nothing to test."""
+    if not cols:
+        return None
+    lhs, rhs = _columns(cols), _picker(srcs, width)
+    return lambda t: lhs(t) == rhs(t)
+
+
+def _bulk_join(plan: _Plan, arities: Sequence[int]):
+    """Compile a rule plan of one or two steps to one set-at-a-time join,
+    `run(store, delta, out)`: every tuple of `delta` that matches step 0
+    is joined with its key's bucket of step 1 in one comprehension, and
+    the head of each tuple pair goes into `out`.  Columns of the pair
+    `t + u` stand in for the plan's slots, so no binding is kept.  The
+    join is skipped whenever step 1's relation is empty."""
+    s0, w0 = plan.steps[0], arities[0]
+    col = {slot: pos for pos, slot in s0.out}
+
+    def columns(srcs):  # slot sources to column sources
+        return [(k, v if k == "c" else col[v]) for k, v in srcs]
+
+    keep = _matcher(
+        [*s0.key_pos, *(pos for pos, _ in s0.same)],
+        [*s0.key_src, *(("s", first) for _, first in s0.same)],
+        w0,
+    )
+    if len(plan.steps) == 1:
+        head = _picker(columns(plan.head_src), w0)
+
+        def run(store: FactStore, delta, out: set):
+            out.update(map(head, filter(keep, delta) if keep else delta))
+
+        return run
+
+    s1 = plan.steps[1]
+    col.update((slot, w0 + pos) for pos, slot in s1.out)
+    key = _picker(columns(s1.key_src), w0)
+    head = _picker(columns(plan.head_src), w0 if s1.full else w0 + arities[1])
+    keep_u = _matcher([pos for pos, _ in s1.same], [("s", first) for _, first in s1.same], arities[1])
+
+    def run(store: FactStore, delta, out: set):
+        if not store.relations.get(s1.pred):
+            return
+        seed = filter(keep, delta) if keep else delta
+        if s1.full:
+            rel = store.relations[s1.pred]
+            out.update(head(t) for t in seed if key(t) in rel)
+            return
+        get = _lookup(s1, store).get
+        if keep_u:
+            out.update(head(t + u) for t in seed for u in get(key(t), ()) if keep_u(u))
+        else:
+            out.update(head(t + u) for t in seed for u in get(key(t), ()))
+
+    return run
+
+
 # ==============================================================================
 # Fixpoint
 # ==============================================================================
@@ -325,8 +418,11 @@ def _execute(plan: _Plan, store: FactStore, seed: Iterable[tuple[int, ...]] | No
 def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule]) -> EvalStats:
     """Extend the store to the minimal model of its facts plus the rules.
 
-    The result is independent of rule order, join order and insertion
-    order; termination is guaranteed because the Herbrand base is finite.
+    Rules whose head no rule body reads (sinks, such as the consistency
+    rules) cannot feed the fixpoint; they run once, after it, planned
+    like a query.  The result is independent of rule order, join order
+    and insertion order; termination is guaranteed because the Herbrand
+    base is finite.
     """
     rules = catalogue.rules if isinstance(catalogue, RuleCatalogue) else tuple(catalogue)
     t0 = time.perf_counter()
@@ -335,27 +431,11 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
     for rule in rules:
         if not rule.body:
             store.assert_facts([rule.head])
+    read = {a.pred for rule in rules for a in rule.body}
+    recursive = [rule for rule in rules if rule.body and rule.head.pred in read]
+    sinks = [rule for rule in rules if rule.body and rule.head.pred not in read]
 
-    delta: dict[str, set[tuple[int, ...]]] = {p: set(r) for p, r in store.relations.items() if r}
-    plan_cache: dict[tuple[int, int], _Plan] = {}
-
-    while True:
-        stats.rounds += 1
-        # Every join of the round reads the store as it stood at the
-        # round's start; what they derive is merged only afterwards.
-        new: dict[str, set[tuple[int, ...]]] = {}
-        for rule in rules:
-            for pos, a in enumerate(rule.body):
-                seed = delta.get(a.pred)
-                if not seed:
-                    continue
-                key = (id(rule), pos)
-                plan = plan_cache.get(key)
-                if plan is None:
-                    order = [i for i, _ in _plan(rule.body, store, first=pos)]
-                    plan = _compile(rule.head, rule.body, order, store)
-                    plan_cache[key] = plan
-                _execute(plan, store, seed, new.setdefault(plan.head_pred, set()))
+    def merge(new: dict[str, set[tuple[int, ...]]]) -> dict[str, set[tuple[int, ...]]]:
         delta = {}
         for pred, tuples in new.items():
             fresh = tuples - store.relation(pred)
@@ -363,8 +443,43 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
                 store.add_tuples(pred, fresh)
                 delta[pred] = fresh
                 stats.facts_derived[pred] = stats.facts_derived.get(pred, 0) + len(fresh)
+        return delta
+
+    # The first round's delta is the whole store; the relations themselves
+    # serve, since nothing is added to them before the round ends.
+    delta: dict[str, set[tuple[int, ...]]] = {p: r for p, r in store.relations.items() if r}
+    tasks: dict[tuple[int, int], Callable] = {}
+
+    while True:
+        stats.rounds += 1
+        # Every join of the round reads the store as it stood at the
+        # round's start; what they derive is merged only afterwards.
+        new: dict[str, set[tuple[int, ...]]] = {}
+        for rule in recursive:
+            for pos, a in enumerate(rule.body):
+                seed = delta.get(a.pred)
+                if not seed:
+                    continue
+                task = tasks.get((id(rule), pos))
+                if task is None:
+                    if len(rule.body) <= 2:
+                        order = [pos, 1 - pos][: len(rule.body)]
+                        plan = _compile(rule.head, rule.body, order, store)
+                        task = _bulk_join(plan, [len(rule.body[i].args) for i in order])
+                    else:
+                        order = [i for i, _ in _plan(rule.body, store, first=pos)]
+                        task = partial(_execute, _compile(rule.head, rule.body, order, store))
+                    tasks[(id(rule), pos)] = task
+                task(store, seed, new.setdefault(rule.head.pred, set()))
+        delta = merge(new)
         if not delta:
             break
+
+    new = {}
+    for rule in sinks:
+        order = [i for i, _ in _plan(rule.body, store)]
+        _execute(_compile(rule.head, rule.body, order, store), store, None, new.setdefault(rule.head.pred, set()))
+    merge(new)
 
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
     return stats

@@ -8,6 +8,7 @@ share across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -26,6 +27,8 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 # owl:Thing etc. and intern() maps those spellings onto the reserved entities.
 _RESERVED_NS = "urn:metaql:"
 
+_find_space = re.compile(r"\s").search
+
 
 @dataclass(frozen=True, slots=True)
 class Entity:
@@ -35,7 +38,7 @@ class Entity:
     iri: str
 
     def __post_init__(self):
-        if not self.iri or any(ch.isspace() for ch in self.iri):
+        if not self.iri or _find_space(self.iri):
             raise InvalidIri(f"bad entity IRI {self.iri!r}")
 
     def __str__(self) -> str:

@@ -11,6 +11,7 @@ from metaql import (
     Const,
     Entity,
     FactStore,
+    Rule,
     Var,
     atom,
     builtin_rules,
@@ -93,8 +94,6 @@ def test_subclass_chain_of_fifty_closes_completely():
 
 
 def test_rules_with_empty_bodies_become_facts():
-    from metaql import Rule
-
     store = FactStore()
     rule_fact = Rule(Atom("named", (Const(E[0]),)))
     evaluate_fixpoint(store, [rule_fact])
@@ -115,6 +114,88 @@ def test_naive_and_seminaive_agree(seed):
     store.assert_facts(facts)
     evaluate_fixpoint(store, rules)
     assert store.string_facts() == naive_evaluate(facts, rules)
+
+
+@pytest.mark.parametrize("check_consistency", [False, True])
+def test_builtin_catalogue_agrees_with_naive_twin(check_consistency):
+    rng = random.Random(5150)
+    catalogue = builtin_rules(check_consistency)
+    inconsistent = 0
+    for _ in range(200):
+        facts = translate_ontology(random_ontology(rng, max_tbox=6, max_abox=12)).facts
+        store = FactStore()
+        store.assert_facts(facts)
+        evaluate_fixpoint(store, catalogue)
+        assert store.string_facts() == naive_evaluate(facts, catalogue)
+        inconsistent += bool(store.relation("violation"))
+    # The consistency rules run after the fixpoint; some instance must
+    # reach them.
+    assert inconsistent > 0 if check_consistency else inconsistent == 0
+
+
+def _rule(head, *body):
+    return Rule(head, tuple(body))
+
+
+def _program_agrees_with_naive_twin(facts, rules):
+    store = FactStore()
+    store.assert_facts(facts)
+    evaluate_fixpoint(store, rules)
+    model = store.string_facts()
+    assert model == naive_evaluate(facts, rules)
+    return model
+
+
+def test_join_fires_once_its_empty_partner_fills():
+    # q's task on p is skipped in the first round, while r is still empty;
+    # it must fire when p(c) arrives in round 5, by then with r filled.
+    a, c = Const(E[0]), Const(E[1])
+    facts = [Atom("p", (a,)), Atom("s", (a,)), Atom("s", (c,))]
+    rules = [
+        _rule(atom("t", "X"), atom("s", "X")),
+        _rule(atom("r", "X", "X"), atom("t", "X")),
+        _rule(atom("q", "X", "Y"), atom("p", "X"), atom("r", "X", "Y")),
+        _rule(Atom("w", (c,)), atom("q", "X", "Y")),
+        _rule(atom("p", "X"), atom("w", "X")),
+    ]
+    model = _program_agrees_with_naive_twin(facts, rules)
+    assert ("q", (E[1].iri, E[1].iri)) in model
+
+
+def test_sink_rule_reads_facts_of_the_last_round():
+    # The chain derives p3 only in its last round; the sink `done`, which
+    # no body reads, still sees it.
+    a = Const(E[0])
+    facts = [Atom("p0", (a,))]
+    rules = [_rule(atom(f"p{i + 1}", "X"), atom(f"p{i}", "X")) for i in range(3)]
+    rules.append(_rule(atom("done", "X"), atom("p0", "X"), atom("p3", "X")))
+    store = FactStore()
+    store.assert_facts(facts)
+    stats = evaluate_fixpoint(store, rules)
+    assert store.string_facts() == naive_evaluate(facts, rules)
+    assert ("done", (E[0].iri,)) in store.string_facts()
+    assert stats.facts_derived["done"] == 1
+
+
+def test_two_atom_body_with_constant_and_repeated_variable():
+    c = Const(E[9])
+    facts = [
+        Atom("p", (Const(E[0]), Const(E[0]))),
+        Atom("p", (Const(E[1]), Const(E[1]))),
+        Atom("p", (Const(E[2]), Const(E[3]))),
+        Atom("r", (Const(E[0]), c)),
+        Atom("r", (Const(E[1]), Const(E[8]))),
+        Atom("r", (Const(E[2]), c)),
+        Atom("u", (Const(E[4]), Const(E[5]), Const(E[5]))),
+        Atom("u", (Const(E[4]), Const(E[6]), Const(E[7]))),
+    ]
+    rules = [
+        _rule(atom("q", "X"), atom("p", "X", "X"), Atom("r", (Var("X"), c))),
+        # the partner's repeated variable is not bound by the delta atom
+        _rule(atom("q", "Y"), atom("q", "X"), atom("u", "Z", "Y", "Y")),
+    ]
+    model = _program_agrees_with_naive_twin(facts, rules)
+    assert {args for pred, args in model if pred == "q"} == {(E[0].iri,), (E[5].iri,)}
 
 
 def store_answers(store, q):

@@ -12,7 +12,7 @@ from metaql import (
     atom,
     intern,
 )
-from metaql.errors import ArityMismatch, UnknownPrefix, UnsafeQuery, UnsafeRule
+from metaql.errors import ArityMismatch, InvalidIri, UnknownPrefix, UnsafeQuery, UnsafeRule
 from metaql.model import OWL_NS, alpha_equivalent
 
 
@@ -50,6 +50,15 @@ def test_entity_rejects_empty_and_whitespace():
         Entity("")
     with pytest.raises(ValueError):
         Entity("http://ex/a b")
+
+
+def test_entity_rejects_every_unicode_whitespace_character():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for ch in spaces:
+        with pytest.raises(InvalidIri):
+            Entity(f"http://ex/a{ch}b")
+    Entity("http://ex/a\u200bb")  # zero-width space is not whitespace
 
 
 def test_entity_equality_is_iri_equality():
