@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -50,6 +52,13 @@ def _read_text(path: str) -> str:
         raise _Usage(f"cannot read {path}: not UTF-8 text (byte {exc.start})")
 
 
+def _write_text(path, text: str):
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _Usage(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _load_query_text(args) -> str:
     if getattr(args, "query_string", None):
         return args.query_string
@@ -68,7 +77,7 @@ def cmd_translate(args) -> int:
     ontology = normalize_ontology(parse_ontology(text))
     facts = translate_ontology(ontology)
     out = Path(args.output) if args.output else Path(args.ontology).with_suffix(".dl")
-    out.write_text(facts.to_dl(), encoding="utf-8", newline="\n")
+    _write_text(out, facts.to_dl())
     print(f"axioms={len(ontology)} facts={len(facts)} output={out}")
     return 0
 
@@ -82,7 +91,7 @@ def cmd_rules(args) -> int:
         return 0
     text = catalogue.to_dl()
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8", newline="\n")
+        _write_text(args.output, text)
         print(f"rules={len(catalogue)} output={args.output}")
     else:
         sys.stdout.write(text)
@@ -124,7 +133,7 @@ def _run_query_pipeline(args):
         if args.check_consistency:
             extras["consistency"] = "violated" if store.relation("violation") else "ok"
         if args.dump_model:
-            Path(args.dump_model).write_text(store.canonical_dump(), encoding="utf-8", newline="\n")
+            _write_text(args.dump_model, store.canonical_dump())
 
     timings = {
         "load_ms": (t1 - t0) * 1000.0,
@@ -183,7 +192,7 @@ def cmd_extend(args) -> int:
         base.tbox | extension.tbox, base.abox | extension.abox, merged_prefixes
     )
     out = Path(args.output)
-    out.write_text(serialize_ontology(merged), encoding="utf-8", newline="\n")
+    _write_text(out, serialize_ontology(merged))
     print(f"axioms={len(merged)} output={out}")
     return 0
 
@@ -193,7 +202,9 @@ def cmd_extend(args) -> int:
 # ------------------------------------------------------------------------------
 
 
-def _parse_bench_config(path: str) -> dict:
+def _parse_bench_config(path: str, timeout_s: float | None = None) -> dict:
+    """The bench config at `path`, with `timeout_s`, when given, in place
+    of the file's."""
     config = {
         "ontologies": [],
         "queries": [],
@@ -223,8 +234,10 @@ def _parse_bench_config(path: str) -> dict:
             raise _Usage(f"{path}:{lineno}: unknown key {key!r}")
     if not config["ontologies"] or not config["queries"]:
         raise _Usage("bench config must list ontologies and queries")
-    if config["timeout_s"] <= 0:
-        raise _Usage("timeout_s must be positive")
+    if timeout_s is not None:
+        config["timeout_s"] = timeout_s
+    if not (math.isfinite(config["timeout_s"]) and config["timeout_s"] > 0):
+        raise _Usage(f"timeout_s must be a finite positive number of seconds, got {config['timeout_s']}")
     if config["repeat"] < 1:
         raise _Usage("repeat must be at least 1")
     return config
@@ -281,11 +294,9 @@ def _median_row(runs: list[dict]) -> dict:
 
 
 def cmd_bench(args) -> int:
-    config = _parse_bench_config(args.config)
+    config = _parse_bench_config(args.config, args.timeout)
     if args.output:
         config["output_csv"] = args.output
-    if args.timeout is not None:
-        config["timeout_s"] = args.timeout
 
     pairs = [(o, q) for o in config["ontologies"] for q in config["queries"]]
     rows = []
@@ -293,11 +304,12 @@ def cmd_bench(args) -> int:
         runs = [_bench_one_run(ontology, query, config["timeout_s"]) for _ in range(config["repeat"])]
         rows += runs + [_median_row(runs)]
 
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=CSV_HEADER, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     out = Path(config["output_csv"])
-    with out.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_text(out, text.getvalue())
     print(f"pairs={len(pairs)} rows={len(rows)} output={out}")
     return 0
 

@@ -6,20 +6,25 @@ column patterns the joins ask for.  One cost-based planner orders the
 bodies of rules and queries alike: each atom is estimated from the
 store's exact index buckets for its constants and bound columns, the
 cheapest atom goes first, and every later atom shares a variable with
-those before it unless the body is disconnected.  A query's first step
-probes its constants' bucket rather than scanning the relation, and a
-step whose key covers every column is a membership test, never an index.
+those before it unless the body is disconnected.
+
+One executor runs every planned body: the fixpoint's rule tasks, the
+sink rules, queries and the prefixes `explain_conjunctive_query` counts.
+It is a left-deep chain of set-at-a-time stages over rows that
+concatenate the tuples matched so far.  The first step filters a
+fixpoint delta, or starts from its constants' index bucket; every later
+step extends each row with its key's bucket, or, when the key covers
+every column, keeps the rows whose key is in the relation and builds no
+index.  The stages are generators that stream into the head, so no
+intermediate rows are held, and nothing runs when a relation of the
+body is empty.
 
 The fixpoint is computed semi-naive: each round joins every rule against
-the previous round's delta in each body position, so nothing is
-rederived from scratch.  A body of one or two atoms runs set-at-a-time,
-as one hash join of the whole delta against the other atom's index (or
-a membership test when the delta binds every column of it), and is
-skipped for the round when that other atom's relation is empty.  Longer
-bodies go through the planner with the delta atom pinned first.  Rules
-whose head no body reads (the consistency rules) cannot feed the
-fixpoint; they run once after it, planned like queries.  A deliberately
-dumb naive evaluator (string-level, index-free) exists purely as a
+the previous round's delta in each body position, with the delta atom
+pinned first, so nothing is rederived from scratch.  Rules whose head no
+body reads (the consistency rules) cannot feed the fixpoint; they run
+once after it, planned like queries.  A deliberately dumb naive
+evaluator (string-level, index-free) exists purely as a
 differential-testing twin.
 """
 
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -175,7 +179,7 @@ class EvalStats:
 
 
 # ==============================================================================
-# Join planning and rule compilation
+# Join planning and compilation
 # ==============================================================================
 #
 # One planner orders the body of every rule and query.  An atom's cost is
@@ -185,12 +189,13 @@ class EvalStats:
 # every column in it, 1.  The cheapest atom goes first, then repeatedly
 # the cheapest atom sharing a variable with those placed, so no cross
 # product is built unless the body itself is disconnected.  The ordered
-# body is compiled to steps; slots hold variable bindings positionally.
+# body is compiled to steps, and the steps to one chain of join stages.
 
 
 @dataclass(frozen=True)
 class _Step:
     pred: str
+    arity: int
     # key columns, ascending: positions holding a constant or a variable
     # bound by an earlier step; the source of each key value is
     # ('c', symbol id) or ('s', slot)
@@ -207,10 +212,8 @@ class _Step:
 @dataclass(frozen=True)
 class _Plan:
     steps: tuple[_Step, ...]
-    head_pred: str
     # head argument sources: ('c', symbol id) or ('s', slot)
     head_src: tuple[tuple[str, int], ...]
-    nslots: int
 
 
 def _estimate(a: Atom, bound: set[str], store: FactStore) -> float:
@@ -223,13 +226,17 @@ def _estimate(a: Atom, bound: set[str], store: FactStore) -> float:
         return float(len(rel))
     index = store.index(a.pred, key_pos)
     if all(isinstance(a.args[p], Const) for p in key_pos):
-        return float(len(index.get(tuple(store.intern(a.args[p].value.iri) for p in key_pos), ())))
+        key = tuple(store._sym_ids.get(a.args[p].value.iri, -1) for p in key_pos)
+        return float(len(index.get(key, ())))
     return len(rel) / len(index) if index else 0.0
 
 
 def _plan(body: Sequence[Atom], store: FactStore, first: int | None = None) -> list[tuple[int, float]]:
     """Join order for `body` as (atom index, estimated rows per binding)
-    pairs; `first`, the delta atom of a fixpoint round, is pinned first."""
+    pairs; `first`, the delta atom of a fixpoint round, is pinned first.
+    Raises ArityMismatch for an atom whose arity is not its predicate's."""
+    for a in body:
+        store._check_arity(a.pred, len(a.args))
     remaining = list(range(len(body)))
     names = [{t.name for t in a.args if isinstance(t, Var)} for a in body]
     bound: set[str] = set()
@@ -249,7 +256,7 @@ def _plan(body: Sequence[Atom], store: FactStore, first: int | None = None) -> l
     return order
 
 
-def _compile(head: Atom | None, body: Sequence[Atom], order: Sequence[int], store: FactStore) -> _Plan:
+def _compile(head: Atom, body: Sequence[Atom], order: Sequence[int], store: FactStore) -> _Plan:
     slots: dict[str, int] = {}
     steps = []
     for idx in order:
@@ -271,6 +278,7 @@ def _compile(head: Atom | None, body: Sequence[Atom], order: Sequence[int], stor
         steps.append(
             _Step(
                 a.pred,
+                len(a.args),
                 tuple(p for p, _ in key),
                 tuple(src for _, src in key),
                 len(key) == len(a.args),
@@ -278,136 +286,108 @@ def _compile(head: Atom | None, body: Sequence[Atom], order: Sequence[int], stor
                 tuple(same),
             )
         )
-    if head is None:
-        head_pred, head_src = "", ()
-    else:
-        head_pred = head.pred
-        src = []
-        for t in head.args:
-            if isinstance(t, Const):
-                src.append(("c", store.intern(t.value.iri)))
-            else:
-                src.append(("s", slots[t.name]))
-        head_src = tuple(src)
-    return _Plan(tuple(steps), head_pred, head_src, len(slots))
+    head_src = tuple(
+        ("c", store.intern(t.value.iri)) if isinstance(t, Const) else ("s", slots[t.name]) for t in head.args
+    )
+    return _Plan(tuple(steps), head_src)
 
 
 def _lookup(step: _Step, store: FactStore):
-    """What a probing step looks its key up in: the relation itself when
-    the key covers every column, else the index on the key columns."""
-    if step.full:
-        return store.relation(step.pred)
+    """The index a probing step looks its key up in; a step without key
+    columns finds the whole relation under the empty key."""
     if not step.key_pos:
         return {(): store.relation(step.pred)}
     return store.index(step.pred, step.key_pos)
 
 
-def _execute(plan: _Plan, store: FactStore, seed: Iterable[tuple[int, ...]] | None, out: set):
-    """Run a compiled plan.  Step 0 scans `seed` (a fixpoint delta), or
-    probes like every later step when `seed` is None.  A probing step
-    tests membership when its key covers every column, and otherwise
-    takes its key's bucket from an index."""
-    steps = plan.steps
-    nsteps = len(steps)
-    head_src = plan.head_src
-    binding = [0] * plan.nslots
-    lookups = [None if i == 0 and seed is not None else _lookup(s, store) for i, s in enumerate(steps)]
-
-    def key(step: _Step) -> tuple[int, ...]:
-        return tuple(v if kind == "c" else binding[v] for kind, v in step.key_src)
-
-    def bind(step: _Step, t: tuple[int, ...]) -> bool:
-        for pos, first in step.same:
-            if t[pos] != t[first]:
-                return False
-        for pos, slot in step.out:
-            binding[slot] = t[pos]
-        return True
-
-    def rec(i: int):
-        if i == nsteps:
-            out.add(tuple(v if kind == "c" else binding[v] for kind, v in head_src))
-            return
-        step = steps[i]
-        if step.full:
-            if key(step) in lookups[i]:
-                rec(i + 1)
-            return
-        for t in lookups[i].get(key(step), ()):
-            if bind(step, t):
-                rec(i + 1)
-
-    if seed is None:
-        rec(0)
-        return
-    step0 = steps[0]
-    consts = tuple(zip(step0.key_pos, (v for _, v in step0.key_src)))
-    for t in seed:
-        for pos, sym in consts:
-            if t[pos] != sym:
-                break
-        else:
-            if bind(step0, t):
-                rec(1)
-
-
-def _matcher(cols: Sequence[int], srcs: Sequence[tuple[str, int]], width: int):
-    """The test that the columns `cols` of a tuple equal what `srcs` names
-    (constants, or earlier columns of a repeated variable); None when
-    there is nothing to test."""
-    if not cols:
+def _matcher(pairs: Sequence[tuple[int, tuple[str, int]]], width: int):
+    """The test that each column `pos` of a tuple of `width` columns equals
+    what its source names, for the (pos, source) `pairs` (constants, or an
+    earlier column of a repeated variable); None when there is nothing to
+    test."""
+    if not pairs:
         return None
-    lhs, rhs = _columns(cols), _picker(srcs, width)
+    lhs, rhs = _columns([pos for pos, _ in pairs]), _picker([src for _, src in pairs], width)
     return lambda t: lhs(t) == rhs(t)
 
 
-def _bulk_join(plan: _Plan, arities: Sequence[int]):
-    """Compile a rule plan of one or two steps to one set-at-a-time join,
-    `run(store, delta, out)`: every tuple of `delta` that matches step 0
-    is joined with its key's bucket of step 1 in one comprehension, and
-    the head of each tuple pair goes into `out`.  Columns of the pair
-    `t + u` stand in for the plan's slots, so no binding is kept.  The
-    join is skipped whenever step 1's relation is empty."""
-    s0, w0 = plan.steps[0], arities[0]
-    col = {slot: pos for pos, slot in s0.out}
+# The stages of a join chain.  Each is a generator made inside its own
+# function, so the names it reads are bound when it is made, not when the
+# chain is finally drained.
+
+
+def _probe(rows, get, key, keep):
+    """Each row extended with every tuple of its key's bucket that `keep`
+    (when given) accepts."""
+    if keep is None:
+        return (r + u for r in rows for u in get(key(r), ()))
+    return (r + u for r in rows for u in get(key(r), ()) if keep(u))
+
+
+def _member(rows, rel, key):
+    """The rows whose key is a tuple of `rel`."""
+    return (r for r in rows if key(r) in rel)
+
+
+def _join(plan: _Plan):
+    """Compile a plan to one left-deep chain of set-at-a-time join stages,
+    `run(store, seed, out)`, which adds the head of every match to `out`.
+
+    A row is the concatenation of the tuples it matched, so its columns
+    stand in for the plan's slots and no binding is kept.  Step 0 filters
+    `seed` (a fixpoint delta) on its constants and repeated variables; with
+    no seed it starts from its constants' bucket instead.  Every later step
+    extends each row with its key's index bucket, or, when its key covers
+    every column, keeps the rows whose key is in the relation.  The stages
+    are generators, so no intermediate rows are held: the last one streams
+    through the head into `out`.  Nothing runs when a relation of the body
+    is empty.
+    """
+    steps = plan.steps
+    s0 = steps[0]
+    col = {slot: pos for pos, slot in s0.out}  # slot -> column of the row
+    width = s0.arity
 
     def columns(srcs):  # slot sources to column sources
         return [(k, v if k == "c" else col[v]) for k, v in srcs]
 
-    keep = _matcher(
-        [*s0.key_pos, *(pos for pos, _ in s0.same)],
-        [*s0.key_src, *(("s", first) for _, first in s0.same)],
-        w0,
-    )
-    if len(plan.steps) == 1:
-        head = _picker(columns(plan.head_src), w0)
+    consts0 = tuple(v for _, v in s0.key_src)  # step 0 has no earlier slots
+    same0 = [(pos, ("s", first)) for pos, first in s0.same]
+    keep_seed = _matcher([*zip(s0.key_pos, s0.key_src), *same0], width)
+    keep_start = _matcher(same0, width)
+    probes = []
+    for step in steps[1:]:
+        key = _picker(columns(step.key_src), width)
+        keep = _matcher([(pos, ("s", first)) for pos, first in step.same], step.arity)
+        probes.append((step, key, keep))
+        if not step.full:
+            col.update((slot, width + pos) for pos, slot in step.out)
+            width += step.arity
+    head = _picker(columns(plan.head_src), width)
 
-        def run(store: FactStore, delta, out: set):
-            out.update(map(head, filter(keep, delta) if keep else delta))
-
-        return run
-
-    s1 = plan.steps[1]
-    col.update((slot, w0 + pos) for pos, slot in s1.out)
-    key = _picker(columns(s1.key_src), w0)
-    head = _picker(columns(plan.head_src), w0 if s1.full else w0 + arities[1])
-    keep_u = _matcher([pos for pos, _ in s1.same], [("s", first) for _, first in s1.same], arities[1])
-
-    def run(store: FactStore, delta, out: set):
-        if not store.relations.get(s1.pred):
+    def run(store: FactStore, seed: Iterable[tuple[int, ...]] | None, out: set):
+        rels = [store.relations.get(step.pred) for step in steps]
+        if not all(rels):
             return
-        seed = filter(keep, delta) if keep else delta
-        if s1.full:
-            rel = store.relations[s1.pred]
-            out.update(head(t) for t in seed if key(t) in rel)
-            return
-        get = _lookup(s1, store).get
-        if keep_u:
-            out.update(head(t + u) for t in seed for u in get(key(t), ()) if keep_u(u))
-        else:
-            out.update(head(t + u) for t in seed for u in get(key(t), ()))
+        keep0 = keep_seed
+        if seed is None:
+            keep0 = keep_start
+            if s0.full:
+                seed = (consts0,) if consts0 in rels[0] else ()
+            else:
+                seed = _lookup(s0, store).get(consts0, ())
+        rows = filter(keep0, seed) if keep0 else seed
+        for (step, key, keep), rel in zip(probes, rels[1:]):
+            rows = _member(rows, rel, key) if step.full else _probe(rows, _lookup(step, store).get, key, keep)
+        out.update(map(head, rows))
 
     return run
+
+
+def _rule_join(rule: Rule, store: FactStore, first: int | None = None):
+    """The compiled join of `rule`'s body, planned with `first` pinned."""
+    order = [i for i, _ in _plan(rule.body, store, first)]
+    return _join(_compile(rule.head, rule.body, order, store))
 
 
 # ==============================================================================
@@ -462,14 +442,7 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
                     continue
                 task = tasks.get((id(rule), pos))
                 if task is None:
-                    if len(rule.body) <= 2:
-                        order = [pos, 1 - pos][: len(rule.body)]
-                        plan = _compile(rule.head, rule.body, order, store)
-                        task = _bulk_join(plan, [len(rule.body[i].args) for i in order])
-                    else:
-                        order = [i for i, _ in _plan(rule.body, store, first=pos)]
-                        task = partial(_execute, _compile(rule.head, rule.body, order, store))
-                    tasks[(id(rule), pos)] = task
+                    task = tasks[(id(rule), pos)] = _rule_join(rule, store, first=pos)
                 task(store, seed, new.setdefault(rule.head.pred, set()))
         delta = merge(new)
         if not delta:
@@ -477,8 +450,7 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
 
     new = {}
     for rule in sinks:
-        order = [i for i, _ in _plan(rule.body, store)]
-        _execute(_compile(rule.head, rule.body, order, store), store, None, new.setdefault(rule.head.pred, set()))
+        _rule_join(rule, store)(store, None, new.setdefault(rule.head.pred, set()))
     merge(new)
 
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -561,10 +533,9 @@ def _query_plan(store: FactStore, q: ConjunctiveQuery) -> tuple[list[tuple[int, 
     for a in q.body:
         if a.pred not in KNOWN_ARITY and a.pred not in store.relations:
             raise UnknownPredicate(a.pred)
-        for t in a.args:
-            if isinstance(t, Const) and t.value.iri not in store._sym_ids:
-                return None
     order = _plan(q.body, store)
+    if any(isinstance(t, Const) and t.value.iri not in store._sym_ids for a in q.body for t in a.args):
+        return None
     head = Atom("q", tuple(q.answer_vars))
     try:
         plan = _compile(head, q.body, [i for i, _ in order], store)
@@ -579,7 +550,7 @@ def answer_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[tupl
     if planned is None:
         return []
     out: set[tuple[int, ...]] = set()
-    _execute(planned[1], store, None, out)
+    _join(planned[1])(store, None, out)
     answers = {tuple(store.symbol(s) for s in t) for t in out}
     return sorted(answers)
 
@@ -598,9 +569,10 @@ def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[Pla
     """The join order chosen for `q`, with estimated against actual rows.
 
     The estimate after a step is the product of the planner's per-binding
-    estimates so far.  Actual rows are counted by running each prefix of
-    the plan on its own, so answering itself keeps no counters.  Empty
-    when a constant of `q` does not occur in the store.
+    estimates so far.  Actual rows are the distinct bindings of each prefix
+    of the plan, run on its own through the same join chain, so answering
+    itself keeps no counters.  Empty when a constant of `q` does not occur
+    in the store.
     """
     planned = _query_plan(store, q)
     if planned is None:
@@ -613,6 +585,6 @@ def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[Pla
         prefix = plan.steps[:n]
         slots = tuple(("s", slot) for s in prefix for _, slot in s.out)
         rows: set[tuple[int, ...]] = set()
-        _execute(_Plan(prefix, "", slots, plan.nslots), store, None, rows)
+        _join(_Plan(prefix, slots))(store, None, rows)
         report.append(PlanStep(q.body[idx], step.key_pos, estimated, len(rows)))
     return report

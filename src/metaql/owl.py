@@ -299,7 +299,8 @@ def _check_basic(ce: ClassExpr, keyword: str):
 
 
 def _parse_axiom(p: _Parser, prefixes) -> list[Axiom]:
-    kw = p.next().text
+    kw_tok = p.next()
+    kw = kw_tok.text
 
     if kw in _DISCARDED:
         p.skip_balanced()

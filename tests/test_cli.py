@@ -163,6 +163,24 @@ def test_query_explain_prints_plan_before_answers(tmp_path, capsys):
     assert main(["oracle", str(src), "--query-string", q7, "--explain"]) == 2
 
 
+@pytest.mark.parametrize("command", ["translate", "rules", "extend", "dump-model", "bench"])
+def test_unwritable_output_path_exits_2(tmp_path, species_file, capsys, command):
+    target = tmp_path / "no-such-dir" / "out"
+    query = tmp_path / "zoo.rq"
+    query.write_text(ZOO_QUERY, encoding="utf-8")
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"ontologies = {species_file.name}\nqueries = {query.name}\nrepeat = 1\n", encoding="utf-8")
+    argv = {
+        "translate": ["translate", str(species_file), "-o", str(target)],
+        "rules": ["rules", "-o", str(target)],
+        "extend": ["extend", str(species_file), str(species_file), "-o", str(target)],
+        "dump-model": ["query", str(species_file), "-q", str(query), "--dump-model", str(target)],
+        "bench": ["bench", str(config), "-o", str(target)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+
 @pytest.mark.parametrize(
     "ontology, query",
     [
@@ -335,3 +353,16 @@ def test_bench_config_errors_exit_2(tmp_path, capsys):
         config.write_text(f"ontologies = a.ofn\nqueries = q.rq\n{line}\n")
         assert main(["bench", str(config)]) == 2
         assert f"{config}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_bench_timeout_must_be_finite_and_positive(tmp_path, capsys, where, value):
+    ontology, q1, _ = _write_bench_inputs(tmp_path)
+    config = tmp_path / "bench.cfg"
+    timeout = value if where == "config" else "60"
+    config.write_text(f"ontologies = {ontology.name}\nqueries = {q1.name}\ntimeout_s = {timeout}\n")
+    flag = [f"--timeout={value}"] if where == "flag" else []
+    assert main(["bench", str(config), "-o", str(tmp_path / "out.csv"), *flag]) == 2
+    assert "timeout_s must be a finite positive number of seconds" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

@@ -198,6 +198,62 @@ def test_two_atom_body_with_constant_and_repeated_variable():
     assert {args for pred, args in model if pred == "q"} == {(E[0].iri,), (E[5].iri,)}
 
 
+def test_all_constant_seed_atom_fires_when_it_arrives():
+    # p(c) and p(d) arrive together in round 3, after r is filled.  The
+    # delta atom p(c) of q's first task must match p(c) alone, and w's
+    # p(e) must match nothing.  `done` reads q and w, so they join inside
+    # the fixpoint rather than once after it.
+    c, d, e = Const(E[1]), Const(E[2]), Const(E[5])
+    facts = [Atom("s", (d,)), Atom("r", (Const(E[3]),)), Atom("r", (Const(E[4]),))]
+    rules = [
+        _rule(atom("t", "X"), atom("s", "X")),
+        _rule(Atom("p", (c,)), atom("t", "X")),
+        _rule(atom("p", "X"), atom("t", "X")),
+        _rule(atom("q", "X"), Atom("p", (c,)), atom("r", "X")),
+        _rule(atom("w", "X"), Atom("p", (e,)), atom("r", "X")),
+        _rule(atom("done", "X"), atom("q", "X")),
+        _rule(atom("done", "X"), atom("w", "X")),
+    ]
+    model = _program_agrees_with_naive_twin(facts, rules)
+    assert {args for pred, args in model if pred == "q"} == {(E[3].iri,), (E[4].iri,)}
+    assert not {args for pred, args in model if pred == "w"}
+
+
+def test_disconnected_body_is_a_cross_product():
+    facts = [Atom("p", (Const(E[i]),)) for i in range(3)] + [Atom("r", (Const(E[i]),)) for i in (3, 4)]
+    rules = [_rule(atom("q", "X", "Y"), atom("p", "X"), atom("r", "Y"))]
+    model = _program_agrees_with_naive_twin(facts, rules)
+    assert len([1 for pred, _ in model if pred == "q"]) == 6
+
+
+def test_repeated_variable_inside_a_later_atom():
+    # u(Z, Y, Y) joins third, after p and r; only its tuples with equal
+    # second and third columns may match.
+    facts = [
+        Atom("p", (Const(E[0]), Const(E[1]))),
+        Atom("r", (Const(E[1]), Const(E[2]))),
+        Atom("u", (Const(E[2]), Const(E[5]), Const(E[5]))),
+        Atom("u", (Const(E[2]), Const(E[6]), Const(E[7]))),
+    ]
+    rules = [_rule(atom("q", "X", "Y"), atom("p", "X", "A"), atom("r", "A", "Z"), atom("u", "Z", "Y", "Y"))]
+    model = _program_agrees_with_naive_twin(facts, rules)
+    assert {args for pred, args in model if pred == "q"} == {(E[0].iri, E[5].iri)}
+    store = FactStore()
+    store.assert_facts(facts)
+    q = ConjunctiveQuery(
+        (Var("X"), Var("Y")),
+        (atom("u", "Z", "Y", "Y"), atom("r", "A", "Z"), atom("p", "X", "A")),
+    )
+    assert store_answers(store, q) == brute_force_answers(store, q) == [(E[0].iri, E[5].iri)]
+
+
+def test_rule_body_atom_of_the_wrong_arity_is_rejected():
+    store = FactStore()
+    store.assert_facts([Atom("p", (Const(E[0]), Const(E[1])))])
+    with pytest.raises(ArityMismatch):
+        evaluate_fixpoint(store, [_rule(atom("q", "X"), atom("p", "X"))])
+
+
 def store_answers(store, q):
     from metaql import answer_conjunctive_query
 
@@ -235,6 +291,27 @@ def test_answers_are_sorted_and_distinct():
     q = ConjunctiveQuery((Var("X"),), (Atom("instc", (Var("C"), Var("X"))),))
     answers = store_answers(store, q)
     assert answers == sorted(set(answers))
+
+
+def test_all_constant_atom_as_the_first_probing_step():
+    # instc(Species, GoldenEagle) covers every column and costs 1, so it
+    # is the query's first step: a membership test, not an index bucket.
+    _, store, _ = saturate(EXAMPLE_SPECIES)
+    es, ge = Const(Entity(SPECIES + "EndangeredSpecies")), Const(Entity(SPECIES + "GoldenEagle"))
+    for cls in (es, Const(Entity(SPECIES + "Birds"))):
+        q = ConjunctiveQuery(
+            (Var("X"),), (Atom("instc", (Var("X"), Var("Y"))), Atom("instc", (cls, ge)))
+        )
+        assert store_answers(store, q) == brute_force_answers(store, q)
+    assert store_answers(store, q) == []
+
+
+@pytest.mark.parametrize("args", [("X",), ("X", "Y", "Z")])
+def test_query_atom_of_the_wrong_arity_is_rejected(args):
+    store = FactStore()
+    store.assert_facts([Atom("p", (Const(E[0]), Const(E[1])))])
+    with pytest.raises(ArityMismatch):
+        store_answers(store, ConjunctiveQuery((Var("X"),), (atom("p", *args),)))
 
 
 @pytest.mark.parametrize("max_atoms", [3, 5])

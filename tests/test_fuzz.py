@@ -1,9 +1,17 @@
 """Input-boundary properties: any text, however malformed, either parses
-or raises a `MetaqlError`; nothing else escapes the parsers."""
+or raises a `MetaqlError`; nothing else escapes the parsers.  Bench
+configs either validate or are usage errors, and the `query` command
+ends every input in exit 0, 1 or 2."""
+
+import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import EXAMPLE_SPECIES
 from metaql import MetaqlError, normalize_ontology, parse_ontology, parse_query, to_conjunctive_query
+from metaql.cli import _parse_bench_config, _Usage, main
 
 OWL_TOKENS = (
     "Prefix", "Ontology", "(", ")", "=", ":", "ex:", "<http://x#a>", "<http://x#>", "<>", "<a b>",
@@ -28,6 +36,23 @@ OWL_CHARS = "()<>:=\"#@^ \n\t\\aAbSx_-.0 \x00"
 SPARQL_CHARS = "{}()<>:?$.*;,[]/|^!=\"#_ \n\taAxSWE \x00"
 
 fuzz = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+BENCH_NUMBERS = st.one_of(
+    st.sampled_from(("nan", "-nan", "inf", "-inf", "1e400", "-1", "0", "-0.0", "0.5", "3")),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.text(max_size=10),
+)
+BENCH_LINES = st.one_of(
+    st.builds("timeout_s = {}".format, BENCH_NUMBERS),
+    st.builds("repeat = {}".format, BENCH_NUMBERS),
+    st.builds("{} = {}".format, st.sampled_from(("ontologies", "queries", "output_csv")), st.text(max_size=20)),
+)
+# Any text, or a config listing its inputs followed by arbitrary settings.
+BENCH_CONFIGS = st.one_of(
+    st.text(max_size=200),
+    st.lists(BENCH_LINES, max_size=6).map(lambda lines: "\n".join(["ontologies = a.ofn", "queries = q.rq", *lines])),
+)
 
 
 def _tokens(vocab):
@@ -94,3 +119,30 @@ def test_query_from_token_sequences(text):
 @given(st.lists(st.sampled_from(SPARQL_TOKENS), max_size=30).map(lambda ts: "SELECT * WHERE { " + " ".join(ts) + " }"))
 def test_patterns_from_token_sequences(text):
     _query_ok_or_error(text)
+
+
+@fuzz
+@given(BENCH_CONFIGS)
+def test_bench_config_validates_or_is_a_usage_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bench.cfg"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        try:
+            config = _parse_bench_config(str(path))
+        except _Usage:
+            return
+    assert math.isfinite(config["timeout_s"]) and config["timeout_s"] > 0
+    assert config["repeat"] >= 1
+
+
+@fuzz
+@given(
+    st.one_of(st.binary(max_size=200), _tokens(OWL_TOKENS).map(str.encode), st.just(EXAMPLE_SPECIES.encode())),
+    st.one_of(st.binary(max_size=200), _tokens(SPARQL_TOKENS).map(str.encode)),
+)
+def test_query_command_on_any_bytes_exits_0_1_or_2(ontology, query):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "o.ofn", Path(tmp) / "q.rq"]
+        for path, data in zip(paths, (ontology, query)):
+            path.write_bytes(data)
+        assert main(["query", str(paths[0]), "-q", str(paths[1])]) in (0, 1, 2)

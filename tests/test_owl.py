@@ -158,6 +158,23 @@ def test_syntax_error_carries_position():
     assert exc.value.col >= 1
 
 
+@pytest.mark.parametrize(
+    "axiom",
+    [
+        "DisjointClasses(:A)",
+        "DisjointObjectProperties(:p)",
+        "EquivalentClasses(:A)",
+        "EquivalentObjectProperties(:p)",
+        "DifferentIndividuals(:a)",
+    ],
+)
+def test_nary_axiom_with_one_operand_reports_its_keyword_position(axiom):
+    with pytest.raises(OwlSyntaxError) as exc:
+        parse_ontology(f"Prefix(:=<{SPECIES}>)\nOntology(\n  {axiom}\n)")
+    assert "needs at least two operands" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (3, 3)
+
+
 def test_normalize_adds_top_inclusions():
     o = normalize_ontology(parse_ontology(EXAMPLE_SPECIES))
     assert ClassInclusion(Atomic(ent("GoldenEagle")), Atomic(TOP_CLASS)) in o.tbox
