@@ -28,11 +28,11 @@ from pathlib import Path
 
 from .engine import FactStore, PlanStep, answer_conjunctive_query, evaluate_fixpoint, explain_conjunctive_query
 from .errors import MetaqlError
-from .model import ConjunctiveQuery, Const, display_iri
+from .model import Const, display_iri
 from .oracle import certain_answers_oracle
 from .owl import Ontology, normalize_ontology, parse_ontology, serialize_ontology
 from .rules import builtin_rules
-from .sparql import parse_query, translate_query
+from .sparql import parse_query, to_conjunctive_query
 from .translate import translate_ontology
 
 CSV_HEADER = ["dataset", "query", "load_ms", "translate_ms", "saturate_ms", "answer_ms", "answers", "status"]
@@ -104,9 +104,7 @@ def _run_query_pipeline(args):
     t0 = time.perf_counter()
     ontology = normalize_ontology(parse_ontology(_read_text(args.ontology)))
     t1 = time.perf_counter()
-    sq = parse_query(_load_query_text(args))
-    rule, _goal = translate_query(sq)
-    cq = ConjunctiveQuery(tuple(sq.answer_vars), rule.body)
+    cq = to_conjunctive_query(parse_query(_load_query_text(args)))
     facts = translate_ontology(ontology)
     t2 = time.perf_counter()
 
@@ -298,17 +296,21 @@ def cmd_bench(args) -> int:
     if args.output:
         config["output_csv"] = args.output
 
+    # The header is written first, so an unwritable output is reported
+    # before any run.
+    out = Path(config["output_csv"])
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=CSV_HEADER, lineterminator="\n")
+    writer.writeheader()
+    _write_text(out, text.getvalue())
+
     pairs = [(o, q) for o in config["ontologies"] for q in config["queries"]]
     rows = []
     for ontology, query in pairs:
         runs = [_bench_one_run(ontology, query, config["timeout_s"]) for _ in range(config["repeat"])]
         rows += runs + [_median_row(runs)]
 
-    text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=CSV_HEADER, lineterminator="\n")
-    writer.writeheader()
     writer.writerows(rows)
-    out = Path(config["output_csv"])
     _write_text(out, text.getvalue())
     print(f"pairs={len(pairs)} rows={len(rows)} output={out}")
     return 0

@@ -21,12 +21,21 @@ IRI or ObjectInverseOf(PE).  ``#`` starts a comment outside strings.
 Equivalences, domains, ranges, inverse declarations and n-ary
 disjointness are rewritten into the core axiom forms; anything else is
 rejected explicitly rather than guessed at.
+
+Both this parser and the query parser in `sparql.py` read their input
+through one `Cursor`: a single `finditer` pass splits the text into
+`(kind, text, offset)` tuples, and line and column are worked out from an
+offset only when a syntax error is raised.  Axioms are read from two
+tables, `_NARY` for the keywords with two or more operands of one kind and
+`_FIXED` for those with a fixed list of operands; `_parse_axiom` reads the
+parentheses and operands for all of them in one place.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import OwlSyntaxError, UnsupportedAxiom
 from .model import (
@@ -75,7 +84,7 @@ class Ontology:
 
 
 # ==============================================================================
-# Tokenizer
+# Tokenizer: the cursor shared by the ontology and the query parser
 # ==============================================================================
 
 _TOKEN_RE = re.compile(
@@ -93,70 +102,63 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# A token is a (kind, text, offset) tuple: the name of the pattern group it
+# matched, its text, and where it starts in the input.
+Tok = tuple[str, str, int]
 
 
-def tokenize(pattern: re.Pattern, text: str) -> list[Token]:
-    """Split `text` into the tokens of `pattern`, whose named groups are
-    the token kinds; `ws` and `comment` tokens are dropped.  The lexer of
-    both the ontology and the query parser."""
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = pattern.match(text, pos)
-        if m is None:
-            raise OwlSyntaxError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, pos - line_start + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + chunk.rfind("\n") + 1
-        pos = m.end()
-    return tokens
+class Cursor:
+    """The tokens of one input text and a position in them; the lexer and
+    token reader of both the ontology and the query parser.
 
+    `pattern`'s named groups are the token kinds; `ws` and `comment`
+    tokens are dropped.  `name` says what the text is in the message for
+    running out of tokens.  Line and column are worked out from a token's
+    offset only when an error is raised.
+    """
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, pattern: re.Pattern, text: str, name: str):
+        self.text = text
+        self.name = name
+        self.tokens: list[Tok] = []
         self.pos = 0
+        end = 0
+        for m in pattern.finditer(text):
+            if m.start() != end:
+                break
+            end = m.end()
+            if m.lastgroup != "ws" and m.lastgroup != "comment":
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
+        if end < len(text):
+            raise self.error(f"unexpected character {text[end]!r}", end)
 
-    def peek(self) -> Token | None:
+    def error(self, message: str, at: Tok | int) -> OwlSyntaxError:
+        """The syntax error `message` at token or offset `at`, for the
+        caller to raise."""
+        offset = at if isinstance(at, int) else at[2]
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return OwlSyntaxError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+    def peek(self) -> Tok | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> Token:
+    def at(self, kind: str, text: str | None = None) -> bool:
+        """Whether the next token is of `kind` and, if given, spells `text`."""
+        tok = self.peek()
+        return tok is not None and tok[0] == kind and (text is None or tok[1] == text)
+
+    def next(self) -> Tok:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("name", "", 1, 1)
-            raise OwlSyntaxError("unexpected end of input", last.line, last.col)
+            raise self.error(f"unexpected end of {self.name}", self.tokens[-1] if self.tokens else 0)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str, message: str | None = None) -> Tok:
         tok = self.next()
-        if tok.kind != kind:
-            raise OwlSyntaxError(f"expected {kind}, found {tok.text!r}", tok.line, tok.col)
+        if tok[0] != kind:
+            raise self.error(message or f"expected {kind}, found {tok[1]!r}", tok)
         return tok
-
-    def skip_balanced(self):
-        """Consume a parenthesized group, used for discarded axioms."""
-        self.expect("lparen")
-        depth = 1
-        while depth:
-            tok = self.next()
-            if tok.kind == "lparen":
-                depth += 1
-            elif tok.kind == "rparen":
-                depth -= 1
 
 
 # ==============================================================================
@@ -196,88 +198,101 @@ _DISCARDED = {"Declaration", "AnnotationAssertion", "Annotation"}
 
 
 def parse_ontology(text: str) -> Ontology:
-    p = _Parser(tokenize(_TOKEN_RE, text))
+    cur = Cursor(_TOKEN_RE, text, "input")
     prefixes = dict(DEFAULT_PREFIXES)
 
-    while (tok := p.peek()) is not None and tok.kind == "name" and tok.text == "Prefix":
-        p.next()
-        p.expect("lparen")
-        name_tok = p.expect("name")
-        if not name_tok.text.endswith(":"):
-            raise OwlSyntaxError("prefix name must end in ':'", name_tok.line, name_tok.col)
-        p.expect("equals")
-        iri_tok = p.expect("iriref")
-        p.expect("rparen")
-        prefixes[name_tok.text[:-1]] = iri_tok.text[1:-1]
+    while cur.at("name", "Prefix"):
+        cur.next()
+        cur.expect("lparen")
+        name = cur.expect("name")
+        if not name[1].endswith(":"):
+            raise cur.error("prefix name must end in ':'", name)
+        cur.expect("equals")
+        iri = cur.expect("iriref")
+        cur.expect("rparen")
+        prefixes[name[1][:-1]] = iri[1][1:-1]
 
-    head = p.expect("name")
-    if head.text != "Ontology":
-        raise OwlSyntaxError(f"expected Ontology(...), found {head.text!r}", head.line, head.col)
-    p.expect("lparen")
+    head = cur.expect("name")
+    if head[1] != "Ontology":
+        raise cur.error(f"expected Ontology(...), found {head[1]!r}", head)
+    cur.expect("lparen")
     # Optional ontology IRI and version IRI.
-    while (tok := p.peek()) is not None and tok.kind == "iriref":
-        p.next()
+    while cur.at("iriref"):
+        cur.next()
 
     tbox: set[Axiom] = set()
     abox: set[Axiom] = set()
-    while True:
-        tok = p.peek()
+    while not cur.at("rparen"):
+        tok = cur.peek()
         if tok is None:
-            raise OwlSyntaxError("unterminated Ontology(...)", head.line, head.col)
-        if tok.kind == "rparen":
-            p.next()
-            break
-        if tok.kind != "name":
-            raise OwlSyntaxError(f"expected an axiom, found {tok.text!r}", tok.line, tok.col)
-        for ax in _parse_axiom(p, prefixes):
+            raise cur.error("unterminated Ontology(...)", head)
+        if tok[0] != "name":
+            raise cur.error(f"expected an axiom, found {tok[1]!r}", tok)
+        for ax in _parse_axiom(cur, prefixes):
             (tbox if isinstance(ax, TBOX_KINDS) else abox).add(ax)
+    cur.next()
 
-    trailing = p.peek()
+    trailing = cur.peek()
     if trailing is not None:
-        raise OwlSyntaxError(
-            f"unexpected input after Ontology(...): {trailing.text!r}", trailing.line, trailing.col
-        )
+        raise cur.error(f"unexpected input after Ontology(...): {trailing[1]!r}", trailing)
     return Ontology(frozenset(tbox), frozenset(abox), prefixes)
 
 
-def _entity(p: _Parser, prefixes) -> Entity:
-    tok = p.next()
-    if tok.kind not in ("name", "iriref"):
-        raise OwlSyntaxError(f"expected an IRI, found {tok.text!r}", tok.line, tok.col)
-    return intern(tok.text, prefixes)
+def _entity(cur: Cursor, prefixes) -> Entity:
+    tok = cur.next()
+    if tok[0] != "name" and tok[0] != "iriref":
+        raise cur.error(f"expected an IRI, found {tok[1]!r}", tok)
+    return intern(tok[1], prefixes)
 
 
-def _prop_expr(p: _Parser, prefixes) -> PropExpr:
+def _prop_expr(cur: Cursor, prefixes) -> PropExpr:
     # Nested inverses are counted, not recursed into, so no depth of
     # nesting can exhaust the stack.
     depth = 0
-    while (tok := p.peek()) is not None and tok.kind == "name" and tok.text == "ObjectInverseOf":
-        p.next()
-        p.expect("lparen")
+    while cur.at("name", "ObjectInverseOf"):
+        cur.next()
+        cur.expect("lparen")
         depth += 1
-    pe = PropExpr(_entity(p, prefixes))
+    pe = PropExpr(_entity(cur, prefixes))
     for _ in range(depth):
-        p.expect("rparen")
+        cur.expect("rparen")
     return pe.flipped() if depth % 2 else pe
 
 
-def _class_expr(p: _Parser, prefixes) -> ClassExpr:
-    tok = p.peek()
-    if tok is not None and tok.kind == "name" and tok.text == "ObjectSomeValuesFrom":
-        p.next()
-        p.expect("lparen")
-        prop = _prop_expr(p, prefixes)
-        filler_tok = p.peek()
-        if filler_tok is not None and filler_tok.kind == "name" and filler_tok.text in _REJECTED | {
-            "ObjectSomeValuesFrom"
-        }:
-            raise UnsupportedAxiom(filler_tok.text, "existential fillers must be named classes")
-        filler = _entity(p, prefixes)
-        p.expect("rparen")
+def _class_expr(cur: Cursor, prefixes) -> ClassExpr:
+    if cur.at("name", "ObjectSomeValuesFrom"):
+        cur.next()
+        cur.expect("lparen")
+        prop = _prop_expr(cur, prefixes)
+        tok = cur.peek()
+        if tok is not None and tok[0] == "name" and (tok[1] in _REJECTED or tok[1] == "ObjectSomeValuesFrom"):
+            raise UnsupportedAxiom(tok[1], "existential fillers must be named classes")
+        filler = _entity(cur, prefixes)
+        cur.expect("rparen")
         return Some(prop, filler)
-    if tok is not None and tok.kind == "name" and tok.text in _REJECTED:
-        raise UnsupportedAxiom(tok.text)
-    return Atomic(_entity(p, prefixes))
+    tok = cur.peek()
+    if tok is not None and tok[0] == "name" and tok[1] in _REJECTED:
+        raise UnsupportedAxiom(tok[1])
+    return Atomic(_entity(cur, prefixes))
+
+
+def _basic_class_expr(keyword: str):
+    """The operand reader of `keyword` for a class expression that may not
+    be a qualified existential."""
+    return lambda cur, prefixes: _check_basic(_class_expr(cur, prefixes), keyword)
+
+
+def _check_basic(ce: ClassExpr, keyword: str) -> ClassExpr:
+    if isinstance(ce, Some) and ce.filler != TOP_CLASS:
+        raise UnsupportedAxiom(keyword, "qualified existential not allowed in this position")
+    return ce
+
+
+def _named_class(cur: Cursor, prefixes) -> Entity:
+    ce = _class_expr(cur, prefixes)
+    if not isinstance(ce, Atomic):
+        raise UnsupportedAxiom("ClassAssertion", "class assertions must use a named class")
+    return ce.cls
 
 
 def _normalize_prop_inclusion(sub: PropExpr, sup: PropExpr) -> PropInclusion:
@@ -293,173 +308,88 @@ def _normalize_prop_disjoint(left: PropExpr, right: PropExpr) -> PropDisjoint:
     return PropDisjoint(left, right)
 
 
-def _check_basic(ce: ClassExpr, keyword: str):
-    if isinstance(ce, Some) and ce.filler != TOP_CLASS:
-        raise UnsupportedAxiom(keyword, "qualified existential not allowed in this position")
+# The n-ary keywords, each with at least two operands: the operand reader,
+# the axioms for one pair of operands, and whether every pair gets them
+# (True) or only neighbours (False).
+_NARY = {
+    "DisjointClasses": (_basic_class_expr("DisjointClasses"), lambda a, b: [ClassDisjoint(a, b)], True),
+    "DisjointObjectProperties": (_prop_expr, lambda a, b: [_normalize_prop_disjoint(a, b)], True),
+    "EquivalentClasses": (
+        _basic_class_expr("EquivalentClasses"),
+        lambda a, b: [ClassInclusion(a, b), ClassInclusion(b, a)],
+        False,
+    ),
+    "EquivalentObjectProperties": (
+        _prop_expr,
+        lambda a, b: [_normalize_prop_inclusion(a, b), _normalize_prop_inclusion(b, a)],
+        False,
+    ),
+    "DifferentIndividuals": (_entity, lambda a, b: [DifferentIndividuals(a, b)], True),
+}
+
+# The fixed-arity keywords: one reader per operand, and the axioms built
+# from the operands once the closing parenthesis is read.
+_FIXED = {
+    "SubClassOf": (
+        (_class_expr, _class_expr),
+        lambda sub, sup: [ClassInclusion(_check_basic(sub, "SubClassOf"), sup)],
+    ),
+    "SubObjectPropertyOf": ((_prop_expr, _prop_expr), lambda sub, sup: [_normalize_prop_inclusion(sub, sup)]),
+    "InverseObjectProperties": (
+        (_prop_expr, _prop_expr),
+        lambda a, b: [_normalize_prop_inclusion(a, b.flipped()), _normalize_prop_inclusion(b, a.flipped())],
+    ),
+    "ObjectPropertyDomain": ((_prop_expr, _class_expr), lambda pe, ce: [ClassInclusion(Some(pe, TOP_CLASS), ce)]),
+    "ObjectPropertyRange": (
+        (_prop_expr, _class_expr),
+        lambda pe, ce: [ClassInclusion(Some(pe.flipped(), TOP_CLASS), ce)],
+    ),
+    # refl(r^-) and irrefl(r^-) coincide with refl(r) / irrefl(r).
+    "ReflexiveObjectProperty": ((_prop_expr,), lambda pe: [Reflexive(pe.prop)]),
+    "IrreflexiveObjectProperty": ((_prop_expr,), lambda pe: [Irreflexive(pe.prop)]),
+    "ClassAssertion": ((_named_class, _entity), lambda cls, ind: [ClassAssertion(cls, ind)]),
+    "ObjectPropertyAssertion": (
+        (_prop_expr, _entity, _entity),
+        lambda pe, s, o: [PropAssertion(pe.prop, o, s) if pe.inverse else PropAssertion(pe.prop, s, o)],
+    ),
+}
 
 
-def _parse_axiom(p: _Parser, prefixes) -> list[Axiom]:
-    kw_tok = p.next()
-    kw = kw_tok.text
+def _parse_axiom(cur: Cursor, prefixes) -> list[Axiom]:
+    kw_tok = cur.next()
+    kw = kw_tok[1]
 
     if kw in _DISCARDED:
-        p.skip_balanced()
+        cur.expect("lparen")
+        depth = 1
+        while depth:
+            kind = cur.next()[0]
+            if kind == "lparen":
+                depth += 1
+            elif kind == "rparen":
+                depth -= 1
         return []
-    if kw in _REJECTED:
+    if kw not in _FIXED and kw not in _NARY:
         raise UnsupportedAxiom(kw)
 
-    if kw == "SubClassOf":
-        p.expect("lparen")
-        sub = _class_expr(p, prefixes)
-        sup = _class_expr(p, prefixes)
-        p.expect("rparen")
-        _check_basic(sub, kw)
-        return [ClassInclusion(sub, sup)]
-
-    if kw == "SubObjectPropertyOf":
-        p.expect("lparen")
-        sub = _prop_expr(p, prefixes)
-        sup = _prop_expr(p, prefixes)
-        p.expect("rparen")
-        return [_normalize_prop_inclusion(sub, sup)]
-
-    if kw == "DisjointClasses":
-        p.expect("lparen")
+    nary = _NARY.get(kw)
+    cur.expect("lparen")
+    if nary is None:
+        readers, build = _FIXED[kw]
+        operands = [read(cur, prefixes) for read in readers]
+    else:
+        read, pair_axioms, every_pair = nary
         operands = []
-        while p.peek() is not None and p.peek().kind != "rparen":
-            ce = _class_expr(p, prefixes)
-            _check_basic(ce, kw)
-            operands.append(ce)
-        p.expect("rparen")
-        if len(operands) < 2:
-            raise OwlSyntaxError("DisjointClasses needs at least two operands", kw_tok.line, kw_tok.col)
-        return [
-            ClassDisjoint(operands[i], operands[j])
-            for i in range(len(operands))
-            for j in range(i + 1, len(operands))
-        ]
+        while cur.peek() is not None and not cur.at("rparen"):
+            operands.append(read(cur, prefixes))
+    cur.expect("rparen")
 
-    if kw == "DisjointObjectProperties":
-        p.expect("lparen")
-        operands = []
-        while p.peek() is not None and p.peek().kind != "rparen":
-            operands.append(_prop_expr(p, prefixes))
-        p.expect("rparen")
-        if len(operands) < 2:
-            raise OwlSyntaxError(
-                "DisjointObjectProperties needs at least two operands", kw_tok.line, kw_tok.col
-            )
-        return [
-            _normalize_prop_disjoint(operands[i], operands[j])
-            for i in range(len(operands))
-            for j in range(i + 1, len(operands))
-        ]
-
-    if kw == "EquivalentClasses":
-        p.expect("lparen")
-        operands = []
-        while p.peek() is not None and p.peek().kind != "rparen":
-            ce = _class_expr(p, prefixes)
-            _check_basic(ce, kw)
-            operands.append(ce)
-        p.expect("rparen")
-        if len(operands) < 2:
-            raise OwlSyntaxError("EquivalentClasses needs at least two operands", kw_tok.line, kw_tok.col)
-        axioms: list[Axiom] = []
-        for a, b in zip(operands, operands[1:]):
-            axioms.append(ClassInclusion(a, b))
-            axioms.append(ClassInclusion(b, a))
-        return axioms
-
-    if kw == "EquivalentObjectProperties":
-        p.expect("lparen")
-        operands = []
-        while p.peek() is not None and p.peek().kind != "rparen":
-            operands.append(_prop_expr(p, prefixes))
-        p.expect("rparen")
-        if len(operands) < 2:
-            raise OwlSyntaxError(
-                "EquivalentObjectProperties needs at least two operands", kw_tok.line, kw_tok.col
-            )
-        axioms = []
-        for a, b in zip(operands, operands[1:]):
-            axioms.append(_normalize_prop_inclusion(a, b))
-            axioms.append(_normalize_prop_inclusion(b, a))
-        return axioms
-
-    if kw == "InverseObjectProperties":
-        p.expect("lparen")
-        a = _prop_expr(p, prefixes)
-        b = _prop_expr(p, prefixes)
-        p.expect("rparen")
-        return [
-            _normalize_prop_inclusion(a, b.flipped()),
-            _normalize_prop_inclusion(b, a.flipped()),
-        ]
-
-    if kw == "ObjectPropertyDomain":
-        p.expect("lparen")
-        pe = _prop_expr(p, prefixes)
-        ce = _class_expr(p, prefixes)
-        p.expect("rparen")
-        return [ClassInclusion(Some(pe, TOP_CLASS), ce)]
-
-    if kw == "ObjectPropertyRange":
-        p.expect("lparen")
-        pe = _prop_expr(p, prefixes)
-        ce = _class_expr(p, prefixes)
-        p.expect("rparen")
-        return [ClassInclusion(Some(pe.flipped(), TOP_CLASS), ce)]
-
-    if kw == "ReflexiveObjectProperty":
-        p.expect("lparen")
-        pe = _prop_expr(p, prefixes)
-        p.expect("rparen")
-        # refl(r^-) and irrefl(r^-) coincide with refl(r) / irrefl(r).
-        return [Reflexive(pe.prop)]
-
-    if kw == "IrreflexiveObjectProperty":
-        p.expect("lparen")
-        pe = _prop_expr(p, prefixes)
-        p.expect("rparen")
-        return [Irreflexive(pe.prop)]
-
-    if kw == "ClassAssertion":
-        p.expect("lparen")
-        ce = _class_expr(p, prefixes)
-        if not isinstance(ce, Atomic):
-            raise UnsupportedAxiom(kw, "class assertions must use a named class")
-        ind = _entity(p, prefixes)
-        p.expect("rparen")
-        return [ClassAssertion(ce.cls, ind)]
-
-    if kw == "ObjectPropertyAssertion":
-        p.expect("lparen")
-        pe = _prop_expr(p, prefixes)
-        s = _entity(p, prefixes)
-        o = _entity(p, prefixes)
-        p.expect("rparen")
-        if pe.inverse:
-            s, o = o, s
-        return [PropAssertion(pe.prop, s, o)]
-
-    if kw == "DifferentIndividuals":
-        p.expect("lparen")
-        operands = []
-        while p.peek() is not None and p.peek().kind != "rparen":
-            operands.append(_entity(p, prefixes))
-        p.expect("rparen")
-        if len(operands) < 2:
-            raise OwlSyntaxError(
-                "DifferentIndividuals needs at least two operands", kw_tok.line, kw_tok.col
-            )
-        return [
-            DifferentIndividuals(operands[i], operands[j])
-            for i in range(len(operands))
-            for j in range(i + 1, len(operands))
-        ]
-
-    raise UnsupportedAxiom(kw)
+    if nary is None:
+        return build(*operands)
+    if len(operands) < 2:
+        raise cur.error(f"{kw} needs at least two operands", kw_tok)
+    pairs = combinations(operands, 2) if every_pair else zip(operands, operands[1:])
+    return [ax for a, b in pairs for ax in pair_axioms(a, b)]
 
 
 # ==============================================================================

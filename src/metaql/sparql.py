@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import OwlSyntaxError, UnsafeQuery, UnsupportedFeature
+from .errors import UnsafeQuery, UnsupportedFeature
 from .model import (
     Atom,
     ConjunctiveQuery,
@@ -27,7 +27,7 @@ from .model import (
     Var,
     intern,
 )
-from .owl import DEFAULT_PREFIXES, Token, tokenize
+from .owl import DEFAULT_PREFIXES, Cursor, Tok
 
 RDF_TYPE = RDF_NS + "type"
 
@@ -102,121 +102,104 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 
-def parse_query(text: str) -> SparqlQuery:
-    toks = tokenize(_Q_TOKEN_RE, text)
-    pos = 0
+def _keyword(tok: Tok | None) -> str | None:
+    """The upper-cased text of a name token; SPARQL keywords ignore case."""
+    return tok[1].upper() if tok is not None and tok[0] == "name" else None
 
-    def peek() -> Token | None:
-        return toks[pos] if pos < len(toks) else None
 
-    def nxt() -> Token:
-        nonlocal pos
-        t = peek()
-        if t is None:
-            last = toks[-1] if toks else Token("name", "", 1, 1)
-            raise OwlSyntaxError("unexpected end of query", last.line, last.col)
-        pos += 1
-        return t
-
-    def check_unsupported(t: Token):
-        if t.kind == "name" and t.text.upper() in _UNSUPPORTED_KEYWORDS:
-            raise UnsupportedFeature(_UNSUPPORTED_KEYWORDS[t.text.upper()])
-        if t.kind == "string":
-            raise UnsupportedFeature("literals")
-        if t.kind == "punct":
-            if t.text.startswith("["):
-                raise UnsupportedFeature("blank nodes")
-            raise UnsupportedFeature(f"punctuation {t.text!r} (property paths / expressions)")
-        if t.kind == "name" and t.text.startswith("_:"):
+def _check_unsupported(tok: Tok):
+    kind, text, _ = tok
+    feature = _UNSUPPORTED_KEYWORDS.get(_keyword(tok))
+    if feature:
+        raise UnsupportedFeature(feature)
+    if kind == "string":
+        raise UnsupportedFeature("literals")
+    if kind == "punct":
+        if text.startswith("["):
             raise UnsupportedFeature("blank nodes")
+        raise UnsupportedFeature(f"punctuation {text!r} (property paths / expressions)")
+    if kind == "name" and text.startswith("_:"):
+        raise UnsupportedFeature("blank nodes")
+
+
+def _term(cur: Cursor, prefixes, position: str) -> PatternTerm:
+    tok = cur.next()
+    _check_unsupported(tok)
+    kind, text, _ = tok
+    if kind == "lbrace":
+        raise UnsupportedFeature("grouped graph patterns")
+    if kind == "var":
+        return Var(text[1:])
+    if kind == "iriref":
+        return intern(text, prefixes)
+    if kind == "name":
+        if text == "a":
+            if position != "predicate":
+                raise cur.error("'a' is only valid in predicate position", tok)
+            return intern("<" + RDF_TYPE + ">", prefixes)
+        return intern(text, prefixes)
+    raise cur.error(f"expected a term, found {text!r}", tok)
+
+
+def parse_query(text: str) -> SparqlQuery:
+    cur = Cursor(_Q_TOKEN_RE, text, "query")
 
     prefixes = dict(DEFAULT_PREFIXES)
-    while (t := peek()) is not None and t.kind == "name" and t.text.upper() == "PREFIX":
-        nxt()
-        name_tok = nxt()
-        if name_tok.kind != "name" or not name_tok.text.endswith(":"):
-            raise OwlSyntaxError("expected prefix name ending in ':'", name_tok.line, name_tok.col)
-        iri_tok = nxt()
-        if iri_tok.kind != "iriref":
-            raise OwlSyntaxError("expected <iri> after prefix name", iri_tok.line, iri_tok.col)
-        prefixes[name_tok.text[:-1]] = iri_tok.text[1:-1]
+    while _keyword(cur.peek()) == "PREFIX":
+        cur.next()
+        name = cur.next()
+        if name[0] != "name" or not name[1].endswith(":"):
+            raise cur.error("expected prefix name ending in ':'", name)
+        iri = cur.expect("iriref", "expected <iri> after prefix name")
+        prefixes[name[1][:-1]] = iri[1][1:-1]
 
-    t = nxt()
-    check_unsupported(t)
-    if t.kind != "name" or t.text.upper() != "SELECT":
-        raise OwlSyntaxError(f"expected SELECT, found {t.text!r}", t.line, t.col)
+    t = cur.next()
+    _check_unsupported(t)
+    if _keyword(t) != "SELECT":
+        raise cur.error(f"expected SELECT, found {t[1]!r}", t)
 
     star = False
     projection: list[Var] = []
-    if (t := peek()) is not None and t.kind == "name" and t.text.upper() == "DISTINCT":
-        nxt()  # answers are sets anyway
-    while (t := peek()) is not None:
-        if t.kind == "var":
-            projection.append(Var(nxt().text[1:]))
-        elif t.kind == "punct" and t.text == "*":
-            nxt()
+    if _keyword(cur.peek()) == "DISTINCT":
+        cur.next()  # answers are sets anyway
+    while True:
+        if cur.at("var"):
+            projection.append(Var(cur.next()[1][1:]))
+        elif cur.at("punct", "*"):
+            cur.next()
             star = True
         else:
             break
     if not star and not projection:
-        t = peek()
-        raise OwlSyntaxError(
-            "projection must list variables or *", t.line if t else 1, t.col if t else 1
-        )
+        raise cur.error("projection must list variables or *", cur.peek() or 0)
 
-    t = nxt()
-    check_unsupported(t)
-    if t.kind != "name" or t.text.upper() != "WHERE":
-        raise OwlSyntaxError(f"expected WHERE, found {t.text!r}", t.line, t.col)
-    open_tok = nxt()
-    if open_tok.kind != "lbrace":
-        raise OwlSyntaxError("expected '{' after WHERE", open_tok.line, open_tok.col)
-
-    def term(position: str) -> PatternTerm:
-        t = nxt()
-        check_unsupported(t)
-        if t.kind == "lbrace":
-            raise UnsupportedFeature("grouped graph patterns")
-        if t.kind == "var":
-            return Var(t.text[1:])
-        if t.kind == "iriref":
-            return intern(t.text, prefixes)
-        if t.kind == "name":
-            if t.text == "a":
-                if position != "predicate":
-                    raise OwlSyntaxError("'a' is only valid in predicate position", t.line, t.col)
-                return intern("<" + RDF_TYPE + ">", prefixes)
-            return intern(t.text, prefixes)
-        raise OwlSyntaxError(f"expected a term, found {t.text!r}", t.line, t.col)
+    t = cur.next()
+    _check_unsupported(t)
+    if _keyword(t) != "WHERE":
+        raise cur.error(f"expected WHERE, found {t[1]!r}", t)
+    open_tok = cur.expect("lbrace", "expected '{' after WHERE")
 
     patterns: list[TriplePattern] = []
-    while True:
-        t = peek()
-        if t is None:
-            raise OwlSyntaxError("unterminated WHERE block", open_tok.line, open_tok.col)
-        if t.kind == "rbrace":
-            nxt()
-            break
-        s = term("subject")
-        p = term("predicate")
-        o = term("object")
+    while not cur.at("rbrace"):
+        if cur.peek() is None:
+            raise cur.error("unterminated WHERE block", open_tok)
+        s = _term(cur, prefixes, "subject")
+        p = _term(cur, prefixes, "predicate")
+        o = _term(cur, prefixes, "object")
         patterns.append(TriplePattern(s, p, o))
-        t = peek()
-        if t is not None and t.kind == "dot":
-            nxt()
-        elif t is not None and t.kind not in ("rbrace",):
-            raise OwlSyntaxError(
-                f"expected '.' or '}}' after a triple pattern, found {t.text!r}", t.line, t.col
-            )
+        t = cur.peek()
+        if t is not None and t[0] == "dot":
+            cur.next()
+        elif t is not None and t[0] != "rbrace":
+            raise cur.error(f"expected '.' or '}}' after a triple pattern, found {t[1]!r}", t)
+    cur.next()
 
-    trailing = peek()
+    trailing = cur.peek()
     if trailing is not None:
-        check_unsupported(trailing)
-        raise OwlSyntaxError(
-            f"unexpected input after WHERE block: {trailing.text!r}", trailing.line, trailing.col
-        )
+        _check_unsupported(trailing)
+        raise cur.error(f"unexpected input after WHERE block: {trailing[1]!r}", trailing)
     if not patterns:
-        raise OwlSyntaxError("WHERE block must contain at least one triple pattern", open_tok.line, open_tok.col)
+        raise cur.error("WHERE block must contain at least one triple pattern", open_tok)
 
     q = SparqlQuery((), tuple(patterns))
     answer_vars = tuple(q.variables()) if star else tuple(projection)
@@ -253,7 +236,7 @@ def _pattern_atom(tp: TriplePattern) -> Atom:
     return Atom("instr", (p, s, o))
 
 
-def translate_query(q: SparqlQuery, head_name: str = "q") -> tuple[Rule, Atom]:
+def translate_query(q: SparqlQuery) -> tuple[Rule, Atom]:
     """One body atom per triple pattern, plus a head rule and the atomic
     query accounting for the projection.  No variable typing restriction
     applies: the same variable may stand in individual, class and
@@ -263,7 +246,7 @@ def translate_query(q: SparqlQuery, head_name: str = "q") -> tuple[Rule, Atom]:
     missing = [v.name for v in q.answer_vars if v not in body_vars]
     if missing:
         raise UnsafeQuery(f"answer variable(s) {missing} do not occur in the query body")
-    head = Atom(head_name, tuple(q.answer_vars))
+    head = Atom("q", tuple(q.answer_vars))
     return Rule(head, body), head
 
 

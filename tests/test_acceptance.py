@@ -187,7 +187,7 @@ def test_criterion_7_benchmark_scale_target(tmp_path):
     elapsed = time.perf_counter() - start
     assert elapsed < 180.0
 
-    rows = list(csv.DictReader((tmp_path / "scale.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "scale.csv").read_text(encoding="utf-8").splitlines()))
     runs = [r for r in rows if not r["query"].endswith("#median")]
     assert len(runs) == 18
     assert all(r["status"] == "OK" for r in rows)
@@ -215,7 +215,7 @@ def test_criterion_8_determinism(tmp_path):
     columns = []
     for out_name in ("run1.csv", "run2.csv"):
         assert main(["bench", str(config), "-o", str(tmp_path / out_name)]) == 0
-        rows = list(csv.DictReader((tmp_path / out_name).open()))
+        rows = list(csv.DictReader((tmp_path / out_name).read_text(encoding="utf-8").splitlines()))
         columns.append([(r["dataset"], r["query"], r["answers"], r["status"]) for r in rows])
     assert columns[0] == columns[1]
 

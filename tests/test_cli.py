@@ -4,6 +4,7 @@ import json
 import pytest
 
 from helpers import EXAMPLE_SPECIES, EXAMPLE_SPECIES_ZOO, SPECIES
+from metaql import cli
 from metaql.cli import CSV_HEADER, main
 from metaql.synthetic import UNI, professor_type_extension, university_ontology
 
@@ -164,7 +165,9 @@ def test_query_explain_prints_plan_before_answers(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["translate", "rules", "extend", "dump-model", "bench"])
-def test_unwritable_output_path_exits_2(tmp_path, species_file, capsys, command):
+def test_unwritable_output_path_exits_2(tmp_path, species_file, capsys, monkeypatch, command):
+    # bench must report the output before it starts any run.
+    monkeypatch.setattr(cli, "_bench_one_run", lambda *args: pytest.fail("a bench run started"))
     target = tmp_path / "no-such-dir" / "out"
     query = tmp_path / "zoo.rq"
     query.write_text(ZOO_QUERY, encoding="utf-8")
@@ -276,7 +279,7 @@ output_csv = out.csv
         encoding="utf-8",
     )
     assert main(["bench", str(config)]) == 0
-    rows = list(csv.DictReader((tmp_path / "out.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()))
     assert len(rows) == 2 * 3 + 2
     assert [r for r in rows if r["query"].endswith("#median")]
     assert all(r["status"] == "OK" for r in rows)
@@ -306,7 +309,7 @@ def test_bench_is_deterministic_across_runs(tmp_path):
     outputs = []
     for name in ("one.csv", "two.csv"):
         assert main(["bench", str(config), "-o", str(tmp_path / name)]) == 0
-        rows = list(csv.DictReader((tmp_path / name).open()))
+        rows = list(csv.DictReader((tmp_path / name).read_text(encoding="utf-8").splitlines()))
         outputs.append([(r["dataset"], r["query"], r["answers"], r["status"]) for r in rows])
     assert outputs[0] == outputs[1]
 
@@ -324,7 +327,7 @@ def test_bench_timeout_yields_oot(tmp_path):
         encoding="utf-8",
     )
     assert main(["bench", str(config), "-o", str(tmp_path / "out.csv")]) == 0
-    rows = list(csv.DictReader((tmp_path / "out.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()))
     assert [r["status"] for r in rows] == ["OOT", "OOT"]
     assert all(r["answers"] == "" for r in rows)
 
@@ -337,7 +340,7 @@ def test_bench_error_rows_for_broken_ontology(tmp_path):
     config = tmp_path / "bench.cfg"
     config.write_text(f"ontologies = {bad.name}\nqueries = {query.name}\nrepeat = 1\n")
     assert main(["bench", str(config), "-o", str(tmp_path / "out.csv")]) == 0
-    rows = list(csv.DictReader((tmp_path / "out.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()))
     assert [r["status"] for r in rows] == ["ERROR", "ERROR"]
 
 

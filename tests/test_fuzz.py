@@ -7,7 +7,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from helpers import EXAMPLE_SPECIES
 from metaql import MetaqlError, normalize_ontology, parse_ontology, parse_query, to_conjunctive_query
@@ -93,6 +93,12 @@ def test_ontology_from_token_sequences(text):
 
 @fuzz
 @given(st.lists(st.sampled_from(OWL_TOKENS), max_size=30).map(lambda ts: "Ontology(" + " ".join(ts) + ")"))
+@example("Ontology(DifferentIndividuals ( )")
+@example("Ontology(DifferentIndividuals ( <http://x#a> ))")
+@example("Ontology(DisjointClasses ( <http://x#a> ))")
+@example("Ontology(DisjointObjectProperties ( <http://x#a> ))")
+@example("Ontology(EquivalentClasses ( <http://x#a> ))")
+@example("Ontology(EquivalentObjectProperties ( <http://x#a> ))")
 def test_axioms_from_token_sequences(text):
     _ontology_ok_or_error(text)
 
@@ -123,6 +129,7 @@ def test_patterns_from_token_sequences(text):
 
 @fuzz
 @given(BENCH_CONFIGS)
+@example("ontologies = a.ofn\nqueries = q.rq\ntimeout_s = nan")
 def test_bench_config_validates_or_is_a_usage_error(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bench.cfg"

@@ -238,3 +238,95 @@ def test_serialize_parse_round_trip_random():
         o = random_ontology(rng)
         again = parse_ontology(serialize_ontology(o))
         assert again.tbox == o.tbox and again.abox == o.abox
+
+
+_P = "Prefix(:=<http://ex/>)\n"
+
+
+# One malformed input per place the ontology parser raises: the exception
+# class, its message and, for syntax errors, its line and column.
+@pytest.mark.parametrize(
+    "text, error, message, position",
+    [
+        ('Ontology(\n  SubClassOf(<http://a/A> "b)\n)', OwlSyntaxError, "unexpected character '\"'", (2, 27)),
+        ("", OwlSyntaxError, "unexpected end of input", (1, 1)),
+        ("  # only a comment\n", OwlSyntaxError, "unexpected end of input", (1, 1)),
+        ("Ontology(\n  Declaration(Class(<http://a/A>)\n", OwlSyntaxError, "unexpected end of input", (2, 33)),
+        (_P + "Ontology(\n  SubClassOf(:A :B :C)\n)", OwlSyntaxError, "expected rparen, found ':C'", (3, 20)),
+        (
+            _P + "Ontology(\n  SubObjectPropertyOf(ObjectInverseOf(:r :s)\n)",
+            OwlSyntaxError,
+            "expected rparen, found ':s'",
+            (3, 42),
+        ),
+        ("Prefix(ex=<http://ex/>)\nOntology()", OwlSyntaxError, "prefix name must end in ':'", (1, 8)),
+        (_P + "Ontologie()", OwlSyntaxError, "expected Ontology(...), found 'Ontologie'", (2, 1)),
+        ("Ontology(\n  SubClassOf(<http://a/A> <http://a/B>)", OwlSyntaxError, "unterminated Ontology(...)", (1, 1)),
+        ("Ontology(\n  SubClassOf(<http://a/A> <http://a/B>) (\n)", OwlSyntaxError, "expected an axiom, found '('", (2, 41)),
+        ("Ontology()\n\nOntology()", OwlSyntaxError, "unexpected input after Ontology(...): 'Ontology'", (3, 1)),
+        (_P + "Ontology(\n  SubClassOf(:A =)\n)", OwlSyntaxError, "expected an IRI, found '='", (3, 17)),
+        (
+            'Ontology(\n  AnnotationAssertion(rdfs:label <http://a/A> "two\nlines") ObjectPropertyAssertion(<http://a/r> <http://a/a>)\n)',
+            OwlSyntaxError,
+            "expected an IRI, found ')'",
+            (3, 58),
+        ),
+        (
+            _P + "Ontology(\n  SubClassOf(:A ObjectSomeValuesFrom(:r ObjectSomeValuesFrom(:s :C)))\n)",
+            UnsupportedAxiom,
+            "unsupported axiom 'ObjectSomeValuesFrom': existential fillers must be named classes",
+            None,
+        ),
+        (_P + "Ontology(\n  SubClassOf(:A ObjectUnionOf(:B :C))\n)", UnsupportedAxiom, "unsupported axiom 'ObjectUnionOf'", None),
+        (
+            _P + "Ontology(\n  SubClassOf(ObjectSomeValuesFrom(:r :C) :D)\n)",
+            UnsupportedAxiom,
+            "unsupported axiom 'SubClassOf': qualified existential not allowed in this position",
+            None,
+        ),
+        (
+            _P + "Ontology(\n  DisjointClasses(:A ObjectSomeValuesFrom(:r :C) ~)\n)",
+            UnsupportedAxiom,
+            "unsupported axiom 'DisjointClasses': qualified existential not allowed in this position",
+            None,
+        ),
+        (
+            _P + "Ontology(\n  EquivalentClasses(ObjectSomeValuesFrom(:r :C) :A)\n)",
+            UnsupportedAxiom,
+            "unsupported axiom 'EquivalentClasses': qualified existential not allowed in this position",
+            None,
+        ),
+        (_P + "Ontology(\n  TransitiveObjectProperty(:r)\n)", UnsupportedAxiom, "unsupported axiom 'TransitiveObjectProperty'", None),
+        (_P + "Ontology(\n  DisjointClasses(:A)\n)", OwlSyntaxError, "DisjointClasses needs at least two operands", (3, 3)),
+        (
+            _P + "Ontology(\n DisjointObjectProperties(:r)\n)",
+            OwlSyntaxError,
+            "DisjointObjectProperties needs at least two operands",
+            (3, 2),
+        ),
+        (_P + "Ontology(\n  EquivalentClasses(:A)\n)", OwlSyntaxError, "EquivalentClasses needs at least two operands", (3, 3)),
+        (
+            _P + "Ontology(\n  EquivalentObjectProperties(ObjectInverseOf(:r))\n)",
+            OwlSyntaxError,
+            "EquivalentObjectProperties needs at least two operands",
+            (3, 3),
+        ),
+        (_P + "Ontology(\n    DifferentIndividuals()\n)", OwlSyntaxError, "DifferentIndividuals needs at least two operands", (3, 5)),
+        (
+            _P + "Ontology(\n  ClassAssertion(ObjectSomeValuesFrom(:r owl:Thing) ~)\n)",
+            UnsupportedAxiom,
+            "unsupported axiom 'ClassAssertion': class assertions must use a named class",
+            None,
+        ),
+        (_P + "Ontology(\n  MadeUpAxiom(:A)\n)", UnsupportedAxiom, "unsupported axiom 'MadeUpAxiom'", None),
+        ("Ontology(\n  SubClassOf(zz:A zz:B)\n)", UnknownPrefix, "undeclared prefix 'zz'", None),
+    ],
+)
+def test_every_parser_error_site_reports_its_message_and_position(text, error, message, position):
+    with pytest.raises(error) as exc:
+        parse_ontology(text)
+    if position is None:
+        assert str(exc.value) == message
+    else:
+        assert str(exc.value) == f"{message} (line {position[0]}, column {position[1]})"
+        assert (exc.value.line, exc.value.col) == position

@@ -10,7 +10,7 @@ from metaql import (
     to_conjunctive_query,
     translate_query,
 )
-from metaql.errors import OwlSyntaxError, UnsafeQuery, UnsupportedFeature
+from metaql.errors import OwlSyntaxError, UnknownPrefix, UnsafeQuery, UnsupportedFeature
 from metaql.sparql import TriplePattern
 
 PFX = f"PREFIX : <{SPECIES}>\n"
@@ -141,3 +141,55 @@ def test_end_to_end_zoo_answer():
         PFX + "SELECT ?z WHERE { ?y a :EndangeredSpecies . ?z a ?y . ?z :Lives_in :CPZ }"
     )
     assert answer_conjunctive_query(store, to_conjunctive_query(q)) == [(SPECIES + "Harry",)]
+
+
+# One malformed input per place the query parser raises: the exception
+# class, its message and, for syntax errors, its line and column.
+@pytest.mark.parametrize(
+    "text, error, message, position",
+    [
+        ("SELECT ?x WHERE {\n  ?x a ? }", OwlSyntaxError, "unexpected character '?'", (2, 8)),
+        ("", OwlSyntaxError, "unexpected end of query", (1, 1)),
+        ("SELECT ?x WHERE {\n  ?x a", OwlSyntaxError, "unexpected end of query", (2, 6)),
+        (PFX + "SELECT ?x WHERE { ?x a :C .\n  OPTIONAL { ?x :p ?y } }", UnsupportedFeature, "OPTIONAL", None),
+        (PFX + 'SELECT ?x WHERE { ?x :label "bird" }', UnsupportedFeature, "literals", None),
+        (PFX + "SELECT ?x WHERE { ?x :p [ :q ?y ] }", UnsupportedFeature, "blank nodes", None),
+        (
+            PFX + "SELECT ?x WHERE { ?x :p/:q ?y }",
+            UnsupportedFeature,
+            "punctuation '/' (property paths / expressions)",
+            None,
+        ),
+        ("SELECT ?x WHERE { _:b <http://ex/p> ?x }", UnsupportedFeature, "blank nodes", None),
+        ("PREFIX ex <http://ex/>\nSELECT ?x WHERE { ?x a ex:C }", OwlSyntaxError, "expected prefix name ending in ':'", (1, 8)),
+        ("PREFIX ex: ex:C\nSELECT ?x WHERE { ?x a ex:C }", OwlSyntaxError, "expected <iri> after prefix name", (1, 12)),
+        (PFX + "SELEKT ?x WHERE { ?x a :C }", OwlSyntaxError, "expected SELECT, found 'SELEKT'", (2, 1)),
+        ("ASK WHERE { ?x a <http://ex/C> }", UnsupportedFeature, "ASK queries", None),
+        ("SELECT\n  WHERE { ?x a :C }", OwlSyntaxError, "projection must list variables or *", (2, 3)),
+        ("SELECT DISTINCT", OwlSyntaxError, "projection must list variables or *", (1, 1)),
+        ("SELECT ?x\n  { ?x a :C }", OwlSyntaxError, "expected WHERE, found '{'", (2, 3)),
+        ("SELECT ?x WHERE\n  ?x a :C", OwlSyntaxError, "expected '{' after WHERE", (2, 3)),
+        ("SELECT ?x WHERE {\n  { ?x a :C } }", UnsupportedFeature, "grouped graph patterns", None),
+        ("SELECT ?x WHERE {\n  a ?p ?x }", OwlSyntaxError, "'a' is only valid in predicate position", (2, 3)),
+        ("SELECT ?x WHERE {\n  ?x a } }", OwlSyntaxError, "expected a term, found '}'", (2, 8)),
+        ("SELECT ?x WHERE {\n  ?x a <http://ex/C> .", OwlSyntaxError, "unterminated WHERE block", (1, 17)),
+        (
+            "SELECT ?x WHERE {\n  ?x a <http://ex/C> ?y }",
+            OwlSyntaxError,
+            "expected '.' or '}' after a triple pattern, found '?y'",
+            (2, 22),
+        ),
+        ("SELECT ?x WHERE { ?x a <http://ex/C> }\n  ?y", OwlSyntaxError, "unexpected input after WHERE block: '?y'", (2, 3)),
+        ("SELECT ?x WHERE { ?x a <http://ex/C> }\n  LIMIT 3", UnsupportedFeature, "solution modifiers", None),
+        ("SELECT ?x WHERE\n  { }", OwlSyntaxError, "WHERE block must contain at least one triple pattern", (2, 3)),
+        ("SELECT ?x WHERE { ?x a nope:C }", UnknownPrefix, "undeclared prefix 'nope'", None),
+    ],
+)
+def test_every_parser_error_site_reports_its_message_and_position(text, error, message, position):
+    with pytest.raises(error) as exc:
+        parse_query(text)
+    if position is None:
+        assert str(exc.value) == message
+    else:
+        assert str(exc.value) == f"{message} (line {position[0]}, column {position[1]})"
+        assert (exc.value.line, exc.value.col) == position
