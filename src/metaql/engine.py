@@ -121,14 +121,15 @@ class FactStore:
 
     def assert_facts(self, facts: Iterable[Atom]) -> int:
         """Insert ground atoms; duplicates are ignored.  Returns the number
-        of new tuples."""
-        added = 0
+        of new tuples.  Symbols are interned in fact order, then each
+        predicate's tuples are added in one `add_tuples` call."""
+        by_pred: dict[str, list[tuple[int, ...]]] = {}
         for f in facts:
             if not f.is_ground():
                 raise ValueError(f"fact is not ground: {f}")
             t = tuple(self.intern(a.value.iri) for a in f.args)  # type: ignore[union-attr]
-            added += self.add_tuples(f.pred, [t])
-        return added
+            by_pred.setdefault(f.pred, []).append(t)
+        return sum(self.add_tuples(pred, tuples) for pred, tuples in by_pred.items())
 
     def relation(self, pred: str) -> set[tuple[int, ...]]:
         return self.relations.get(pred, set())

@@ -28,7 +28,8 @@ through one `Cursor`: a single `finditer` pass splits the text into
 offset only when a syntax error is raised.  Axioms are read from two
 tables, `_NARY` for the keywords with two or more operands of one kind and
 `_FIXED` for those with a fixed list of operands; `_parse_axiom` reads the
-parentheses and operands for all of them in one place.
+parentheses and operands for all of them in one place.  Each parse
+resolves every distinct IRI text once, through its own `_Entities` dict.
 """
 
 from __future__ import annotations
@@ -142,17 +143,19 @@ class Cursor:
     def peek(self) -> Tok | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    # `at` and `next` index `tokens` themselves rather than call `peek`:
+    # they run once or more per token.
     def at(self, kind: str, text: str | None = None) -> bool:
         """Whether the next token is of `kind` and, if given, spells `text`."""
-        tok = self.peek()
-        return tok is not None and tok[0] == kind and (text is None or tok[1] == text)
+        tokens, pos = self.tokens, self.pos
+        return pos < len(tokens) and tokens[pos][0] == kind and (text is None or tokens[pos][1] == text)
 
     def next(self) -> Tok:
-        tok = self.peek()
-        if tok is None:
+        pos = self.pos
+        if pos >= len(self.tokens):
             raise self.error(f"unexpected end of {self.name}", self.tokens[-1] if self.tokens else 0)
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def expect(self, kind: str, message: str | None = None) -> Tok:
         tok = self.next()
@@ -220,6 +223,7 @@ def parse_ontology(text: str) -> Ontology:
     while cur.at("iriref"):
         cur.next()
 
+    entities = _Entities(prefixes)
     tbox: set[Axiom] = set()
     abox: set[Axiom] = set()
     while not cur.at("rparen"):
@@ -228,7 +232,7 @@ def parse_ontology(text: str) -> Ontology:
             raise cur.error("unterminated Ontology(...)", head)
         if tok[0] != "name":
             raise cur.error(f"expected an axiom, found {tok[1]!r}", tok)
-        for ax in _parse_axiom(cur, prefixes):
+        for ax in _parse_axiom(cur, entities):
             (tbox if isinstance(ax, TBOX_KINDS) else abox).add(ax)
     cur.next()
 
@@ -238,14 +242,28 @@ def parse_ontology(text: str) -> Ontology:
     return Ontology(frozenset(tbox), frozenset(abox), prefixes)
 
 
-def _entity(cur: Cursor, prefixes) -> Entity:
+class _Entities(dict):
+    """Token text to `Entity` for one parse, under that parse's prefixes:
+    each distinct IRI text is interned and validated once.  A text whose
+    `intern` raises is not stored."""
+
+    def __init__(self, prefixes: dict[str, str]):
+        super().__init__()
+        self.prefixes = prefixes
+
+    def __missing__(self, text: str) -> Entity:
+        ent = self[text] = intern(text, self.prefixes)
+        return ent
+
+
+def _entity(cur: Cursor, entities: _Entities) -> Entity:
     tok = cur.next()
     if tok[0] != "name" and tok[0] != "iriref":
         raise cur.error(f"expected an IRI, found {tok[1]!r}", tok)
-    return intern(tok[1], prefixes)
+    return entities[tok[1]]
 
 
-def _prop_expr(cur: Cursor, prefixes) -> PropExpr:
+def _prop_expr(cur: Cursor, entities: _Entities) -> PropExpr:
     # Nested inverses are counted, not recursed into, so no depth of
     # nesting can exhaust the stack.
     depth = 0
@@ -253,33 +271,33 @@ def _prop_expr(cur: Cursor, prefixes) -> PropExpr:
         cur.next()
         cur.expect("lparen")
         depth += 1
-    pe = PropExpr(_entity(cur, prefixes))
+    pe = PropExpr(_entity(cur, entities))
     for _ in range(depth):
         cur.expect("rparen")
     return pe.flipped() if depth % 2 else pe
 
 
-def _class_expr(cur: Cursor, prefixes) -> ClassExpr:
+def _class_expr(cur: Cursor, entities: _Entities) -> ClassExpr:
     if cur.at("name", "ObjectSomeValuesFrom"):
         cur.next()
         cur.expect("lparen")
-        prop = _prop_expr(cur, prefixes)
+        prop = _prop_expr(cur, entities)
         tok = cur.peek()
         if tok is not None and tok[0] == "name" and (tok[1] in _REJECTED or tok[1] == "ObjectSomeValuesFrom"):
             raise UnsupportedAxiom(tok[1], "existential fillers must be named classes")
-        filler = _entity(cur, prefixes)
+        filler = _entity(cur, entities)
         cur.expect("rparen")
         return Some(prop, filler)
     tok = cur.peek()
     if tok is not None and tok[0] == "name" and tok[1] in _REJECTED:
         raise UnsupportedAxiom(tok[1])
-    return Atomic(_entity(cur, prefixes))
+    return Atomic(_entity(cur, entities))
 
 
 def _basic_class_expr(keyword: str):
     """The operand reader of `keyword` for a class expression that may not
     be a qualified existential."""
-    return lambda cur, prefixes: _check_basic(_class_expr(cur, prefixes), keyword)
+    return lambda cur, entities: _check_basic(_class_expr(cur, entities), keyword)
 
 
 def _check_basic(ce: ClassExpr, keyword: str) -> ClassExpr:
@@ -288,8 +306,8 @@ def _check_basic(ce: ClassExpr, keyword: str) -> ClassExpr:
     return ce
 
 
-def _named_class(cur: Cursor, prefixes) -> Entity:
-    ce = _class_expr(cur, prefixes)
+def _named_class(cur: Cursor, entities: _Entities) -> Entity:
+    ce = _class_expr(cur, entities)
     if not isinstance(ce, Atomic):
         raise UnsupportedAxiom("ClassAssertion", "class assertions must use a named class")
     return ce.cls
@@ -355,7 +373,7 @@ _FIXED = {
 }
 
 
-def _parse_axiom(cur: Cursor, prefixes) -> list[Axiom]:
+def _parse_axiom(cur: Cursor, entities: _Entities) -> list[Axiom]:
     kw_tok = cur.next()
     kw = kw_tok[1]
 
@@ -376,12 +394,12 @@ def _parse_axiom(cur: Cursor, prefixes) -> list[Axiom]:
     cur.expect("lparen")
     if nary is None:
         readers, build = _FIXED[kw]
-        operands = [read(cur, prefixes) for read in readers]
+        operands = [read(cur, entities) for read in readers]
     else:
         read, pair_axioms, every_pair = nary
         operands = []
         while cur.peek() is not None and not cur.at("rparen"):
-            operands.append(read(cur, prefixes))
+            operands.append(read(cur, entities))
     cur.expect("rparen")
 
     if nary is None:
@@ -400,10 +418,10 @@ def _parse_axiom(cur: Cursor, prefixes) -> list[Axiom]:
 def normalize_ontology(o: Ontology) -> Ontology:
     """Bring a parsed ontology into the translatable shape.
 
-    Every class/property used in an assertion gains its top-inclusion
-    axiom, and class disjointness written as ``c excludes some r`` is
-    flipped into the domain-side orientation (the only one the fact
-    encoding provides).  Idempotent.
+    Every distinct class/property used in an assertion gains its
+    top-inclusion axiom, and class disjointness written as ``c excludes
+    some r`` is flipped into the domain-side orientation (the only one
+    the fact encoding provides).  Idempotent.
     """
     tbox = set()
     for ax in o.tbox:
@@ -417,11 +435,10 @@ def normalize_ontology(o: Ontology) -> Ontology:
         else:
             tbox.add(ax)
 
-    for ax in o.abox:
-        if isinstance(ax, ClassAssertion):
-            tbox.add(ClassInclusion(Atomic(ax.cls), Atomic(TOP_CLASS)))
-        elif isinstance(ax, PropAssertion):
-            tbox.add(PropInclusion(PropExpr(ax.prop), PropExpr(TOP_PROPERTY)))
+    classes = {ax.cls for ax in o.abox if isinstance(ax, ClassAssertion)}
+    props = {ax.prop for ax in o.abox if isinstance(ax, PropAssertion)}
+    tbox.update(ClassInclusion(Atomic(c), Atomic(TOP_CLASS)) for c in classes)
+    tbox.update(PropInclusion(PropExpr(p), PropExpr(TOP_PROPERTY)) for p in props)
 
     return Ontology(frozenset(tbox), o.abox, dict(o.prefixes))
 

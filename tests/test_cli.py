@@ -323,7 +323,7 @@ def test_bench_timeout_yields_oot(tmp_path):
     query.write_text(f"PREFIX uni: <{UNI}>\nSELECT ?x WHERE {{ ?x a uni:Student }}", encoding="utf-8")
     config = tmp_path / "bench.cfg"
     config.write_text(
-        f"ontologies = {ontology.name}\nqueries = {query.name}\nrepeat = 1\ntimeout_s = 0.2\n",
+        f"ontologies = {ontology.name}\nqueries = {query.name}\nrepeat = 1\ntimeout_s = 0.01\n",
         encoding="utf-8",
     )
     assert main(["bench", str(config), "-o", str(tmp_path / "out.csv")]) == 0

@@ -49,6 +49,28 @@ def test_assert_facts_counts_distinct_bulk():
     assert store.assert_facts(fb.facts) == len(fb.facts)
 
 
+def test_bulk_load_matches_loading_one_fact_at_a_time():
+    from metaql import normalize_ontology, parse_ontology
+    from metaql.synthetic import university_ontology
+
+    facts = list(translate_ontology(normalize_ontology(parse_ontology(university_ontology(2)))).facts)
+    bulk = FactStore()
+    bulk.assert_facts(facts)
+    single = FactStore()
+    for f in facts:
+        single.add_tuples(f.pred, [tuple(single.intern(a.value.iri) for a in f.args)])
+    assert [bulk.symbol(i) for i in range(len(bulk._symbols))] == [
+        single.symbol(i) for i in range(len(single._symbols))
+    ]
+    assert bulk.canonical_dump() == single.canonical_dump()
+
+
+def test_arity_mismatch_within_one_assert_facts_call():
+    store = FactStore()
+    with pytest.raises(ArityMismatch):
+        store.assert_facts([atom("aux", E[0], E[1]), atom("instc", E[0], E[1]), atom("aux", E[0], E[1], E[2])])
+
+
 def test_arity_mismatch_on_dynamic_predicates():
     store = FactStore()
     store.add_tuples("aux", [(1, 2)])

@@ -128,6 +128,20 @@ def test_unknown_prefix_error():
         parse_ontology("Ontology(SubClassOf(zz:A zz:B))")
 
 
+def test_the_same_token_resolves_under_each_parse_s_own_prefixes():
+    first = parse_ontology("Prefix(:=<http://one#>)\nOntology(ClassAssertion(:A :i))")
+    second = parse_ontology("Prefix(:=<http://two#>)\nOntology(ClassAssertion(:A :i))")
+    assert {ax.cls for ax in first.abox} == {Entity("http://one#A")}
+    assert {ax.cls for ax in second.abox} == {Entity("http://two#A")}
+
+
+def test_unknown_prefix_raises_at_its_first_occurrence():
+    # An earlier parse that declares zz does not make it known to a later one.
+    parse_ontology("Prefix(zz:=<http://zz#>)\nOntology(SubClassOf(zz:A zz:B))")
+    with pytest.raises(UnknownPrefix, match="'zz'"):
+        parse_ontology("Ontology(SubClassOf(zz:A zz:A) SubClassOf(zz:A zz:B) MadeUpAxiom(zz:A))")
+
+
 def test_unsupported_axioms_are_rejected_by_keyword():
     for body in (
         "TransitiveObjectProperty(:r)",
@@ -189,6 +203,37 @@ def test_normalize_is_idempotent():
     once = normalize_ontology(parse_ontology(EXAMPLE_SPECIES))
     twice = normalize_ontology(once)
     assert once.tbox == twice.tbox and once.abox == twice.abox
+
+
+def _normalize_per_assertion(o: Ontology) -> Ontology:
+    """Reference for `normalize_ontology`: one top inclusion per assertion."""
+    tbox = set()
+    for ax in o.tbox:
+        if (
+            isinstance(ax, ClassDisjoint)
+            and isinstance(ax.left, Atomic)
+            and isinstance(ax.right, Some)
+            and not ax.right.prop.inverse
+        ):
+            tbox.add(ClassDisjoint(ax.right, ax.left))
+        else:
+            tbox.add(ax)
+    for ax in o.abox:
+        if isinstance(ax, ClassAssertion):
+            tbox.add(ClassInclusion(Atomic(ax.cls), Atomic(TOP_CLASS)))
+        elif isinstance(ax, PropAssertion):
+            tbox.add(PropInclusion(PropExpr(ax.prop), PropExpr(TOP_PROPERTY)))
+    return Ontology(frozenset(tbox), o.abox, {})
+
+
+def test_normalize_agrees_with_the_per_assertion_reference():
+    from metaql.synthetic import university_ontology
+
+    rng = random.Random(8)
+    cases = [random_ontology(rng) for _ in range(200)] + [parse_ontology(university_ontology(2))]
+    for o in cases:
+        got, want = normalize_ontology(o), _normalize_per_assertion(o)
+        assert got.tbox == want.tbox and got.abox == want.abox
 
 
 def test_normalize_flips_class_vs_domain_disjointness():
