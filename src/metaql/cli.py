@@ -60,11 +60,7 @@ def _write_text(path, text: str):
 
 
 def _load_query_text(args) -> str:
-    if getattr(args, "query_string", None):
-        return args.query_string
-    if getattr(args, "query", None):
-        return _read_text(args.query)
-    raise _Usage("provide a query with -q/--query FILE or --query-string TEXT")
+    return args.query_string if args.query is None else _read_text(args.query)
 
 
 # ==============================================================================
@@ -344,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
             + (" with the brute-force reference semantics" if name == "oracle" else ""),
         )
         p.add_argument("ontology")
-        p.add_argument("-q", "--query", help="query file (.rq)")
-        p.add_argument("--query-string", help="inline query text")
+        query = p.add_mutually_exclusive_group(required=True)
+        query.add_argument("-q", "--query", help="query file (.rq)")
+        query.add_argument("--query-string", help="inline query text")
         p.add_argument("--check-consistency", action="store_true")
         p.add_argument("--report-time", action="store_true", help="print the full timing breakdown")
         p.add_argument("--stats-json", action="store_true", help="print timings as one JSON line")

@@ -8,16 +8,17 @@ store's exact index buckets for its constants and bound columns, the
 cheapest atom goes first, and every later atom shares a variable with
 those before it unless the body is disconnected.
 
-One executor runs every planned body: the fixpoint's rule tasks, the
-sink rules, queries and the prefixes `explain_conjunctive_query` counts.
-It is a left-deep chain of set-at-a-time stages over rows that
-concatenate the tuples matched so far.  The first step filters a
-fixpoint delta, or starts from its constants' index bucket; every later
-step extends each row with its key's bucket, or, when the key covers
-every column, keeps the rows whose key is in the relation and builds no
-index.  The stages are generators that stream into the head, so no
-intermediate rows are held, and nothing runs when a relation of the
-body is empty.
+One compile step turns every planned body into a join chain: the
+fixpoint's rule tasks, the sink rules, queries and the prefixes
+`explain_conjunctive_query` counts.  It walks the atoms in plan order
+and gives each variable the row column of its first occurrence, where a
+row concatenates the tuples matched so far.  The chain is a left-deep
+sequence of set-at-a-time stages.  The first atom filters a fixpoint
+delta, or starts from its constants' index bucket; every later atom
+extends each row with its key's bucket, or, when the key covers every
+column, keeps the rows whose key is in the relation and builds no index.
+The stages are generators that stream into the head, so no intermediate
+rows are held, and nothing runs when a relation of the body is empty.
 
 The fixpoint is computed semi-naive: each round joins every rule against
 the previous round's delta in each body position, with the delta atom
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import ArityMismatch, UnknownPredicate, UnsafeQuery
+from .errors import ArityMismatch, UnknownPredicate
 from .model import (
     Atom,
     ConjunctiveQuery,
@@ -189,32 +190,9 @@ class EvalStats:
 # with bound variables in it too, the average bucket of that key; with
 # every column in it, 1.  The cheapest atom goes first, then repeatedly
 # the cheapest atom sharing a variable with those placed, so no cross
-# product is built unless the body itself is disconnected.  The ordered
-# body is compiled to steps, and the steps to one chain of join stages.
-
-
-@dataclass(frozen=True)
-class _Step:
-    pred: str
-    arity: int
-    # key columns, ascending: positions holding a constant or a variable
-    # bound by an earlier step; the source of each key value is
-    # ('c', symbol id) or ('s', slot)
-    key_pos: tuple[int, ...]
-    key_src: tuple[tuple[str, int], ...]
-    # the key covers every column: test membership, build no index
-    full: bool
-    # first occurrences introduced here: (position, slot); repeated new
-    # variables within the atom appear once here plus in `same`
-    out: tuple[tuple[int, int], ...]
-    same: tuple[tuple[int, int], ...]  # (position, position-of-first-occurrence)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    steps: tuple[_Step, ...]
-    # head argument sources: ('c', symbol id) or ('s', slot)
-    head_src: tuple[tuple[str, int], ...]
+# product is built unless the body itself is disconnected.  One pass over
+# the ordered body gives each variable the row column of its first
+# occurrence and compiles the chain of join stages that reads them.
 
 
 def _estimate(a: Atom, bound: set[str], store: FactStore) -> float:
@@ -257,50 +235,6 @@ def _plan(body: Sequence[Atom], store: FactStore, first: int | None = None) -> l
     return order
 
 
-def _compile(head: Atom, body: Sequence[Atom], order: Sequence[int], store: FactStore) -> _Plan:
-    slots: dict[str, int] = {}
-    steps = []
-    for idx in order:
-        a = body[idx]
-        key, out, same = [], [], []
-        first_pos: dict[str, int] = {}
-        seen_before = set(slots)  # bound by earlier atoms, not this one
-        for pos, t in enumerate(a.args):
-            if isinstance(t, Const):
-                key.append((pos, ("c", store.intern(t.value.iri))))
-            elif t.name in seen_before:
-                key.append((pos, ("s", slots[t.name])))
-            elif t.name in first_pos:
-                same.append((pos, first_pos[t.name]))
-            else:
-                first_pos[t.name] = pos
-                slot = slots.setdefault(t.name, len(slots))
-                out.append((pos, slot))
-        steps.append(
-            _Step(
-                a.pred,
-                len(a.args),
-                tuple(p for p, _ in key),
-                tuple(src for _, src in key),
-                len(key) == len(a.args),
-                tuple(out),
-                tuple(same),
-            )
-        )
-    head_src = tuple(
-        ("c", store.intern(t.value.iri)) if isinstance(t, Const) else ("s", slots[t.name]) for t in head.args
-    )
-    return _Plan(tuple(steps), head_src)
-
-
-def _lookup(step: _Step, store: FactStore):
-    """The index a probing step looks its key up in; a step without key
-    columns finds the whole relation under the empty key."""
-    if not step.key_pos:
-        return {(): store.relation(step.pred)}
-    return store.index(step.pred, step.key_pos)
-
-
 def _matcher(pairs: Sequence[tuple[int, tuple[str, int]]], width: int):
     """The test that each column `pos` of a tuple of `width` columns equals
     what its source names, for the (pos, source) `pairs` (constants, or an
@@ -330,56 +264,74 @@ def _member(rows, rel, key):
     return (r for r in rows if key(r) in rel)
 
 
-def _join(plan: _Plan):
-    """Compile a plan to one left-deep chain of set-at-a-time join stages,
-    `run(store, seed, out)`, which adds the head of every match to `out`.
+def _compile(head_terms: Sequence[Var | Const], body: Sequence[Atom], order: Sequence[int], store: FactStore):
+    """Compile `body`, joined in `order`, to one left-deep chain of
+    set-at-a-time stages, `run(seed, out)`, which adds the tuple of
+    `head_terms` of every match to `out`.
 
-    A row is the concatenation of the tuples it matched, so its columns
-    stand in for the plan's slots and no binding is kept.  Step 0 filters
-    `seed` (a fixpoint delta) on its constants and repeated variables; with
-    no seed it starts from its constants' bucket instead.  Every later step
-    extends each row with its key's index bucket, or, when its key covers
-    every column, keeps the rows whose key is in the relation.  The stages
-    are generators, so no intermediate rows are held: the last one streams
+    A row is the concatenation of the tuples it matched, and each variable
+    is read from the row column of its first occurrence, so no binding is
+    kept.  The first atom filters `seed` (a fixpoint delta) on its constants
+    and repeated variables; with no seed it starts from its constants'
+    bucket instead.  Its tuple is always in the row, even when its key
+    covers every column.  Every later atom extends each row with its key's
+    index bucket, or, when its key covers every column, keeps the rows
+    whose key is in the relation and adds no column.  The stages are
+    generators, so no intermediate rows are held: the last one streams
     through the head into `out`.  Nothing runs when a relation of the body
-    is empty.
+    is empty.  The compiled symbol ids belong to `store`, the store `run`
+    reads.
     """
-    steps = plan.steps
-    s0 = steps[0]
-    col = {slot: pos for pos, slot in s0.out}  # slot -> column of the row
-    width = s0.arity
+    col: dict[str, int] = {}  # variable -> row column of its first occurrence
+    width = 0
+    preds, stages = [], []
+    for n, idx in enumerate(order):
+        a = body[idx]
+        arity = len(a.args)
+        # key: (position, source) for constants and variables bound by an
+        # earlier atom; same: (position, source) for a variable repeated
+        # within this atom, read from its first position here
+        key, same, new = [], [], {}
+        for pos, t in enumerate(a.args):
+            if isinstance(t, Const):
+                key.append((pos, ("c", store.intern(t.value.iri))))
+            elif t.name in col:
+                key.append((pos, ("s", col[t.name])))
+            elif t.name in new:
+                same.append((pos, ("s", new[t.name])))
+            else:
+                new[t.name] = pos
+        key_pos = tuple(pos for pos, _ in key)
+        full = len(key_pos) == arity
+        preds.append(a.pred)
+        if n == 0:
+            key0, full0, consts0 = key_pos, full, tuple(sid for _, (_, sid) in key)
+            keep_seed, keep_start = _matcher(key + same, arity), _matcher(same, arity)
+        else:
+            key_of = _picker([src for _, src in key], width)
+            stages.append((a.pred, key_pos, full, key_of, _matcher(same, arity)))
+        if n == 0 or not full:
+            col.update((name, width + pos) for name, pos in new.items())
+            width += arity
+    head = _picker(
+        [("c", store.intern(t.value.iri)) if isinstance(t, Const) else ("s", col[t.name]) for t in head_terms],
+        width,
+    )
 
-    def columns(srcs):  # slot sources to column sources
-        return [(k, v if k == "c" else col[v]) for k, v in srcs]
-
-    consts0 = tuple(v for _, v in s0.key_src)  # step 0 has no earlier slots
-    same0 = [(pos, ("s", first)) for pos, first in s0.same]
-    keep_seed = _matcher([*zip(s0.key_pos, s0.key_src), *same0], width)
-    keep_start = _matcher(same0, width)
-    probes = []
-    for step in steps[1:]:
-        key = _picker(columns(step.key_src), width)
-        keep = _matcher([(pos, ("s", first)) for pos, first in step.same], step.arity)
-        probes.append((step, key, keep))
-        if not step.full:
-            col.update((slot, width + pos) for pos, slot in step.out)
-            width += step.arity
-    head = _picker(columns(plan.head_src), width)
-
-    def run(store: FactStore, seed: Iterable[tuple[int, ...]] | None, out: set):
-        rels = [store.relations.get(step.pred) for step in steps]
+    def run(seed: Iterable[tuple[int, ...]] | None, out: set):
+        rels = [store.relations.get(pred) for pred in preds]
         if not all(rels):
             return
         keep0 = keep_seed
         if seed is None:
             keep0 = keep_start
-            if s0.full:
+            if full0:
                 seed = (consts0,) if consts0 in rels[0] else ()
             else:
-                seed = _lookup(s0, store).get(consts0, ())
+                seed = store.index(preds[0], key0).get(consts0, ()) if key0 else rels[0]
         rows = filter(keep0, seed) if keep0 else seed
-        for (step, key, keep), rel in zip(probes, rels[1:]):
-            rows = _member(rows, rel, key) if step.full else _probe(rows, _lookup(step, store).get, key, keep)
+        for (pred, key_pos, full, key, keep), rel in zip(stages, rels[1:]):
+            rows = _member(rows, rel, key) if full else _probe(rows, store.index(pred, key_pos).get, key, keep)
         out.update(map(head, rows))
 
     return run
@@ -388,7 +340,7 @@ def _join(plan: _Plan):
 def _rule_join(rule: Rule, store: FactStore, first: int | None = None):
     """The compiled join of `rule`'s body, planned with `first` pinned."""
     order = [i for i, _ in _plan(rule.body, store, first)]
-    return _join(_compile(rule.head, rule.body, order, store))
+    return _compile(rule.head.args, rule.body, order, store)
 
 
 # ==============================================================================
@@ -444,14 +396,14 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
                 task = tasks.get((id(rule), pos))
                 if task is None:
                     task = tasks[(id(rule), pos)] = _rule_join(rule, store, first=pos)
-                task(store, seed, new.setdefault(rule.head.pred, set()))
+                task(seed, new.setdefault(rule.head.pred, set()))
         delta = merge(new)
         if not delta:
             break
 
     new = {}
     for rule in sinks:
-        _rule_join(rule, store)(store, None, new.setdefault(rule.head.pred, set()))
+        _rule_join(rule, store)(None, new.setdefault(rule.head.pred, set()))
     merge(new)
 
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -528,30 +480,25 @@ def naive_evaluate(
 # ==============================================================================
 
 
-def _query_plan(store: FactStore, q: ConjunctiveQuery) -> tuple[list[tuple[int, float]], _Plan] | None:
-    """The planned order and compiled plan of `q`, or None when a constant
-    of `q` does not occur in the store, so nothing can match."""
+def _query_plan(store: FactStore, q: ConjunctiveQuery) -> list[tuple[int, float]] | None:
+    """The planned order of `q`, or None when a constant of `q` does not
+    occur in the store, so nothing can match."""
     for a in q.body:
         if a.pred not in KNOWN_ARITY and a.pred not in store.relations:
             raise UnknownPredicate(a.pred)
     order = _plan(q.body, store)
     if any(isinstance(t, Const) and t.value.iri not in store._sym_ids for a in q.body for t in a.args):
         return None
-    head = Atom("q", tuple(q.answer_vars))
-    try:
-        plan = _compile(head, q.body, [i for i, _ in order], store)
-    except KeyError as exc:  # head var absent from body
-        raise UnsafeQuery(str(exc))
-    return order, plan
+    return order
 
 
 def answer_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str, ...]]:
     """Distinct answer bindings, sorted lexicographically by IRI."""
-    planned = _query_plan(store, q)
-    if planned is None:
+    order = _query_plan(store, q)
+    if order is None:
         return []
     out: set[tuple[int, ...]] = set()
-    _join(planned[1])(store, None, out)
+    _compile(q.answer_vars, q.body, [i for i, _ in order], store)(None, out)
     answers = {tuple(store.symbol(s) for s in t) for t in out}
     return sorted(answers)
 
@@ -571,21 +518,22 @@ def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[Pla
 
     The estimate after a step is the product of the planner's per-binding
     estimates so far.  Actual rows are the distinct bindings of each prefix
-    of the plan, run on its own through the same join chain, so answering
-    itself keeps no counters.  Empty when a constant of `q` does not occur
-    in the store.
+    of the plan, compiled on its own with the variables bound so far as
+    its head, so answering itself keeps no counters.  Empty when a
+    constant of `q` does not occur in the store.
     """
-    planned = _query_plan(store, q)
-    if planned is None:
+    order = _query_plan(store, q)
+    if order is None:
         return []
-    order, plan = planned
     report = []
     estimated = 1.0
-    for n, ((idx, cost), step) in enumerate(zip(order, plan.steps), start=1):
+    bound: dict[Var, None] = {}  # the variables of the prefix, in order of first occurrence
+    for n, (idx, cost) in enumerate(order, start=1):
+        a = q.body[idx]
+        key = tuple(p for p, t in enumerate(a.args) if isinstance(t, Const) or t in bound)
+        bound.update(dict.fromkeys(t for t in a.args if isinstance(t, Var)))
         estimated *= cost
-        prefix = plan.steps[:n]
-        slots = tuple(("s", slot) for s in prefix for _, slot in s.out)
         rows: set[tuple[int, ...]] = set()
-        _join(_Plan(prefix, slots))(store, None, rows)
-        report.append(PlanStep(q.body[idx], step.key_pos, estimated, len(rows)))
+        _compile(tuple(bound), q.body, [i for i, _ in order[:n]], store)(None, rows)
+        report.append(PlanStep(a, key, estimated, len(rows)))
     return report

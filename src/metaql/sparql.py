@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import UnsafeQuery, UnsupportedFeature
+from .errors import UnsupportedFeature
 from .model import (
     Atom,
     ConjunctiveQuery,
@@ -241,15 +241,12 @@ def translate_query(q: SparqlQuery) -> tuple[Rule, Atom]:
     query accounting for the projection.  No variable typing restriction
     applies: the same variable may stand in individual, class and
     property positions at once."""
-    body = tuple(_pattern_atom(tp) for tp in q.patterns)
-    body_vars = set().union(*(a.variables() for a in body))
-    missing = [v.name for v in q.answer_vars if v not in body_vars]
-    if missing:
-        raise UnsafeQuery(f"answer variable(s) {missing} do not occur in the query body")
-    head = Atom("q", tuple(q.answer_vars))
-    return Rule(head, body), head
+    cq = to_conjunctive_query(q)
+    head = Atom("q", cq.answer_vars)
+    return Rule(head, cq.body), head
 
 
 def to_conjunctive_query(q: SparqlQuery) -> ConjunctiveQuery:
-    rule, head = translate_query(q)
-    return ConjunctiveQuery(tuple(q.answer_vars), rule.body)
+    """The query as one body atom per triple pattern; raises UnsafeQuery
+    for an answer variable that does not occur in the body."""
+    return ConjunctiveQuery(tuple(q.answer_vars), tuple(_pattern_atom(tp) for tp in q.patterns))

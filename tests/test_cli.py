@@ -101,6 +101,19 @@ def test_query_from_file(tmp_path, species_file, capsys):
     assert capsys.readouterr().out.strip().splitlines()[0] == SPECIES + "Harry"
 
 
+def test_empty_query_string_reaches_the_parser(species_file, capsys):
+    assert main(["query", str(species_file), "--query-string", ""]) == 1
+    assert capsys.readouterr().err == "error: unexpected end of query (line 1, column 1)\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--query-string", ZOO_QUERY, "-q", "zoo.rq"]], ids=["neither", "both"])
+def test_query_needs_exactly_one_query_flag(species_file, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["query", str(species_file), *flags])
+    assert exc.value.code == 2
+    assert "usage: metaql query" in capsys.readouterr().err
+
+
 def test_query_check_consistency_flag(tmp_path, capsys):
     src = tmp_path / "clash.ofn"
     src.write_text(

@@ -16,6 +16,7 @@ from metaql import (
     atom,
     builtin_rules,
     evaluate_fixpoint,
+    explain_conjunctive_query,
     naive_evaluate,
     translate_ontology,
 )
@@ -347,6 +348,32 @@ def test_query_answers_match_brute_force_enumeration(max_atoms):
         for _ in range(2):
             q = random_query(rng, o, max_atoms)
             assert store_answers(store, q) == brute_force_answers(store, q)
+
+
+def test_explain_rows_match_brute_force_per_prefix():
+    # Each step's actual rows are the distinct bindings of the plan's prefix
+    # up to it, which brute force counts independently of the join chain.
+    rng = random.Random(4242)
+    checked = 0
+    for _ in range(40):
+        o = random_ontology(rng, max_tbox=6, max_abox=12)
+        store = FactStore()
+        store.assert_facts(translate_ontology(o).facts)
+        evaluate_fixpoint(store, builtin_rules())
+        for _ in range(2):
+            q = random_query(rng, o, 5)
+            report = explain_conjunctive_query(store, q)
+            if not report:  # a constant of q is not in the store
+                assert brute_force_answers(store, q) == []
+                continue
+            atoms = [step.atom for step in report]
+            assert sorted(atoms, key=str) == sorted(q.body, key=str)
+            for n, step in enumerate(report, start=1):
+                variables = tuple(dict.fromkeys(t for a in atoms[:n] for t in a.args if isinstance(t, Var)))
+                prefix = ConjunctiveQuery(variables, tuple(atoms[:n]))
+                assert step.actual == len(brute_force_answers(store, prefix))
+                checked += 1
+    assert checked > 50
 
 
 def test_fully_bound_steps_build_no_index():

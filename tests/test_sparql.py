@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from helpers import EXAMPLE_SPECIES_ZOO, SPECIES, saturate
@@ -115,9 +117,15 @@ def test_pattern_count_is_preserved():
     assert len(rule.body) == len(q.patterns) == 4
 
 
-def test_unsafe_projection_is_rejected():
-    with pytest.raises(UnsafeQuery):
-        translate_query(parse_query(PFX + "SELECT ?missing WHERE { ?x a :C }"))
+@pytest.mark.parametrize("translate", [translate_query, to_conjunctive_query])
+@pytest.mark.parametrize(
+    "text, missing",
+    [(PFX + "SELECT ?missing WHERE { ?x a :C }", "missing"), ("SELECT ?m WHERE { ?x a ?y }", "m")],
+)
+def test_unsafe_projection_is_rejected(translate, text, missing):
+    message = f"answer variable(s) ['{missing}'] do not occur in the body"
+    with pytest.raises(UnsafeQuery, match=re.escape(message) + "$"):
+        translate(parse_query(text))
 
 
 def test_same_variable_in_every_position_translates():
