@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -70,9 +71,11 @@ def _load_query_text(args) -> str:
 
 def cmd_translate(args) -> int:
     text = _read_text(args.ontology)
+    out = Path(args.output) if args.output else Path(args.ontology).with_suffix(".dl")
+    if os.path.realpath(out) == os.path.realpath(args.ontology):
+        raise _Usage(f"output {out} is the input ontology; give another path with -o")
     ontology = normalize_ontology(parse_ontology(text))
     facts = translate_ontology(ontology)
-    out = Path(args.output) if args.output else Path(args.ontology).with_suffix(".dl")
     _write_text(out, facts.to_dl())
     print(f"axioms={len(ontology)} facts={len(facts)} output={out}")
     return 0

@@ -41,6 +41,10 @@ class Entity:
         if not self.iri or _find_space(self.iri):
             raise InvalidIri(f"bad entity IRI {self.iri!r}")
 
+    def __hash__(self) -> int:
+        # The IRI's own hash: the generated one would build a 1-tuple per call.
+        return hash(self.iri)
+
     def __str__(self) -> str:
         return self.iri
 

@@ -11,6 +11,7 @@ filler.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NonNormalizedAxiom
 from .model import (
@@ -32,7 +33,6 @@ from .model import (
     Reflexive,
     Some,
     TOP_CLASS,
-    atom,
 )
 from .owl import Ontology
 
@@ -48,19 +48,24 @@ def _basic_kind(ce: ClassExpr) -> tuple[str, Entity]:
 
 def tau(ax: Axiom) -> Atom:
     """Translate one normalized axiom to its fact."""
+    return _tau(ax, Const)
+
+
+def _tau(ax: Axiom, const: Callable[[Entity], Const]) -> Atom:
+    """`tau`, with every argument built by `const`."""
     if isinstance(ax, ClassInclusion):
         lk, lname = _basic_kind(ax.sub)
         sup = ax.sup
         if isinstance(sup, Atomic):
-            return atom(f"isac{lk}C", lname, sup.cls)
+            return Atom(f"isac{lk}C", (const(lname), const(sup.cls)))
         rk = "I" if sup.prop.inverse else "R"
-        return atom(f"isac{lk}{rk}", lname, sup.prop.prop, sup.filler)
+        return Atom(f"isac{lk}{rk}", (const(lname), const(sup.prop.prop), const(sup.filler)))
 
     if isinstance(ax, PropInclusion):
         if ax.sub.inverse:
             raise NonNormalizedAxiom(f"inverse on the left of a property inclusion: {ax}")
         pred = "isarRI" if ax.sup.inverse else "isarRR"
-        return atom(pred, ax.sub.prop, ax.sup.prop)
+        return Atom(pred, (const(ax.sub.prop), const(ax.sup.prop)))
 
     if isinstance(ax, ClassDisjoint):
         lk, lname = _basic_kind(ax.left)
@@ -68,25 +73,25 @@ def tau(ax: Axiom) -> Atom:
         if (lk, rk) == ("C", "R"):
             # No CR form exists; normalize_ontology flips it to RC.
             raise NonNormalizedAxiom(f"class disjointness in CR orientation: {ax}")
-        return atom(f"disjc{lk}{rk}", lname, rname)
+        return Atom(f"disjc{lk}{rk}", (const(lname), const(rname)))
 
     if isinstance(ax, PropDisjoint):
         if ax.left.inverse:
             raise NonNormalizedAxiom(f"inverse on the left of a property disjointness: {ax}")
         pred = "disjrRI" if ax.right.inverse else "disjrRR"
-        return atom(pred, ax.left.prop, ax.right.prop)
+        return Atom(pred, (const(ax.left.prop), const(ax.right.prop)))
 
     if isinstance(ax, Reflexive):
-        return atom("refl", ax.prop)
+        return Atom("refl", (const(ax.prop),))
     if isinstance(ax, Irreflexive):
-        return atom("irrefl", ax.prop)
+        return Atom("irrefl", (const(ax.prop),))
 
     if isinstance(ax, ClassAssertion):
-        return atom("instc", ax.cls, ax.individual)
+        return Atom("instc", (const(ax.cls), const(ax.individual)))
     if isinstance(ax, PropAssertion):
-        return atom("instr", ax.prop, ax.subject, ax.object)
+        return Atom("instr", (const(ax.prop), const(ax.subject), const(ax.object)))
     if isinstance(ax, DifferentIndividuals):
-        return atom("diff", ax.a, ax.b)
+        return Atom("diff", (const(ax.a), const(ax.b)))
 
     raise TypeError(f"unknown axiom {ax!r}")
 
@@ -169,8 +174,18 @@ class FactBase:
         return len(self.tbox_facts) + len(self.abox_facts)
 
 
+class _Consts(dict):
+    """`Entity` to `Const` for one translation: each distinct entity gets
+    one shared `Const`."""
+
+    def __missing__(self, ent: Entity) -> Const:
+        c = self[ent] = Const(ent)
+        return c
+
+
 def translate_ontology(o: Ontology) -> FactBase:
     """Translate every axiom of a normalized ontology; one fact per axiom."""
-    tbox = frozenset(tau(ax) for ax in o.tbox)
-    abox = frozenset(tau(ax) for ax in o.abox)
+    const = _Consts().__getitem__
+    tbox = frozenset(_tau(ax, const) for ax in o.tbox)
+    abox = frozenset(_tau(ax, const) for ax in o.abox)
     return FactBase(tbox, abox)

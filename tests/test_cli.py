@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import EXAMPLE_SPECIES, EXAMPLE_SPECIES_ZOO, SPECIES
 from metaql import cli
 from metaql.cli import CSV_HEADER, main
-from metaql.synthetic import UNI, professor_type_extension, university_ontology
+from metaql.synthetic import UNI, professor_type_extension, special_meta_queries, university_ontology
 
 ZOO_QUERY = (
     f"PREFIX : <{SPECIES}>\n"
@@ -37,6 +42,19 @@ def test_translate_empty_ontology(tmp_path, capsys):
     out = tmp_path / "empty.dl"
     assert main(["translate", str(src), "-o", str(out)]) == 0
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("output", [None, "onto.dl", "./sub/../onto.dl"], ids=["default", "same", "respelled"])
+def test_translate_never_overwrites_its_input(tmp_path, monkeypatch, capsys, output):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    text = "Ontology(\nClassAssertion(<http://a/C> <http://a/i>)\n)\n"
+    (tmp_path / "onto.dl").write_text(text, encoding="utf-8")
+    argv = ["translate", "onto.dl"] + (["-o", output] if output else [])
+    assert main(argv) == 2
+    shown = Path(output or "onto.dl")
+    assert capsys.readouterr().err == f"error: output {shown} is the input ontology; give another path with -o\n"
+    assert (tmp_path / "onto.dl").read_text(encoding="utf-8") == text
 
 
 def test_translate_reports_parse_error_with_line(tmp_path, capsys):
@@ -382,3 +400,38 @@ def test_bench_timeout_must_be_finite_and_positive(tmp_path, capsys, where, valu
     assert main(["bench", str(config), "-o", str(tmp_path / "out.csv"), *flag]) == 2
     assert "timeout_s must be a finite positive number of seconds" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def _cli_outputs_under_hash_seed(workdir: Path, seed: str) -> dict[str, bytes]:
+    """Stdout of extend, translate and query --explain --dump-model run in
+    fresh interpreters under PYTHONHASHSEED=seed, and every file they
+    write.  Paths are relative to `workdir`, so stdout names the same ones
+    under each seed; the query's `total_ms` timing is masked."""
+    workdir.mkdir()
+    (workdir / "base.ofn").write_text(university_ontology(2), encoding="utf-8")
+    (workdir / "ext.ofn").write_text(professor_type_extension(), encoding="utf-8")
+    pythonpath = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    sq1 = dict(special_meta_queries())["sq1"]
+    runs = {
+        "extend": ["extend", "base.ofn", "ext.ofn", "-o", "merged.ofn"],
+        "translate": ["translate", "merged.ofn", "-o", "facts.dl"],
+        "query": ["query", "merged.ofn", "--query-string", sq1, "--explain", "--dump-model", "model.dl"],
+    }
+    got = {}
+    for name, argv in runs.items():
+        cmd = [sys.executable, "-m", "metaql", *argv]
+        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        got[f"{name} stdout"] = re.sub(rb"total_ms=[0-9.]+", b"total_ms=*", proc.stdout)
+    for path in ("merged.ofn", "facts.dl", "model.dl"):
+        got[path] = (workdir / path).read_bytes()
+    return got
+
+
+def test_cli_output_is_byte_identical_across_hash_seeds(tmp_path):
+    first = _cli_outputs_under_hash_seed(tmp_path / "seed0", "0")
+    second = _cli_outputs_under_hash_seed(tmp_path / "seed4242", "4242")
+    assert b"answers=" in first["query stdout"] and first["model.dl"]
+    for what in first:
+        assert first[what] == second[what], what

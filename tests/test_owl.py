@@ -135,6 +135,16 @@ def test_the_same_token_resolves_under_each_parse_s_own_prefixes():
     assert {ax.cls for ax in second.abox} == {Entity("http://two#A")}
 
 
+def test_an_entity_spelled_two_ways_in_two_parses_is_equal_and_hashes_equal():
+    first = parse_ontology("Prefix(:=<http://ex/ns/>)\nOntology(SubClassOf(:A owl:Thing))")
+    second = parse_ontology("Prefix(e:=<http://ex/>)\nOntology(SubClassOf(e:ns/A e:ns/B))")
+    (ax1,), (ax2,) = first.tbox, second.tbox
+    a1, a2 = ax1.sub.cls, ax2.sub.cls
+    assert a1 is not a2
+    assert a1 == a2 == Entity("http://ex/ns/A") and hash(a1) == hash(a2) == hash(Entity("http://ex/ns/A"))
+    assert ax1.sup.cls is TOP_CLASS
+
+
 def test_unknown_prefix_raises_at_its_first_occurrence():
     # An earlier parse that declares zz does not make it known to a later one.
     parse_ontology("Prefix(zz:=<http://zz#>)\nOntology(SubClassOf(zz:A zz:B))")

@@ -27,7 +27,7 @@ from metaql import (
     translate_ontology,
 )
 from metaql.errors import NonNormalizedAxiom
-from metaql.synthetic import scaled_university
+from metaql.synthetic import scaled_university, university_ontology
 
 C1, C2 = Entity("http://t#c1"), Entity("http://t#c2")
 R1, R2 = Entity("http://t#r1"), Entity("http://t#r2")
@@ -118,6 +118,21 @@ def test_axiom_of_fact_inverts_tau_on_random_ontologies():
         o = random_ontology(rng)
         for ax in o.axioms:
             assert axiom_of_fact(tau(ax)) == ax
+
+
+def _assert_one_const_per_entity(o):
+    fb = translate_ontology(o)
+    consts = {id(t): t for f in fb.facts for t in f.args}
+    assert len(consts) == len({c.value for c in consts.values()})
+    assert fb.tbox_facts == {tau(ax) for ax in o.tbox}
+    assert fb.abox_facts == {tau(ax) for ax in o.abox}
+
+
+def test_translation_shares_one_const_per_entity():
+    _assert_one_const_per_entity(normalize_ontology(parse_ontology(university_ontology(2))))
+    rng = random.Random(1010)
+    for _ in range(200):
+        _assert_one_const_per_entity(random_ontology(rng))
 
 
 def test_translate_example_species():
