@@ -60,6 +60,14 @@ def _write_text(path, text: str):
         raise _Usage(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _refuse_overwrite(out, flag: str, *inputs: tuple[str, str | None]):
+    """A usage error when `out` is the same file as one of the (role, path)
+    `inputs`, so no command writes over what it reads."""
+    for role, path in inputs:
+        if path is not None and os.path.realpath(out) == os.path.realpath(path):
+            raise _Usage(f"output {out} is the {role}; give another path with {flag}")
+
+
 def _load_query_text(args) -> str:
     return args.query_string if args.query is None else _read_text(args.query)
 
@@ -72,8 +80,7 @@ def _load_query_text(args) -> str:
 def cmd_translate(args) -> int:
     text = _read_text(args.ontology)
     out = Path(args.output) if args.output else Path(args.ontology).with_suffix(".dl")
-    if os.path.realpath(out) == os.path.realpath(args.ontology):
-        raise _Usage(f"output {out} is the input ontology; give another path with -o")
+    _refuse_overwrite(out, "-o", ("input ontology", args.ontology))
     ontology = normalize_ontology(parse_ontology(text))
     facts = translate_ontology(ontology)
     _write_text(out, facts.to_dl())
@@ -100,6 +107,9 @@ def cmd_rules(args) -> int:
 def _run_query_pipeline(args):
     """Shared by query/oracle; returns (answers, timings, extras, plan),
     where plan is the --explain report or None."""
+    if args.dump_model:
+        inputs = ("input ontology", args.ontology), ("query file", args.query)
+        _refuse_overwrite(args.dump_model, "--dump-model", *inputs)
     t0 = time.perf_counter()
     ontology = normalize_ontology(parse_ontology(_read_text(args.ontology)))
     t1 = time.perf_counter()
@@ -182,6 +192,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    _refuse_overwrite(args.output, "-o", ("base ontology", args.base), ("extension", args.extension))
     base = parse_ontology(_read_text(args.base))
     extension = parse_ontology(_read_text(args.extension))
     merged_prefixes = {**base.prefixes, **extension.prefixes}

@@ -27,12 +27,25 @@ body reads (the consistency rules) cannot feed the fixpoint; they run
 once after it, planned like queries.  A deliberately dumb naive
 evaluator (string-level, index-free) exists purely as a
 differential-testing twin.
+
+A rule of the shape `p(X, Y) :- p(X, M), p(M, Y)` (in the catalogue,
+`isacCC` and `isarRR`) gets no join tasks: joined, it emits every pair
+once per path.  Instead `p` is kept transitively closed over its
+generating edges, those asserted and those the other rules emit, which
+are kept as one adjacency list per node for the length of the fixpoint.
+The asserted relation is closed once before the first round; after that,
+each round's new edges of `p` go through one closure step, which
+searches depth-first from every node whose reach can have grown (the
+tail of a new edge and, since `p` is closed, the nodes that reach it)
+and adds the pairs found that are not yet in `p`.  Those pairs are `p`'s
+delta for the next round, and the model is the one the rule derives.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import filterfalse, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -348,6 +361,46 @@ def _rule_join(rule: Rule, store: FactStore, first: int | None = None):
 # ==============================================================================
 
 
+def _transitive(rule: Rule) -> bool:
+    """Whether `rule` is `p(X, Y) :- p(X, M), p(M, Y)` for three distinct
+    variables, its body atoms in either order."""
+    head, body = rule.head, rule.body
+    if len(body) != 2 or any(a.pred != head.pred or len(a.args) != 2 for a in (head, *body)):
+        return False
+    x, y = head.args
+    m = body[0].args[1] if body[0].args[0] == x else body[0].args[0]
+    distinct_vars = len({x, y, m}) == 3 and all(isinstance(t, Var) for t in (x, y, m))
+    return distinct_vars and {a.args for a in body} == {(x, m), (m, y)}
+
+
+def _close(store: FactStore, pred: str, succ: dict[int, list[int]], edges: Iterable[tuple[int, int]]) -> set:
+    """Add `edges` to `succ`, the generating edges of `pred`, and add the
+    pairs of their transitive closure that `pred` lacks; returns them.
+    Either `pred` is closed over `succ`, so a tail's predecessors in it
+    are all the nodes that reach the tail, or `succ` is empty and `edges`
+    hold all of `pred`, so those predecessors are tails themselves."""
+    before = store.index(pred, (1,)) if succ else {}
+    sources = set()
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+        sources.add(a)
+        sources.update(x for x, _ in before.get((a,), ()))
+    known = store.relation(pred).__contains__
+    added: set[tuple[int, int]] = set()
+    for s in sources:
+        seen: set[int] = set()
+        stack = [s]
+        while stack:
+            for n in succ.get(stack.pop(), ()):
+                if n not in seen:
+                    seen.add(n)
+                    stack.append(n)
+        added.update(filterfalse(known, zip(repeat(s), seen)))
+    if added:
+        store.add_tuples(pred, added)
+    return added
+
+
 def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule]) -> EvalStats:
     """Extend the store to the minimal model of its facts plus the rules.
 
@@ -365,7 +418,9 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
         if not rule.body:
             store.assert_facts([rule.head])
     read = {a.pred for rule in rules for a in rule.body}
-    recursive = [rule for rule in rules if rule.body and rule.head.pred in read]
+    # pred -> generating edges of each relation kept transitively closed
+    closed: dict[str, dict[int, list[int]]] = {rule.head.pred: {} for rule in rules if _transitive(rule)}
+    recursive = [rule for rule in rules if rule.body and rule.head.pred in read and not _transitive(rule)]
     sinks = [rule for rule in rules if rule.body and rule.head.pred not in read]
 
     def merge(new: dict[str, set[tuple[int, ...]]]) -> dict[str, set[tuple[int, ...]]]:
@@ -373,10 +428,19 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
         for pred, tuples in new.items():
             fresh = tuples - store.relation(pred)
             if fresh:
-                store.add_tuples(pred, fresh)
+                if pred in closed:
+                    fresh = _close(store, pred, closed[pred], fresh)
+                else:
+                    store.add_tuples(pred, fresh)
                 delta[pred] = fresh
                 stats.facts_derived[pred] = stats.facts_derived.get(pred, 0) + len(fresh)
         return delta
+
+    for pred, succ in closed.items():
+        store._check_arity(pred, 2)
+        added = _close(store, pred, succ, store.relation(pred))
+        if added:
+            stats.facts_derived[pred] = len(added)
 
     # The first round's delta is the whole store; the relations themselves
     # serve, since nothing is added to them before the round ends.

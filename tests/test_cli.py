@@ -57,6 +57,33 @@ def test_translate_never_overwrites_its_input(tmp_path, monkeypatch, capsys, out
     assert (tmp_path / "onto.dl").read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize(
+    "target, role",
+    [("onto.ofn", "input ontology"), ("./sub/../onto.ofn", "input ontology"), ("q.rq", "query file")],
+    ids=["ontology", "respelled-ontology", "query-file"],
+)
+def test_query_dump_model_never_overwrites_an_input(tmp_path, monkeypatch, capsys, target, role):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "onto.ofn").write_text(EXAMPLE_SPECIES_ZOO, encoding="utf-8")
+    (tmp_path / "q.rq").write_text(ZOO_QUERY, encoding="utf-8")
+    assert main(["query", "onto.ofn", "-q", "q.rq", "--dump-model", target]) == 2
+    assert capsys.readouterr().err == f"error: output {target} is the {role}; give another path with --dump-model\n"
+    assert (tmp_path / "onto.ofn").read_text(encoding="utf-8") == EXAMPLE_SPECIES_ZOO
+    assert (tmp_path / "q.rq").read_text(encoding="utf-8") == ZOO_QUERY
+
+
+@pytest.mark.parametrize("target, role", [("base.ofn", "base ontology"), ("ext.ofn", "extension")])
+def test_extend_never_overwrites_an_input(tmp_path, monkeypatch, capsys, target, role):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "base.ofn").write_text(EXAMPLE_SPECIES, encoding="utf-8")
+    (tmp_path / "ext.ofn").write_text(professor_type_extension(), encoding="utf-8")
+    assert main(["extend", "base.ofn", "ext.ofn", "-o", target]) == 2
+    assert capsys.readouterr().err == f"error: output {target} is the {role}; give another path with -o\n"
+    assert (tmp_path / "base.ofn").read_text(encoding="utf-8") == EXAMPLE_SPECIES
+    assert (tmp_path / "ext.ofn").read_text(encoding="utf-8") == professor_type_extension()
+
+
 def test_translate_reports_parse_error_with_line(tmp_path, capsys):
     src = tmp_path / "bad.ofn"
     src.write_text("Ontology(\nSubClassOf(<http://a/X>)\n)", encoding="utf-8")

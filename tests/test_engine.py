@@ -20,6 +20,7 @@ from metaql import (
     naive_evaluate,
     translate_ontology,
 )
+from metaql.engine import _close, _transitive
 from metaql.errors import ArityMismatch, UnknownPredicate
 
 E = [Entity(f"http://t#e{i}") for i in range(60)]
@@ -275,6 +276,123 @@ def test_rule_body_atom_of_the_wrong_arity_is_rejected():
     store.assert_facts([Atom("p", (Const(E[0]), Const(E[1])))])
     with pytest.raises(ArityMismatch):
         evaluate_fixpoint(store, [_rule(atom("q", "X"), atom("p", "X"))])
+
+
+# -- relations kept transitively closed ----------------------------------------
+
+
+def _random_digraph(rng: random.Random, max_nodes: int = 12) -> list[tuple[int, int]]:
+    """Edges over nodes 0..n-1 with a planted cycle, some self-loops, and
+    usually a few nodes on no edge."""
+    n = rng.randint(1, max_nodes)
+    edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+    cycle = rng.sample(range(n), rng.randint(1, n))
+    edges |= set(zip(cycle, cycle[1:] + cycle[:1]))
+    edges |= {(v, v) for v in range(n) if rng.random() < 0.1}
+    return sorted(edges)
+
+
+def _brute_closure(edges) -> set[tuple[int, int]]:
+    closure = set(edges)
+    while True:
+        more = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+        if not more:
+            return closure
+        closure |= more
+
+
+def _batches(rng: random.Random, edges: list, how: str) -> list[list]:
+    if how == "whole":
+        return [edges]
+    if how == "single":
+        return [[e] for e in edges]
+    # a cut at 0 leaves nothing asserted
+    cuts = sorted(rng.sample(range(len(edges)), rng.randint(0, len(edges) - 1)))
+    return [edges[i:j] for i, j in zip([0] + cuts, cuts + [len(edges)])]
+
+
+def test_closure_step_matches_brute_force_closure():
+    rng = random.Random(2718)
+    for _ in range(150):
+        edges = _random_digraph(rng)
+        for how in ("whole", "single", "random"):
+            shuffled = rng.sample(edges, len(edges))
+            batches = _batches(rng, shuffled, how)
+            store = FactStore()
+            # the first batch is asserted and closed at once, as before a
+            # fixpoint's first round; the others arrive as rules emit them
+            store.add_tuples("p", batches[0])
+            succ: dict[int, list[int]] = {}
+            added = _close(store, "p", succ, store.relation("p"))
+            seen = list(batches[0])
+            assert added == _brute_closure(seen) - set(seen)
+            for batch in batches[1:]:
+                before = set(store.relation("p"))
+                fresh = set(batch) - before
+                if fresh:
+                    added = _close(store, "p", succ, fresh)
+                    assert added == store.relation("p") - before
+                seen += batch
+                assert store.relation("p") == _brute_closure(seen)
+
+
+def test_closed_relation_fed_in_a_later_round_agrees_with_naive_twin():
+    # p is asserted in part, fed by edge in the first round, and by q only
+    # once r arrives at the end of a three-rule chain.
+    rng = random.Random(3141)
+    rules = [
+        _rule(atom("p", "X", "Y"), atom("edge", "X", "Y")),
+        _rule(atom("p", "X", "Y"), atom("p", "X", "M"), atom("p", "M", "Y")),
+        _rule(atom("p", "X", "Y"), atom("q", "X", "Y"), atom("r", "Y")),
+        _rule(atom("r", "X"), atom("s2", "X")),
+        _rule(atom("s2", "X"), atom("s1", "X")),
+        _rule(atom("s1", "X"), atom("s0", "X")),
+    ]
+    for _ in range(40):
+        facts = [atom(pred, E[a], E[b]) for pred in ("edge", "q") for a, b in _random_digraph(rng)]
+        asserted_p = [atom("p", E[a], E[b]) for a, b in _random_digraph(rng)[:3]]
+        facts += asserted_p + [atom("s0", e) for e in rng.sample(E[:12], 4)]
+        store = FactStore()
+        store.assert_facts(facts)
+        stats = evaluate_fixpoint(store, rules)
+        naive = naive_evaluate(facts, rules)
+        assert store.string_facts() == naive
+        assert stats.facts_derived.get("p", 0) == sum(1 for pred, _ in naive if pred == "p") - len(asserted_p)
+
+
+def test_transitive_rule_over_a_ternary_relation_is_an_arity_error():
+    store = FactStore()
+    store.assert_facts([Atom("p", tuple(Const(e) for e in E[:3]))])
+    with pytest.raises(ArityMismatch):
+        evaluate_fixpoint(store, [_rule(atom("p", "X", "Y"), atom("p", "X", "M"), atom("p", "M", "Y"))])
+
+
+@pytest.mark.parametrize("check_consistency", [False, True])
+def test_the_catalogue_closes_exactly_isacCC_and_isarRR(check_consistency):
+    closed = [r.head.pred for r in builtin_rules(check_consistency).rules if _transitive(r)]
+    assert sorted(closed) == ["isacCC", "isarRR"]
+
+
+@pytest.mark.parametrize(
+    "rule, closed",
+    [
+        (_rule(atom("p", "X", "Y"), atom("p", "X", "M"), atom("p", "M", "Y")), True),
+        (_rule(atom("p", "X", "Y"), atom("p", "M", "Y"), atom("p", "X", "M")), True),
+        (_rule(atom("p", "X", "Y"), atom("p", "X", "M"), atom("p", "Y", "M")), False),
+        (_rule(atom("p", "X", "Y"), atom("p", "X", "M"), atom("q", "M", "Y")), False),
+        (_rule(atom("p", "X", "X"), atom("p", "X", "M"), atom("p", "M", "X")), False),
+        (_rule(atom("p", "X", E[2]), atom("p", "X", "M"), atom("p", "M", "Y")), False),
+        (_rule(atom("t", "X", "Y", "F"), atom("t", "X", "M", "C0"), atom("t", "M", "Y", "F")), False),
+    ],
+    ids=["transitive", "body-swapped", "shared-target", "other-predicate", "head-x-x", "head-constant", "ternary"],
+)
+def test_only_the_transitive_shape_is_closed_and_every_rule_agrees_with_naive_twin(rule, closed):
+    assert _transitive(rule) is closed
+    rng = random.Random(1618)
+    for _ in range(30):
+        facts = [atom(pred, E[a], E[b]) for pred in "pq" for a, b in _random_digraph(rng, 8)]
+        facts += [atom("t", *rng.choices(E[:8], k=3)) for _ in range(12)]
+        _program_agrees_with_naive_twin(facts, [rule])
 
 
 def store_answers(store, q):
