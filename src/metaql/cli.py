@@ -137,6 +137,7 @@ def _run_query_pipeline(args):
         if args.explain:
             plan = explain_conjunctive_query(store, cq)
         extras["rounds"] = stats.rounds
+        extras["derived"] = stats.total_derived()
         if args.check_consistency:
             extras["consistency"] = "violated" if store.relation("violation") else "ok"
         if args.dump_model:

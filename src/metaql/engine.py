@@ -20,13 +20,14 @@ column, keeps the rows whose key is in the relation and builds no index.
 The stages are generators that stream into the head, so no intermediate
 rows are held, and nothing runs when a relation of the body is empty.
 
-The fixpoint is computed semi-naive: each round joins every rule against
-the previous round's delta in each body position, with the delta atom
-pinned first, so nothing is rederived from scratch.  Rules whose head no
-body reads (the consistency rules) cannot feed the fixpoint; they run
-once after it, planned like queries.  A deliberately dumb naive
-evaluator (string-level, index-free) exists purely as a
-differential-testing twin.
+The fixpoint is computed semi-naive.  In the first round the delta is
+the whole store, so each rule joins once, planned like a query.  Every
+later round joins each rule against the previous round's delta in each
+body position, with the delta atom pinned first, so nothing is rederived
+from scratch.  Rules whose head no body reads (the consistency rules)
+cannot feed the fixpoint; they run once after it, planned like queries.
+A deliberately dumb naive evaluator (string-level, index-free) exists
+purely as a differential-testing twin.
 
 A rule of the shape `p(X, Y) :- p(X, M), p(M, Y)` (in the catalogue,
 `isacCC` and `isarRR`) gets no join tasks: joined, it emits every pair
@@ -39,10 +40,23 @@ searches depth-first from every node whose reach can have grown (the
 tail of a new edge and, since `p` is closed, the nodes that reach it)
 and adds the pairs found that are not yet in `p`.  Those pairs are `p`'s
 delta for the next round, and the model is the one the rule derives.
+
+A rule `q(..Y..) :- q(..C..), p(C, Y)` (or `p(Y, C)`) over such a closed
+`p` (27 in the catalogue, `instc` along `isacCC` among them) derives
+facts that are closed under it: `q(..Y..)` from `q(..C..)` and `p(C, Y)`,
+joined with `p(Y, Z)`, gives `q(..Z..)`, which `q(..C..)` and `p(C, Z)`,
+in the closed `p`, gave by the same round.  So its `q` atom reads the
+delta of `q` less what the rule itself derived; new `p` edges still
+reach those facts through its `p` atom.
+
+The cyclic garbage collector is paused while the fixpoint runs: nothing
+it allocates refers back to itself, so reference counting frees it all,
+and a collection would only scan the growing store in vain.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from itertools import filterfalse, repeat
@@ -361,16 +375,33 @@ def _rule_join(rule: Rule, store: FactStore, first: int | None = None):
 # ==============================================================================
 
 
+def _pivot(rule: Rule) -> tuple[int, int, bool] | None:
+    """Match `rule` against `q(..Y..) :- q(..C..), p(C, Y)`, or `p(Y, C)`:
+    two body atoms, one binary, and a head that is the other body atom with
+    its variable C replaced by Y, that atom's variables and Y all distinct.
+    Returns the `q` atom's body position, C's position in it and whether
+    `p` reads (C, Y); None for a rule of another shape."""
+    head, body = rule.head, rule.body
+    if len(body) != 2:
+        return None
+    for n, (a, p) in enumerate((body, body[::-1])):
+        diff = [i for i, (s, t) in enumerate(zip(a.args, head.args)) if s != t]
+        if a.pred != head.pred or len(a.args) != len(head.args) or len(p.args) != 2 or len(diff) != 1:
+            continue
+        c, y = a.args[diff[0]], head.args[diff[0]]
+        terms = (*a.args, y)
+        if all(isinstance(t, Var) for t in terms) and len(set(terms)) == len(terms) and p.args in ((c, y), (y, c)):
+            return n, diff[0], p.args == (c, y)
+    return None
+
+
 def _transitive(rule: Rule) -> bool:
     """Whether `rule` is `p(X, Y) :- p(X, M), p(M, Y)` for three distinct
     variables, its body atoms in either order."""
-    head, body = rule.head, rule.body
-    if len(body) != 2 or any(a.pred != head.pred or len(a.args) != 2 for a in (head, *body)):
-        return False
-    x, y = head.args
-    m = body[0].args[1] if body[0].args[0] == x else body[0].args[0]
-    distinct_vars = len({x, y, m}) == 3 and all(isinstance(t, Var) for t in (x, y, m))
-    return distinct_vars and {a.args for a in body} == {(x, m), (m, y)}
+    shape = _pivot(rule)
+    same = len(rule.head.args) == 2 and all(a.pred == rule.head.pred for a in rule.body)
+    # p(X, C), p(C, Y) with C in the second column, or p(C, Y), p(X, C) in the first
+    return bool(shape and same and shape[2] == (shape[1] == 1))
 
 
 def _close(store: FactStore, pred: str, succ: dict[int, list[int]], edges: Iterable[tuple[int, int]]) -> set:
@@ -408,9 +439,20 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
     rules) cannot feed the fixpoint; they run once, after it, planned
     like a query.  The result is independent of rule order, join order
     and insertion order; termination is guaranteed because the Herbrand
-    base is finite.
+    base is finite.  The cyclic garbage collector is paused meanwhile:
+    what the fixpoint allocates holds no reference cycles.
     """
     rules = catalogue.rules if isinstance(catalogue, RuleCatalogue) else tuple(catalogue)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        return _saturate(store, rules)
+    finally:
+        if was:
+            gc.enable()
+
+
+def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
     t0 = time.perf_counter()
     stats = EvalStats()
 
@@ -422,11 +464,18 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
     closed: dict[str, dict[int, list[int]]] = {rule.head.pred: {} for rule in rules if _transitive(rule)}
     recursive = [rule for rule in rules if rule.body and rule.head.pred in read and not _transitive(rule)]
     sinks = [rule for rule in rules if rule.body and rule.head.pred not in read]
+    # id(rule) -> body position of q in q(..Y..) :- q(..C..), p(C, Y) over a closed p
+    pivots = {
+        id(r): s[0] for r in recursive if (s := _pivot(r)) and r.body[1 - s[0]].pred in closed.keys() - {r.head.pred}
+    }
 
-    def merge(new: dict[str, set[tuple[int, ...]]]) -> dict[str, set[tuple[int, ...]]]:
+    def merge(new: dict[str, set[tuple[int, ...]]], mine=()) -> dict[str, set[tuple[int, ...]]]:
+        # `new` (emptied as it goes) holds what the rules derived, `mine`
+        # what each pivot rule derived that is not in the store
         delta = {}
-        for pred, tuples in new.items():
-            fresh = tuples - store.relation(pred)
+        for pred in list(new):
+            fresh = new.pop(pred) - store.relation(pred)
+            fresh.update(*(own for rule, own in mine if rule.head.pred == pred))
             if fresh:
                 if pred in closed:
                     fresh = _close(store, pred, closed[pred], fresh)
@@ -442,9 +491,9 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
         if added:
             stats.facts_derived[pred] = len(added)
 
-    # The first round's delta is the whole store; the relations themselves
-    # serve, since nothing is added to them before the round ends.
-    delta: dict[str, set[tuple[int, ...]]] = {p: r for p, r in store.relations.items() if r}
+    # None: the first round, whose delta is the whole store
+    delta: dict[str, set[tuple[int, ...]]] | None = None
+    trimmed: dict[int, set[tuple[int, ...]] | None] = {}  # id(rule) -> its q atom's delta
     tasks: dict[tuple[int, int], Callable] = {}
 
     while True:
@@ -452,18 +501,29 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
         # Every join of the round reads the store as it stood at the
         # round's start; what they derive is merged only afterwards.
         new: dict[str, set[tuple[int, ...]]] = {}
+        mine = []  # (pivot rule, what it derived that is not in the store)
         for rule in recursive:
-            for pos, a in enumerate(rule.body):
-                seed = delta.get(a.pred)
-                if not seed:
-                    continue
-                task = tasks.get((id(rule), pos))
-                if task is None:
-                    task = tasks[(id(rule), pos)] = _rule_join(rule, store, first=pos)
-                task(seed, new.setdefault(rule.head.pred, set()))
-        delta = merge(new)
+            pivot = pivots.get(id(rule))
+            shared = new.setdefault(rule.head.pred, set())
+            out = shared if pivot is None else set()
+            if delta is None:
+                _rule_join(rule, store)(None, out)
+            else:
+                for pos, a in enumerate(rule.body):
+                    seed = trimmed[id(rule)] if pos == pivot else delta.get(a.pred)
+                    if not seed:
+                        continue
+                    task = tasks.get((id(rule), pos))
+                    if task is None:
+                        task = tasks[(id(rule), pos)] = _rule_join(rule, store, first=pos)
+                    task(seed, out)
+            if pivot is not None:
+                mine.append((rule, out - store.relation(rule.head.pred)))
+        delta = merge(new, mine)
         if not delta:
             break
+        # what a pivot rule derived is in the store, so in its head's delta
+        trimmed = {id(rule): delta[rule.head.pred] - own if own else delta.get(rule.head.pred) for rule, own in mine}
 
     new = {}
     for rule in sinks:

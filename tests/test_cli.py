@@ -130,6 +130,18 @@ def test_query_report_time_breakdown(species_file, capsys):
     stats_line = capsys.readouterr().out.strip().splitlines()[-1]
     for key in ("load_ms", "translate_ms", "saturate_ms", "answer_ms", "total_ms"):
         assert key in stats_line
+    assert re.search(r" rounds=\d+ derived=\d+$", stats_line)
+
+
+def _zoo_model_growth():
+    """Facts the rules add to the zoo example's asserted facts."""
+    from metaql import FactStore, builtin_rules, evaluate_fixpoint, normalize_ontology, parse_ontology, translate_ontology
+
+    store = FactStore()
+    store.assert_facts(translate_ontology(normalize_ontology(parse_ontology(EXAMPLE_SPECIES_ZOO))).facts)
+    asserted = store.size()
+    evaluate_fixpoint(store, builtin_rules())
+    return store.size() - asserted
 
 
 def test_query_stats_json(species_file, capsys):
@@ -137,6 +149,8 @@ def test_query_stats_json(species_file, capsys):
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["answers"] == 1
     assert payload["total_ms"] >= 0
+    assert payload["rounds"] >= 1
+    assert payload["derived"] == _zoo_model_growth() > 0
 
 
 def test_query_from_file(tmp_path, species_file, capsys):

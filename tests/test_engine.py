@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from metaql import (
     naive_evaluate,
     translate_ontology,
 )
-from metaql.engine import _close, _transitive
+from metaql.engine import _close, _pivot, _transitive
 from metaql.errors import ArityMismatch, UnknownPredicate
 
 E = [Entity(f"http://t#e{i}") for i in range(60)]
@@ -393,6 +394,149 @@ def test_only_the_transitive_shape_is_closed_and_every_rule_agrees_with_naive_tw
         facts = [atom(pred, E[a], E[b]) for pred in "pq" for a, b in _random_digraph(rng, 8)]
         facts += [atom("t", *rng.choices(E[:8], k=3)) for _ in range(12)]
         _program_agrees_with_naive_twin(facts, [rule])
+
+
+# -- rules that propagate along a closed relation -------------------------------
+
+
+def _propagation_program(rule):
+    """`rule` with rules that keep p closed and feed it from e in the first
+    round and from q once r arrives, at the end of a three-rule chain, and
+    that feed q from f once t arrives, at the end of a two-rule chain."""
+    return [
+        rule,
+        _rule(atom("p", "X", "Y"), atom("p", "X", "M"), atom("p", "M", "Y")),
+        _rule(atom("p", "X", "Y"), atom("e", "X", "Y")),
+        _rule(atom("p", "X", "Y"), atom("q", "X", "Y"), atom("r", "Y")),
+        _rule(atom("r", "X"), atom("s2", "X")),
+        _rule(atom("s2", "X"), atom("s1", "X")),
+        _rule(atom("s1", "X"), atom("s0", "X")),
+        _rule(atom("q", "X", "Y"), atom("f", "X", "Y"), atom("t", "X")),
+        _rule(atom("t", "X"), atom("u1", "X")),
+        _rule(atom("u1", "X"), atom("u0", "X")),
+    ]
+
+
+def _propagation_facts(rng):
+    facts = [atom(pred, E[a], E[b]) for pred in ("e", "f", "g") for a, b in _random_digraph(rng, 10)]
+    facts += [atom(pred, E[a], E[b]) for pred in "pq" for a, b in _random_digraph(rng, 10)[:3]]
+    facts += [atom("h", E[a], E[b], E[b]) for a, b in _random_digraph(rng, 10)[:3]]
+    return facts + [atom(pred, e) for pred in ("s0", "u0", "w") for e in rng.sample(E[:10], 4)]
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        _rule(atom("q", "Y", "X"), atom("q", "C", "X"), atom("p", "C", "Y")),
+        _rule(atom("q", "Y", "X"), atom("q", "C", "X"), atom("p", "Y", "C")),
+        _rule(atom("q", "X", "Y"), atom("p", "C", "Y"), atom("q", "X", "C")),
+        _rule(atom("q", "X", "Y"), atom("p", "Y", "C"), atom("q", "X", "C")),
+    ],
+    ids=["p(C,Y)", "p(Y,C)", "p(C,Y)-second-column", "p(Y,C)-second-column"],
+)
+def test_rule_propagating_along_a_closed_relation_agrees_with_naive_twin(rule):
+    # Its q atom skips what the rule derived the round before; p gains
+    # edges and q gains facts from other rules in later rounds.
+    assert _pivot(rule) is not None
+    rng = random.Random(2236)
+    rules = _propagation_program(rule)
+    late = 0
+    for _ in range(40):
+        facts = _propagation_facts(rng)
+        store = FactStore()
+        store.assert_facts(facts)
+        stats = evaluate_fixpoint(store, rules)
+        naive = naive_evaluate(facts, rules)
+        assert store.string_facts() == naive
+        asserted_q = {(f.pred, tuple(a.value.iri for a in f.args)) for f in facts if f.pred == "q"}
+        assert stats.facts_derived.get("q", 0) == sum(1 for f in naive if f[0] == "q") - len(asserted_q)
+        late += stats.rounds > 4
+    assert late > 20
+
+
+@pytest.mark.parametrize(
+    "rule, shape",
+    [
+        (_rule(atom("q", "Y", "X"), atom("q", "C", "X"), atom("p", "C", "Y")), (0, 0, True)),
+        (_rule(atom("q", "X", "Y"), atom("p", "Y", "C"), atom("q", "X", "C")), (1, 1, False)),
+        (_rule(atom("q", "Y", "X"), atom("q", "C", "X"), atom("g", "C", "Y")), (0, 0, True)),
+        (_rule(atom("q", "Y", "X"), atom("q", "X", "C"), atom("p", "C", "Y")), None),
+        (_rule(atom("h", "Y", "X", "X"), atom("h", "C", "X", "X"), atom("p", "C", "Y")), None),
+        (_rule(atom("q", "Y", E[2]), atom("q", "C", E[2]), atom("p", "C", "Y")), None),
+        (_rule(atom("q", "Y", "C"), atom("q", "C", "X"), atom("p", "C", "Y")), None),
+        (_rule(atom("q", "Y", "Y"), atom("q", "C", "Y"), atom("p", "C", "Y")), None),
+        (_rule(atom("q", "Y", "X"), atom("q", "C", "X"), atom("p", "C", "Y"), atom("w", "C")), None),
+    ],
+    ids=[
+        "match",
+        "match-swapped",
+        "not-closed",
+        "two-head-positions",
+        "repeated-variable",
+        "constant",
+        "pivot-in-head",
+        "head-variable-in-q",
+        "pivot-in-a-third-atom",
+    ],
+)
+def test_only_the_propagation_shape_skips_its_own_output_and_every_rule_agrees_with_naive_twin(rule, shape):
+    # `g` has no transitive rule, so a rule along it must join its own
+    # output again, although its shape matches.
+    assert _pivot(rule) == shape
+    rng = random.Random(1414)
+    for _ in range(30):
+        _program_agrees_with_naive_twin(_propagation_facts(rng), _propagation_program(rule))
+
+
+@pytest.mark.parametrize("check_consistency", [False, True])
+def test_the_catalogue_has_27_rules_propagating_along_a_closed_relation(check_consistency):
+    rules = builtin_rules(check_consistency).rules
+    closed = {r.head.pred for r in rules if _transitive(r)}
+    along = [r for r in rules if not _transitive(r) and _pivot(r) and r.body[1 - _pivot(r)[0]].pred in closed]
+    assert len(along) == 27
+    assert any(r.head.pred == "instc" for r in along)
+
+
+# -- the cyclic garbage collector ------------------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_fixpoint_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        store = FactStore()
+        store.assert_facts(translate_ontology(random_ontology(random.Random(7), max_tbox=6, max_abox=12)).facts)
+        evaluate_fixpoint(store, builtin_rules())
+        assert gc.isenabled() is enabled
+        store.assert_facts([Atom("p", (Const(E[0]), Const(E[1])))])
+        with pytest.raises(ArityMismatch):
+            evaluate_fixpoint(store, [_rule(atom("q", "X"), atom("p", "X"))])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_saturation_leaves_no_reference_cycles():
+    # Why pausing the collector during the fixpoint is safe: reference
+    # counting alone frees everything it allocates.
+    from metaql import normalize_ontology, parse_ontology
+    from metaql.synthetic import university_ontology
+
+    facts = translate_ontology(normalize_ontology(parse_ontology(university_ontology(2)))).facts
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        store = FactStore()
+        store.assert_facts(facts)
+        stats = evaluate_fixpoint(store, builtin_rules(check_consistency=True))
+        assert stats.facts_derived["instc"] and stats.facts_derived["isacCC"]
+        del store
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def store_answers(store, q):
