@@ -30,7 +30,6 @@ from .model import (
     ClassDisjoint,
     ClassInclusion,
     ConjunctiveQuery,
-    Const,
     DifferentIndividuals,
     Entity,
     Irreflexive,
@@ -49,7 +48,7 @@ from .model import (
     intern,
 )
 from .owl import Ontology, normalize_ontology, parse_ontology, serialize_ontology
-from .translate import FactBase, axiom_of_fact, tau, translate_ontology
+from .translate import FactBase, tau, translate_ontology
 from .rules import RuleCatalogue, builtin_rules
 from .engine import (
     EvalStats,
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArityMismatch", "Atom", "Atomic", "BOTTOM_CLASS", "BOTTOM_PROPERTY",
     "CanonicalModel", "ClassAssertion", "ClassDisjoint", "ClassInclusion",
-    "ConjunctiveQuery", "Const", "CyclicTBox", "DifferentIndividuals",
+    "ConjunctiveQuery", "CyclicTBox", "DifferentIndividuals",
     "Entity", "EvalStats", "FactBase", "FactStore", "InvalidIri",
     "Irreflexive", "MetaqlError", "NonNormalizedAxiom", "Ontology", "OwlSyntaxError",
     "PropAssertion", "PropDisjoint", "PropExpr", "PropInclusion",
@@ -76,7 +75,7 @@ __all__ = [
     "TriplePattern", "UnknownPredicate", "UnknownPrefix", "UnsafeQuery",
     "UnsafeRule", "UnsupportedAxiom", "UnsupportedFeature", "Var",
     "answer_conjunctive_query", "atom",
-    "axiom_of_fact", "builtin_rules", "certain_answers_oracle", "chase",
+    "builtin_rules", "certain_answers_oracle", "chase",
     "evaluate_fixpoint", "explain_conjunctive_query", "intern",
     "naive_evaluate", "normalize_ontology", "parse_ontology", "parse_query",
     "serialize_ontology", "tau", "tbox_closure", "to_conjunctive_query",

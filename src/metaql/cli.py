@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .engine import FactStore, PlanStep, answer_conjunctive_query, evaluate_fixpoint, explain_conjunctive_query
 from .errors import MetaqlError
-from .model import Const, display_iri
+from .model import Entity, display_iri
 from .oracle import certain_answers_oracle
 from .owl import Ontology, normalize_ontology, parse_ontology, serialize_ontology
 from .rules import builtin_rules
@@ -154,7 +154,7 @@ def _run_query_pipeline(args):
 
 
 def _format_term(t) -> str:
-    return f"<{display_iri(t.value.iri)}>" if isinstance(t, Const) else f"?{t.name}"
+    return f"<{display_iri(t.iri)}>" if isinstance(t, Entity) else f"?{t.name}"
 
 
 def _format_plan(plan: list[PlanStep]) -> list[str]:
@@ -310,6 +310,13 @@ def cmd_bench(args) -> int:
     # The header is written first, so an unwritable output is reported
     # before any run.
     out = Path(config["output_csv"])
+    _refuse_overwrite(
+        out,
+        "-o",
+        ("bench config", args.config),
+        *(("ontology", o) for o in config["ontologies"]),
+        *(("query file", q) for q in config["queries"]),
+    )
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=CSV_HEADER, lineterminator="\n")
     writer.writeheader()

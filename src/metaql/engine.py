@@ -67,7 +67,7 @@ from .errors import ArityMismatch, UnknownPredicate
 from .model import (
     Atom,
     ConjunctiveQuery,
-    Const,
+    Entity,
     KNOWN_ARITY,
     Rule,
     Var,
@@ -155,7 +155,7 @@ class FactStore:
         for f in facts:
             if not f.is_ground():
                 raise ValueError(f"fact is not ground: {f}")
-            t = tuple(self.intern(a.value.iri) for a in f.args)  # type: ignore[union-attr]
+            t = tuple(self.intern(a.iri) for a in f.args)  # type: ignore[union-attr]
             by_pred.setdefault(f.pred, []).append(t)
         return sum(self.add_tuples(pred, tuples) for pred, tuples in by_pred.items())
 
@@ -224,15 +224,15 @@ class EvalStats:
 
 def _estimate(a: Atom, bound: set[str], store: FactStore) -> float:
     """Rows of `a` expected per binding of the variables in `bound`."""
-    key_pos = tuple(p for p, t in enumerate(a.args) if isinstance(t, Const) or t.name in bound)
+    key_pos = tuple(p for p, t in enumerate(a.args) if isinstance(t, Entity) or t.name in bound)
     if len(key_pos) == len(a.args):
         return 1.0
     rel = store.relation(a.pred)
     if not key_pos:
         return float(len(rel))
     index = store.index(a.pred, key_pos)
-    if all(isinstance(a.args[p], Const) for p in key_pos):
-        key = tuple(store._sym_ids.get(a.args[p].value.iri, -1) for p in key_pos)
+    if all(isinstance(a.args[p], Entity) for p in key_pos):
+        key = tuple(store._sym_ids.get(a.args[p].iri, -1) for p in key_pos)
         return float(len(index.get(key, ())))
     return len(rel) / len(index) if index else 0.0
 
@@ -291,7 +291,7 @@ def _member(rows, rel, key):
     return (r for r in rows if key(r) in rel)
 
 
-def _compile(head_terms: Sequence[Var | Const], body: Sequence[Atom], order: Sequence[int], store: FactStore):
+def _compile(head_terms: Sequence[Var | Entity], body: Sequence[Atom], order: Sequence[int], store: FactStore):
     """Compile `body`, joined in `order`, to one left-deep chain of
     set-at-a-time stages, `run(seed, out)`, which adds the tuple of
     `head_terms` of every match to `out`.
@@ -320,8 +320,8 @@ def _compile(head_terms: Sequence[Var | Const], body: Sequence[Atom], order: Seq
         # within this atom, read from its first position here
         key, same, new = [], [], {}
         for pos, t in enumerate(a.args):
-            if isinstance(t, Const):
-                key.append((pos, ("c", store.intern(t.value.iri))))
+            if isinstance(t, Entity):
+                key.append((pos, ("c", store.intern(t.iri))))
             elif t.name in col:
                 key.append((pos, ("s", col[t.name])))
             elif t.name in new:
@@ -341,7 +341,7 @@ def _compile(head_terms: Sequence[Var | Const], body: Sequence[Atom], order: Seq
             col.update((name, width + pos) for name, pos in new.items())
             width += arity
     head = _picker(
-        [("c", store.intern(t.value.iri)) if isinstance(t, Const) else ("s", col[t.name]) for t in head_terms],
+        [("c", store.intern(t.iri)) if isinstance(t, Entity) else ("s", col[t.name]) for t in head_terms],
         width,
     )
 
@@ -550,10 +550,10 @@ def naive_evaluate(
     rule_list = rules.rules if isinstance(rules, RuleCatalogue) else list(rules)
     model: set[tuple[str, tuple[str, ...]]] = set()
     for f in facts:
-        model.add((f.pred, tuple(a.value.iri for a in f.args)))  # type: ignore[union-attr]
+        model.add((f.pred, tuple(a.iri for a in f.args)))  # type: ignore[union-attr]
     for r in rule_list:
         if not r.body:
-            model.add((r.head.pred, tuple(a.value.iri for a in r.head.args)))  # type: ignore[union-attr]
+            model.add((r.head.pred, tuple(a.iri for a in r.head.args)))  # type: ignore[union-attr]
 
     def matches(a: Atom, env: dict[str, str]):
         for pred, args in model:
@@ -562,8 +562,8 @@ def naive_evaluate(
             new_env = dict(env)
             ok = True
             for t, v in zip(a.args, args):
-                if isinstance(t, Const):
-                    if t.value.iri != v:
+                if isinstance(t, Entity):
+                    if t.iri != v:
                         ok = False
                         break
                 elif t.name in new_env:
@@ -590,7 +590,7 @@ def naive_evaluate(
                 head = (
                     r.head.pred,
                     tuple(
-                        t.value.iri if isinstance(t, Const) else env[t.name] for t in r.head.args
+                        t.iri if isinstance(t, Entity) else env[t.name] for t in r.head.args
                     ),
                 )
                 if head not in model:
@@ -611,7 +611,7 @@ def _query_plan(store: FactStore, q: ConjunctiveQuery) -> list[tuple[int, float]
         if a.pred not in KNOWN_ARITY and a.pred not in store.relations:
             raise UnknownPredicate(a.pred)
     order = _plan(q.body, store)
-    if any(isinstance(t, Const) and t.value.iri not in store._sym_ids for a in q.body for t in a.args):
+    if any(isinstance(t, Entity) and t.iri not in store._sym_ids for a in q.body for t in a.args):
         return None
     return order
 
@@ -654,7 +654,7 @@ def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[Pla
     bound: dict[Var, None] = {}  # the variables of the prefix, in order of first occurrence
     for n, (idx, cost) in enumerate(order, start=1):
         a = q.body[idx]
-        key = tuple(p for p, t in enumerate(a.args) if isinstance(t, Const) or t in bound)
+        key = tuple(p for p, t in enumerate(a.args) if isinstance(t, Entity) or t in bound)
         bound.update(dict.fromkeys(t for t in a.args if isinstance(t, Var)))
         estimated *= cost
         rows: set[tuple[int, ...]] = set()

@@ -27,7 +27,9 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 # owl:Thing etc. and intern() maps those spellings onto the reserved entities.
 _RESERVED_NS = "urn:metaql:"
 
-_find_space = re.compile(r"\s").search
+# Characters SPARQL 1.1's IRIREF excludes, plus every Unicode whitespace
+# character: none of them can be carried by a quoted fact argument.
+_find_bad_iri_char = re.compile(r'[\s\x00-\x20<>"{}|^`\\]').search
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,7 +40,7 @@ class Entity:
     iri: str
 
     def __post_init__(self):
-        if not self.iri or _find_space(self.iri):
+        if not self.iri or _find_bad_iri_char(self.iri):
             raise InvalidIri(f"bad entity IRI {self.iri!r}")
 
     def __hash__(self) -> int:
@@ -228,7 +230,6 @@ Axiom = Union[
 ]
 
 TBOX_KINDS = (ClassInclusion, PropInclusion, ClassDisjoint, PropDisjoint, Reflexive, Irreflexive)
-ABOX_KINDS = (ClassAssertion, PropAssertion, DifferentIndividuals)
 
 
 # ==============================================================================
@@ -279,14 +280,6 @@ KNOWN_ARITY = {**SIGNATURE, **AUX_ARITY}
 
 
 @dataclass(frozen=True, slots=True)
-class Const:
-    value: Entity
-
-    def __str__(self) -> str:
-        return f'"{self.value.iri}"'
-
-
-@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
@@ -294,7 +287,9 @@ class Var:
         return self.name
 
 
-Term = Union[Const, Var]
+# An entity is a constant term: facts and rules carry the ontology's own
+# `Entity` objects.
+Term = Union[Entity, Var]
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,29 +305,22 @@ class Atom:
             )
 
     def is_ground(self) -> bool:
-        return all(isinstance(t, Const) for t in self.args)
+        return all(isinstance(t, Entity) for t in self.args)
 
     def variables(self) -> set[Var]:
         return {t for t in self.args if isinstance(t, Var)}
 
     def to_dl(self) -> str:
-        return f"{self.pred}({', '.join(str(a) for a in self.args)})"
+        args = ", ".join(f'"{t.iri}"' if isinstance(t, Entity) else t.name for t in self.args)
+        return f"{self.pred}({args})"
 
     def __str__(self) -> str:
         return self.to_dl()
 
 
 def atom(pred: str, *args) -> Atom:
-    """Build an Atom, wrapping Entities as constants and strings as variables."""
-    terms = []
-    for a in args:
-        if isinstance(a, Entity):
-            terms.append(Const(a))
-        elif isinstance(a, str):
-            terms.append(Var(a))
-        else:
-            terms.append(a)
-    return Atom(pred, tuple(terms))
+    """Build an Atom, reading strings as variables."""
+    return Atom(pred, tuple(Var(a) if isinstance(a, str) else a for a in args))
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,9 +333,6 @@ class Rule:
         missing = self.head.variables() - body_vars
         if missing:
             raise UnsafeRule(f"unsafe rule, {sorted(v.name for v in missing)} not in body: {self}")
-
-    def is_fact(self) -> bool:
-        return not self.body
 
     def to_dl(self) -> str:
         if not self.body:

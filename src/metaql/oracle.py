@@ -35,8 +35,8 @@ from .model import (
     ClassDisjoint,
     ClassInclusion,
     ConjunctiveQuery,
-    Const,
     DifferentIndividuals,
+    Entity,
     Irreflexive,
     PropAssertion,
     PropDisjoint,
@@ -479,8 +479,8 @@ class OracleEvaluator:
                     cand = dict(env)
                     ok = True
                     for t, v in zip(a.args, tup):
-                        if isinstance(t, Const):
-                            if t.value.iri != v:
+                        if isinstance(t, Entity):
+                            if t.iri != v:
                                 ok = False
                                 break
                         elif cand.get(t.name, v) != v:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import Atom, Const, Rule, TOP_CLASS, Var, atom
+from .model import Atom, Rule, TOP_CLASS, atom
 
 KINDS = ("C", "R", "I")
 
@@ -138,12 +138,11 @@ def _tbox_role_lift(out):
             )
     # A role inclusion bounds the domains/ranges themselves; these seeds
     # let the chain family lift anything sitting on the subrole.
-    top = Const(TOP_CLASS)
     seeds = (
         ("isarRR", "isacRR"), ("isarRR", "isacII"), ("isarRI", "isacRI"), ("isarRI", "isacIR"),
     )
     for via, head in seeds:
-        out.append(("TBOX-ROLE-LIFT", Rule(atom(head, "P", "S", top), (atom(via, "P", "S"),))))
+        out.append(("TBOX-ROLE-LIFT", Rule(atom(head, "P", "S", TOP_CLASS), (atom(via, "P", "S"),))))
     # Reflexivity travels up role inclusions, irreflexivity down.
     out.append(("TBOX-ROLE-LIFT", Rule(atom("refl", "S"), (atom("refl", "P"), atom("isarRR", "P", "S")))))
     out.append(("TBOX-ROLE-LIFT", Rule(atom("refl", "S"), (atom("refl", "P"), atom("isarRI", "P", "S")))))
@@ -254,11 +253,10 @@ def _abox(out):
     out.append(
         ("ABOX-ROLE", Rule(atom("instr", "S", "Y", "X"), (atom("instr", "P", "X", "Y"), atom("isarRI", "P", "S"))))
     )
-    top = Const(TOP_CLASS)
     out.append(("AUX-NAMED", Rule(atom("named", "X"), (atom("instc", "C", "X"),))))
     out.append(("AUX-NAMED", Rule(atom("named", "X"), (atom("instr", "P", "X", "Y"),))))
     out.append(("AUX-NAMED", Rule(atom("named", "Y"), (atom("instr", "P", "X", "Y"),))))
-    out.append(("AUX-NAMED", Rule(Atom("instc", (top, Var("X"))), (atom("named", "X"),))))
+    out.append(("AUX-NAMED", Rule(atom("instc", TOP_CLASS, "X"), (atom("named", "X"),))))
     out.append(("ABOX-REFL", Rule(atom("instr", "P", "X", "X"), (atom("refl", "P"), atom("named", "X")))))
 
 

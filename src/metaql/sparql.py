@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import UnsupportedFeature
 from .model import (
     Atom,
     ConjunctiveQuery,
-    Const,
     Entity,
     OWL_NS,
     RDF_NS,
     RDFS_NS,
     Rule,
+    Term,
     Var,
     intern,
 )
@@ -43,14 +42,12 @@ _RESERVED = {
     (OWL_NS + "differentFrom").lower(): "different",
 }
 
-PatternTerm = Union[Var, Entity]
-
 
 @dataclass(frozen=True, slots=True)
 class TriplePattern:
-    s: PatternTerm
-    p: PatternTerm
-    o: PatternTerm
+    s: Term
+    p: Term
+    o: Term
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,7 @@ def _check_unsupported(tok: Tok):
         raise UnsupportedFeature("blank nodes")
 
 
-def _term(cur: Cursor, prefixes, position: str) -> PatternTerm:
+def _term(cur: Cursor, prefixes, position: str) -> Term:
     tok = cur.next()
     _check_unsupported(tok)
     kind, text, _ = tok
@@ -212,12 +209,9 @@ def parse_query(text: str) -> SparqlQuery:
 
 
 def _pattern_atom(tp: TriplePattern) -> Atom:
-    def as_term(t: PatternTerm):
-        return t if isinstance(t, Var) else Const(t)
-
-    s, p, o = as_term(tp.s), as_term(tp.p), as_term(tp.o)
-    if isinstance(tp.p, Entity):
-        mapped = _RESERVED.get(tp.p.iri.lower())
+    s, p, o = tp.s, tp.p, tp.o
+    if isinstance(p, Entity):
+        mapped = _RESERVED.get(p.iri.lower())
         if mapped == "type":
             return Atom("instc", (o, s))
         if mapped == "subclass":
@@ -231,8 +225,8 @@ def _pattern_atom(tp: TriplePattern) -> Atom:
         if mapped == "different":
             return Atom("diff", (s, o))
         # Other schema vocabulary gets rejected rather than guessed at.
-        if tp.p.iri.startswith((RDF_NS, RDFS_NS, OWL_NS)):
-            raise UnsupportedFeature(f"schema predicate {tp.p.iri}")
+        if p.iri.startswith((RDF_NS, RDFS_NS, OWL_NS)):
+            raise UnsupportedFeature(f"schema predicate {p.iri}")
     return Atom("instr", (p, s, o))
 
 

@@ -11,7 +11,7 @@ filler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain
 
 from .errors import NonNormalizedAxiom
 from .model import (
@@ -22,16 +22,13 @@ from .model import (
     ClassDisjoint,
     ClassExpr,
     ClassInclusion,
-    Const,
     DifferentIndividuals,
     Entity,
     Irreflexive,
     PropAssertion,
     PropDisjoint,
-    PropExpr,
     PropInclusion,
     Reflexive,
-    Some,
     TOP_CLASS,
 )
 from .owl import Ontology
@@ -47,25 +44,21 @@ def _basic_kind(ce: ClassExpr) -> tuple[str, Entity]:
 
 
 def tau(ax: Axiom) -> Atom:
-    """Translate one normalized axiom to its fact."""
-    return _tau(ax, Const)
-
-
-def _tau(ax: Axiom, const: Callable[[Entity], Const]) -> Atom:
-    """`tau`, with every argument built by `const`."""
+    """Translate one normalized axiom to its fact, whose arguments are the
+    axiom's own entities."""
     if isinstance(ax, ClassInclusion):
         lk, lname = _basic_kind(ax.sub)
         sup = ax.sup
         if isinstance(sup, Atomic):
-            return Atom(f"isac{lk}C", (const(lname), const(sup.cls)))
+            return Atom(f"isac{lk}C", (lname, sup.cls))
         rk = "I" if sup.prop.inverse else "R"
-        return Atom(f"isac{lk}{rk}", (const(lname), const(sup.prop.prop), const(sup.filler)))
+        return Atom(f"isac{lk}{rk}", (lname, sup.prop.prop, sup.filler))
 
     if isinstance(ax, PropInclusion):
         if ax.sub.inverse:
             raise NonNormalizedAxiom(f"inverse on the left of a property inclusion: {ax}")
         pred = "isarRI" if ax.sup.inverse else "isarRR"
-        return Atom(pred, (const(ax.sub.prop), const(ax.sup.prop)))
+        return Atom(pred, (ax.sub.prop, ax.sup.prop))
 
     if isinstance(ax, ClassDisjoint):
         lk, lname = _basic_kind(ax.left)
@@ -73,74 +66,27 @@ def _tau(ax: Axiom, const: Callable[[Entity], Const]) -> Atom:
         if (lk, rk) == ("C", "R"):
             # No CR form exists; normalize_ontology flips it to RC.
             raise NonNormalizedAxiom(f"class disjointness in CR orientation: {ax}")
-        return Atom(f"disjc{lk}{rk}", (const(lname), const(rname)))
+        return Atom(f"disjc{lk}{rk}", (lname, rname))
 
     if isinstance(ax, PropDisjoint):
         if ax.left.inverse:
             raise NonNormalizedAxiom(f"inverse on the left of a property disjointness: {ax}")
         pred = "disjrRI" if ax.right.inverse else "disjrRR"
-        return Atom(pred, (const(ax.left.prop), const(ax.right.prop)))
+        return Atom(pred, (ax.left.prop, ax.right.prop))
 
     if isinstance(ax, Reflexive):
-        return Atom("refl", (const(ax.prop),))
+        return Atom("refl", (ax.prop,))
     if isinstance(ax, Irreflexive):
-        return Atom("irrefl", (const(ax.prop),))
+        return Atom("irrefl", (ax.prop,))
 
     if isinstance(ax, ClassAssertion):
-        return Atom("instc", (const(ax.cls), const(ax.individual)))
+        return Atom("instc", (ax.cls, ax.individual))
     if isinstance(ax, PropAssertion):
-        return Atom("instr", (const(ax.prop), const(ax.subject), const(ax.object)))
+        return Atom("instr", (ax.prop, ax.subject, ax.object))
     if isinstance(ax, DifferentIndividuals):
-        return Atom("diff", (const(ax.a), const(ax.b)))
+        return Atom("diff", (ax.a, ax.b))
 
     raise TypeError(f"unknown axiom {ax!r}")
-
-
-# Inverse direction, used for the bijectivity check and for reading fact
-# dumps back as axioms.
-
-def _basic_of(kind: str, name: Entity) -> ClassExpr:
-    if kind == "C":
-        return Atomic(name)
-    return Some(PropExpr(name, inverse=(kind == "I")), TOP_CLASS)
-
-
-def axiom_of_fact(fact: Atom) -> Axiom:
-    """Reconstruct the unique axiom a fact encodes."""
-    args = [t.value for t in fact.args if isinstance(t, Const)]
-    if len(args) != len(fact.args):
-        raise ValueError(f"fact is not ground: {fact}")
-    p = fact.pred
-
-    if p.startswith("isac"):
-        lk, rk = p[4], p[5]
-        if rk == "C":
-            return ClassInclusion(_basic_of(lk, args[0]), Atomic(args[1]))
-        return ClassInclusion(
-            _basic_of(lk, args[0]), Some(PropExpr(args[1], inverse=(rk == "I")), args[2])
-        )
-    if p == "isarRR":
-        return PropInclusion(PropExpr(args[0]), PropExpr(args[1]))
-    if p == "isarRI":
-        return PropInclusion(PropExpr(args[0]), PropExpr(args[1], inverse=True))
-    if p.startswith("disjc"):
-        lk, rk = p[5], p[6]
-        return ClassDisjoint(_basic_of(lk, args[0]), _basic_of(rk, args[1]))
-    if p == "disjrRR":
-        return PropDisjoint(PropExpr(args[0]), PropExpr(args[1]))
-    if p == "disjrRI":
-        return PropDisjoint(PropExpr(args[0]), PropExpr(args[1], inverse=True))
-    if p == "refl":
-        return Reflexive(args[0])
-    if p == "irrefl":
-        return Irreflexive(args[0])
-    if p == "instc":
-        return ClassAssertion(args[0], args[1])
-    if p == "instr":
-        return PropAssertion(args[0], args[1], args[2])
-    if p == "diff":
-        return DifferentIndividuals(args[0], args[1])
-    raise ValueError(f"not a signature fact: {fact}")
 
 
 # ==============================================================================
@@ -149,20 +95,14 @@ def axiom_of_fact(fact: Atom) -> Axiom:
 
 
 def _sort_key(a: Atom):
-    return (a.pred, tuple(t.value.iri for t in a.args))  # type: ignore[union-attr]
+    return (a.pred, tuple(t.iri for t in a.args))  # type: ignore[union-attr]
 
 
 @dataclass(frozen=True)
 class FactBase:
-    """Translated ontology, split into the terminological and assertional
-    fact portions."""
+    """Translated ontology: one ground fact per normalized axiom."""
 
-    tbox_facts: frozenset[Atom]
-    abox_facts: frozenset[Atom]
-
-    @property
-    def facts(self) -> frozenset[Atom]:
-        return self.tbox_facts | self.abox_facts
+    facts: frozenset[Atom]
 
     def sorted_facts(self) -> list[Atom]:
         return sorted(self.facts, key=_sort_key)
@@ -171,21 +111,9 @@ class FactBase:
         return "".join(f"{a.to_dl()}.\n" for a in self.sorted_facts())
 
     def __len__(self) -> int:
-        return len(self.tbox_facts) + len(self.abox_facts)
-
-
-class _Consts(dict):
-    """`Entity` to `Const` for one translation: each distinct entity gets
-    one shared `Const`."""
-
-    def __missing__(self, ent: Entity) -> Const:
-        c = self[ent] = Const(ent)
-        return c
+        return len(self.facts)
 
 
 def translate_ontology(o: Ontology) -> FactBase:
     """Translate every axiom of a normalized ontology; one fact per axiom."""
-    const = _Consts().__getitem__
-    tbox = frozenset(_tau(ax, const) for ax in o.tbox)
-    abox = frozenset(_tau(ax, const) for ax in o.abox)
-    return FactBase(tbox, abox)
+    return FactBase(frozenset(map(tau, chain(o.tbox, o.abox))))

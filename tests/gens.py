@@ -16,7 +16,6 @@ from metaql import (
     ClassDisjoint,
     ClassInclusion,
     ConjunctiveQuery,
-    Const,
     DifferentIndividuals,
     Entity,
     Irreflexive,
@@ -132,8 +131,8 @@ def random_query(rng: random.Random, o: Ontology, max_atoms: int = 3) -> Conjunc
         if rng.random() < 0.55:
             return rng.choice(var_pool)
         if symbols and rng.random() < 0.9:
-            return Const(Entity(rng.choice(symbols)))
-        return Const(rng.choice(CLASSES))
+            return Entity(rng.choice(symbols))
+        return rng.choice(CLASSES)
 
     while True:
         body = []
@@ -188,7 +187,7 @@ def random_program(rng: random.Random, max_rules: int = 8, max_facts: int = 25):
     facts = []
     for _ in range(rng.randint(1, max_facts)):
         pred, arity = rng.choice(preds)
-        facts.append(Atom(pred, tuple(Const(rng.choice(PROG_CONSTS)) for _ in range(arity))))
+        facts.append(Atom(pred, tuple(rng.choice(PROG_CONSTS) for _ in range(arity))))
 
     var_pool = [Var(f"X{i}") for i in range(4)]
     rules = []
@@ -200,7 +199,7 @@ def random_program(rng: random.Random, max_rules: int = 8, max_facts: int = 25):
                 Atom(
                     pred,
                     tuple(
-                        rng.choice(var_pool) if rng.random() < 0.7 else Const(rng.choice(PROG_CONSTS))
+                        rng.choice(var_pool) if rng.random() < 0.7 else rng.choice(PROG_CONSTS)
                         for _ in range(arity)
                     ),
                 )
@@ -208,7 +207,7 @@ def random_program(rng: random.Random, max_rules: int = 8, max_facts: int = 25):
         body_vars = sorted({t.name for a in body for t in a.args if isinstance(t, Var)})
         head_pred, head_arity = rng.choice(preds)
         head_args = tuple(
-            Var(rng.choice(body_vars)) if body_vars and rng.random() < 0.8 else Const(rng.choice(PROG_CONSTS))
+            Var(rng.choice(body_vars)) if body_vars and rng.random() < 0.8 else rng.choice(PROG_CONSTS)
             for _ in range(head_arity)
         )
         rules.append(Rule(Atom(head_pred, head_args), tuple(body)))

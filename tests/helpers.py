@@ -6,7 +6,7 @@ import itertools
 
 from metaql import (
     ConjunctiveQuery,
-    Const,
+    Entity,
     FactStore,
     Var,
     builtin_rules,
@@ -68,7 +68,7 @@ def brute_force_answers(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str
         ok = True
         for a in q.body:
             args = tuple(
-                t.value.iri if isinstance(t, Const) else env[t.name] for t in a.args
+                t.iri if isinstance(t, Entity) else env[t.name] for t in a.args
             )
             if (a.pred, args) not in facts:
                 ok = False

@@ -271,6 +271,25 @@ def test_empty_iri_is_an_error_not_a_traceback(tmp_path, capsys, ontology, query
     assert capsys.readouterr().err.startswith("error: bad entity IRI ''")
 
 
+@pytest.mark.parametrize("bad", ['http://x/A"B', "http://x/A\\B", "http://x/A\x01B"], ids=["quote", "backslash", "U+0001"])
+@pytest.mark.parametrize("where", ["translate", "query-ontology", "query"])
+def test_iri_the_fact_format_cannot_carry_is_an_error(tmp_path, capsys, bad, where):
+    # A quote or backslash in a quoted fact argument would break the line
+    # that translate and --dump-model write.
+    good = "http://x/A"
+    src = tmp_path / "onto.ofn"
+    src.write_text(f"Ontology(\nClassAssertion(<{good if where == 'query' else bad}> <http://x/b>)\n)\n", encoding="utf-8")
+    out = tmp_path / "out.dl"
+    if where == "translate":
+        argv = ["translate", str(src), "-o", str(out)]
+    else:
+        query = f"SELECT ?x WHERE {{ ?x a <{bad if where == 'query' else good}> }}"
+        argv = ["query", str(src), "--query-string", query, "--dump-model", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: bad entity IRI {bad!r}\n"
+    assert not out.exists()
+
+
 def test_query_reserved_output_uses_owl_spelling(tmp_path, capsys):
     src = tmp_path / "tiny.ofn"
     src.write_text(EXAMPLE_SPECIES, encoding="utf-8")
@@ -428,6 +447,37 @@ def test_bench_config_errors_exit_2(tmp_path, capsys):
         config.write_text(f"ontologies = a.ofn\nqueries = q.rq\n{line}\n")
         assert main(["bench", str(config)]) == 2
         assert f"{config}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target, role",
+    [
+        ("bench.cfg", "bench config"),
+        ("./sub/../bench.cfg", "bench config"),
+        ("uni.ofn", "ontology"),
+        ("q6.rq", "query file"),
+        ("mq1.rq", "query file"),
+    ],
+    ids=["config", "respelled-config", "ontology", "query-file", "second-query-file"],
+)
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_bench_never_overwrites_an_input(tmp_path, monkeypatch, capsys, target, role, where):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_bench_one_run", lambda *args: pytest.fail("a bench run started"))
+    (tmp_path / "sub").mkdir()
+    _write_bench_inputs(tmp_path)
+    config = "ontologies = uni.ofn\nqueries = q6.rq, mq1.rq\nrepeat = 1\n"
+    argv = ["bench", "bench.cfg"]
+    if where == "flag":
+        argv += ["-o", target]
+    else:
+        config += f"output_csv = {target}\n"
+    (tmp_path / "bench.cfg").write_text(config, encoding="utf-8")
+    inputs = {name: (tmp_path / name).read_bytes() for name in ("bench.cfg", "uni.ofn", "q6.rq", "mq1.rq")}
+    assert main(argv) == 2
+    shown = Path(target) if where == "flag" else tmp_path / target
+    assert capsys.readouterr().err == f"error: output {shown} is the {role}; give another path with -o\n"
+    assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])

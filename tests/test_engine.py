@@ -9,7 +9,6 @@ from helpers import EXAMPLE_SPECIES, SPECIES, brute_force_answers, saturate
 from metaql import (
     Atom,
     ConjunctiveQuery,
-    Const,
     Entity,
     FactStore,
     Rule,
@@ -61,7 +60,7 @@ def test_bulk_load_matches_loading_one_fact_at_a_time():
     bulk.assert_facts(facts)
     single = FactStore()
     for f in facts:
-        single.add_tuples(f.pred, [tuple(single.intern(a.value.iri) for a in f.args)])
+        single.add_tuples(f.pred, [tuple(single.intern(a.iri) for a in f.args)])
     assert [bulk.symbol(i) for i in range(len(bulk._symbols))] == [
         single.symbol(i) for i in range(len(single._symbols))
     ]
@@ -120,7 +119,7 @@ def test_subclass_chain_of_fifty_closes_completely():
 
 def test_rules_with_empty_bodies_become_facts():
     store = FactStore()
-    rule_fact = Rule(Atom("named", (Const(E[0]),)))
+    rule_fact = Rule(Atom("named", (E[0],)))
     evaluate_fixpoint(store, [rule_fact])
     assert store.string_facts() == {("named", (E[0].iri,))}
 
@@ -174,7 +173,7 @@ def _program_agrees_with_naive_twin(facts, rules):
 def test_join_fires_once_its_empty_partner_fills():
     # q's task on p is skipped in the first round, while r is still empty;
     # it must fire when p(c) arrives in round 5, by then with r filled.
-    a, c = Const(E[0]), Const(E[1])
+    a, c = E[0], E[1]
     facts = [Atom("p", (a,)), Atom("s", (a,)), Atom("s", (c,))]
     rules = [
         _rule(atom("t", "X"), atom("s", "X")),
@@ -190,7 +189,7 @@ def test_join_fires_once_its_empty_partner_fills():
 def test_sink_rule_reads_facts_of_the_last_round():
     # The chain derives p3 only in its last round; the sink `done`, which
     # no body reads, still sees it.
-    a = Const(E[0])
+    a = E[0]
     facts = [Atom("p0", (a,))]
     rules = [_rule(atom(f"p{i + 1}", "X"), atom(f"p{i}", "X")) for i in range(3)]
     rules.append(_rule(atom("done", "X"), atom("p0", "X"), atom("p3", "X")))
@@ -203,16 +202,16 @@ def test_sink_rule_reads_facts_of_the_last_round():
 
 
 def test_two_atom_body_with_constant_and_repeated_variable():
-    c = Const(E[9])
+    c = E[9]
     facts = [
-        Atom("p", (Const(E[0]), Const(E[0]))),
-        Atom("p", (Const(E[1]), Const(E[1]))),
-        Atom("p", (Const(E[2]), Const(E[3]))),
-        Atom("r", (Const(E[0]), c)),
-        Atom("r", (Const(E[1]), Const(E[8]))),
-        Atom("r", (Const(E[2]), c)),
-        Atom("u", (Const(E[4]), Const(E[5]), Const(E[5]))),
-        Atom("u", (Const(E[4]), Const(E[6]), Const(E[7]))),
+        Atom("p", (E[0], E[0])),
+        Atom("p", (E[1], E[1])),
+        Atom("p", (E[2], E[3])),
+        Atom("r", (E[0], c)),
+        Atom("r", (E[1], E[8])),
+        Atom("r", (E[2], c)),
+        Atom("u", (E[4], E[5], E[5])),
+        Atom("u", (E[4], E[6], E[7])),
     ]
     rules = [
         _rule(atom("q", "X"), atom("p", "X", "X"), Atom("r", (Var("X"), c))),
@@ -228,8 +227,8 @@ def test_all_constant_seed_atom_fires_when_it_arrives():
     # delta atom p(c) of q's first task must match p(c) alone, and w's
     # p(e) must match nothing.  `done` reads q and w, so they join inside
     # the fixpoint rather than once after it.
-    c, d, e = Const(E[1]), Const(E[2]), Const(E[5])
-    facts = [Atom("s", (d,)), Atom("r", (Const(E[3]),)), Atom("r", (Const(E[4]),))]
+    c, d, e = E[1], E[2], E[5]
+    facts = [Atom("s", (d,)), Atom("r", (E[3],)), Atom("r", (E[4],))]
     rules = [
         _rule(atom("t", "X"), atom("s", "X")),
         _rule(Atom("p", (c,)), atom("t", "X")),
@@ -245,7 +244,7 @@ def test_all_constant_seed_atom_fires_when_it_arrives():
 
 
 def test_disconnected_body_is_a_cross_product():
-    facts = [Atom("p", (Const(E[i]),)) for i in range(3)] + [Atom("r", (Const(E[i]),)) for i in (3, 4)]
+    facts = [Atom("p", (E[i],)) for i in range(3)] + [Atom("r", (E[i],)) for i in (3, 4)]
     rules = [_rule(atom("q", "X", "Y"), atom("p", "X"), atom("r", "Y"))]
     model = _program_agrees_with_naive_twin(facts, rules)
     assert len([1 for pred, _ in model if pred == "q"]) == 6
@@ -255,10 +254,10 @@ def test_repeated_variable_inside_a_later_atom():
     # u(Z, Y, Y) joins third, after p and r; only its tuples with equal
     # second and third columns may match.
     facts = [
-        Atom("p", (Const(E[0]), Const(E[1]))),
-        Atom("r", (Const(E[1]), Const(E[2]))),
-        Atom("u", (Const(E[2]), Const(E[5]), Const(E[5]))),
-        Atom("u", (Const(E[2]), Const(E[6]), Const(E[7]))),
+        Atom("p", (E[0], E[1])),
+        Atom("r", (E[1], E[2])),
+        Atom("u", (E[2], E[5], E[5])),
+        Atom("u", (E[2], E[6], E[7])),
     ]
     rules = [_rule(atom("q", "X", "Y"), atom("p", "X", "A"), atom("r", "A", "Z"), atom("u", "Z", "Y", "Y"))]
     model = _program_agrees_with_naive_twin(facts, rules)
@@ -274,7 +273,7 @@ def test_repeated_variable_inside_a_later_atom():
 
 def test_rule_body_atom_of_the_wrong_arity_is_rejected():
     store = FactStore()
-    store.assert_facts([Atom("p", (Const(E[0]), Const(E[1])))])
+    store.assert_facts([Atom("p", (E[0], E[1]))])
     with pytest.raises(ArityMismatch):
         evaluate_fixpoint(store, [_rule(atom("q", "X"), atom("p", "X"))])
 
@@ -363,7 +362,7 @@ def test_closed_relation_fed_in_a_later_round_agrees_with_naive_twin():
 
 def test_transitive_rule_over_a_ternary_relation_is_an_arity_error():
     store = FactStore()
-    store.assert_facts([Atom("p", tuple(Const(e) for e in E[:3]))])
+    store.assert_facts([Atom("p", tuple(E[:3]))])
     with pytest.raises(ArityMismatch):
         evaluate_fixpoint(store, [_rule(atom("p", "X", "Y"), atom("p", "X", "M"), atom("p", "M", "Y"))])
 
@@ -448,7 +447,7 @@ def test_rule_propagating_along_a_closed_relation_agrees_with_naive_twin(rule):
         stats = evaluate_fixpoint(store, rules)
         naive = naive_evaluate(facts, rules)
         assert store.string_facts() == naive
-        asserted_q = {(f.pred, tuple(a.value.iri for a in f.args)) for f in facts if f.pred == "q"}
+        asserted_q = {(f.pred, tuple(a.iri for a in f.args)) for f in facts if f.pred == "q"}
         assert stats.facts_derived.get("q", 0) == sum(1 for f in naive if f[0] == "q") - len(asserted_q)
         late += stats.rounds > 4
     assert late > 20
@@ -509,7 +508,7 @@ def test_fixpoint_leaves_the_collector_as_it_found_it(enabled):
         store.assert_facts(translate_ontology(random_ontology(random.Random(7), max_tbox=6, max_abox=12)).facts)
         evaluate_fixpoint(store, builtin_rules())
         assert gc.isenabled() is enabled
-        store.assert_facts([Atom("p", (Const(E[0]), Const(E[1])))])
+        store.assert_facts([Atom("p", (E[0], E[1]))])
         with pytest.raises(ArityMismatch):
             evaluate_fixpoint(store, [_rule(atom("q", "X"), atom("p", "X"))])
         assert gc.isenabled() is enabled
@@ -551,7 +550,7 @@ def test_answer_meta_query_on_example_species():
     es = Entity(SPECIES + "EndangeredSpecies")
     q = ConjunctiveQuery(
         (Var("X"),),
-        (Atom("instc", (Const(es), Var("X"))), Atom("instc", (Var("X"), Var("Y")))),
+        (Atom("instc", (es, Var("X"))), Atom("instc", (Var("X"), Var("Y")))),
     )
     assert store_answers(store, q) == [(SPECIES + "GoldenEagle",)]
 
@@ -559,7 +558,7 @@ def test_answer_meta_query_on_example_species():
 def test_answer_with_unknown_constant_is_empty():
     _, store, _ = saturate(EXAMPLE_SPECIES)
     q = ConjunctiveQuery(
-        (Var("X"),), (Atom("instc", (Const(Entity("http://nowhere#C")), Var("X"))),)
+        (Var("X"),), (Atom("instc", (Entity("http://nowhere#C"), Var("X"))),)
     )
     assert store_answers(store, q) == []
 
@@ -582,8 +581,8 @@ def test_all_constant_atom_as_the_first_probing_step():
     # instc(Species, GoldenEagle) covers every column and costs 1, so it
     # is the query's first step: a membership test, not an index bucket.
     _, store, _ = saturate(EXAMPLE_SPECIES)
-    es, ge = Const(Entity(SPECIES + "EndangeredSpecies")), Const(Entity(SPECIES + "GoldenEagle"))
-    for cls in (es, Const(Entity(SPECIES + "Birds"))):
+    es, ge = Entity(SPECIES + "EndangeredSpecies"), Entity(SPECIES + "GoldenEagle")
+    for cls in (es, Entity(SPECIES + "Birds")):
         q = ConjunctiveQuery(
             (Var("X"),), (Atom("instc", (Var("X"), Var("Y"))), Atom("instc", (cls, ge)))
         )
@@ -594,7 +593,7 @@ def test_all_constant_atom_as_the_first_probing_step():
 @pytest.mark.parametrize("args", [("X",), ("X", "Y", "Z")])
 def test_query_atom_of_the_wrong_arity_is_rejected(args):
     store = FactStore()
-    store.assert_facts([Atom("p", (Const(E[0]), Const(E[1])))])
+    store.assert_facts([Atom("p", (E[0], E[1]))])
     with pytest.raises(ArityMismatch):
         store_answers(store, ConjunctiveQuery((Var("X"),), (atom("p", *args),)))
 
@@ -676,7 +675,7 @@ def test_model_is_minimal_on_small_instances():
         store.assert_facts(base)
         evaluate_fixpoint(store, catalogue)
         model = store.string_facts()
-        asserted = {(f.pred, tuple(a.value.iri for a in f.args)) for f in base}
+        asserted = {(f.pred, tuple(a.iri for a in f.args)) for f in base}
         derived = model - asserted
         for d in sorted(derived)[:15]:
             without = model - {d}
@@ -697,8 +696,8 @@ def _one_round(string_facts, catalogue):
             new = dict(env)
             ok = True
             for t, v in zip(atom_.args, args):
-                if isinstance(t, Const):
-                    if t.value.iri != v:
+                if isinstance(t, Entity):
+                    if t.iri != v:
                         ok = False
                         break
                 elif new.setdefault(t.name, v) != v:
@@ -718,7 +717,7 @@ def _one_round(string_facts, catalogue):
                 (
                     rule.head.pred,
                     tuple(
-                        t.value.iri if isinstance(t, Const) else env[t.name]
+                        t.iri if isinstance(t, Entity) else env[t.name]
                         for t in rule.head.args
                     ),
                 )

@@ -61,6 +61,16 @@ def test_entity_rejects_every_unicode_whitespace_character():
     Entity("http://ex/a\u200bb")  # zero-width space is not whitespace
 
 
+# The characters SPARQL 1.1's IRIREF excludes that are not whitespace.
+IRIREF_EXCLUDED = [*'<>"{}|^`\\', *(chr(c) for c in range(0x21) if not chr(c).isspace())]
+
+
+@pytest.mark.parametrize("ch", IRIREF_EXCLUDED, ids=[f"U+{ord(ch):04X}" for ch in IRIREF_EXCLUDED])
+def test_entity_rejects_a_character_iriref_excludes(ch):
+    with pytest.raises(InvalidIri):
+        Entity(f"http://ex/a{ch}b")
+
+
 def test_entity_equality_is_iri_equality():
     assert Entity("http://ex/a") == Entity("http://ex/a")
     assert Entity("http://ex/a") != Entity("http://ex/A")

@@ -8,7 +8,6 @@ from metaql import (
     Atom,
     BOTTOM_CLASS,
     ConjunctiveQuery,
-    Const,
     Entity,
     FactStore,
     Var,
@@ -112,21 +111,21 @@ def test_certain_answers_on_example_species():
     o = normalize_ontology(parse_ontology(EXAMPLE_SPECIES))
     q = ConjunctiveQuery(
         (Var("X"),),
-        (Atom("instc", (Const(Entity(SPECIES + "EndangeredSpecies")), Var("X"))),),
+        (Atom("instc", (Entity(SPECIES + "EndangeredSpecies"), Var("X"))),),
     )
     assert certain_answers_oracle(o, q) == [(SPECIES + "GoldenEagle",)]
 
 
 def test_certain_answers_empty_class():
     o = normalize_ontology(parse_ontology(EXAMPLE_SPECIES))
-    q = ConjunctiveQuery((Var("X"),), (Atom("instc", (Const(BOTTOM_CLASS), Var("X"))),))
+    q = ConjunctiveQuery((Var("X"),), (Atom("instc", (BOTTOM_CLASS, Var("X"))),))
     assert certain_answers_oracle(o, q) == []
 
 
 def test_nulls_never_appear_in_answers():
     o = _parse("SubClassOf(:c ObjectSomeValuesFrom(:r :d)) ClassAssertion(:c :a)")
     q = ConjunctiveQuery(
-        (Var("Y"),), (Atom("instr", (Const(Entity(SPECIES + "r")), Var("X"), Var("Y"))),)
+        (Var("Y"),), (Atom("instr", (Entity(SPECIES + "r"), Var("X"), Var("Y"))),)
     )
     assert certain_answers_oracle(o, q) == []
 
@@ -134,7 +133,7 @@ def test_nulls_never_appear_in_answers():
 def test_null_witness_switch_isolates_anonymous_joins():
     o = _parse("SubClassOf(:c ObjectSomeValuesFrom(:r :d)) ClassAssertion(:c :a)")
     q = ConjunctiveQuery(
-        (Var("X"),), (Atom("instr", (Const(Entity(SPECIES + "r")), Var("X"), Var("Y"))),)
+        (Var("X"),), (Atom("instr", (Entity(SPECIES + "r"), Var("X"), Var("Y"))),)
     )
     assert certain_answers_oracle(o, q, allow_null_witnesses=True) == [(SPECIES + "a",)]
     assert certain_answers_oracle(o, q, allow_null_witnesses=False) == []

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from gens import random_ontology
 from helpers import EXAMPLE_SPECIES, SPECIES, saturate
 from metaql import (
@@ -12,6 +14,7 @@ from metaql import (
     tbox_closure,
     translate_ontology,
 )
+from metaql.cli import main
 from metaql.model import Entity
 
 A, B, C = Entity("http://t#a"), Entity("http://t#b"), Entity("http://t#c")
@@ -32,6 +35,18 @@ def test_instance_chain_rule_present():
         (atom("instc", "C1", "X"), atom("isacCC", "C1", "C2")),
     )
     assert builtin_rules().contains(rule)
+
+
+@pytest.mark.parametrize("flags", [[], ["--check-consistency"]], ids=["plain", "consistency"])
+def test_rules_output_quotes_its_constants(capsys, flags):
+    assert main(["rules", *flags]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines() if '"' in line] == [
+        'isacRR(P, S, "urn:metaql:topClass") :- isarRR(P, S).',
+        'isacII(P, S, "urn:metaql:topClass") :- isarRR(P, S).',
+        'isacRI(P, S, "urn:metaql:topClass") :- isarRI(P, S).',
+        'isacIR(P, S, "urn:metaql:topClass") :- isarRI(P, S).',
+        'instc("urn:metaql:topClass", X) :- named(X).',
+    ]
 
 
 def test_all_rules_are_safe_and_signature_headed():

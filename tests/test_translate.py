@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -20,7 +21,6 @@ from metaql import (
     Some,
     TOP_CLASS,
     atom,
-    axiom_of_fact,
     normalize_ontology,
     parse_ontology,
     tau,
@@ -107,32 +107,31 @@ def test_tau_is_injective_on_the_table():
     assert len(set(facts)) == len(facts)
 
 
-@pytest.mark.parametrize("axiom,expected", TAU_TABLE, ids=[e.pred for _, e in TAU_TABLE])
-def test_axiom_of_fact_inverts_tau(axiom, expected):
-    assert axiom_of_fact(tau(axiom)) == axiom
+def _entities(x):
+    """The `Entity` objects inside an axiom, in field order."""
+    if isinstance(x, Entity):
+        yield x
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from _entities(getattr(x, f.name))
 
 
-def test_axiom_of_fact_inverts_tau_on_random_ontologies():
-    rng = random.Random(5150)
-    for _ in range(50):
-        o = random_ontology(rng)
-        for ax in o.axioms:
-            assert axiom_of_fact(tau(ax)) == ax
-
-
-def _assert_one_const_per_entity(o):
+def _assert_facts_hold_the_axioms_entities(o):
     fb = translate_ontology(o)
-    consts = {id(t): t for f in fb.facts for t in f.args}
-    assert len(consts) == len({c.value for c in consts.values()})
-    assert fb.tbox_facts == {tau(ax) for ax in o.tbox}
-    assert fb.abox_facts == {tau(ax) for ax in o.abox}
+    axiom_of = {tau(ax): ax for ax in o.axioms}
+    assert fb.facts == axiom_of.keys()
+    for f in fb.facts:
+        own = list(_entities(axiom_of[f]))
+        assert all(any(t is e for e in own) for t in f.args)
+    args = {id(t): t for f in fb.facts for t in f.args}
+    assert len(args) == len({t.iri for t in args.values()})
 
 
-def test_translation_shares_one_const_per_entity():
-    _assert_one_const_per_entity(normalize_ontology(parse_ontology(university_ontology(2))))
+def test_translation_shares_one_entity_object_per_iri():
+    _assert_facts_hold_the_axioms_entities(normalize_ontology(parse_ontology(university_ontology(2))))
     rng = random.Random(1010)
     for _ in range(200):
-        _assert_one_const_per_entity(random_ontology(rng))
+        _assert_facts_hold_the_axioms_entities(random_ontology(rng))
 
 
 def test_translate_example_species():
@@ -142,13 +141,13 @@ def test_translate_example_species():
     def e(local):
         return Entity(SPECIES + local)
 
-    assert atom("isacCC", e("Eagle"), e("Birds")) in fb.tbox_facts
-    assert atom("isacCC", e("GoldenEagle"), e("Eagle")) in fb.tbox_facts
-    assert atom("instc", e("GoldenEagle"), e("Harry")) in fb.abox_facts
-    assert atom("instc", e("EndangeredSpecies"), e("GoldenEagle")) in fb.abox_facts
+    assert atom("isacCC", e("Eagle"), e("Birds")) in fb.facts
+    assert atom("isacCC", e("GoldenEagle"), e("Eagle")) in fb.facts
+    assert atom("instc", e("GoldenEagle"), e("Harry")) in fb.facts
+    assert atom("instc", e("EndangeredSpecies"), e("GoldenEagle")) in fb.facts
     # plus the two top-class normalization facts
-    assert atom("isacCC", e("GoldenEagle"), TOP_CLASS) in fb.tbox_facts
-    assert atom("isacCC", e("EndangeredSpecies"), TOP_CLASS) in fb.tbox_facts
+    assert atom("isacCC", e("GoldenEagle"), TOP_CLASS) in fb.facts
+    assert atom("isacCC", e("EndangeredSpecies"), TOP_CLASS) in fb.facts
     assert len(fb) == 6
 
 
@@ -157,10 +156,13 @@ def test_translate_empty_ontology():
 
 
 def test_one_fact_per_axiom():
-    rng = random.Random(77)
-    for _ in range(30):
-        o = random_ontology(rng)
-        assert len(translate_ontology(o)) == len(o)
+    for seed, count in ((77, 30), (5150, 50)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            o = random_ontology(rng)
+            fb = translate_ontology(o)
+            assert len(fb) == len(o)
+            assert fb.facts == {tau(ax) for ax in o.axioms}
 
 
 def test_translation_count_at_benchmark_scale():
