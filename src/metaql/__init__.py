@@ -12,7 +12,6 @@ from .errors import (
     CyclicTBox,
     InvalidIri,
     MetaqlError,
-    NonNormalizedAxiom,
     OwlSyntaxError,
     UnknownPredicate,
     UnknownPrefix,
@@ -68,7 +67,7 @@ __all__ = [
     "CanonicalModel", "ClassAssertion", "ClassDisjoint", "ClassInclusion",
     "ConjunctiveQuery", "CyclicTBox", "DifferentIndividuals",
     "Entity", "EvalStats", "FactBase", "FactStore", "InvalidIri",
-    "Irreflexive", "MetaqlError", "NonNormalizedAxiom", "Ontology", "OwlSyntaxError",
+    "Irreflexive", "MetaqlError", "Ontology", "OwlSyntaxError",
     "PropAssertion", "PropDisjoint", "PropExpr", "PropInclusion",
     "Reflexive", "Rule", "RuleCatalogue", "SIGNATURE", "Some",
     "SparqlQuery", "TBoxClosure", "TOP_CLASS", "TOP_PROPERTY",

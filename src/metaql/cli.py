@@ -106,8 +106,9 @@ def cmd_rules(args) -> int:
 
 def _run_query_pipeline(args):
     """Shared by query/oracle; returns (answers, timings, extras, plan),
-    where plan is the --explain report or None."""
-    if args.dump_model:
+    where plan is the --explain report or None.  Only `query` has
+    --check-consistency, --dump-model and --explain."""
+    if args.backend == "query" and args.dump_model:
         inputs = ("input ontology", args.ontology), ("query file", args.query)
         _refuse_overwrite(args.dump_model, "--dump-model", *inputs)
     t0 = time.perf_counter()
@@ -120,10 +121,6 @@ def _run_query_pipeline(args):
     extras = {}
     plan = None
     if args.backend == "oracle":
-        if args.explain:
-            raise _Usage("--explain requires the materializing query backend")
-        if args.dump_model:
-            raise _Usage("--dump-model requires the materializing query backend")
         answers = certain_answers_oracle(ontology, cq)
         t3 = t4 = time.perf_counter()
     else:
@@ -365,16 +362,18 @@ def build_parser() -> argparse.ArgumentParser:
         query = p.add_mutually_exclusive_group(required=True)
         query.add_argument("-q", "--query", help="query file (.rq)")
         query.add_argument("--query-string", help="inline query text")
-        p.add_argument("--check-consistency", action="store_true")
         p.add_argument("--report-time", action="store_true", help="print the full timing breakdown")
         p.add_argument("--stats-json", action="store_true", help="print timings as one JSON line")
+        p.set_defaults(backend=name)
+        if name == "oracle":
+            continue  # it has no rule base and no model
+        p.add_argument("--check-consistency", action="store_true")
         p.add_argument("--dump-model", metavar="PATH", help="write the saturated model as a sorted .dl file")
         p.add_argument(
             "--explain",
             action="store_true",
             help="print the join order with each step's key columns and estimated and actual rows",
         )
-        p.set_defaults(backend=name)
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite from a config file")
     p_bench.add_argument("config")

@@ -178,12 +178,10 @@ class FactStore:
     def canonical_dump(self) -> str:
         """Sorted fact lines; byte-identical for equal models."""
         lines = []
-        for pred in sorted(self.relations):
-            rows = sorted(tuple(self.symbol(s) for s in t) for t in self.relations[pred])
-            for row in rows:
-                args = ", ".join(f'"{s}"' for s in row)
-                lines.append(f"{pred}({args}).")
-        return "\n".join(lines) + ("\n" if lines else "")
+        for pred, row in sorted(self.string_facts()):
+            args = ", ".join(f'"{s}"' for s in row)
+            lines.append(f"{pred}({args}).\n")
+        return "".join(lines)
 
     def string_facts(self) -> set[tuple[str, tuple[str, ...]]]:
         """The model as string-level atoms, for oracle comparisons."""

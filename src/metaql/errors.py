@@ -37,10 +37,6 @@ class UnsupportedFeature(MetaqlError):
     """Query construct outside the conjunctive BGP fragment."""
 
 
-class NonNormalizedAxiom(MetaqlError):
-    """Axiom shape has no direct fact encoding; normalize the ontology first."""
-
-
 class ArityMismatch(MetaqlError):
     pass
 

@@ -3,7 +3,9 @@
 Entities, class/property expressions and axioms mirror the restricted
 ontology language; terms, atoms, rules and conjunctive queries mirror the
 Datalog side.  All values are immutable after construction and safe to
-share across threads.
+share across threads.  Axiom constructors store the normal form, the
+one shape with a predicate in `SIGNATURE`, so an axiom written either way
+is one value and no other module orients axioms.
 """
 
 from __future__ import annotations
@@ -140,6 +142,14 @@ def is_basic(ce: ClassExpr) -> bool:
     return isinstance(ce, Atomic) or ce.filler == TOP_CLASS
 
 
+def basic_kind(ce: ClassExpr) -> tuple[str, Entity]:
+    """Kind letter and carrier entity of a basic concept: C for a named
+    class, R for a domain-side existential, I for a range-side one."""
+    if isinstance(ce, Atomic):
+        return "C", ce.cls
+    return ("I", ce.prop.prop) if ce.prop.inverse else ("R", ce.prop.prop)
+
+
 # ==============================================================================
 # Axioms
 # ==============================================================================
@@ -157,35 +167,43 @@ class ClassInclusion:
 
 @dataclass(frozen=True, slots=True)
 class PropInclusion:
-    # The left side is always direct; r^- <= s is stored as r <= s^-.
+    # r^- <= s is stored as r <= s^-.
     sub: PropExpr
     sup: PropExpr
 
     def __post_init__(self):
         if self.sub.inverse:
-            raise ValueError("property inclusion left side must be direct")
+            object.__setattr__(self, "sub", self.sub.flipped())
+            object.__setattr__(self, "sup", self.sup.flipped())
 
 
 @dataclass(frozen=True, slots=True)
 class ClassDisjoint:
-    # Two basic concepts with an empty intersection; the second field is
-    # the negated operand as written.
+    # Two basic concepts with an empty intersection.  The signature has no
+    # disjcCR, so disjointness of a class and a domain-side existential is
+    # stored with the existential on the left.
     left: ClassExpr
     right: ClassExpr
 
     def __post_init__(self):
         if not (is_basic(self.left) and is_basic(self.right)):
             raise ValueError("disjointness operands must be basic concepts")
+        if f"disjc{basic_kind(self.left)[0]}{basic_kind(self.right)[0]}" not in SIGNATURE:
+            left = self.left
+            object.__setattr__(self, "left", self.right)
+            object.__setattr__(self, "right", left)
 
 
 @dataclass(frozen=True, slots=True)
 class PropDisjoint:
+    # r^- disjoint with s is stored as r disjoint with s^-.
     left: PropExpr
     right: PropExpr
 
     def __post_init__(self):
         if self.left.inverse:
-            raise ValueError("property disjointness left side must be direct")
+            object.__setattr__(self, "left", self.left.flipped())
+            object.__setattr__(self, "right", self.right.flipped())
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,9 +378,6 @@ class ConjunctiveQuery:
             raise UnsafeQuery(
                 f"answer variable(s) {sorted(v.name for v in missing)} do not occur in the body"
             )
-
-    def variables(self) -> set[Var]:
-        return set().union(*(a.variables() for a in self.body))
 
 
 def alpha_equivalent(r1: Rule, r2: Rule) -> bool:

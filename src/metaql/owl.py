@@ -19,7 +19,8 @@ The accepted grammar is the restricted fragment needed here:
 with CE either an IRI or ObjectSomeValuesFrom(PE IRI), and PE either an
 IRI or ObjectInverseOf(PE).  ``#`` starts a comment outside strings.
 Equivalences, domains, ranges, inverse declarations and n-ary
-disjointness are rewritten into the core axiom forms; anything else is
+disjointness are rewritten into the core axiom forms, whose constructors
+store the orientation the fact translation needs; anything else is
 rejected explicitly rather than guessed at.
 
 Both this parser and the query parser in `sparql.py` read their input
@@ -64,6 +65,7 @@ from .model import (
     Some,
     display_iri,
     intern,
+    is_basic,
 )
 
 # Implicitly declared, as in the OWL 2 structural specification.
@@ -301,7 +303,7 @@ def _basic_class_expr(keyword: str):
 
 
 def _check_basic(ce: ClassExpr, keyword: str) -> ClassExpr:
-    if isinstance(ce, Some) and ce.filler != TOP_CLASS:
+    if not is_basic(ce):
         raise UnsupportedAxiom(keyword, "qualified existential not allowed in this position")
     return ce
 
@@ -313,25 +315,12 @@ def _named_class(cur: Cursor, entities: _Entities) -> Entity:
     return ce.cls
 
 
-def _normalize_prop_inclusion(sub: PropExpr, sup: PropExpr) -> PropInclusion:
-    # r^- <= s  is stored as  r <= s^-  (and r^- <= s^- as r <= s).
-    if sub.inverse:
-        sub, sup = sub.flipped(), sup.flipped()
-    return PropInclusion(sub, sup)
-
-
-def _normalize_prop_disjoint(left: PropExpr, right: PropExpr) -> PropDisjoint:
-    if left.inverse:
-        left, right = left.flipped(), right.flipped()
-    return PropDisjoint(left, right)
-
-
 # The n-ary keywords, each with at least two operands: the operand reader,
 # the axioms for one pair of operands, and whether every pair gets them
 # (True) or only neighbours (False).
 _NARY = {
     "DisjointClasses": (_basic_class_expr("DisjointClasses"), lambda a, b: [ClassDisjoint(a, b)], True),
-    "DisjointObjectProperties": (_prop_expr, lambda a, b: [_normalize_prop_disjoint(a, b)], True),
+    "DisjointObjectProperties": (_prop_expr, lambda a, b: [PropDisjoint(a, b)], True),
     "EquivalentClasses": (
         _basic_class_expr("EquivalentClasses"),
         lambda a, b: [ClassInclusion(a, b), ClassInclusion(b, a)],
@@ -339,7 +328,7 @@ _NARY = {
     ),
     "EquivalentObjectProperties": (
         _prop_expr,
-        lambda a, b: [_normalize_prop_inclusion(a, b), _normalize_prop_inclusion(b, a)],
+        lambda a, b: [PropInclusion(a, b), PropInclusion(b, a)],
         False,
     ),
     "DifferentIndividuals": (_entity, lambda a, b: [DifferentIndividuals(a, b)], True),
@@ -352,10 +341,10 @@ _FIXED = {
         (_class_expr, _class_expr),
         lambda sub, sup: [ClassInclusion(_check_basic(sub, "SubClassOf"), sup)],
     ),
-    "SubObjectPropertyOf": ((_prop_expr, _prop_expr), lambda sub, sup: [_normalize_prop_inclusion(sub, sup)]),
+    "SubObjectPropertyOf": ((_prop_expr, _prop_expr), lambda sub, sup: [PropInclusion(sub, sup)]),
     "InverseObjectProperties": (
         (_prop_expr, _prop_expr),
-        lambda a, b: [_normalize_prop_inclusion(a, b.flipped()), _normalize_prop_inclusion(b, a.flipped())],
+        lambda a, b: [PropInclusion(a, b.flipped()), PropInclusion(b, a.flipped())],
     ),
     "ObjectPropertyDomain": ((_prop_expr, _class_expr), lambda pe, ce: [ClassInclusion(Some(pe, TOP_CLASS), ce)]),
     "ObjectPropertyRange": (
@@ -416,25 +405,11 @@ def _parse_axiom(cur: Cursor, entities: _Entities) -> list[Axiom]:
 
 
 def normalize_ontology(o: Ontology) -> Ontology:
-    """Bring a parsed ontology into the translatable shape.
-
-    Every distinct class/property used in an assertion gains its
-    top-inclusion axiom, and class disjointness written as ``c excludes
-    some r`` is flipped into the domain-side orientation (the only one
-    the fact encoding provides).  Idempotent.
+    """Add the top-inclusion axiom of every distinct class/property used
+    in an assertion.  Idempotent.  Orientation needs no pass here: the
+    axiom constructors in `model` store the normal form.
     """
-    tbox = set()
-    for ax in o.tbox:
-        if (
-            isinstance(ax, ClassDisjoint)
-            and isinstance(ax.left, Atomic)
-            and isinstance(ax.right, Some)
-            and not ax.right.prop.inverse
-        ):
-            tbox.add(ClassDisjoint(ax.right, ax.left))
-        else:
-            tbox.add(ax)
-
+    tbox = set(o.tbox)
     classes = {ax.cls for ax in o.abox if isinstance(ax, ClassAssertion)}
     props = {ax.prop for ax in o.abox if isinstance(ax, PropAssertion)}
     tbox.update(ClassInclusion(Atomic(c), Atomic(TOP_CLASS)) for c in classes)

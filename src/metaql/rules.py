@@ -29,15 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import Atom, Rule, TOP_CLASS, atom
+from .model import Atom, Rule, SIGNATURE, TOP_CLASS, atom
 
 KINDS = ("C", "R", "I")
 
-# disjc predicates that exist; the CR orientation has no predicate and is
-# always represented as RC.
-_DISJC_FORMS = frozenset(
-    {("C", "C"), ("C", "I"), ("R", "C"), ("R", "R"), ("R", "I"), ("I", "C"), ("I", "R"), ("I", "I")}
-)
+# The kind pairs that have a disjc predicate: all but CR, which is
+# represented as RC.
+_DISJC_FORMS = frozenset((p[5], p[6]) for p in SIGNATURE if p.startswith("disjc"))
 
 
 @dataclass(frozen=True)

@@ -30,16 +30,16 @@ from .owl import DEFAULT_PREFIXES, Cursor, Tok
 
 RDF_TYPE = RDF_NS + "type"
 
-# Schema IRIs with a fixed predicate mapping; matching is case-insensitive
-# on the full IRI (the literature itself mixes rdfs:SubClassOf and
-# rdfs:subClassOf).
+# Schema IRIs with a fixed predicate, and whether the atom takes the
+# object before the subject; matching is case-insensitive on the full IRI
+# (the literature itself mixes rdfs:SubClassOf and rdfs:subClassOf).
 _RESERVED = {
-    (RDF_NS + "type").lower(): "type",
-    (RDFS_NS + "subClassOf").lower(): "subclass",
-    (RDFS_NS + "subPropertyOf").lower(): "subproperty",
-    (OWL_NS + "disjointWith").lower(): "disjointclass",
-    (OWL_NS + "propertyDisjointWith").lower(): "disjointproperty",
-    (OWL_NS + "differentFrom").lower(): "different",
+    RDF_TYPE.lower(): ("instc", True),
+    (RDFS_NS + "subClassOf").lower(): ("isacCC", False),
+    (RDFS_NS + "subPropertyOf").lower(): ("isarRR", False),
+    (OWL_NS + "disjointWith").lower(): ("disjcCC", False),
+    (OWL_NS + "propertyDisjointWith").lower(): ("disjrRR", False),
+    (OWL_NS + "differentFrom").lower(): ("diff", False),
 }
 
 
@@ -212,18 +212,9 @@ def _pattern_atom(tp: TriplePattern) -> Atom:
     s, p, o = tp.s, tp.p, tp.o
     if isinstance(p, Entity):
         mapped = _RESERVED.get(p.iri.lower())
-        if mapped == "type":
-            return Atom("instc", (o, s))
-        if mapped == "subclass":
-            return Atom("isacCC", (s, o))
-        if mapped == "subproperty":
-            return Atom("isarRR", (s, o))
-        if mapped == "disjointclass":
-            return Atom("disjcCC", (s, o))
-        if mapped == "disjointproperty":
-            return Atom("disjrRR", (s, o))
-        if mapped == "different":
-            return Atom("diff", (s, o))
+        if mapped is not None:
+            pred, swap = mapped
+            return Atom(pred, (o, s) if swap else (s, o))
         # Other schema vocabulary gets rejected rather than guessed at.
         if p.iri.startswith((RDF_NS, RDFS_NS, OWL_NS)):
             raise UnsupportedFeature(f"schema predicate {p.iri}")

@@ -1,6 +1,6 @@
 """Axiom-to-fact translation.
 
-Every normalized axiom maps to exactly one ground fact over the fixed
+Every axiom maps to exactly one ground fact over the fixed
 signature.  Inclusion predicates are keyed on the shapes of the two
 sides: C for a named class, R for a domain-side existential, I for a
 range-side one; qualified right-hand existentials carry their filler as
@@ -13,41 +13,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import NonNormalizedAxiom
 from .model import (
     Atom,
     Atomic,
     Axiom,
     ClassAssertion,
     ClassDisjoint,
-    ClassExpr,
     ClassInclusion,
     DifferentIndividuals,
-    Entity,
     Irreflexive,
     PropAssertion,
     PropDisjoint,
     PropInclusion,
     Reflexive,
-    TOP_CLASS,
+    basic_kind,
 )
 from .owl import Ontology
 
 
-def _basic_kind(ce: ClassExpr) -> tuple[str, Entity]:
-    """Kind letter and carrier entity of a basic concept."""
-    if isinstance(ce, Atomic):
-        return "C", ce.cls
-    if ce.filler != TOP_CLASS:
-        raise NonNormalizedAxiom(f"qualified existential on the left: {ce}")
-    return ("I", ce.prop.prop) if ce.prop.inverse else ("R", ce.prop.prop)
-
-
 def tau(ax: Axiom) -> Atom:
-    """Translate one normalized axiom to its fact, whose arguments are the
-    axiom's own entities."""
+    """Translate one axiom to its fact, whose arguments are the axiom's own
+    entities.  The constructors in `model` store every axiom in the
+    orientation its predicate needs."""
     if isinstance(ax, ClassInclusion):
-        lk, lname = _basic_kind(ax.sub)
+        lk, lname = basic_kind(ax.sub)
         sup = ax.sup
         if isinstance(sup, Atomic):
             return Atom(f"isac{lk}C", (lname, sup.cls))
@@ -55,22 +44,15 @@ def tau(ax: Axiom) -> Atom:
         return Atom(f"isac{lk}{rk}", (lname, sup.prop.prop, sup.filler))
 
     if isinstance(ax, PropInclusion):
-        if ax.sub.inverse:
-            raise NonNormalizedAxiom(f"inverse on the left of a property inclusion: {ax}")
         pred = "isarRI" if ax.sup.inverse else "isarRR"
         return Atom(pred, (ax.sub.prop, ax.sup.prop))
 
     if isinstance(ax, ClassDisjoint):
-        lk, lname = _basic_kind(ax.left)
-        rk, rname = _basic_kind(ax.right)
-        if (lk, rk) == ("C", "R"):
-            # No CR form exists; normalize_ontology flips it to RC.
-            raise NonNormalizedAxiom(f"class disjointness in CR orientation: {ax}")
+        lk, lname = basic_kind(ax.left)
+        rk, rname = basic_kind(ax.right)
         return Atom(f"disjc{lk}{rk}", (lname, rname))
 
     if isinstance(ax, PropDisjoint):
-        if ax.left.inverse:
-            raise NonNormalizedAxiom(f"inverse on the left of a property disjointness: {ax}")
         pred = "disjrRI" if ax.right.inverse else "disjrRR"
         return Atom(pred, (ax.left.prop, ax.right.prop))
 
@@ -100,7 +82,7 @@ def _sort_key(a: Atom):
 
 @dataclass(frozen=True)
 class FactBase:
-    """Translated ontology: one ground fact per normalized axiom."""
+    """Translated ontology: one ground fact per axiom."""
 
     facts: frozenset[Atom]
 

@@ -5,9 +5,13 @@ from __future__ import annotations
 import itertools
 
 from metaql import (
+    Atomic,
     ConjunctiveQuery,
     Entity,
     FactStore,
+    PropExpr,
+    Some,
+    TOP_CLASS,
     Var,
     builtin_rules,
     evaluate_fixpoint,
@@ -17,6 +21,13 @@ from metaql import (
 )
 
 SPECIES = "http://ex/species#"
+
+# One basic concept of each kind letter over a given entity.
+BASIC_OF_KIND = {
+    "C": Atomic,
+    "R": lambda e: Some(PropExpr(e), TOP_CLASS),
+    "I": lambda e: Some(PropExpr(e, inverse=True), TOP_CLASS),
+}
 
 # The golden-eagle ontology: subclass chain plus a metaclass assertion.
 EXAMPLE_SPECIES = f"""

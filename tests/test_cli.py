@@ -205,6 +205,19 @@ def test_oracle_subcommand_matches_query(species_file, capsys):
     assert engine_rows == oracle_rows
 
 
+@pytest.mark.parametrize("flag", ["--check-consistency", "--explain", "--dump-model"])
+def test_oracle_rejects_the_flags_it_does_not_honour(tmp_path, species_file, capsys, flag):
+    # The oracle has no rule base and no model; a flag it would ignore is a
+    # usage error before any work.
+    model = tmp_path / "model.dl"
+    argv = [flag, str(model)] if flag == "--dump-model" else [flag]
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", str(species_file), "--query-string", ZOO_QUERY, *argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_query_dump_model_twice_is_byte_identical_and_sorted(tmp_path, species_file, capsys):
     dumps = []
     for name in ("m1.dl", "m2.dl"):
@@ -233,7 +246,9 @@ def test_query_explain_prints_plan_before_answers(tmp_path, capsys):
         f"4\t7.4\t6\t0,1\tinstc(<{UNI}Student>, ?x)",
     ]
     assert len(out[5:-1]) == 6 and out[-1].startswith("answers=6")
-    assert main(["oracle", str(src), "--query-string", q7, "--explain"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", str(src), "--query-string", q7, "--explain"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["translate", "rules", "extend", "dump-model", "bench"])

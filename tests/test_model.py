@@ -1,10 +1,16 @@
+from itertools import product
+
 import pytest
 
+from helpers import BASIC_OF_KIND
 from metaql import (
     Atom,
+    ClassDisjoint,
     ConjunctiveQuery,
     Entity,
+    PropDisjoint,
     PropExpr,
+    PropInclusion,
     Rule,
     SIGNATURE,
     TOP_CLASS,
@@ -112,6 +118,27 @@ def test_prop_expr_double_inverse_is_identity():
     pe = PropExpr(Entity("http://ex/r"))
     assert pe.flipped().flipped() == pe
     assert pe.flipped().inverse
+
+
+R, S = Entity("http://ex/r"), Entity("http://ex/s")
+
+
+@pytest.mark.parametrize("axiom", [PropInclusion, PropDisjoint])
+@pytest.mark.parametrize("right_inverse", [False, True])
+def test_property_axiom_stores_an_inverse_left_side_flipped(axiom, right_inverse):
+    # r^- op s is r op s^-, and r^- op s^- is r op s.
+    written = axiom(PropExpr(R, inverse=True), PropExpr(S, inverse=right_inverse))
+    assert written == axiom(PropExpr(R), PropExpr(S, inverse=not right_inverse))
+
+
+def test_class_disjointness_is_stored_in_an_orientation_the_signature_has():
+    for lk, rk in product("CRI", repeat=2):
+        left, right = BASIC_OF_KIND[lk](R), BASIC_OF_KIND[rk](S)
+        ax = ClassDisjoint(left, right)
+        # Only CR has no disjc predicate; it is stored as RC.
+        assert (ax.left, ax.right) == ((right, left) if (lk, rk) == ("C", "R") else (left, right))
+    c, r = BASIC_OF_KIND["C"](R), BASIC_OF_KIND["R"](S)
+    assert ClassDisjoint(c, r) == ClassDisjoint(r, c)
 
 
 def test_alpha_equivalence_ignores_names_not_structure():

@@ -13,14 +13,17 @@ from metaql import (
     Entity,
     Ontology,
     PropAssertion,
+    PropDisjoint,
     PropExpr,
     PropInclusion,
     Some,
     TOP_CLASS,
     TOP_PROPERTY,
+    atom,
     normalize_ontology,
     parse_ontology,
     serialize_ontology,
+    tau,
     tbox_closure,
 )
 from metaql.errors import OwlSyntaxError, UnknownPrefix, UnsupportedAxiom
@@ -87,6 +90,12 @@ def test_inverse_on_left_of_property_inclusion_is_normalized():
     # Double inverse folds away entirely.
     axs = parse_axioms("SubObjectPropertyOf(ObjectInverseOf(ObjectInverseOf(:r)) :s)")
     assert axs == {PropInclusion(PropExpr(ent("r")), PropExpr(ent("s")))}
+
+
+def test_inverse_on_left_of_property_disjointness_is_normalized():
+    axs = parse_axioms("DisjointObjectProperties(ObjectInverseOf(:r) :s)")
+    assert axs == {PropDisjoint(PropExpr(ent("r")), PropExpr(ent("s"), inverse=True))}
+    assert [tau(ax) for ax in axs] == [atom("disjrRI", ent("r"), ent("s"))]
 
 
 @pytest.mark.parametrize("depth", [5000, 5001])
@@ -217,17 +226,7 @@ def test_normalize_is_idempotent():
 
 def _normalize_per_assertion(o: Ontology) -> Ontology:
     """Reference for `normalize_ontology`: one top inclusion per assertion."""
-    tbox = set()
-    for ax in o.tbox:
-        if (
-            isinstance(ax, ClassDisjoint)
-            and isinstance(ax.left, Atomic)
-            and isinstance(ax.right, Some)
-            and not ax.right.prop.inverse
-        ):
-            tbox.add(ClassDisjoint(ax.right, ax.left))
-        else:
-            tbox.add(ax)
+    tbox = set(o.tbox)
     for ax in o.abox:
         if isinstance(ax, ClassAssertion):
             tbox.add(ClassInclusion(Atomic(ax.cls), Atomic(TOP_CLASS)))
@@ -247,8 +246,8 @@ def test_normalize_agrees_with_the_per_assertion_reference():
 
 
 def test_normalize_flips_class_vs_domain_disjointness():
-    # c excludes some r  has no direct fact form and flips to the
-    # domain-side orientation.
+    # c excludes some r  has no direct fact form; the constructor stores it
+    # in the domain-side orientation, and normalization keeps that.
     raw = Ontology(
         frozenset({ClassDisjoint(Atomic(ent("C")), Some(PropExpr(ent("r")), TOP_CLASS))}),
         frozenset(),

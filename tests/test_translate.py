@@ -1,10 +1,11 @@
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 
 from gens import random_ontology
-from helpers import EXAMPLE_SPECIES, SPECIES
+from helpers import BASIC_OF_KIND, EXAMPLE_SPECIES, SPECIES
 from metaql import (
     Atomic,
     ClassAssertion,
@@ -18,6 +19,7 @@ from metaql import (
     PropExpr,
     PropInclusion,
     Reflexive,
+    SIGNATURE,
     Some,
     TOP_CLASS,
     atom,
@@ -26,7 +28,6 @@ from metaql import (
     tau,
     translate_ontology,
 )
-from metaql.errors import NonNormalizedAxiom
 from metaql.synthetic import scaled_university, university_ontology
 
 C1, C2 = Entity("http://t#c1"), Entity("http://t#c2")
@@ -97,9 +98,11 @@ def test_unqualified_existential_right_side_uses_top_filler():
     assert tau(ax) == atom("isacCR", C1, R2, TOP_CLASS)
 
 
-def test_tau_rejects_cr_disjointness_orientation():
-    with pytest.raises(NonNormalizedAxiom):
-        tau(ClassDisjoint(Atomic(C1), _dom(R2)))
+def test_tau_of_every_class_disjointness_is_a_signature_fact():
+    for lk, rk in product("CRI", repeat=2):
+        fact = tau(ClassDisjoint(BASIC_OF_KIND[lk](C1), BASIC_OF_KIND[rk](C2)))
+        assert fact.pred.startswith("disjc") and fact.pred in SIGNATURE
+        assert set(fact.args) == {C1, C2}
 
 
 def test_tau_is_injective_on_the_table():
