@@ -51,10 +51,9 @@ print("   derived instc(Birds, Harry):", ("instc", ("http://ex/species#Birds", "
 
 print("\n== 4. Ask who lives in Central Park Zoo and belongs to an endangered species")
 print(QUERY)
-parsed = M.parse_query(QUERY)
-rule, goal = M.translate_query(parsed)
-print("   Datalog form:", rule.to_dl(), "answer atom:", goal.to_dl())
-answers = M.answer_conjunctive_query(store, M.to_conjunctive_query(parsed))
+cq = M.to_conjunctive_query(M.parse_query(QUERY))
+print("   Datalog body:", ", ".join(a.to_dl() for a in cq.body))
+answers = M.answer_conjunctive_query(store, cq)
 for row in answers:
     print("   answer:", *row)
 assert answers == [("http://ex/species#Harry",)]

@@ -55,9 +55,8 @@ from .engine import (
     answer_conjunctive_query,
     evaluate_fixpoint,
     explain_conjunctive_query,
-    naive_evaluate,
 )
-from .sparql import SparqlQuery, TriplePattern, parse_query, to_conjunctive_query, translate_query
+from .sparql import SparqlQuery, TriplePattern, parse_query, to_conjunctive_query
 from .oracle import CanonicalModel, TBoxClosure, certain_answers_oracle, chase, tbox_closure
 
 __version__ = "0.1.0"
@@ -76,7 +75,6 @@ __all__ = [
     "answer_conjunctive_query", "atom",
     "builtin_rules", "certain_answers_oracle", "chase",
     "evaluate_fixpoint", "explain_conjunctive_query", "intern",
-    "naive_evaluate", "normalize_ontology", "parse_ontology", "parse_query",
-    "serialize_ontology", "tau", "tbox_closure", "to_conjunctive_query",
-    "translate_ontology", "translate_query",
+    "normalize_ontology", "parse_ontology", "parse_query", "serialize_ontology",
+    "tau", "tbox_closure", "to_conjunctive_query", "translate_ontology",
 ]

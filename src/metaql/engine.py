@@ -26,8 +26,6 @@ later round joins each rule against the previous round's delta in each
 body position, with the delta atom pinned first, so nothing is rederived
 from scratch.  Rules whose head no body reads (the consistency rules)
 cannot feed the fixpoint; they run once after it, planned like queries.
-A deliberately dumb naive evaluator (string-level, index-free) exists
-purely as a differential-testing twin.
 
 A rule of the shape `p(X, Y) :- p(X, M), p(M, Y)` (in the catalogue,
 `isacCC` and `isarRR`) gets no join tasks: joined, it emits every pair
@@ -530,71 +528,6 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
 
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
     return stats
-
-
-# ==============================================================================
-# Naive evaluation (differential-testing twin)
-# ==============================================================================
-
-
-def naive_evaluate(
-    facts: Iterable[Atom], rules: RuleCatalogue | Sequence[Rule]
-) -> set[tuple[str, tuple[str, ...]]]:
-    """Minimal model by naive iteration over string-level atoms.
-
-    Re-evaluates every rule against the whole model each round; no
-    deltas, no indexes, no interning.  Only suitable for small inputs.
-    """
-    rule_list = rules.rules if isinstance(rules, RuleCatalogue) else list(rules)
-    model: set[tuple[str, tuple[str, ...]]] = set()
-    for f in facts:
-        model.add((f.pred, tuple(a.iri for a in f.args)))  # type: ignore[union-attr]
-    for r in rule_list:
-        if not r.body:
-            model.add((r.head.pred, tuple(a.iri for a in r.head.args)))  # type: ignore[union-attr]
-
-    def matches(a: Atom, env: dict[str, str]):
-        for pred, args in model:
-            if pred != a.pred or len(args) != len(a.args):
-                continue
-            new_env = dict(env)
-            ok = True
-            for t, v in zip(a.args, args):
-                if isinstance(t, Entity):
-                    if t.iri != v:
-                        ok = False
-                        break
-                elif t.name in new_env:
-                    if new_env[t.name] != v:
-                        ok = False
-                        break
-                else:
-                    new_env[t.name] = v
-            if ok:
-                yield new_env
-
-    changed = True
-    while changed:
-        changed = False
-        for r in rule_list:
-            if not r.body:
-                continue
-            envs = [{}]
-            for a in r.body:
-                envs = [e2 for e in envs for e2 in matches(a, e)]
-                if not envs:
-                    break
-            for env in envs:
-                head = (
-                    r.head.pred,
-                    tuple(
-                        t.iri if isinstance(t, Entity) else env[t.name] for t in r.head.args
-                    ),
-                )
-                if head not in model:
-                    model.add(head)
-                    changed = True
-    return model
 
 
 # ==============================================================================

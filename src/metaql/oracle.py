@@ -58,6 +58,8 @@ Rhs = tuple
 
 _NULL_PREFIX = "_:n"
 
+_MAX_DEPTH = 64  # safety valve: the chase gives up past this many nested labeled nulls
+
 
 def is_null(symbol: str) -> bool:
     return symbol.startswith(_NULL_PREFIX)
@@ -315,7 +317,7 @@ def _check_acyclic(o: Ontology, closure: TBoxClosure):
                 )
 
 
-def chase(o: Ontology, max_depth: int = 64, closure: TBoxClosure | None = None) -> CanonicalModel:
+def chase(o: Ontology, closure: TBoxClosure | None = None) -> CanonicalModel:
     """Canonical model of a normalized, existentially acyclic ontology."""
     if closure is None:
         closure = tbox_closure(o)
@@ -378,8 +380,8 @@ def chase(o: Ontology, max_depth: int = 64, closure: TBoxClosure | None = None) 
                         if witnesses:
                             continue
                         gen = generation[e] + 1
-                        if gen > max_depth:
-                            raise CyclicTBox(f"chase exceeded depth {max_depth}")
+                        if gen > _MAX_DEPTH:
+                            raise CyclicTBox(f"chase exceeded depth {_MAX_DEPTH}")
                         if len(model.elements) > element_cap:
                             raise CyclicTBox("chase created too many labeled nulls")
                         null = f"{_NULL_PREFIX}{next(null_counter)}"
@@ -436,10 +438,10 @@ def _semantic_relations(o: Ontology, closure: TBoxClosure, model: CanonicalModel
 class OracleEvaluator:
     """Closure + chase computed once, reusable across queries."""
 
-    def __init__(self, o: Ontology, max_depth: int = 64):
+    def __init__(self, o: Ontology):
         self.ontology = o
         self.closure = tbox_closure(o)
-        self.model = chase(o, max_depth=max_depth, closure=self.closure)
+        self.model = chase(o, closure=self.closure)
         self._rels = _semantic_relations(o, self.closure, self.model)
         self._named_rels = {
             pred: {t for t in tuples if not any(is_null(s) for s in t)}
@@ -507,12 +509,9 @@ class OracleEvaluator:
 def certain_answers_oracle(
     o: Ontology,
     q: ConjunctiveQuery,
-    max_depth: int = 64,
     allow_null_witnesses: bool = True,
 ) -> list[tuple[str, ...]]:
     """Answers by exhaustive substitution enumeration over the chase model
     and the TBox closure.  Answer variables only ever bind named symbols;
     labeled nulls may witness the remaining variables unless disabled."""
-    return OracleEvaluator(o, max_depth=max_depth).answers(
-        q, allow_null_witnesses=allow_null_witnesses
-    )
+    return OracleEvaluator(o).answers(q, allow_null_witnesses=allow_null_witnesses)

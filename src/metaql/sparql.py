@@ -21,7 +21,6 @@ from .model import (
     OWL_NS,
     RDF_NS,
     RDFS_NS,
-    Rule,
     Term,
     Var,
     intern,
@@ -54,14 +53,6 @@ class TriplePattern:
 class SparqlQuery:
     answer_vars: tuple[Var, ...]
     patterns: tuple[TriplePattern, ...]
-
-    def variables(self) -> list[Var]:
-        out: list[Var] = []
-        for tp in self.patterns:
-            for t in (tp.s, tp.p, tp.o):
-                if isinstance(t, Var) and t not in out:
-                    out.append(t)
-        return out
 
 
 _Q_TOKEN_RE = re.compile(
@@ -198,9 +189,9 @@ def parse_query(text: str) -> SparqlQuery:
     if not patterns:
         raise cur.error("WHERE block must contain at least one triple pattern", open_tok)
 
-    q = SparqlQuery((), tuple(patterns))
-    answer_vars = tuple(q.variables()) if star else tuple(projection)
-    return SparqlQuery(answer_vars, tuple(patterns))
+    if star:  # every variable, in the order of its first occurrence
+        projection = list(dict.fromkeys(t for tp in patterns for t in (tp.s, tp.p, tp.o) if isinstance(t, Var)))
+    return SparqlQuery(tuple(projection), tuple(patterns))
 
 
 # ==============================================================================
@@ -221,17 +212,9 @@ def _pattern_atom(tp: TriplePattern) -> Atom:
     return Atom("instr", (p, s, o))
 
 
-def translate_query(q: SparqlQuery) -> tuple[Rule, Atom]:
-    """One body atom per triple pattern, plus a head rule and the atomic
-    query accounting for the projection.  No variable typing restriction
-    applies: the same variable may stand in individual, class and
-    property positions at once."""
-    cq = to_conjunctive_query(q)
-    head = Atom("q", cq.answer_vars)
-    return Rule(head, cq.body), head
-
-
 def to_conjunctive_query(q: SparqlQuery) -> ConjunctiveQuery:
     """The query as one body atom per triple pattern; raises UnsafeQuery
-    for an answer variable that does not occur in the body."""
+    for an answer variable that does not occur in the body.  No variable
+    typing restriction applies: the same variable may stand in
+    individual, class and property positions at once."""
     return ConjunctiveQuery(tuple(q.answer_vars), tuple(_pattern_atom(tp) for tp in q.patterns))

@@ -197,13 +197,12 @@ def _department_lines(u: int, d: int) -> list[str]:
     return add
 
 
-def university_ontology(departments: int = 2, universities: int = 1) -> str:
+def university_ontology(departments: int = 2) -> str:
     lines = [f"Prefix(uni:=<{UNI}>)", "Ontology(<http://example.org/univ>"]
     lines += [f"  {ax}" for ax in _tbox_lines()]
-    for u in range(universities):
-        lines.append(f"  ClassAssertion(uni:University uni:university{u})")
-        for d in range(departments):
-            lines += [f"  {ax}" for ax in _department_lines(u, d)]
+    lines.append("  ClassAssertion(uni:University uni:university0)")
+    for d in range(departments):
+        lines += [f"  {ax}" for ax in _department_lines(0, d)]
     lines.append(")")
     return "\n".join(lines) + "\n"
 

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Sequence
 
 from metaql import (
+    Atom,
     Atomic,
     ConjunctiveQuery,
     Entity,
     FactStore,
     PropExpr,
+    Rule,
+    RuleCatalogue,
     Some,
     TOP_CLASS,
     Var,
@@ -87,3 +91,64 @@ def brute_force_answers(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str
         if ok:
             answers.add(tuple(env[v.name] for v in q.answer_vars))
     return sorted(answers)
+
+
+def naive_evaluate(
+    facts: Iterable[Atom], rules: RuleCatalogue | Sequence[Rule]
+) -> set[tuple[str, tuple[str, ...]]]:
+    """Minimal model by naive iteration over string-level atoms.
+
+    Re-evaluates every rule against the whole model each round; no
+    deltas, no indexes, no interning.  Only suitable for small inputs.
+    The reference the differential tests hold `evaluate_fixpoint` to.
+    """
+    rule_list = rules.rules if isinstance(rules, RuleCatalogue) else list(rules)
+    model: set[tuple[str, tuple[str, ...]]] = set()
+    for f in facts:
+        model.add((f.pred, tuple(a.iri for a in f.args)))  # type: ignore[union-attr]
+    for r in rule_list:
+        if not r.body:
+            model.add((r.head.pred, tuple(a.iri for a in r.head.args)))  # type: ignore[union-attr]
+
+    def matches(a: Atom, env: dict[str, str]):
+        for pred, args in model:
+            if pred != a.pred or len(args) != len(a.args):
+                continue
+            new_env = dict(env)
+            ok = True
+            for t, v in zip(a.args, args):
+                if isinstance(t, Entity):
+                    if t.iri != v:
+                        ok = False
+                        break
+                elif t.name in new_env:
+                    if new_env[t.name] != v:
+                        ok = False
+                        break
+                else:
+                    new_env[t.name] = v
+            if ok:
+                yield new_env
+
+    changed = True
+    while changed:
+        changed = False
+        for r in rule_list:
+            if not r.body:
+                continue
+            envs = [{}]
+            for a in r.body:
+                envs = [e2 for e in envs for e2 in matches(a, e)]
+                if not envs:
+                    break
+            for env in envs:
+                head = (
+                    r.head.pred,
+                    tuple(
+                        t.iri if isinstance(t, Entity) else env[t.name] for t in r.head.args
+                    ),
+                )
+                if head not in model:
+                    model.add(head)
+                    changed = True
+    return model

@@ -9,7 +9,7 @@ import random
 import time
 
 from gens import random_ontology, random_program, random_query
-from helpers import EXAMPLE_SPECIES_ZOO, SPECIES, saturate
+from helpers import EXAMPLE_SPECIES_ZOO, SPECIES, naive_evaluate, saturate
 from metaql import (
     FactStore,
     Ontology,
@@ -18,7 +18,6 @@ from metaql import (
     atom,
     builtin_rules,
     evaluate_fixpoint,
-    naive_evaluate,
     normalize_ontology,
     parse_ontology,
     parse_query,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gens import random_ontology, random_program, random_query
-from helpers import EXAMPLE_SPECIES, SPECIES, brute_force_answers, saturate
+from helpers import EXAMPLE_SPECIES, SPECIES, brute_force_answers, naive_evaluate, saturate
 from metaql import (
     Atom,
     ConjunctiveQuery,
@@ -17,7 +17,6 @@ from metaql import (
     builtin_rules,
     evaluate_fixpoint,
     explain_conjunctive_query,
-    naive_evaluate,
     translate_ontology,
 )
 from metaql.engine import _close, _pivot, _transitive

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+import metaql
 from helpers import BASIC_OF_KIND
 from metaql import (
     Atom,
@@ -147,3 +148,7 @@ def test_alpha_equivalence_ignores_names_not_structure():
     r3 = Rule(atom("isacCC", "X", "Z"), (atom("isacCC", "X", "Y"), atom("isacCC", "Z", "Y")))
     assert alpha_equivalent(r1, r2)
     assert not alpha_equivalent(r1, r3)
+
+
+def test_every_public_name_resolves_on_the_package():
+    assert [name for name in metaql.__all__ if not hasattr(metaql, name)] == []

@@ -10,7 +10,6 @@ from metaql import (
     atom,
     parse_query,
     to_conjunctive_query,
-    translate_query,
 )
 from metaql.errors import OwlSyntaxError, UnknownPrefix, UnsafeQuery, UnsupportedFeature
 from metaql.sparql import TriplePattern
@@ -28,9 +27,9 @@ def test_parse_zoo_meta_query():
 def test_parse_accepts_capitalized_subclassof():
     q = parse_query("SELECT ?x ?y ?z WHERE { ?x rdf:type ?y . ?y rdfs:SubClassOf ?z }")
     assert len(q.patterns) == 2
-    rule, goal = translate_query(q)
-    assert rule.body == (atom("instc", "y", "x"), atom("isacCC", "y", "z"))
-    assert goal == atom("q", "x", "y", "z")
+    cq = to_conjunctive_query(q)
+    assert cq.body == (atom("instc", "y", "x"), atom("isacCC", "y", "z"))
+    assert cq.answer_vars == (Var("x"), Var("y"), Var("z"))
 
 
 def test_empty_where_is_a_syntax_error():
@@ -38,9 +37,18 @@ def test_empty_where_is_a_syntax_error():
         parse_query("SELECT ?x WHERE { }")
 
 
-def test_star_projection_uses_first_occurrence_order():
-    q = parse_query(PFX + "SELECT * WHERE { ?b :p ?a . ?a :p ?c }")
-    assert q.answer_vars == (Var("b"), Var("a"), Var("c"))
+@pytest.mark.parametrize(
+    "where, order",
+    [
+        ("?b :p ?a . ?a :p ?c", "bac"),
+        # a predicate-position variable, and every variable repeated
+        ("?b ?p ?a . ?a ?p ?b", "bpa"),
+    ],
+    ids=["subject-object", "predicate-repeats"],
+)
+def test_star_projection_uses_first_occurrence_order(where, order):
+    q = parse_query(PFX + f"SELECT * WHERE {{ {where} }}")
+    assert q.answer_vars == tuple(Var(name) for name in order)
 
 
 def test_distinct_is_accepted():
@@ -68,35 +76,34 @@ def test_unsupported_features_are_named(text):
 
 def test_other_schema_vocabulary_is_not_guessed():
     with pytest.raises(UnsupportedFeature):
-        translate_query(parse_query(PFX + "SELECT ?x ?y WHERE { ?x owl:equivalentClass ?y }"))
+        to_conjunctive_query(parse_query(PFX + "SELECT ?x ?y WHERE { ?x owl:equivalentClass ?y }"))
 
 
 def test_translate_zoo_query_bodies():
     q = parse_query(PFX + "SELECT ?z WHERE { ?y a :ES . ?z a ?y . ?z :Lives_in :CPZ }")
-    rule, goal = translate_query(q)
+    cq = to_conjunctive_query(q)
     es = Entity(SPECIES + "ES")
     lives = Entity(SPECIES + "Lives_in")
     cpz = Entity(SPECIES + "CPZ")
-    assert rule.body == (
+    assert cq.body == (
         atom("instc", es, "y"),
         atom("instc", "y", "z"),
         atom("instr", lives, "z", cpz),
     )
-    assert goal == atom("q", "z")
+    assert cq.answer_vars == (Var("z"),)
 
 
 def test_translate_self_membership_meta_query():
     # Classes that are themselves members of another class.
     q = parse_query(PFX + "SELECT ?x WHERE { ?x a :c . ?y a ?x }")
-    rule, _ = translate_query(q)
-    assert rule.body == (atom("instc", Entity(SPECIES + "c"), "x"), atom("instc", "x", "y"))
+    assert to_conjunctive_query(q).body == (atom("instc", Entity(SPECIES + "c"), "x"), atom("instc", "x", "y"))
 
 
 def test_translate_plain_property_pattern():
     q = parse_query(PFX + "SELECT ?s ?o WHERE { ?s :p ?o }")
-    rule, goal = translate_query(q)
-    assert rule.body == (atom("instr", Entity(SPECIES + "p"), "s", "o"),)
-    assert goal == atom("q", "s", "o")
+    cq = to_conjunctive_query(q)
+    assert cq.body == (atom("instr", Entity(SPECIES + "p"), "s", "o"),)
+    assert cq.answer_vars == (Var("s"), Var("o"))
 
 
 def test_reserved_predicate_mappings():
@@ -107,38 +114,33 @@ def test_reserved_predicate_mappings():
         ("?a owl:differentFrom ?b", atom("diff", "a", "b")),
     ]
     for pattern, expected in cases:
-        rule, _ = translate_query(parse_query(f"SELECT ?a ?b WHERE {{ {pattern} }}"))
-        assert rule.body == (expected,)
+        assert to_conjunctive_query(parse_query(f"SELECT ?a ?b WHERE {{ {pattern} }}")).body == (expected,)
 
 
 def test_pattern_count_is_preserved():
     q = parse_query(PFX + "SELECT ?x WHERE { ?x a :C . ?x :p ?y . ?y :q ?z . ?z a :D }")
-    rule, _ = translate_query(q)
-    assert len(rule.body) == len(q.patterns) == 4
+    assert len(to_conjunctive_query(q).body) == len(q.patterns) == 4
 
 
-@pytest.mark.parametrize("translate", [translate_query, to_conjunctive_query])
 @pytest.mark.parametrize(
     "text, missing",
     [(PFX + "SELECT ?missing WHERE { ?x a :C }", "missing"), ("SELECT ?m WHERE { ?x a ?y }", "m")],
 )
-def test_unsafe_projection_is_rejected(translate, text, missing):
+def test_unsafe_projection_is_rejected(text, missing):
     message = f"answer variable(s) ['{missing}'] do not occur in the body"
     with pytest.raises(UnsafeQuery, match=re.escape(message) + "$"):
-        translate(parse_query(text))
+        to_conjunctive_query(parse_query(text))
 
 
 def test_same_variable_in_every_position_translates():
     # The regime's point: no variable typing constraint at all.
     q = parse_query("SELECT ?x WHERE { ?x ?x ?x }")
-    rule, _ = translate_query(q)
-    assert rule.body == (atom("instr", "x", "x", "x"),)
+    assert to_conjunctive_query(q).body == (atom("instr", "x", "x", "x"),)
 
 
 def test_variable_in_predicate_position():
     q = parse_query(PFX + "SELECT ?p WHERE { :Harry ?p :CPZ }")
-    rule, _ = translate_query(q)
-    assert rule.body == (
+    assert to_conjunctive_query(q).body == (
         atom("instr", "p", Entity(SPECIES + "Harry"), Entity(SPECIES + "CPZ")),
     )
 
