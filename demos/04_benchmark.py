@@ -2,11 +2,13 @@
 """Run the benchmark harness end to end at a moderate scale.
 
 Generates a university ontology, writes the standard and simple
-meta-query suites to disk, runs every (ontology, query) pair in a fresh
-subprocess under a wall-clock timeout, and prints the resulting CSV.
-Memory limits are left to the invoking environment (ulimit, cgroups).
+meta-query suites to disk, and names them all on one `metaql bench`
+command line.  Every (ontology, query) pair runs in a fresh subprocess
+under a wall-clock timeout, and the resulting CSV is printed.  Memory
+limits are left to the invoking environment (ulimit, cgroups).
 """
 
+import os
 import tempfile
 from pathlib import Path
 
@@ -20,25 +22,16 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"== generated {ontology.name} ({len(ontology.read_text().splitlines())} lines)")
 
     queries = standard_queries()[:6] + simple_meta_queries()[:2]
-    names = []
+    argv = ["bench", str(ontology)]
     for name, text in queries:
         (tmp / f"{name}.rq").write_text(text, encoding="utf-8")
-        names.append(f"{name}.rq")
+        argv += ["-q", str(tmp / f"{name}.rq")]
+    # desk-scale run: two runs per pair, each killed after 30 s
+    argv += ["--timeout", "30", "--repeat", "2", "-o", str(tmp / "results.csv")]
+    print("== metaql bench, with paths shown relative to the generated directory")
+    print("   metaql " + " ".join(argv).replace(f"{tmp}{os.sep}", ""))
 
-    config = tmp / "bench.cfg"
-    config.write_text(
-        "# desk-scale run: fresh subprocess per query, wall-clock timeout\n"
-        f"ontologies = {ontology.name}\n"
-        f"queries = {', '.join(names)}\n"
-        "timeout_s = 30\n"
-        "repeat = 2\n"
-        "output_csv = results.csv\n",
-        encoding="utf-8",
-    )
-    print("== bench config")
-    print("\n".join("   " + line for line in config.read_text().splitlines()))
-
-    code = main(["bench", str(config)])
+    code = main(argv)
     assert code == 0
 
     print("\n== results.csv (per-run rows plus one #median row per pair)")

@@ -3,8 +3,9 @@
 Subcommands mirror the pipeline stages: `translate` turns an ontology
 into a facts file, `rules` dumps the fixed rule base, `query` answers a
 SPARQL query end to end, `oracle` does the same with the brute-force
-reference semantics, `bench` drives suites of (ontology, query) pairs
-under a wall-clock timeout with CSV reporting, and `extend` merges two
+reference semantics, `bench` times every pair of the ontologies and
+queries named on its command line, each in a fresh process under a
+wall-clock timeout, with CSV reporting, and `extend` merges two
 ontologies.
 
 Exit codes: 0 success, 1 parse/translation/evaluation errors and out of
@@ -204,47 +205,6 @@ def cmd_extend(args) -> int:
 # ------------------------------------------------------------------------------
 
 
-def _parse_bench_config(path: str, timeout_s: float | None = None) -> dict:
-    """The bench config at `path`, with `timeout_s`, when given, in place
-    of the file's."""
-    config = {
-        "ontologies": [],
-        "queries": [],
-        "timeout_s": 60.0,
-        "repeat": 3,
-        "output_csv": "bench.csv",
-    }
-    base_dir = Path(path).resolve().parent
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not value:
-            raise _Usage(f"{path}:{lineno}: expected 'key = value'")
-        if key in ("ontologies", "queries"):
-            config[key] = [str((base_dir / v.strip())) for v in value.split(",") if v.strip()]
-        elif key in ("timeout_s", "repeat"):
-            try:
-                config[key] = float(value) if key == "timeout_s" else int(value)
-            except ValueError:
-                raise _Usage(f"{path}:{lineno}: {key} must be a number, got {value!r}")
-        elif key == "output_csv":
-            config[key] = str(base_dir / value)
-        else:
-            raise _Usage(f"{path}:{lineno}: unknown key {key!r}")
-    if not config["ontologies"] or not config["queries"]:
-        raise _Usage("bench config must list ontologies and queries")
-    if timeout_s is not None:
-        config["timeout_s"] = timeout_s
-    if not (math.isfinite(config["timeout_s"]) and config["timeout_s"] > 0):
-        raise _Usage(f"timeout_s must be a finite positive number of seconds, got {config['timeout_s']}")
-    if config["repeat"] < 1:
-        raise _Usage("repeat must be at least 1")
-    return config
-
-
 def _bench_one_run(ontology: str, query: str, timeout_s: float) -> dict:
     """One (ontology, query) execution in a fresh subprocess."""
     cmd = [sys.executable, "-m", "metaql", "query", ontology, "-q", query, "--stats-json"]
@@ -296,29 +256,29 @@ def _median_row(runs: list[dict]) -> dict:
 
 
 def cmd_bench(args) -> int:
-    config = _parse_bench_config(args.config, args.timeout)
-    if args.output:
-        config["output_csv"] = args.output
+    if not (math.isfinite(args.timeout) and args.timeout > 0):
+        raise _Usage(f"--timeout must be a finite positive number of seconds, got {args.timeout}")
+    if args.repeat < 1:
+        raise _Usage(f"--repeat must be at least 1, got {args.repeat}")
 
     # The header is written first, so an unwritable output is reported
     # before any run.
-    out = Path(config["output_csv"])
+    out = Path(args.output)
     _refuse_overwrite(
         out,
         "-o",
-        ("bench config", args.config),
-        *(("ontology", o) for o in config["ontologies"]),
-        *(("query file", q) for q in config["queries"]),
+        *(("ontology", o) for o in args.ontologies),
+        *(("query file", q) for q in args.queries),
     )
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=CSV_HEADER, lineterminator="\n")
     writer.writeheader()
     _write_text(out, text.getvalue())
 
-    pairs = [(o, q) for o in config["ontologies"] for q in config["queries"]]
+    pairs = [(o, q) for o in args.ontologies for q in args.queries]
     rows = []
     for ontology, query in pairs:
-        runs = [_bench_one_run(ontology, query, config["timeout_s"]) for _ in range(config["repeat"])]
+        runs = [_bench_one_run(ontology, query, args.timeout) for _ in range(args.repeat)]
         rows += runs + [_median_row(runs)]
 
     writer.writerows(rows)
@@ -370,10 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="print the join order with each step's key columns and estimated and actual rows",
         )
 
-    p_bench = sub.add_parser("bench", help="run a benchmark suite from a config file")
-    p_bench.add_argument("config")
-    p_bench.add_argument("-o", "--output", help="override output_csv from the config")
-    p_bench.add_argument("--timeout", type=float, help="override timeout_s from the config")
+    p_bench = sub.add_parser("bench", help="time every (ontology, query) pair in fresh processes")
+    p_bench.add_argument("ontologies", nargs="+", metavar="ONTOLOGY")
+    p_bench.add_argument(
+        "-q", "--query", dest="queries", metavar="QUERY", action="append", required=True, help="query file, once per -q"
+    )
+    p_bench.add_argument("--repeat", type=int, default=3, metavar="N", help="runs per pair (default: 3)")
+    p_bench.add_argument("--timeout", type=float, default=60.0, metavar="S", help="seconds per run (default: 60)")
+    p_bench.add_argument("-o", "--output", default="bench.csv", metavar="OUT.csv", help="CSV path (default: bench.csv)")
 
     p_extend = sub.add_parser("extend", help="merge two ontologies (axiom-set union)")
     p_extend.add_argument("base")

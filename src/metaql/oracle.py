@@ -58,8 +58,6 @@ Rhs = tuple
 
 _NULL_PREFIX = "_:n"
 
-_MAX_DEPTH = 64  # safety valve: the chase gives up past this many nested labeled nulls
-
 
 def is_null(symbol: str) -> bool:
     return symbol.startswith(_NULL_PREFIX)
@@ -343,7 +341,7 @@ def chase(o: Ontology, closure: TBoxClosure | None = None) -> CanonicalModel:
         key=repr,
     )
     null_counter = itertools.count(1)
-    # Second safety valve besides depth; acyclic inputs stay well below it.
+    # Bounds acyclic TBoxes whose chase branches exponentially.
     element_cap = max(1000, 50 * (len(model.elements) + 1))
 
     def class_members(name: str) -> set[str]:
@@ -380,8 +378,6 @@ def chase(o: Ontology, closure: TBoxClosure | None = None) -> CanonicalModel:
                         if witnesses:
                             continue
                         gen = generation[e] + 1
-                        if gen > _MAX_DEPTH:
-                            raise CyclicTBox(f"chase exceeded depth {_MAX_DEPTH}")
                         if len(model.elements) > element_cap:
                             raise CyclicTBox("chase created too many labeled nulls")
                         null = f"{_NULL_PREFIX}{next(null_counter)}"

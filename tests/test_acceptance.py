@@ -167,22 +167,14 @@ def test_criterion_7_benchmark_scale_target(tmp_path):
     ontology.write_text(text, encoding="utf-8")
     suite = standard_queries() + simple_meta_queries()
     assert len(suite) == 18
-    query_names = []
+    query_flags = []
     for name, qtext in suite:
         (tmp_path / f"{name}.rq").write_text(qtext, encoding="utf-8")
-        query_names.append(f"{name}.rq")
-    config = tmp_path / "bench.cfg"
-    config.write_text(
-        f"ontologies = {ontology.name}\n"
-        f"queries = {', '.join(query_names)}\n"
-        "timeout_s = 10\n"
-        "repeat = 1\n"
-        "output_csv = scale.csv\n",
-        encoding="utf-8",
-    )
+        query_flags += ["-q", str(tmp_path / f"{name}.rq")]
 
     start = time.perf_counter()
-    assert main(["bench", str(config)]) == 0
+    argv = ["bench", str(ontology), *query_flags, "--timeout", "10", "--repeat", "1", "-o", str(tmp_path / "scale.csv")]
+    assert main(argv) == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 180.0
 
@@ -201,19 +193,14 @@ def test_criterion_8_determinism(tmp_path):
     ontology = tmp_path / "uni.ofn"
     ontology.write_text(university_ontology(1), encoding="utf-8")
     picks = dict(standard_queries() + simple_meta_queries())
-    names = []
+    query_flags = []
     for name in ("q4", "q6", "q13", "mq1", "mq10"):
         (tmp_path / f"{name}.rq").write_text(picks[name], encoding="utf-8")
-        names.append(f"{name}.rq")
-    config = tmp_path / "bench.cfg"
-    config.write_text(
-        f"ontologies = {ontology.name}\nqueries = {', '.join(names)}\nrepeat = 2\n",
-        encoding="utf-8",
-    )
+        query_flags += ["-q", str(tmp_path / f"{name}.rq")]
 
     columns = []
     for out_name in ("run1.csv", "run2.csv"):
-        assert main(["bench", str(config), "-o", str(tmp_path / out_name)]) == 0
+        assert main(["bench", str(ontology), *query_flags, "--repeat", "2", "-o", str(tmp_path / out_name)]) == 0
         rows = list(csv.DictReader((tmp_path / out_name).read_text(encoding="utf-8").splitlines()))
         columns.append([(r["dataset"], r["query"], r["answers"], r["status"]) for r in rows])
     assert columns[0] == columns[1]

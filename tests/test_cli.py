@@ -79,7 +79,7 @@ def test_extend_never_overwrites_an_input(tmp_path, monkeypatch, capsys, target,
     (tmp_path / "base.ofn").write_text(EXAMPLE_SPECIES, encoding="utf-8")
     (tmp_path / "ext.ofn").write_text(professor_type_extension(), encoding="utf-8")
     assert main(["extend", "base.ofn", "ext.ofn", "-o", target]) == 2
-    assert capsys.readouterr().err == f"error: output {target} is the {role}; give another path with -o\n"
+    assert capsys.readouterr().err == f"error: output {Path(target)} is the {role}; give another path with -o\n"
     assert (tmp_path / "base.ofn").read_text(encoding="utf-8") == EXAMPLE_SPECIES
     assert (tmp_path / "ext.ofn").read_text(encoding="utf-8") == professor_type_extension()
 
@@ -251,14 +251,12 @@ def test_unwritable_output_path_exits_2(tmp_path, species_file, capsys, monkeypa
     target = tmp_path / "no-such-dir" / "out"
     query = tmp_path / "zoo.rq"
     query.write_text(ZOO_QUERY, encoding="utf-8")
-    config = tmp_path / "bench.cfg"
-    config.write_text(f"ontologies = {species_file.name}\nqueries = {query.name}\nrepeat = 1\n", encoding="utf-8")
     argv = {
         "translate": ["translate", str(species_file), "-o", str(target)],
         "rules": ["rules", "-o", str(target)],
         "extend": ["extend", str(species_file), str(species_file), "-o", str(target)],
         "dump-model": ["query", str(species_file), "-q", str(query), "--dump-model", str(target)],
-        "bench": ["bench", str(config), "-o", str(target)],
+        "bench": ["bench", str(species_file), "-q", str(query), "--repeat", "1", "-o", str(target)],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
@@ -375,23 +373,57 @@ def _write_bench_inputs(tmp_path):
 
 def test_bench_produces_runs_and_median_rows(tmp_path, capsys):
     ontology, q1, q2 = _write_bench_inputs(tmp_path)
-    config = tmp_path / "bench.cfg"
-    config.write_text(
-        f"""# desk-scale smoke config
-ontologies = {ontology.name}
-queries = {q1.name}, {q2.name}
-timeout_s = 60
-repeat = 3
-output_csv = out.csv
-""",
-        encoding="utf-8",
-    )
-    assert main(["bench", str(config)]) == 0
-    rows = list(csv.DictReader((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()))
+    out = tmp_path / "out.csv"
+    argv = ["bench", str(ontology), "-q", str(q1), "-q", str(q2), "--timeout", "60", "--repeat", "3", "-o", str(out)]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == 2 * 3 + 2
     assert [r for r in rows if r["query"].endswith("#median")]
     assert all(r["status"] == "OK" for r in rows)
     assert list(rows[0].keys()) == CSV_HEADER
+
+
+def _record_runs(monkeypatch) -> list:
+    """Replace bench's child processes by OK rows; returns the list that
+    collects each run's (ontology, query, timeout_s)."""
+    calls = []
+
+    def run(ontology, query, timeout_s):
+        calls.append((ontology, query, timeout_s))
+        return {**dict.fromkeys(CSV_HEADER, ""), "dataset": ontology, "query": query, "status": "OK"}
+
+    monkeypatch.setattr(cli, "_bench_one_run", run)
+    return calls
+
+
+def test_bench_defaults_to_three_runs_into_bench_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = _record_runs(monkeypatch)
+    assert main(["bench", "uni.ofn", "-q", "q6.rq"]) == 0
+    assert calls == [("uni.ofn", "q6.rq", 60.0)] * 3
+    rows = list(csv.DictReader((tmp_path / "bench.csv").read_text(encoding="utf-8").splitlines()))
+    assert [r["query"] for r in rows] == ["q6.rq"] * 3 + ["q6.rq#median"]
+
+
+def test_bench_runs_every_pair_ontology_by_ontology(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = _record_runs(monkeypatch)
+    argv = ["bench", "a.ofn", "b.ofn", "-q", "q1.rq", "--repeat", "1", "-q", "q2.rq", "-o", "out.csv"]
+    assert main(argv) == 0
+    assert [c[:2] for c in calls] == [("a.ofn", "q1.rq"), ("a.ofn", "q2.rq"), ("b.ofn", "q1.rq"), ("b.ofn", "q2.rq")]
+
+
+@pytest.mark.parametrize("char", ["#", ",", " "], ids=["hash", "comma", "space"])
+def test_bench_takes_any_path_name(tmp_path, char):
+    ontology, q1, _ = _write_bench_inputs(tmp_path)
+    ontology, q1 = ontology.rename(tmp_path / f"uni{char}1.ofn"), q1.rename(tmp_path / f"q{char}6.rq")
+    names = ontology.name, q1.name
+    assert main(["bench", str(ontology), "-q", str(q1), "--repeat", "1", "-o", str(tmp_path / "out.csv")]) == 0
+    rows = list(csv.DictReader((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()))
+    assert [(r["dataset"], r["query"], r["status"]) for r in rows] == [
+        (names[0], names[1], "OK"),
+        (names[0], f"{names[1]}#median", "OK"),
+    ]
 
 
 def test_bench_csv_schema_is_pinned():
@@ -409,14 +441,10 @@ def test_bench_csv_schema_is_pinned():
 
 def test_bench_is_deterministic_across_runs(tmp_path):
     ontology, q1, q2 = _write_bench_inputs(tmp_path)
-    config = tmp_path / "bench.cfg"
-    config.write_text(
-        f"ontologies = {ontology.name}\nqueries = {q1.name}, {q2.name}\nrepeat = 2\n",
-        encoding="utf-8",
-    )
     outputs = []
     for name in ("one.csv", "two.csv"):
-        assert main(["bench", str(config), "-o", str(tmp_path / name)]) == 0
+        argv = ["bench", str(ontology), "-q", str(q1), "-q", str(q2), "--repeat", "2", "-o", str(tmp_path / name)]
+        assert main(argv) == 0
         rows = list(csv.DictReader((tmp_path / name).read_text(encoding="utf-8").splitlines()))
         outputs.append([(r["dataset"], r["query"], r["answers"], r["status"]) for r in rows])
     assert outputs[0] == outputs[1]
@@ -429,12 +457,8 @@ def test_bench_timeout_yields_oot(tmp_path):
     ontology.write_text(scaled_university(10334), encoding="utf-8")
     query = tmp_path / "q.rq"
     query.write_text(f"PREFIX uni: <{UNI}>\nSELECT ?x WHERE {{ ?x a uni:Student }}", encoding="utf-8")
-    config = tmp_path / "bench.cfg"
-    config.write_text(
-        f"ontologies = {ontology.name}\nqueries = {query.name}\nrepeat = 1\ntimeout_s = 0.01\n",
-        encoding="utf-8",
-    )
-    assert main(["bench", str(config), "-o", str(tmp_path / "out.csv")]) == 0
+    argv = ["bench", str(ontology), "-q", str(query), "--repeat", "1", "--timeout", "0.01", "-o", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
     rows = list(csv.DictReader((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()))
     assert [r["status"] for r in rows] == ["OOT", "OOT"]
     assert all(r["answers"] == "" for r in rows)
@@ -445,68 +469,66 @@ def test_bench_error_rows_for_broken_ontology(tmp_path):
     bad.write_text("Ontology(SubClassOf(<http://a/X>)", encoding="utf-8")
     query = tmp_path / "q.rq"
     query.write_text("SELECT ?y WHERE { ?x a ?y }", encoding="utf-8")
-    config = tmp_path / "bench.cfg"
-    config.write_text(f"ontologies = {bad.name}\nqueries = {query.name}\nrepeat = 1\n")
-    assert main(["bench", str(config), "-o", str(tmp_path / "out.csv")]) == 0
+    assert main(["bench", str(bad), "-q", str(query), "--repeat", "1", "-o", str(tmp_path / "out.csv")]) == 0
     rows = list(csv.DictReader((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()))
     assert [r["status"] for r in rows] == ["ERROR", "ERROR"]
 
 
-def test_bench_config_errors_exit_2(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("mystery = 1\n")
-    assert main(["bench", str(config)]) == 2
-    config.write_text("ontologies = a.ofn\nqueries = q.rq\nrepeat = 0\n")
-    assert main(["bench", str(config)]) == 2
-    config.write_text("ontologies = a.ofn\nqueries = q.rq\ntimeout_s = -5\n")
-    assert main(["bench", str(config)]) == 2
-    for line in ("timeout_s = abc", "repeat = 0x"):
-        config.write_text(f"ontologies = a.ofn\nqueries = q.rq\n{line}\n")
-        assert main(["bench", str(config)]) == 2
-        assert f"{config}:3: " in capsys.readouterr().err
+def _exit_code(argv) -> int:
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--repeat", "0"], "error: --repeat must be at least 1, got 0"),
+        (["--repeat", "0x"], "argument --repeat: invalid int value: '0x'"),
+        (["--timeout", "abc"], "argument --timeout: invalid float value: 'abc'"),
+        (["--timeout", "-5"], "error: --timeout must be a finite positive number of seconds, got -5.0"),
+        (["--mystery", "1"], "unrecognized arguments: --mystery 1"),
+    ],
+    ids=["repeat-0", "repeat-0x", "timeout-abc", "timeout-negative", "unknown-flag"],
+)
+def test_bench_bad_flags_exit_2(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.setattr(cli, "_bench_one_run", lambda *args: pytest.fail("a bench run started"))
+    ontology, q1, _ = _write_bench_inputs(tmp_path)
+    out = tmp_path / "out.csv"
+    assert _exit_code(["bench", str(ontology), "-q", str(q1), "-o", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "target, role",
     [
-        ("bench.cfg", "bench config"),
-        ("./sub/../bench.cfg", "bench config"),
         ("uni.ofn", "ontology"),
+        ("./sub/../uni.ofn", "ontology"),
         ("q6.rq", "query file"),
         ("mq1.rq", "query file"),
     ],
-    ids=["config", "respelled-config", "ontology", "query-file", "second-query-file"],
+    ids=["ontology", "respelled-ontology", "query-file", "second-query-file"],
 )
-@pytest.mark.parametrize("where", ["flag", "config"])
-def test_bench_never_overwrites_an_input(tmp_path, monkeypatch, capsys, target, role, where):
+def test_bench_never_overwrites_an_input(tmp_path, monkeypatch, capsys, target, role):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_bench_one_run", lambda *args: pytest.fail("a bench run started"))
     (tmp_path / "sub").mkdir()
     _write_bench_inputs(tmp_path)
-    config = "ontologies = uni.ofn\nqueries = q6.rq, mq1.rq\nrepeat = 1\n"
-    argv = ["bench", "bench.cfg"]
-    if where == "flag":
-        argv += ["-o", target]
-    else:
-        config += f"output_csv = {target}\n"
-    (tmp_path / "bench.cfg").write_text(config, encoding="utf-8")
-    inputs = {name: (tmp_path / name).read_bytes() for name in ("bench.cfg", "uni.ofn", "q6.rq", "mq1.rq")}
-    assert main(argv) == 2
-    shown = Path(target) if where == "flag" else tmp_path / target
-    assert capsys.readouterr().err == f"error: output {shown} is the {role}; give another path with -o\n"
+    inputs = {name: (tmp_path / name).read_bytes() for name in ("uni.ofn", "q6.rq", "mq1.rq")}
+    assert main(["bench", "uni.ofn", "-q", "q6.rq", "-q", "mq1.rq", "--repeat", "1", "-o", target]) == 2
+    assert capsys.readouterr().err == f"error: output {Path(target)} is the {role}; give another path with -o\n"
     assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-@pytest.mark.parametrize("where", ["config", "flag"])
-def test_bench_timeout_must_be_finite_and_positive(tmp_path, capsys, where, value):
+def test_bench_timeout_must_be_finite_and_positive(tmp_path, capsys, value):
     ontology, q1, _ = _write_bench_inputs(tmp_path)
-    config = tmp_path / "bench.cfg"
-    timeout = value if where == "config" else "60"
-    config.write_text(f"ontologies = {ontology.name}\nqueries = {q1.name}\ntimeout_s = {timeout}\n")
-    flag = [f"--timeout={value}"] if where == "flag" else []
-    assert main(["bench", str(config), "-o", str(tmp_path / "out.csv"), *flag]) == 2
-    assert "timeout_s must be a finite positive number of seconds" in capsys.readouterr().err
+    argv = ["bench", str(ontology), "-q", str(q1), "-o", str(tmp_path / "out.csv"), f"--timeout={value}"]
+    assert main(argv) == 2
+    assert "--timeout must be a finite positive number of seconds" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -1,17 +1,21 @@
 """Input-boundary properties: any text, however malformed, either parses
-or raises a `MetaqlError`; nothing else escapes the parsers.  Bench
-configs either validate or are usage errors, and the `query` command
-ends every input in exit 0, 1 or 2."""
+or raises a `MetaqlError`; nothing else escapes the parsers.  Bench's
+`--timeout` and `--repeat` either validate or are usage errors, and the
+`query` command ends every input in exit 0, 1 or 2."""
 
+import contextlib
+import io
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from helpers import EXAMPLE_SPECIES
 from metaql import MetaqlError, normalize_ontology, parse_ontology, parse_query, to_conjunctive_query
-from metaql.cli import _parse_bench_config, _Usage, main
+from metaql import cli
+from metaql.cli import main
 
 OWL_TOKENS = (
     "Prefix", "Ontology", "(", ")", "=", ":", "ex:", "<http://x#a>", "<http://x#>", "<>", "<a b>",
@@ -42,16 +46,6 @@ BENCH_NUMBERS = st.one_of(
     st.floats().map(repr),
     st.integers().map(str),
     st.text(max_size=10),
-)
-BENCH_LINES = st.one_of(
-    st.builds("timeout_s = {}".format, BENCH_NUMBERS),
-    st.builds("repeat = {}".format, BENCH_NUMBERS),
-    st.builds("{} = {}".format, st.sampled_from(("ontologies", "queries", "output_csv")), st.text(max_size=20)),
-)
-# Any text, or a config listing its inputs followed by arbitrary settings.
-BENCH_CONFIGS = st.one_of(
-    st.text(max_size=200),
-    st.lists(BENCH_LINES, max_size=6).map(lambda lines: "\n".join(["ontologies = a.ofn", "queries = q.rq", *lines])),
 )
 
 
@@ -127,19 +121,38 @@ def test_patterns_from_token_sequences(text):
     _query_ok_or_error(text)
 
 
+class _RunStarted(Exception):
+    pass
+
+
 @fuzz
-@given(BENCH_CONFIGS)
-@example("ontologies = a.ofn\nqueries = q.rq\ntimeout_s = nan")
-def test_bench_config_validates_or_is_a_usage_error(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "bench.cfg"
-        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+@given(BENCH_NUMBERS, BENCH_NUMBERS)
+@example("nan", "1")
+@example("inf", "1")
+@example("0", "1")
+@example("1", "0")
+def test_bench_flags_validate_or_are_a_usage_error(timeout, repeat):
+    def first_run(ontology, query, timeout_s):
+        raise _RunStarted(timeout_s)
+
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_bench_one_run", first_run):
+        out = Path(tmp) / "out.csv"
+        argv = ["bench", "a.ofn", "-q", "q.rq", f"--timeout={timeout}", f"--repeat={repeat}", "-o", str(out)]
         try:
-            config = _parse_bench_config(str(path))
-        except _Usage:
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        except _RunStarted as started:
+            # A run starts only when --repeat is at least 1.
+            (timeout_s,) = started.args
+            assert math.isfinite(timeout_s) and timeout_s > 0
             return
-    assert math.isfinite(config["timeout_s"]) and config["timeout_s"] > 0
-    assert config["repeat"] >= 1
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert not out.exists()
+    assert stderr.getvalue().startswith(("error: ", "usage: "))
+    assert "Traceback" not in stderr.getvalue()
 
 
 @fuzz

@@ -152,3 +152,24 @@ def test_oracle_engine_agreement_quick():
             engine = answer_conjunctive_query(store, q)
             assert engine == oracle.answers(q, allow_null_witnesses=False)
             assert set(engine) <= set(oracle.answers(q, allow_null_witnesses=True))
+
+
+def test_oracle_agrees_with_engine_on_a_chain_of_65_existentials():
+    # Acyclic, so the chase ends, however deep it nests labeled nulls.
+    chain = " ".join(f"SubClassOf(:A{i} ObjectSomeValuesFrom(:r{i} :A{i + 1}))" for i in range(65))
+    o = _parse(f"{chain} ClassAssertion(:A0 :a)")
+    assert chase(o).depth == 65
+    store = FactStore()
+    store.assert_facts(translate_ontology(o).facts)
+    evaluate_fixpoint(store, builtin_rules())
+    oracle = OracleEvaluator(o)
+    x, y = Var("X"), Var("Y")
+    queries = [
+        ConjunctiveQuery((x,), (Atom("instc", (Entity(SPECIES + "A0"), x)),)),
+        ConjunctiveQuery((y, x), (Atom("instc", (y, x)),)),
+        ConjunctiveQuery((x,), (Atom("instr", (Entity(SPECIES + "r64"), x, y)),)),
+    ]
+    for q in queries:
+        engine = answer_conjunctive_query(store, q)
+        assert engine == oracle.answers(q, allow_null_witnesses=False)
+    assert answer_conjunctive_query(store, queries[0]) == [(SPECIES + "a",)]
