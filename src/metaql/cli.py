@@ -158,8 +158,6 @@ def _format_term(t) -> str:
 def _format_plan(plan: list[PlanStep]) -> list[str]:
     """One line per step: estimated and actual rows after it, its key
     columns and its atom."""
-    if not plan:
-        return ["plan: none, a query constant does not occur in the model"]
     lines = ["step\test_rows\trows\tkey\tatom"]
     for n, step in enumerate(plan, start=1):
         a = step.atom

@@ -1,8 +1,8 @@
 """Bottom-up Datalog evaluation.
 
-The store keeps one relation per predicate as a set of tuples over
-interned symbol ids, with hash indexes built lazily for whatever bound
-column patterns the joins ask for.  One cost-based planner orders the
+The store keeps one relation per predicate as a set of tuples of IRI
+strings, with hash indexes built lazily for whatever bound column
+patterns the joins ask for.  One cost-based planner orders the
 bodies of rules and queries alike: each atom is estimated from the
 store's exact index buckets for its constants and bound columns, the
 cheapest atom goes first, and every later atom shares a variable with
@@ -82,9 +82,9 @@ def _columns(cols: Sequence[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*cols)
 
 
-def _picker(srcs: Sequence[tuple[str, int]], width: int) -> Callable[[tuple], tuple]:
+def _picker(srcs: Sequence[tuple[str, int | str]], width: int) -> Callable[[tuple], tuple]:
     """The function taking a tuple of `width` columns to the tuple `srcs`
-    names: ('s', column) picks a column, ('c', symbol id) is a constant."""
+    names: ('s', column) picks a column, ('c', IRI) is a constant."""
     consts = tuple(v for kind, v in srcs if kind == "c")
     cols, extra = [], width
     for kind, v in srcs:
@@ -96,29 +96,12 @@ def _picker(srcs: Sequence[tuple[str, int]], width: int) -> Callable[[tuple], tu
 
 
 class FactStore:
-    """Per-predicate indexed relations over interned symbols."""
+    """Per-predicate indexed relations over tuples of IRI strings."""
 
     def __init__(self):
-        self._sym_ids: dict[str, int] = {}
-        self._symbols: list[str] = []
-        self.relations: dict[str, set[tuple[int, ...]]] = {}
+        self.relations: dict[str, set[tuple[str, ...]]] = {}
         self._arity: dict[str, int] = {}
-        self._indexes: dict[tuple[str, tuple[int, ...]], dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
-
-    # -- symbols ---------------------------------------------------------
-
-    def intern(self, symbol: str) -> int:
-        sid = self._sym_ids.get(symbol)
-        if sid is None:
-            sid = len(self._symbols)
-            self._sym_ids[symbol] = sid
-            self._symbols.append(symbol)
-        return sid
-
-    def symbol(self, sid: int) -> str:
-        return self._symbols[sid]
-
-    # -- facts -----------------------------------------------------------
+        self._indexes: dict[tuple[str, tuple[int, ...]], dict[tuple[str, ...], list[tuple[str, ...]]]] = {}
 
     def _check_arity(self, pred: str, arity: int):
         expected = self._arity.get(pred, KNOWN_ARITY.get(pred))
@@ -127,7 +110,7 @@ class FactStore:
         elif expected != arity:
             raise ArityMismatch(f"{pred} expects {expected} argument(s), got {arity}")
 
-    def add_tuples(self, pred: str, tuples: Iterable[tuple[int, ...]]) -> int:
+    def add_tuples(self, pred: str, tuples: Iterable[tuple[str, ...]]) -> int:
         rel = self.relations.setdefault(pred, set())
         added = 0
         arity = self._arity.get(pred, KNOWN_ARITY.get(pred))
@@ -147,17 +130,17 @@ class FactStore:
 
     def assert_facts(self, facts: Iterable[Atom]) -> int:
         """Insert ground atoms; duplicates are ignored.  Returns the number
-        of new tuples.  Symbols are interned in fact order, then each
-        predicate's tuples are added in one `add_tuples` call."""
-        by_pred: dict[str, list[tuple[int, ...]]] = {}
+        of new tuples.  Each fact becomes the tuple of its arguments' IRIs,
+        and each predicate's tuples are added in one `add_tuples` call."""
+        by_pred: dict[str, list[tuple[str, ...]]] = {}
         for f in facts:
             if not f.is_ground():
                 raise ValueError(f"fact is not ground: {f}")
-            t = tuple(self.intern(a.iri) for a in f.args)  # type: ignore[union-attr]
+            t = tuple(a.iri for a in f.args)  # type: ignore[union-attr]
             by_pred.setdefault(f.pred, []).append(t)
         return sum(self.add_tuples(pred, tuples) for pred, tuples in by_pred.items())
 
-    def relation(self, pred: str) -> set[tuple[int, ...]]:
+    def relation(self, pred: str) -> set[tuple[str, ...]]:
         return self.relations.get(pred, set())
 
     def index(self, pred: str, key_pos: tuple[int, ...]):
@@ -183,11 +166,7 @@ class FactStore:
 
     def string_facts(self) -> set[tuple[str, tuple[str, ...]]]:
         """The model as string-level atoms, for oracle comparisons."""
-        return {
-            (pred, tuple(self.symbol(s) for s in t))
-            for pred, rel in self.relations.items()
-            for t in rel
-        }
+        return {(pred, t) for pred, rel in self.relations.items() for t in rel}
 
 
 @dataclass
@@ -228,7 +207,7 @@ def _estimate(a: Atom, bound: set[str], store: FactStore) -> float:
         return float(len(rel))
     index = store.index(a.pred, key_pos)
     if all(isinstance(a.args[p], Entity) for p in key_pos):
-        key = tuple(store._sym_ids.get(a.args[p].iri, -1) for p in key_pos)
+        key = tuple(a.args[p].iri for p in key_pos)
         return float(len(index.get(key, ())))
     return len(rel) / len(index) if index else 0.0
 
@@ -258,7 +237,7 @@ def _plan(body: Sequence[Atom], store: FactStore, first: int | None = None) -> l
     return order
 
 
-def _matcher(pairs: Sequence[tuple[int, tuple[str, int]]], width: int):
+def _matcher(pairs: Sequence[tuple[int, tuple[str, int | str]]], width: int):
     """The test that each column `pos` of a tuple of `width` columns equals
     what its source names, for the (pos, source) `pairs` (constants, or an
     earlier column of a repeated variable); None when there is nothing to
@@ -302,8 +281,7 @@ def _compile(head_terms: Sequence[Var | Entity], body: Sequence[Atom], order: Se
     whose key is in the relation and adds no column.  The stages are
     generators, so no intermediate rows are held: the last one streams
     through the head into `out`.  Nothing runs when a relation of the body
-    is empty.  The compiled symbol ids belong to `store`, the store `run`
-    reads.
+    is empty.
     """
     col: dict[str, int] = {}  # variable -> row column of its first occurrence
     width = 0
@@ -317,7 +295,7 @@ def _compile(head_terms: Sequence[Var | Entity], body: Sequence[Atom], order: Se
         key, same, new = [], [], {}
         for pos, t in enumerate(a.args):
             if isinstance(t, Entity):
-                key.append((pos, ("c", store.intern(t.iri))))
+                key.append((pos, ("c", t.iri)))
             elif t.name in col:
                 key.append((pos, ("s", col[t.name])))
             elif t.name in new:
@@ -328,7 +306,7 @@ def _compile(head_terms: Sequence[Var | Entity], body: Sequence[Atom], order: Se
         full = len(key_pos) == arity
         preds.append(a.pred)
         if n == 0:
-            key0, full0, consts0 = key_pos, full, tuple(sid for _, (_, sid) in key)
+            key0, full0, consts0 = key_pos, full, tuple(iri for _, (_, iri) in key)
             keep_seed, keep_start = _matcher(key + same, arity), _matcher(same, arity)
         else:
             key_of = _picker([src for _, src in key], width)
@@ -337,11 +315,11 @@ def _compile(head_terms: Sequence[Var | Entity], body: Sequence[Atom], order: Se
             col.update((name, width + pos) for name, pos in new.items())
             width += arity
     head = _picker(
-        [("c", store.intern(t.iri)) if isinstance(t, Entity) else ("s", col[t.name]) for t in head_terms],
+        [("c", t.iri) if isinstance(t, Entity) else ("s", col[t.name]) for t in head_terms],
         width,
     )
 
-    def run(seed: Iterable[tuple[int, ...]] | None, out: set):
+    def run(seed: Iterable[tuple[str, ...]] | None, out: set):
         rels = [store.relations.get(pred) for pred in preds]
         if not all(rels):
             return
@@ -400,7 +378,7 @@ def _transitive(rule: Rule) -> bool:
     return bool(shape and same and shape[2] == (shape[1] == 1))
 
 
-def _close(store: FactStore, pred: str, succ: dict[int, list[int]], edges: Iterable[tuple[int, int]]) -> set:
+def _close(store: FactStore, pred: str, succ: dict[str, list[str]], edges: Iterable[tuple[str, str]]) -> set:
     """Add `edges` to `succ`, the generating edges of `pred`, and add the
     pairs of their transitive closure that `pred` lacks; returns them.
     Either `pred` is closed over `succ`, so a tail's predecessors in it
@@ -413,9 +391,9 @@ def _close(store: FactStore, pred: str, succ: dict[int, list[int]], edges: Itera
         sources.add(a)
         sources.update(x for x, _ in before.get((a,), ()))
     known = store.relation(pred).__contains__
-    added: set[tuple[int, int]] = set()
+    added: set[tuple[str, str]] = set()
     for s in sources:
-        seen: set[int] = set()
+        seen: set[str] = set()
         stack = [s]
         while stack:
             for n in succ.get(stack.pop(), ()):
@@ -457,7 +435,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
             store.assert_facts([rule.head])
     read = {a.pred for rule in rules for a in rule.body}
     # pred -> generating edges of each relation kept transitively closed
-    closed: dict[str, dict[int, list[int]]] = {rule.head.pred: {} for rule in rules if _transitive(rule)}
+    closed: dict[str, dict[str, list[str]]] = {rule.head.pred: {} for rule in rules if _transitive(rule)}
     recursive = [rule for rule in rules if rule.body and rule.head.pred in read and not _transitive(rule)]
     sinks = [rule for rule in rules if rule.body and rule.head.pred not in read]
     # id(rule) -> body position of q in q(..Y..) :- q(..C..), p(C, Y) over a closed p
@@ -465,7 +443,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
         id(r): s[0] for r in recursive if (s := _pivot(r)) and r.body[1 - s[0]].pred in closed.keys() - {r.head.pred}
     }
 
-    def merge(new: dict[str, set[tuple[int, ...]]], mine=()) -> dict[str, set[tuple[int, ...]]]:
+    def merge(new: dict[str, set[tuple[str, ...]]], mine=()) -> dict[str, set[tuple[str, ...]]]:
         # `new` (emptied as it goes) holds what the rules derived, `mine`
         # what each pivot rule derived that is not in the store
         delta = {}
@@ -488,15 +466,15 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
             stats.facts_derived[pred] = len(added)
 
     # None: the first round, whose delta is the whole store
-    delta: dict[str, set[tuple[int, ...]]] | None = None
-    trimmed: dict[int, set[tuple[int, ...]] | None] = {}  # id(rule) -> its q atom's delta
+    delta: dict[str, set[tuple[str, ...]]] | None = None
+    trimmed: dict[int, set[tuple[str, ...]] | None] = {}  # id(rule) -> its q atom's delta
     tasks: dict[tuple[int, int], Callable] = {}
 
     while True:
         stats.rounds += 1
         # Every join of the round reads the store as it stood at the
         # round's start; what they derive is merged only afterwards.
-        new: dict[str, set[tuple[int, ...]]] = {}
+        new: dict[str, set[tuple[str, ...]]] = {}
         mine = []  # (pivot rule, what it derived that is not in the store)
         for rule in recursive:
             pivot = pivots.get(id(rule))
@@ -535,27 +513,19 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
 # ==============================================================================
 
 
-def _query_plan(store: FactStore, q: ConjunctiveQuery) -> list[tuple[int, float]] | None:
-    """The planned order of `q`, or None when a constant of `q` does not
-    occur in the store, so nothing can match."""
+def _query_plan(store: FactStore, q: ConjunctiveQuery) -> list[tuple[int, float]]:
+    """The planned order of `q`."""
     for a in q.body:
         if a.pred not in KNOWN_ARITY and a.pred not in store.relations:
             raise UnknownPredicate(a.pred)
-    order = _plan(q.body, store)
-    if any(isinstance(t, Entity) and t.iri not in store._sym_ids for a in q.body for t in a.args):
-        return None
-    return order
+    return _plan(q.body, store)
 
 
 def answer_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str, ...]]:
     """Distinct answer bindings, sorted lexicographically by IRI."""
-    order = _query_plan(store, q)
-    if order is None:
-        return []
-    out: set[tuple[int, ...]] = set()
-    _compile(q.answer_vars, q.body, [i for i, _ in order], store)(None, out)
-    answers = {tuple(store.symbol(s) for s in t) for t in out}
-    return sorted(answers)
+    out: set[tuple[str, ...]] = set()
+    _compile(q.answer_vars, q.body, [i for i, _ in _query_plan(store, q)], store)(None, out)
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -574,12 +544,9 @@ def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[Pla
     The estimate after a step is the product of the planner's per-binding
     estimates so far.  Actual rows are the distinct bindings of each prefix
     of the plan, compiled on its own with the variables bound so far as
-    its head, so answering itself keeps no counters.  Empty when a
-    constant of `q` does not occur in the store.
+    its head, so answering itself keeps no counters.
     """
     order = _query_plan(store, q)
-    if order is None:
-        return []
     report = []
     estimated = 1.0
     bound: dict[Var, None] = {}  # the variables of the prefix, in order of first occurrence
@@ -588,7 +555,7 @@ def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[Pla
         key = tuple(p for p, t in enumerate(a.args) if isinstance(t, Entity) or t in bound)
         bound.update(dict.fromkeys(t for t in a.args if isinstance(t, Var)))
         estimated *= cost
-        rows: set[tuple[int, ...]] = set()
+        rows: set[tuple[str, ...]] = set()
         _compile(tuple(bound), q.body, [i for i, _ in order[:n]], store)(None, rows)
         report.append(PlanStep(a, key, estimated, len(rows)))
     return report

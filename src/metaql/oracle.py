@@ -463,7 +463,6 @@ class OracleEvaluator:
 
         answer_names = [v.name for v in q.answer_vars]
         envs: set[tuple] = {()}  # frozen (name, value) items, sorted
-        seen_vars: set[str] = set()
         for idx, a in enumerate(ordered):
             rel = rels.get(a.pred, set())
             # Keep only the variables later atoms or the answer still need.
@@ -491,7 +490,6 @@ class OracleEvaluator:
             envs = new_envs
             if not envs:
                 break
-            seen_vars |= {t.name for t in a.args if isinstance(t, Var)}
 
         answers = set()
         for env_items in envs:

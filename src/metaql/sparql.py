@@ -55,6 +55,8 @@ class SparqlQuery:
     patterns: tuple[TriplePattern, ...]
 
 
+# A name may hold a `.` but neither starts nor ends with one (SPARQL's
+# PN_PREFIX and PN_LOCAL), so any other `.` ends a triple pattern.
 _Q_TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
@@ -63,9 +65,9 @@ _Q_TOKEN_RE = re.compile(
       | (?P<string>"(?:[^"\\]|\\.)*")
       | (?P<lbrace>\{)
       | (?P<rbrace>\})
-      | (?P<dot>\.(?=\s|\}|$))
+      | (?P<dot>\.)
       | (?P<punct>[()\[\];,/|^+*!=<>-]+)
-      | (?P<name>[^\s{}()\[\];,?$"<>#/|^*+=!]+)
+      | (?P<name>[^\s{}()\[\];,?$"<>#/|^*+=!]+(?<!\.))
     """,
     re.VERBOSE,
 )

@@ -71,12 +71,14 @@ def saturate(text: str, check_consistency: bool = False):
 
 
 def brute_force_answers(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str, ...]]:
-    """Nested-loop evaluation: try every substitution of store symbols for
-    the query variables.  Exponential and proud of it; keeps the check
-    independent of the engine's join machinery."""
-    symbols = [store.symbol(i) for i in range(len(store._symbols))]
-    variables = sorted({t.name for a in q.body for t in a.args if isinstance(t, Var)})
+    """Nested-loop evaluation: try every substitution of the model's
+    symbols for the query variables.  Exponential and proud of it; keeps
+    the check independent of the engine's join machinery.  The symbols are
+    those of the model's facts: one that occurs in no fact satisfies no
+    atom, so the answers are the same as over any larger domain."""
     facts = store.string_facts()
+    symbols = sorted({s for _, t in facts for s in t})
+    variables = sorted({t.name for a in q.body for t in a.args if isinstance(t, Var)})
     answers = set()
     for combo in itertools.product(symbols, repeat=len(variables)):
         env = dict(zip(variables, combo))

@@ -244,6 +244,20 @@ def test_query_explain_prints_plan_before_answers(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_query_explain_with_a_constant_absent_from_the_model(tmp_path, capsys):
+    src = tmp_path / "univ1.ofn"
+    src.write_text(university_ontology(1), encoding="utf-8")
+    q = f"PREFIX uni: <{UNI}>\nSELECT ?x WHERE {{ ?x a uni:GraduateStudent . ?x uni:memberOf uni:nowhere }}"
+    assert main(["query", str(src), "--query-string", q, "--explain"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [
+        "step\test_rows\trows\tkey\tatom",
+        f"1\t0.0\t0\t0,2\tinstr(<{UNI}memberOf>, ?x, <{UNI}nowhere>)",
+        f"2\t0.0\t0\t0,1\tinstc(<{UNI}GraduateStudent>, ?x)",
+    ]
+    assert len(out) == 4 and out[-1].startswith("answers=0")
+
+
 @pytest.mark.parametrize("command", ["translate", "rules", "extend", "dump-model", "bench"])
 def test_unwritable_output_path_exits_2(tmp_path, species_file, capsys, monkeypatch, command):
     # bench must report the output before it starts any run.

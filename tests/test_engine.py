@@ -59,11 +59,14 @@ def test_bulk_load_matches_loading_one_fact_at_a_time():
     bulk.assert_facts(facts)
     single = FactStore()
     for f in facts:
-        single.add_tuples(f.pred, [tuple(single.intern(a.iri) for a in f.args)])
-    assert [bulk.symbol(i) for i in range(len(bulk._symbols))] == [
-        single.symbol(i) for i in range(len(single._symbols))
-    ]
+        single.add_tuples(f.pred, [tuple(a.iri for a in f.args)])
     assert bulk.canonical_dump() == single.canonical_dump()
+
+
+def test_relations_hold_the_iri_strings():
+    store = FactStore()
+    store.assert_facts([atom("instc", E[0], E[1])])
+    assert store.relation("instc") == {(E[0].iri, E[1].iri)}
 
 
 def test_arity_mismatch_within_one_assert_facts_call():
@@ -112,7 +115,7 @@ def test_subclass_chain_of_fifty_closes_completely():
     # i < j pairs of a linear chain: n(n-1)/2, checked against the naive twin.
     assert len(derived) == n * (n - 1) // 2 == 1225
     assert {(p, t) for p, t in naive_evaluate(facts, builtin_rules()) if p == "isacCC"} == {
-        ("isacCC", tuple(store.symbol(s) for s in t)) for t in derived
+        ("isacCC", t) for t in derived
     }
 
 
@@ -623,9 +626,6 @@ def test_explain_rows_match_brute_force_per_prefix():
         for _ in range(2):
             q = random_query(rng, o, 5)
             report = explain_conjunctive_query(store, q)
-            if not report:  # a constant of q is not in the store
-                assert brute_force_answers(store, q) == []
-                continue
             atoms = [step.atom for step in report]
             assert sorted(atoms, key=str) == sorted(q.body, key=str)
             for n, step in enumerate(report, start=1):
@@ -634,6 +634,37 @@ def test_explain_rows_match_brute_force_per_prefix():
                 assert step.actual == len(brute_force_answers(store, prefix))
                 checked += 1
     assert checked > 50
+
+
+def test_a_constant_absent_from_the_model_matches_nothing():
+    from metaql import parse_query, to_conjunctive_query
+    from metaql.synthetic import UNI, university_ontology
+
+    _, store, _ = saturate(university_ontology(1))
+    q = to_conjunctive_query(
+        parse_query(f"PREFIX uni: <{UNI}>\nSELECT ?x WHERE {{ ?x a uni:GraduateStudent . ?x uni:memberOf uni:nowhere }}")
+    )
+    assert store_answers(store, q) == brute_force_answers(store, q) == []
+    report = explain_conjunctive_query(store, q)
+    assert [step.atom for step in report] == [q.body[1], q.body[0]]
+    assert [step.actual for step in report] == [0, 0]
+
+
+def test_answering_leaves_the_store_unchanged():
+    # The benchmark's queries over the professor-type extension.
+    from metaql import normalize_ontology, parse_ontology, parse_query, to_conjunctive_query
+    from metaql import synthetic as S
+
+    store = FactStore()
+    for text in (S.university_ontology(1), S.professor_type_extension()):
+        store.assert_facts(translate_ontology(normalize_ontology(parse_ontology(text))).facts)
+    evaluate_fixpoint(store, builtin_rules())
+    before = {pred: set(rel) for pred, rel in store.relations.items()}
+    queries = S.standard_queries() + S.simple_meta_queries() + S.special_meta_queries()
+    assert len(queries) == 20
+    for _, text in queries:
+        store_answers(store, to_conjunctive_query(parse_query(text)))
+    assert store.relations == before
 
 
 def test_fully_bound_steps_build_no_index():

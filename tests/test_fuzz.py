@@ -121,6 +121,38 @@ def test_patterns_from_token_sequences(text):
     _query_ok_or_error(text)
 
 
+# No subject is a prefixed name: SPARQL reads `ex:C.ex:D` as one name.
+DOTTED_SUBJECTS = ("?x", "?y", "<http://x#c>")
+DOTTED_PREDICATES = ("a", "?p", "ex:p", "ex:p.q", "<http://x#p>")
+DOTTED_OBJECTS = DOTTED_SUBJECTS + ("ex:C", "ex:a.b")
+DOTS = (".", " .", ". ", " . ", ".# c\n", "\n.\n")
+
+
+@st.composite
+def _dotted_patterns(draw):
+    """Triple patterns, each with the text that follows it: a `.` with or
+    without spaces or a comment around it, or, after the last, nothing."""
+    pattern = st.tuples(*map(st.sampled_from, (DOTTED_SUBJECTS, DOTTED_PREDICATES, DOTTED_OBJECTS)))
+    patterns = draw(st.lists(pattern, min_size=1, max_size=4))
+    seps = [draw(st.sampled_from(DOTS)) for _ in patterns[1:]] + [draw(st.sampled_from(("", " ") + DOTS))]
+    return list(zip(patterns, seps))
+
+
+@fuzz
+@given(_dotted_patterns())
+@example([(("?x", "a", "ex:C"), ".")])
+@example([(("?x", "a", "ex:C"), ". ")])
+@example([(("?x", "a", "ex:C"), ". "), (("?x", "ex:p", "ex:C"), " ")])
+@example([(("?x", "a", "ex:C"), " .# comment\n")])
+def test_a_dot_ends_a_pattern_with_or_without_spaces(parts):
+    # A `.` that is not inside a name separates patterns, so the text
+    # parses as the same patterns written with ` . ` between them.
+    prefix = "PREFIX ex: <http://x#>\nSELECT * WHERE { "
+    tight = prefix + "".join(" ".join(p) + sep for p, sep in parts) + "}"
+    spaced = prefix + " . ".join(" ".join(p) for p, _ in parts) + " }"
+    assert parse_query(tight) == parse_query(spaced)
+
+
 class _RunStarted(Exception):
     pass
 

@@ -12,7 +12,8 @@ from metaql import (
     to_conjunctive_query,
 )
 from metaql.errors import OwlSyntaxError, UnknownPrefix, UnsafeQuery, UnsupportedFeature
-from metaql.sparql import TriplePattern
+from metaql.sparql import RDF_TYPE, TriplePattern
+from metaql.synthetic import UNI, university_ontology
 
 PFX = f"PREFIX : <{SPECIES}>\n"
 
@@ -151,6 +152,36 @@ def test_end_to_end_zoo_answer():
         PFX + "SELECT ?z WHERE { ?y a :EndangeredSpecies . ?z a ?y . ?z :Lives_in :CPZ }"
     )
     assert answer_conjunctive_query(store, to_conjunctive_query(q)) == [(SPECIES + "Harry",)]
+
+
+# A `.` after a name ends the triple pattern, with or without a space:
+# each form answers like its spaced twin.
+@pytest.mark.parametrize(
+    "where, spaced",
+    [
+        ("{ ?x a uni:GraduateStudent.}", "{ ?x a uni:GraduateStudent . }"),
+        ("{ ?x a uni:GraduateStudent. }", "{ ?x a uni:GraduateStudent . }"),
+        (
+            "{ ?x a uni:GraduateStudent. ?x uni:memberOf uni:dept0_0 }",
+            "{ ?x a uni:GraduateStudent . ?x uni:memberOf uni:dept0_0 }",
+        ),
+        ("{ ?x a uni:GraduateStudent .# comment\n}", "{ ?x a uni:GraduateStudent . }"),
+    ],
+)
+def test_a_dot_after_a_name_ends_the_pattern(where, spaced):
+    _, store, _ = saturate(university_ontology(1))
+
+    def answers(w):
+        q = parse_query(f"PREFIX uni: <{UNI}>\nSELECT ?x WHERE {w}")
+        return answer_conjunctive_query(store, to_conjunctive_query(q))
+
+    assert len(answers(spaced)) == 6
+    assert answers(where) == answers(spaced)
+
+
+def test_a_name_keeps_a_dot_inside_it():
+    q = parse_query("PREFIX ex: <http://ex/>\nSELECT ?x WHERE { ?x a ex:a.b.c. }")
+    assert q.patterns == (TriplePattern(Var("x"), Entity(RDF_TYPE), Entity("http://ex/a.b.c")),)
 
 
 # One malformed input per place the query parser raises: the exception
