@@ -26,10 +26,14 @@ rejected explicitly rather than guessed at.
 Both this parser and the query parser in `sparql.py` read their input
 through one `Cursor`: a single `finditer` pass splits the text into
 `(kind, text, offset)` tuples, and line and column are worked out from an
-offset only when a syntax error is raised.  Axioms are read from two
-tables, `_NARY` for the keywords with two or more operands of one kind and
-`_FIXED` for those with a fixed list of operands; `_parse_axiom` reads the
-parentheses and operands for all of them in one place.  Each parse
+offset only when a syntax error is raised.  A `flat` token is a whole
+ClassAssertion, SubClassOf or ObjectPropertyAssertion over IRIs and
+prefixed names, nearly every axiom of a large ontology; other axioms are
+read from two tables, `_NARY` for the keywords with two or more operands
+of one kind and `_FIXED` for those with a fixed list of operands;
+`_parse_axiom` reads the parentheses and operands for all of them in one
+place.  Every error comes from the token-by-token parse: a text whose
+parse with `flat` tokens fails is parsed again without them.  Each parse
 resolves every distinct IRI text once, through its own `_Entities` dict.
 """
 
@@ -39,7 +43,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import OwlSyntaxError, UnsupportedAxiom
+from .errors import MetaqlError, OwlSyntaxError, UnsupportedAxiom
 from .model import (
     OWL_NS,
     RDF_NS,
@@ -90,8 +94,7 @@ class Ontology:
 # Tokenizer: the cursor shared by the ontology and the query parser
 # ==============================================================================
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+_TOKENS = r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
       | (?P<iriref><[^<>\s]*>)
       | (?P<string>"(?:[^"\\]|\\.)*")
@@ -101,9 +104,17 @@ _TOKEN_RE = re.compile(
       | (?P<caret>\^\^)
       | (?P<langtag>@[A-Za-z][A-Za-z0-9-]*)
       | (?P<name>[^\s()<>"=^@#]+)
-    """,
+    """
+# A `flat` operand is an IRI or a name holding a `:`, so never a keyword;
+# an axiom `flat` does not match falls through to the other kinds.
+_OPERAND = r"""(?:<[^<>\s]*> | [^\s()<>"=^@\#:]*:[^\s()<>"=^@\#]*)"""
+_TOKEN_RE = re.compile(
+    rf"""(?P<flat>(?:ClassAssertion|SubClassOf)\s*\(\s*{_OPERAND}\s+{_OPERAND}\s*\)
+          | ObjectPropertyAssertion\s*\(\s*{_OPERAND}\s+{_OPERAND}\s+{_OPERAND}\s*\))
+      | {_TOKENS}""",
     re.VERBOSE,
 )
+_PLAIN_TOKEN_RE = re.compile(_TOKENS, re.VERBOSE)
 
 # A token is a (kind, text, offset) tuple: the name of the pattern group it
 # matched, its text, and where it starts in the input.
@@ -114,10 +125,11 @@ class Cursor:
     """The tokens of one input text and a position in them; the lexer and
     token reader of both the ontology and the query parser.
 
-    `pattern`'s named groups are the token kinds; `ws` and `comment`
-    tokens are dropped.  `name` says what the text is in the message for
-    running out of tokens.  Line and column are worked out from a token's
-    offset only when an error is raised.
+    `pattern`'s named groups are the token kinds (`_TOKEN_RE`'s, `flat`
+    first, or `sparql._Q_TOKEN_RE`'s); `ws` and `comment` tokens are
+    dropped.  `name` says what the text is in the message for running out
+    of tokens.  Every syntax error either parser raises comes from
+    `error`, which works out line and column from a token's offset.
     """
 
     def __init__(self, pattern: re.Pattern, text: str, name: str):
@@ -203,7 +215,15 @@ _DISCARDED = {"Declaration", "AnnotationAssertion", "Annotation"}
 
 
 def parse_ontology(text: str) -> Ontology:
-    cur = Cursor(_TOKEN_RE, text, "input")
+    try:
+        return _parse(Cursor(_TOKEN_RE, text, "input"))
+    except MetaqlError:
+        # A `flat` token anywhere but at the start of an axiom changes the
+        # error, so every error comes from the token-by-token parse.
+        return _parse(Cursor(_PLAIN_TOKEN_RE, text, "input"))
+
+
+def _parse(cur: Cursor) -> Ontology:
     prefixes = dict(DEFAULT_PREFIXES)
 
     while cur.at("name", "Prefix"):
@@ -232,7 +252,7 @@ def parse_ontology(text: str) -> Ontology:
         tok = cur.peek()
         if tok is None:
             raise cur.error("unterminated Ontology(...)", head)
-        if tok[0] != "name":
+        if tok[0] != "name" and tok[0] != "flat":
             raise cur.error(f"expected an axiom, found {tok[1]!r}", tok)
         for ax in _parse_axiom(cur, entities):
             (tbox if isinstance(ax, TBOX_KINDS) else abox).add(ax)
@@ -362,9 +382,20 @@ _FIXED = {
 }
 
 
+# The axiom of a `flat` token, from its operands' entities in order.
+_FLAT = {
+    "ClassAssertion": ClassAssertion,
+    "SubClassOf": lambda sub, sup: ClassInclusion(Atomic(sub), Atomic(sup)),
+    "ObjectPropertyAssertion": PropAssertion,
+}
+
+
 def _parse_axiom(cur: Cursor, entities: _Entities) -> list[Axiom]:
     kw_tok = cur.next()
     kw = kw_tok[1]
+    if kw_tok[0] == "flat":
+        keyword, _, operands = kw.partition("(")
+        return [_FLAT[keyword.rstrip()](*[entities[op] for op in operands[:-1].split()])]
 
     if kw in _DISCARDED:
         cur.expect("lparen")

@@ -11,6 +11,7 @@ from metaql import (
     ConjunctiveQuery,
     Entity,
     FactStore,
+    Ontology,
     PropExpr,
     Rule,
     RuleCatalogue,
@@ -23,6 +24,7 @@ from metaql import (
     parse_ontology,
     translate_ontology,
 )
+from metaql import owl
 
 SPECIES = "http://ex/species#"
 
@@ -58,6 +60,12 @@ Ontology(
   ObjectPropertyAssertion(:Lives_in :Dumbo :CPZ)
 )
 """
+
+
+def parse_token_by_token(text: str) -> Ontology:
+    """`parse_ontology` without the `flat` token kind: every axiom read
+    token by token.  The reference the flat token is checked against."""
+    return owl._parse(owl.Cursor(owl._PLAIN_TOKEN_RE, text, "input"))
 
 
 def saturate(text: str, check_consistency: bool = False):

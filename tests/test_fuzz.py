@@ -1,5 +1,6 @@
 """Input-boundary properties: any text, however malformed, either parses
-or raises a `MetaqlError`; nothing else escapes the parsers.  Bench's
+or raises a `MetaqlError`; nothing else escapes the parsers.  The ontology
+parser's `flat` tokens change no value and no error.  Bench's
 `--timeout` and `--repeat` either validate or are usage errors, and the
 `query` command ends every input in exit 0, 1 or 2."""
 
@@ -12,7 +13,7 @@ from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from helpers import EXAMPLE_SPECIES
+from helpers import EXAMPLE_SPECIES, parse_token_by_token
 from metaql import MetaqlError, normalize_ontology, parse_ontology, parse_query, to_conjunctive_query
 from metaql import cli
 from metaql.cli import main
@@ -27,6 +28,7 @@ OWL_TOKENS = (
     "ReflexiveObjectProperty", "IrreflexiveObjectProperty", "DifferentIndividuals",
     "Declaration", "Class", "Annotation", "ObjectUnionOf", "Import", '"lit"', '"x\\"', "^^",
     "@en", "xsd:string", "# note\n", "\n", " ", "\x00",
+    "ClassAssertion(ex:C :A)", "SubClassOf(:A <http://x#a>)", "ObjectPropertyAssertion(:p :A <http://x#a>)",
 )
 
 SPARQL_TOKENS = (
@@ -95,6 +97,82 @@ def test_ontology_from_token_sequences(text):
 @example("Ontology(EquivalentObjectProperties ( <http://x#a> ))")
 def test_axioms_from_token_sequences(text):
     _ontology_ok_or_error(text)
+
+
+# Operands that resolve, and (in messy texts) some that do not.
+FLAT_OPERANDS = (":A", ":p", "ex:C", "ex:", ":", "owl:Thing", "<http://x#a>", "<http://x#(b)>")
+BAD_OPERANDS = ("nope:x", "<>", "ObjectInverseOf", "ObjectUnionOf", "Class")
+# Spacing between the parts of an axiom: none (so `<a><b>` and `ex:C:A`
+# occur), Unicode spaces, and a comment.
+FLAT_GAPS = ("", " ", "  ", "\n\t", "\u00a0", "\x1c", " # c\n")
+FLAT_ARITY = {"ClassAssertion": 2, "SubClassOf": 2, "ObjectPropertyAssertion": 3}
+NON_FLAT_AXIOMS = (
+    "SubClassOf(ObjectSomeValuesFrom(:p owl:Thing) ex:C)", "SubClassOf(:A ObjectSomeValuesFrom(ObjectInverseOf(:p) :B))",
+    "ObjectPropertyAssertion(ObjectInverseOf(:p) :a :b)", "EquivalentClasses(:A :B)", "DisjointClasses(:A :B :C)",
+    "Declaration(Class(:A))", "AnnotationAssertion(:x :a \"s\"@en)",
+)
+BAD_AXIOMS = (
+    "ClassAssertion(ObjectSomeValuesFrom(:p :A) :a)", "ClassAssertion(ObjectUnionOf(:A :B) :a)",
+    "Declaration(ClassAssertion(ex:C :a)",
+)
+ONTOLOGY_FRAMES = ("Ontology({})", "Ontology(<http://x#o>\n{}\n)")
+BAD_FRAMES = ("Ontology({}", "{}", "Ontology() {}", "Ontology({}) {}")
+# Places where an axiom is not expected, to hold a flat axiom in messy texts.
+NESTINGS = ("EquivalentClasses(:A {})", "ClassAssertion({} :a)", "Declaration({})", "Declaration({}", "Prefix({})")
+
+
+@st.composite
+def _flat_axioms(draw, messy):
+    """ClassAssertion, SubClassOf and ObjectPropertyAssertion, spaced in any
+    way; in messy texts with any operands, one to four of them."""
+    keyword = draw(st.sampled_from(sorted(FLAT_ARITY)))
+    arity = draw(st.sampled_from((FLAT_ARITY[keyword], 1, 2, 3, 4))) if messy else FLAT_ARITY[keyword]
+    operand = st.sampled_from(FLAT_OPERANDS + BAD_OPERANDS if messy else FLAT_OPERANDS)
+    gap = st.sampled_from(FLAT_GAPS)
+    text = keyword + draw(gap) + "(" + draw(gap)
+    for _ in range(arity - 1):
+        text += draw(operand) + draw(gap if messy else st.sampled_from(FLAT_GAPS[1:]))
+    return text + draw(operand) + draw(gap) + ")"
+
+
+@st.composite
+def _ontologies_with_flat_axioms(draw):
+    """Flat axioms mixed with other axioms in an Ontology(...); messy texts
+    add stray tokens, bad operands and axioms, flat axioms where no axiom
+    may start, and broken frames."""
+    messy = draw(st.booleans())
+    flat = _flat_axioms(messy)
+    others = st.sampled_from(NON_FLAT_AXIOMS + BAD_AXIOMS if messy else NON_FLAT_AXIOMS)
+    if messy:
+        nested = st.tuples(st.sampled_from(NESTINGS), flat).map(lambda t: t[0].replace("{}", t[1]))
+        piece = st.one_of(flat, nested, others, st.sampled_from(OWL_TOKENS))
+    else:
+        piece = st.one_of(flat, flat, others)
+    body = "".join(draw(st.sampled_from(FLAT_GAPS[1:])) + p for p in draw(st.lists(piece, max_size=6)))
+    frame = draw(st.sampled_from(ONTOLOGY_FRAMES + BAD_FRAMES if messy else ONTOLOGY_FRAMES))
+    return "Prefix(ex:=<http://x#>)\nPrefix(:=<http://d#>)\n" + frame.replace("{}", body)
+
+
+def _parse_outcome(parse, text):
+    try:
+        o = parse(text)
+    except MetaqlError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return o.tbox, o.abox, o.prefixes
+
+
+_EX = "Prefix(ex:=<http://e#>)\n"
+
+
+@fuzz
+@given(_ontologies_with_flat_axioms())
+@example(_EX + "ClassAssertion(ex:C ex:a)")
+@example(_EX + "Ontology(ClassAssertion(ex:C ex:a)) SubClassOf(ex:A ex:B)")
+@example(_EX + "Ontology(EquivalentClasses(ex:A SubClassOf(ex:B ex:C)))")
+@example(_EX + "Ontology(Declaration(ClassAssertion(ex:C ex:a)")
+def test_flat_tokens_parse_as_token_by_token(text):
+    # The same value, or the same error at the same place.
+    assert _parse_outcome(parse_ontology, text) == _parse_outcome(parse_token_by_token, text)
 
 
 @fuzz

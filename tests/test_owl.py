@@ -1,9 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from gens import random_ontology
-from helpers import EXAMPLE_SPECIES, SPECIES
+from helpers import EXAMPLE_SPECIES, SPECIES, parse_token_by_token
 from metaql import (
     Atomic,
     ClassAssertion,
@@ -292,6 +293,17 @@ def test_serialize_parse_round_trip_random():
         o = random_ontology(rng)
         again = parse_ontology(serialize_ontology(o))
         assert again.tbox == o.tbox and again.abox == o.abox
+
+
+@pytest.mark.parametrize("workload", ["univ10k", "meta_taxo"])
+def test_benchmark_workloads_parse_as_token_by_token(workload, monkeypatch):
+    # Nearly every axiom of both workloads is read as one `flat` token.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    text = workloads.WORKLOADS[workload](1).ontology
+    o, reference = parse_ontology(text), parse_token_by_token(text)
+    assert (o.tbox, o.abox, o.prefixes) == (reference.tbox, reference.abox, reference.prefixes)
 
 
 _P = "Prefix(:=<http://ex/>)\n"

@@ -224,6 +224,18 @@ def test_a_name_keeps_a_dot_inside_it():
         ("SELECT ?x WHERE { ?x a <http://ex/C> }\n  LIMIT 3", UnsupportedFeature, "solution modifiers", None),
         ("SELECT ?x WHERE\n  { }", OwlSyntaxError, "WHERE block must contain at least one triple pattern", (2, 3)),
         ("SELECT ?x WHERE { ?x a nope:C }", UnknownPrefix, "undeclared prefix 'nope'", None),
+        (
+            "PREFIX ex: <http://ex/>\nSELECT ?x WHERE {\n  ?x a ex:.b }",
+            OwlSyntaxError,
+            "a prefix may not end and a local name may not start with '.': 'ex:.b'",
+            (3, 8),
+        ),
+        (
+            "PREFIX ex.: <http://ex/>\nSELECT ?x WHERE { ?x a ex.:b }",
+            OwlSyntaxError,
+            "a prefix may not end and a local name may not start with '.': 'ex.:'",
+            (1, 8),
+        ),
     ],
 )
 def test_every_parser_error_site_reports_its_message_and_position(text, error, message, position):
