@@ -47,7 +47,8 @@ class _Usage(Exception):
 def _read_text(path: str) -> str:
     p = Path(path)
     try:
-        return p.read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which no grammar allows.
+        return p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
@@ -116,7 +117,7 @@ def _run_query_pipeline(args):
     ontology = normalize_ontology(parse_ontology(_read_text(args.ontology)))
     t1 = time.perf_counter()
     cq = to_conjunctive_query(parse_query(_load_query_text(args)))
-    facts = translate_ontology(ontology)
+    facts = translate_ontology(ontology) if args.backend == "query" else None
     t2 = time.perf_counter()
 
     extras = {}

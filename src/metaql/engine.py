@@ -66,9 +66,11 @@ from .model import (
     Atom,
     ConjunctiveQuery,
     Entity,
+    Fact,
     KNOWN_ARITY,
     Rule,
     Var,
+    facts_to_dl,
 )
 from .rules import RuleCatalogue
 
@@ -128,16 +130,13 @@ class FactStore:
                     index.setdefault(key(t), []).append(t)
         return added
 
-    def assert_facts(self, facts: Iterable[Atom]) -> int:
-        """Insert ground atoms; duplicates are ignored.  Returns the number
-        of new tuples.  Each fact becomes the tuple of its arguments' IRIs,
-        and each predicate's tuples are added in one `add_tuples` call."""
+    def assert_facts(self, facts: Iterable[Fact]) -> int:
+        """Insert (predicate, IRI tuple) facts; duplicates are ignored.
+        Returns the number of new tuples.  Each predicate's tuples are
+        added in one `add_tuples` call."""
         by_pred: dict[str, list[tuple[str, ...]]] = {}
-        for f in facts:
-            if not f.is_ground():
-                raise ValueError(f"fact is not ground: {f}")
-            t = tuple(a.iri for a in f.args)  # type: ignore[union-attr]
-            by_pred.setdefault(f.pred, []).append(t)
+        for pred, iris in facts:
+            by_pred.setdefault(pred, []).append(iris)
         return sum(self.add_tuples(pred, tuples) for pred, tuples in by_pred.items())
 
     def relation(self, pred: str) -> set[tuple[str, ...]]:
@@ -158,14 +157,10 @@ class FactStore:
 
     def canonical_dump(self) -> str:
         """Sorted fact lines; byte-identical for equal models."""
-        lines = []
-        for pred, row in sorted(self.string_facts()):
-            args = ", ".join(f'"{s}"' for s in row)
-            lines.append(f"{pred}({args}).\n")
-        return "".join(lines)
+        return facts_to_dl(self.string_facts())
 
-    def string_facts(self) -> set[tuple[str, tuple[str, ...]]]:
-        """The model as string-level atoms, for oracle comparisons."""
+    def string_facts(self) -> set[Fact]:
+        """The model as (predicate, IRI tuple) facts."""
         return {(pred, t) for pred, rel in self.relations.items() for t in rel}
 
 
@@ -432,7 +427,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
 
     for rule in rules:
         if not rule.body:
-            store.assert_facts([rule.head])
+            store.add_tuples(rule.head.pred, [tuple(t.iri for t in rule.head.args)])
     read = {a.pred for rule in rules for a in rule.body}
     # pred -> generating edges of each relation kept transitively closed
     closed: dict[str, dict[str, list[str]]] = {rule.head.pred: {} for rule in rules if _transitive(rule)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import ArityMismatch, InvalidIri, UnknownPrefix, UnsafeQuery, UnsafeRule
 
@@ -305,9 +305,17 @@ class Var:
         return self.name
 
 
-# An entity is a constant term: facts and rules carry the ontology's own
-# `Entity` objects.
+# An entity is a constant term of a rule or query.  Facts are no atoms:
+# each is a (predicate, IRI tuple) pair, as the store holds it.
 Term = Union[Entity, Var]
+Fact = tuple[str, tuple[str, ...]]
+_quoted = '"{}"'.format
+
+
+def facts_to_dl(facts: Iterable[Fact]) -> str:
+    """One `pred("iri", ...).` line per fact, sorted by predicate and then
+    IRIs: byte-identical for equal sets of facts."""
+    return "".join(f"{pred}({', '.join(map(_quoted, iris))}).\n" for pred, iris in sorted(facts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,9 +329,6 @@ class Atom:
             raise ArityMismatch(
                 f"{self.pred} expects {expected} argument(s), got {len(self.args)}"
             )
-
-    def is_ground(self) -> bool:
-        return all(isinstance(t, Entity) for t in self.args)
 
     def variables(self) -> set[Var]:
         return {t for t in self.args if isinstance(t, Var)}

@@ -105,9 +105,9 @@ _TOKENS = r"""(?P<ws>\s+)
       | (?P<langtag>@[A-Za-z][A-Za-z0-9-]*)
       | (?P<name>[^\s()<>"=^@#]+)
     """
-# A `flat` operand is an IRI or a name holding a `:`, so never a keyword;
-# an axiom `flat` does not match falls through to the other kinds.
-_OPERAND = r"""(?:<[^<>\s]*> | [^\s()<>"=^@\#:]*:[^\s()<>"=^@\#]*)"""
+# A `flat` operand is an IRI or a name holding a `:` whose dots `check_dots`
+# accepts, so never a keyword; an axiom `flat` does not match falls through.
+_OPERAND = r"""(?:<[^<>\s]*> | [^\s()<>"=^@\#:]*(?<!\.):(?!\.)[^\s()<>"=^@\#]*(?<!\.))"""
 _TOKEN_RE = re.compile(
     rf"""(?P<flat>(?:ClassAssertion|SubClassOf)\s*\(\s*{_OPERAND}\s+{_OPERAND}\s*\)
           | ObjectPropertyAssertion\s*\(\s*{_OPERAND}\s+{_OPERAND}\s+{_OPERAND}\s*\))
@@ -178,6 +178,13 @@ class Cursor:
         return tok
 
 
+def check_dots(cur: Cursor, tok: Tok):
+    """Reject a prefixed name that SPARQL's PN_PREFIX and PN_LOCAL reject for a `.`."""
+    prefix, sep, local = tok[1].partition(":")
+    if sep and (prefix.endswith(".") or local.startswith(".") or local.endswith(".")):
+        raise cur.error(f"a prefix may not end, nor a local name start or end, with '.': {tok[1]!r}", tok)
+
+
 # ==============================================================================
 # Parsing proper
 # ==============================================================================
@@ -232,6 +239,7 @@ def _parse(cur: Cursor) -> Ontology:
         name = cur.expect("name")
         if not name[1].endswith(":"):
             raise cur.error("prefix name must end in ':'", name)
+        check_dots(cur, name)
         cur.expect("equals")
         iri = cur.expect("iriref")
         cur.expect("rparen")
@@ -280,7 +288,9 @@ class _Entities(dict):
 
 def _entity(cur: Cursor, entities: _Entities) -> Entity:
     tok = cur.next()
-    if tok[0] != "name" and tok[0] != "iriref":
+    if tok[0] == "name":
+        check_dots(cur, tok)
+    elif tok[0] != "iriref":
         raise cur.error(f"expected an IRI, found {tok[1]!r}", tok)
     return entities[tok[1]]
 

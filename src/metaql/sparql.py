@@ -25,7 +25,7 @@ from .model import (
     Var,
     intern,
 )
-from .owl import DEFAULT_PREFIXES, Cursor, Tok
+from .owl import DEFAULT_PREFIXES, Cursor, Tok, check_dots
 
 RDF_TYPE = RDF_NS + "type"
 
@@ -56,7 +56,7 @@ class SparqlQuery:
 
 
 # A name may hold a `.` but neither starts nor ends with one, nor has one
-# next to its `:` (SPARQL's PN_PREFIX and PN_LOCAL; see `_check_dots`).
+# next to its `:` (SPARQL's PN_PREFIX and PN_LOCAL; see `owl.check_dots`).
 _Q_TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
@@ -112,12 +112,6 @@ def _check_unsupported(tok: Tok):
         raise UnsupportedFeature("blank nodes")
 
 
-def _check_dots(cur: Cursor, tok: Tok):
-    prefix, _, local = tok[1].partition(":")
-    if prefix.endswith(".") or local.startswith("."):
-        raise cur.error(f"a prefix may not end and a local name may not start with '.': {tok[1]!r}", tok)
-
-
 def _term(cur: Cursor, prefixes, position: str) -> Term:
     tok = cur.next()
     _check_unsupported(tok)
@@ -133,7 +127,7 @@ def _term(cur: Cursor, prefixes, position: str) -> Term:
             if position != "predicate":
                 raise cur.error("'a' is only valid in predicate position", tok)
             return intern("<" + RDF_TYPE + ">", prefixes)
-        _check_dots(cur, tok)
+        check_dots(cur, tok)
         return intern(text, prefixes)
     raise cur.error(f"expected a term, found {text!r}", tok)
 
@@ -147,7 +141,7 @@ def parse_query(text: str) -> SparqlQuery:
         name = cur.next()
         if name[0] != "name" or not name[1].endswith(":"):
             raise cur.error("expected prefix name ending in ':'", name)
-        _check_dots(cur, name)
+        check_dots(cur, name)
         iri = cur.expect("iriref", "expected <iri> after prefix name")
         prefixes[name[1][:-1]] = iri[1][1:-1]
 

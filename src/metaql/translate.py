@@ -1,11 +1,11 @@
 """Axiom-to-fact translation.
 
-Every axiom maps to exactly one ground fact over the fixed
-signature.  Inclusion predicates are keyed on the shapes of the two
-sides: C for a named class, R for a domain-side existential, I for a
-range-side one; qualified right-hand existentials carry their filler as
-the last argument, with the unqualified case represented by a top-class
-filler.
+Every axiom maps to exactly one ground fact over the fixed signature,
+a (predicate, IRI tuple) pair as the store holds it.  Inclusion
+predicates are keyed on the shapes of the two sides: C for a named
+class, R for a domain-side existential, I for a range-side one;
+qualified right-hand existentials carry their filler as the last
+argument, with the unqualified case represented by a top-class filler.
 """
 
 from __future__ import annotations
@@ -14,59 +14,60 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .model import (
-    Atom,
     Atomic,
     Axiom,
     ClassAssertion,
     ClassDisjoint,
     ClassInclusion,
     DifferentIndividuals,
+    Fact,
     Irreflexive,
     PropAssertion,
     PropDisjoint,
     PropInclusion,
     Reflexive,
     basic_kind,
+    facts_to_dl,
 )
 from .owl import Ontology
 
 
-def tau(ax: Axiom) -> Atom:
-    """Translate one axiom to its fact, whose arguments are the axiom's own
-    entities.  The constructors in `model` store every axiom in the
-    orientation its predicate needs."""
+def tau(ax: Axiom) -> Fact:
+    """Translate one axiom to its fact, the pair of a predicate and the
+    IRIs of the axiom's entities.  The constructors in `model` store every
+    axiom in the orientation its predicate needs."""
     if isinstance(ax, ClassInclusion):
         lk, lname = basic_kind(ax.sub)
         sup = ax.sup
         if isinstance(sup, Atomic):
-            return Atom(f"isac{lk}C", (lname, sup.cls))
+            return f"isac{lk}C", (lname.iri, sup.cls.iri)
         rk = "I" if sup.prop.inverse else "R"
-        return Atom(f"isac{lk}{rk}", (lname, sup.prop.prop, sup.filler))
+        return f"isac{lk}{rk}", (lname.iri, sup.prop.prop.iri, sup.filler.iri)
 
     if isinstance(ax, PropInclusion):
         pred = "isarRI" if ax.sup.inverse else "isarRR"
-        return Atom(pred, (ax.sub.prop, ax.sup.prop))
+        return pred, (ax.sub.prop.iri, ax.sup.prop.iri)
 
     if isinstance(ax, ClassDisjoint):
         lk, lname = basic_kind(ax.left)
         rk, rname = basic_kind(ax.right)
-        return Atom(f"disjc{lk}{rk}", (lname, rname))
+        return f"disjc{lk}{rk}", (lname.iri, rname.iri)
 
     if isinstance(ax, PropDisjoint):
         pred = "disjrRI" if ax.right.inverse else "disjrRR"
-        return Atom(pred, (ax.left.prop, ax.right.prop))
+        return pred, (ax.left.prop.iri, ax.right.prop.iri)
 
     if isinstance(ax, Reflexive):
-        return Atom("refl", (ax.prop,))
+        return "refl", (ax.prop.iri,)
     if isinstance(ax, Irreflexive):
-        return Atom("irrefl", (ax.prop,))
+        return "irrefl", (ax.prop.iri,)
 
     if isinstance(ax, ClassAssertion):
-        return Atom("instc", (ax.cls, ax.individual))
+        return "instc", (ax.cls.iri, ax.individual.iri)
     if isinstance(ax, PropAssertion):
-        return Atom("instr", (ax.prop, ax.subject, ax.object))
+        return "instr", (ax.prop.iri, ax.subject.iri, ax.object.iri)
     if isinstance(ax, DifferentIndividuals):
-        return Atom("diff", (ax.a, ax.b))
+        return "diff", (ax.a.iri, ax.b.iri)
 
     raise TypeError(f"unknown axiom {ax!r}")
 
@@ -76,21 +77,14 @@ def tau(ax: Axiom) -> Atom:
 # ==============================================================================
 
 
-def _sort_key(a: Atom):
-    return (a.pred, tuple(t.iri for t in a.args))  # type: ignore[union-attr]
-
-
 @dataclass(frozen=True)
 class FactBase:
-    """Translated ontology: one ground fact per axiom."""
+    """Translated ontology: one (predicate, IRI tuple) fact per axiom."""
 
-    facts: frozenset[Atom]
-
-    def sorted_facts(self) -> list[Atom]:
-        return sorted(self.facts, key=_sort_key)
+    facts: frozenset[Fact]
 
     def to_dl(self) -> str:
-        return "".join(f"{a.to_dl()}.\n" for a in self.sorted_facts())
+        return facts_to_dl(self.facts)
 
     def __len__(self) -> int:
         return len(self.facts)

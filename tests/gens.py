@@ -181,13 +181,13 @@ PROG_CONSTS = [Entity(f"{NS}k{i}") for i in range(6)]
 
 
 def random_program(rng: random.Random, max_rules: int = 8, max_facts: int = 25):
-    """(facts, rules) over predicates q0..q4 of arity 1..3; rules are safe
-    by construction."""
+    """(facts, rules) over predicates q0..q4 of arity 1..3, the facts as
+    (predicate, IRI tuple) pairs; rules are safe by construction."""
     preds = [(f"q{i}", rng.randint(1, 3)) for i in range(5)]
     facts = []
     for _ in range(rng.randint(1, max_facts)):
         pred, arity = rng.choice(preds)
-        facts.append(Atom(pred, tuple(rng.choice(PROG_CONSTS) for _ in range(arity))))
+        facts.append((pred, tuple(rng.choice(PROG_CONSTS).iri for _ in range(arity))))
 
     var_pool = [Var(f"X{i}") for i in range(4)]
     rules = []

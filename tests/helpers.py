@@ -62,6 +62,12 @@ Ontology(
 """
 
 
+def fact(pred: str, *args: Entity) -> tuple[str, tuple[str, ...]]:
+    """The fact `pred` over the IRIs of `args`, as `tau` and the store
+    spell it."""
+    return pred, tuple(e.iri for e in args)
+
+
 def parse_token_by_token(text: str) -> Ontology:
     """`parse_ontology` without the `flat` token kind: every axiom read
     token by token.  The reference the flat token is checked against."""
@@ -104,18 +110,16 @@ def brute_force_answers(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str
 
 
 def naive_evaluate(
-    facts: Iterable[Atom], rules: RuleCatalogue | Sequence[Rule]
+    facts: Iterable[tuple[str, tuple[str, ...]]], rules: RuleCatalogue | Sequence[Rule]
 ) -> set[tuple[str, tuple[str, ...]]]:
-    """Minimal model by naive iteration over string-level atoms.
+    """Minimal model by naive iteration over (predicate, IRI tuple) facts.
 
     Re-evaluates every rule against the whole model each round; no
     deltas, no indexes, no interning.  Only suitable for small inputs.
     The reference the differential tests hold `evaluate_fixpoint` to.
     """
     rule_list = rules.rules if isinstance(rules, RuleCatalogue) else list(rules)
-    model: set[tuple[str, tuple[str, ...]]] = set()
-    for f in facts:
-        model.add((f.pred, tuple(a.iri for a in f.args)))  # type: ignore[union-attr]
+    model = set(facts)
     for r in rule_list:
         if not r.body:
             model.add((r.head.pred, tuple(a.iri for a in r.head.args)))  # type: ignore[union-attr]

@@ -44,6 +44,20 @@ def test_translate_empty_ontology(tmp_path, capsys):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("text", [EXAMPLE_SPECIES_ZOO, university_ontology(2)], ids=["zoo", "university"])
+def test_translate_writes_the_model_dump_of_its_unsaturated_facts(tmp_path, capsys, text):
+    # One writer for both: `translate`'s file is the canonical dump of a
+    # store that holds the same facts and has not been saturated.
+    from metaql import FactStore, normalize_ontology, parse_ontology, translate_ontology
+
+    src, out = tmp_path / "onto.ofn", tmp_path / "onto.dl"
+    src.write_text(text, encoding="utf-8")
+    assert main(["translate", str(src), "-o", str(out)]) == 0
+    store = FactStore()
+    store.assert_facts(translate_ontology(normalize_ontology(parse_ontology(text))).facts)
+    assert out.read_text(encoding="utf-8") == store.canonical_dump()
+
+
 @pytest.mark.parametrize("output", [None, "onto.dl", "./sub/../onto.dl"], ids=["default", "same", "respelled"])
 def test_translate_never_overwrites_its_input(tmp_path, monkeypatch, capsys, output):
     monkeypatch.chdir(tmp_path)
@@ -105,6 +119,17 @@ def test_non_utf8_file_exits_2(tmp_path, species_file, capsys, bad):
     files = {"ontology": species_file, "query": query, bad: latin1}
     assert main(["query", str(files["ontology"]), "-q", str(files["query"])]) == 2
     assert capsys.readouterr().err == f"error: cannot read {latin1}: not UTF-8 text (byte 5)\n"
+
+
+@pytest.mark.parametrize("marked", ["ontology", "query"])
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, species_file, capsys, marked):
+    query = tmp_path / "zoo.rq"
+    query.write_text(ZOO_QUERY, encoding="utf-8")
+    files = {"ontology": species_file, "query": query}
+    files[marked].write_text(files[marked].read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert files[marked].read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["query", str(files["ontology"]), "-q", str(files["query"])]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == SPECIES + "Harry"
 
 
 def test_rules_dump_and_stats(tmp_path, capsys):
@@ -196,6 +221,15 @@ def test_oracle_subcommand_matches_query(species_file, capsys):
     assert main(["oracle", str(species_file), "--query-string", ZOO_QUERY]) == 0
     oracle_rows = capsys.readouterr().out.strip().splitlines()[:-1]
     assert engine_rows == oracle_rows
+
+
+def test_oracle_translates_no_facts(species_file, capsys, monkeypatch):
+    def refuse(ontology):
+        pytest.fail("the oracle translated the ontology to facts")
+
+    monkeypatch.setattr(cli, "translate_ontology", refuse)
+    assert main(["oracle", str(species_file), "--query-string", ZOO_QUERY]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == SPECIES + "Harry"
 
 
 @pytest.mark.parametrize("flag", ["--check-consistency", "--explain", "--dump-model"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gens import random_ontology, random_program, random_query
-from helpers import EXAMPLE_SPECIES, SPECIES, brute_force_answers, naive_evaluate, saturate
+from helpers import EXAMPLE_SPECIES, SPECIES, brute_force_answers, fact, naive_evaluate, saturate
 from metaql import (
     Atom,
     ConjunctiveQuery,
@@ -27,7 +27,7 @@ E = [Entity(f"http://t#e{i}") for i in range(60)]
 
 def test_assert_facts_has_set_semantics():
     store = FactStore()
-    f = atom("instc", E[0], E[1])
+    f = fact("instc", E[0], E[1])
     assert store.assert_facts([f]) == 1
     assert store.assert_facts([f]) == 0
     assert len(store.relation("instc")) == 1
@@ -35,7 +35,7 @@ def test_assert_facts_has_set_semantics():
 
 def test_assert_facts_empty_is_noop():
     store = FactStore()
-    store.assert_facts([atom("instc", E[0], E[1])])
+    store.assert_facts([fact("instc", E[0], E[1])])
     size = store.size()
     assert store.assert_facts([]) == 0
     assert store.size() == size
@@ -58,21 +58,21 @@ def test_bulk_load_matches_loading_one_fact_at_a_time():
     bulk = FactStore()
     bulk.assert_facts(facts)
     single = FactStore()
-    for f in facts:
-        single.add_tuples(f.pred, [tuple(a.iri for a in f.args)])
+    for pred, iris in facts:
+        single.add_tuples(pred, [iris])
     assert bulk.canonical_dump() == single.canonical_dump()
 
 
 def test_relations_hold_the_iri_strings():
     store = FactStore()
-    store.assert_facts([atom("instc", E[0], E[1])])
+    store.assert_facts([fact("instc", E[0], E[1])])
     assert store.relation("instc") == {(E[0].iri, E[1].iri)}
 
 
 def test_arity_mismatch_within_one_assert_facts_call():
     store = FactStore()
     with pytest.raises(ArityMismatch):
-        store.assert_facts([atom("aux", E[0], E[1]), atom("instc", E[0], E[1]), atom("aux", E[0], E[1], E[2])])
+        store.assert_facts([fact("aux", E[0], E[1]), fact("instc", E[0], E[1]), fact("aux", E[0], E[1], E[2])])
 
 
 def test_arity_mismatch_on_dynamic_predicates():
@@ -82,10 +82,13 @@ def test_arity_mismatch_on_dynamic_predicates():
         store.add_tuples("aux", [(1, 2, 3)])
 
 
-def test_non_ground_fact_rejected():
+def test_an_atom_is_not_a_fact():
+    # Facts are (predicate, IRI tuple) pairs; an Atom, ground or not, fails.
     store = FactStore()
-    with pytest.raises(ValueError):
-        store.assert_facts([Atom("named", (Var("X"),))])
+    for a in (atom("instc", E[0], E[1]), Atom("named", (Var("X"),))):
+        with pytest.raises(TypeError):
+            store.assert_facts([a])
+    assert store.size() == 0
 
 
 def test_fixpoint_example_species():
@@ -107,7 +110,7 @@ def test_fixpoint_on_empty_store():
 def test_subclass_chain_of_fifty_closes_completely():
     n = 50
     names = [Entity(f"http://t#k{i}") for i in range(n)]
-    facts = [atom("isacCC", names[i], names[i + 1]) for i in range(n - 1)]
+    facts = [fact("isacCC", names[i], names[i + 1]) for i in range(n - 1)]
     store = FactStore()
     store.assert_facts(facts)
     evaluate_fixpoint(store, builtin_rules())
@@ -176,7 +179,7 @@ def test_join_fires_once_its_empty_partner_fills():
     # q's task on p is skipped in the first round, while r is still empty;
     # it must fire when p(c) arrives in round 5, by then with r filled.
     a, c = E[0], E[1]
-    facts = [Atom("p", (a,)), Atom("s", (a,)), Atom("s", (c,))]
+    facts = [fact("p", a), fact("s", a), fact("s", c)]
     rules = [
         _rule(atom("t", "X"), atom("s", "X")),
         _rule(atom("r", "X", "X"), atom("t", "X")),
@@ -192,7 +195,7 @@ def test_sink_rule_reads_facts_of_the_last_round():
     # The chain derives p3 only in its last round; the sink `done`, which
     # no body reads, still sees it.
     a = E[0]
-    facts = [Atom("p0", (a,))]
+    facts = [fact("p0", a)]
     rules = [_rule(atom(f"p{i + 1}", "X"), atom(f"p{i}", "X")) for i in range(3)]
     rules.append(_rule(atom("done", "X"), atom("p0", "X"), atom("p3", "X")))
     store = FactStore()
@@ -206,14 +209,14 @@ def test_sink_rule_reads_facts_of_the_last_round():
 def test_two_atom_body_with_constant_and_repeated_variable():
     c = E[9]
     facts = [
-        Atom("p", (E[0], E[0])),
-        Atom("p", (E[1], E[1])),
-        Atom("p", (E[2], E[3])),
-        Atom("r", (E[0], c)),
-        Atom("r", (E[1], E[8])),
-        Atom("r", (E[2], c)),
-        Atom("u", (E[4], E[5], E[5])),
-        Atom("u", (E[4], E[6], E[7])),
+        fact("p", E[0], E[0]),
+        fact("p", E[1], E[1]),
+        fact("p", E[2], E[3]),
+        fact("r", E[0], c),
+        fact("r", E[1], E[8]),
+        fact("r", E[2], c),
+        fact("u", E[4], E[5], E[5]),
+        fact("u", E[4], E[6], E[7]),
     ]
     rules = [
         _rule(atom("q", "X"), atom("p", "X", "X"), Atom("r", (Var("X"), c))),
@@ -230,7 +233,7 @@ def test_all_constant_seed_atom_fires_when_it_arrives():
     # p(e) must match nothing.  `done` reads q and w, so they join inside
     # the fixpoint rather than once after it.
     c, d, e = E[1], E[2], E[5]
-    facts = [Atom("s", (d,)), Atom("r", (E[3],)), Atom("r", (E[4],))]
+    facts = [fact("s", d), fact("r", E[3]), fact("r", E[4])]
     rules = [
         _rule(atom("t", "X"), atom("s", "X")),
         _rule(Atom("p", (c,)), atom("t", "X")),
@@ -246,7 +249,7 @@ def test_all_constant_seed_atom_fires_when_it_arrives():
 
 
 def test_disconnected_body_is_a_cross_product():
-    facts = [Atom("p", (E[i],)) for i in range(3)] + [Atom("r", (E[i],)) for i in (3, 4)]
+    facts = [fact("p", E[i]) for i in range(3)] + [fact("r", E[i]) for i in (3, 4)]
     rules = [_rule(atom("q", "X", "Y"), atom("p", "X"), atom("r", "Y"))]
     model = _program_agrees_with_naive_twin(facts, rules)
     assert len([1 for pred, _ in model if pred == "q"]) == 6
@@ -256,10 +259,10 @@ def test_repeated_variable_inside_a_later_atom():
     # u(Z, Y, Y) joins third, after p and r; only its tuples with equal
     # second and third columns may match.
     facts = [
-        Atom("p", (E[0], E[1])),
-        Atom("r", (E[1], E[2])),
-        Atom("u", (E[2], E[5], E[5])),
-        Atom("u", (E[2], E[6], E[7])),
+        fact("p", E[0], E[1]),
+        fact("r", E[1], E[2]),
+        fact("u", E[2], E[5], E[5]),
+        fact("u", E[2], E[6], E[7]),
     ]
     rules = [_rule(atom("q", "X", "Y"), atom("p", "X", "A"), atom("r", "A", "Z"), atom("u", "Z", "Y", "Y"))]
     model = _program_agrees_with_naive_twin(facts, rules)
@@ -275,7 +278,7 @@ def test_repeated_variable_inside_a_later_atom():
 
 def test_rule_body_atom_of_the_wrong_arity_is_rejected():
     store = FactStore()
-    store.assert_facts([Atom("p", (E[0], E[1]))])
+    store.assert_facts([fact("p", E[0], E[1])])
     with pytest.raises(ArityMismatch):
         evaluate_fixpoint(store, [_rule(atom("q", "X"), atom("p", "X"))])
 
@@ -351,9 +354,9 @@ def test_closed_relation_fed_in_a_later_round_agrees_with_naive_twin():
         _rule(atom("s1", "X"), atom("s0", "X")),
     ]
     for _ in range(40):
-        facts = [atom(pred, E[a], E[b]) for pred in ("edge", "q") for a, b in _random_digraph(rng)]
-        asserted_p = [atom("p", E[a], E[b]) for a, b in _random_digraph(rng)[:3]]
-        facts += asserted_p + [atom("s0", e) for e in rng.sample(E[:12], 4)]
+        facts = [fact(pred, E[a], E[b]) for pred in ("edge", "q") for a, b in _random_digraph(rng)]
+        asserted_p = [fact("p", E[a], E[b]) for a, b in _random_digraph(rng)[:3]]
+        facts += asserted_p + [fact("s0", e) for e in rng.sample(E[:12], 4)]
         store = FactStore()
         store.assert_facts(facts)
         stats = evaluate_fixpoint(store, rules)
@@ -364,7 +367,7 @@ def test_closed_relation_fed_in_a_later_round_agrees_with_naive_twin():
 
 def test_transitive_rule_over_a_ternary_relation_is_an_arity_error():
     store = FactStore()
-    store.assert_facts([Atom("p", tuple(E[:3]))])
+    store.assert_facts([fact("p", *E[:3])])
     with pytest.raises(ArityMismatch):
         evaluate_fixpoint(store, [_rule(atom("p", "X", "Y"), atom("p", "X", "M"), atom("p", "M", "Y"))])
 
@@ -392,8 +395,8 @@ def test_only_the_transitive_shape_is_closed_and_every_rule_agrees_with_naive_tw
     assert _transitive(rule) is closed
     rng = random.Random(1618)
     for _ in range(30):
-        facts = [atom(pred, E[a], E[b]) for pred in "pq" for a, b in _random_digraph(rng, 8)]
-        facts += [atom("t", *rng.choices(E[:8], k=3)) for _ in range(12)]
+        facts = [fact(pred, E[a], E[b]) for pred in "pq" for a, b in _random_digraph(rng, 8)]
+        facts += [fact("t", *rng.choices(E[:8], k=3)) for _ in range(12)]
         _program_agrees_with_naive_twin(facts, [rule])
 
 
@@ -419,10 +422,10 @@ def _propagation_program(rule):
 
 
 def _propagation_facts(rng):
-    facts = [atom(pred, E[a], E[b]) for pred in ("e", "f", "g") for a, b in _random_digraph(rng, 10)]
-    facts += [atom(pred, E[a], E[b]) for pred in "pq" for a, b in _random_digraph(rng, 10)[:3]]
-    facts += [atom("h", E[a], E[b], E[b]) for a, b in _random_digraph(rng, 10)[:3]]
-    return facts + [atom(pred, e) for pred in ("s0", "u0", "w") for e in rng.sample(E[:10], 4)]
+    facts = [fact(pred, E[a], E[b]) for pred in ("e", "f", "g") for a, b in _random_digraph(rng, 10)]
+    facts += [fact(pred, E[a], E[b]) for pred in "pq" for a, b in _random_digraph(rng, 10)[:3]]
+    facts += [fact("h", E[a], E[b], E[b]) for a, b in _random_digraph(rng, 10)[:3]]
+    return facts + [fact(pred, e) for pred in ("s0", "u0", "w") for e in rng.sample(E[:10], 4)]
 
 
 @pytest.mark.parametrize(
@@ -449,7 +452,7 @@ def test_rule_propagating_along_a_closed_relation_agrees_with_naive_twin(rule):
         stats = evaluate_fixpoint(store, rules)
         naive = naive_evaluate(facts, rules)
         assert store.string_facts() == naive
-        asserted_q = {(f.pred, tuple(a.iri for a in f.args)) for f in facts if f.pred == "q"}
+        asserted_q = {f for f in facts if f[0] == "q"}
         assert stats.facts_derived.get("q", 0) == sum(1 for f in naive if f[0] == "q") - len(asserted_q)
         late += stats.rounds > 4
     assert late > 20
@@ -510,7 +513,7 @@ def test_fixpoint_leaves_the_collector_as_it_found_it(enabled):
         store.assert_facts(translate_ontology(random_ontology(random.Random(7), max_tbox=6, max_abox=12)).facts)
         evaluate_fixpoint(store, builtin_rules())
         assert gc.isenabled() is enabled
-        store.assert_facts([Atom("p", (E[0], E[1]))])
+        store.assert_facts([fact("p", E[0], E[1])])
         with pytest.raises(ArityMismatch):
             evaluate_fixpoint(store, [_rule(atom("q", "X"), atom("p", "X"))])
         assert gc.isenabled() is enabled
@@ -595,7 +598,7 @@ def test_all_constant_atom_as_the_first_probing_step():
 @pytest.mark.parametrize("args", [("X",), ("X", "Y", "Z")])
 def test_query_atom_of_the_wrong_arity_is_rejected(args):
     store = FactStore()
-    store.assert_facts([Atom("p", (E[0], E[1]))])
+    store.assert_facts([fact("p", E[0], E[1])])
     with pytest.raises(ArityMismatch):
         store_answers(store, ConjunctiveQuery((Var("X"),), (atom("p", *args),)))
 
@@ -688,7 +691,7 @@ def test_insertion_order_does_not_change_the_model():
     dumps = []
     for reverse in (False, True):
         store = FactStore()
-        store.assert_facts(sorted(fb.facts, key=lambda a: a.to_dl(), reverse=reverse))
+        store.assert_facts(sorted(fb.facts, reverse=reverse))
         evaluate_fixpoint(store, builtin_rules())
         dumps.append(store.canonical_dump())
     assert dumps[0] == dumps[1]
@@ -705,8 +708,7 @@ def test_model_is_minimal_on_small_instances():
         store.assert_facts(base)
         evaluate_fixpoint(store, catalogue)
         model = store.string_facts()
-        asserted = {(f.pred, tuple(a.iri for a in f.args)) for f in base}
-        derived = model - asserted
+        derived = model - base
         for d in sorted(derived)[:15]:
             without = model - {d}
             re_derived = _one_round(without, catalogue)

@@ -101,7 +101,7 @@ def test_axioms_from_token_sequences(text):
 
 # Operands that resolve, and (in messy texts) some that do not.
 FLAT_OPERANDS = (":A", ":p", "ex:C", "ex:", ":", "owl:Thing", "<http://x#a>", "<http://x#(b)>")
-BAD_OPERANDS = ("nope:x", "<>", "ObjectInverseOf", "ObjectUnionOf", "Class")
+BAD_OPERANDS = ("nope:x", "<>", "ObjectInverseOf", "ObjectUnionOf", "Class", "ex:.a", "ex:A.")
 # Spacing between the parts of an axiom: none (so `<a><b>` and `ex:C:A`
 # occur), Unicode spaces, and a comment.
 FLAT_GAPS = ("", " ", "  ", "\n\t", "\u00a0", "\x1c", " # c\n")
@@ -170,6 +170,7 @@ _EX = "Prefix(ex:=<http://e#>)\n"
 @example(_EX + "Ontology(ClassAssertion(ex:C ex:a)) SubClassOf(ex:A ex:B)")
 @example(_EX + "Ontology(EquivalentClasses(ex:A SubClassOf(ex:B ex:C)))")
 @example(_EX + "Ontology(Declaration(ClassAssertion(ex:C ex:a)")
+@example(_EX + "Ontology(ClassAssertion(ex:C ex:.a) SubClassOf(ex:A. ex:B))")
 def test_flat_tokens_parse_as_token_by_token(text):
     # The same value, or the same error at the same place.
     assert _parse_outcome(parse_ontology, text) == _parse_outcome(parse_token_by_token, text)

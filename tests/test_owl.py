@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gens import random_ontology
-from helpers import EXAMPLE_SPECIES, SPECIES, parse_token_by_token
+from helpers import EXAMPLE_SPECIES, SPECIES, fact, parse_token_by_token
 from metaql import (
     Atomic,
     ClassAssertion,
@@ -20,7 +20,6 @@ from metaql import (
     Some,
     TOP_CLASS,
     TOP_PROPERTY,
-    atom,
     normalize_ontology,
     parse_ontology,
     serialize_ontology,
@@ -96,7 +95,7 @@ def test_inverse_on_left_of_property_inclusion_is_normalized():
 def test_inverse_on_left_of_property_disjointness_is_normalized():
     axs = parse_axioms("DisjointObjectProperties(ObjectInverseOf(:r) :s)")
     assert axs == {PropDisjoint(PropExpr(ent("r")), PropExpr(ent("s"), inverse=True))}
-    assert [tau(ax) for ax in axs] == [atom("disjrRI", ent("r"), ent("s"))]
+    assert [tau(ax) for ax in axs] == [fact("disjrRI", ent("r"), ent("s"))]
 
 
 @pytest.mark.parametrize("depth", [5000, 5001])
@@ -326,6 +325,24 @@ _P = "Prefix(:=<http://ex/>)\n"
             (3, 42),
         ),
         ("Prefix(ex=<http://ex/>)\nOntology()", OwlSyntaxError, "prefix name must end in ':'", (1, 8)),
+        (
+            "Prefix(ex.:=<http://ex/>)\nOntology()",
+            OwlSyntaxError,
+            "a prefix may not end, nor a local name start or end, with '.': 'ex.:'",
+            (1, 8),
+        ),
+        (
+            _P + "Ontology(\n  ClassAssertion(:C :.a)\n)",
+            OwlSyntaxError,
+            "a prefix may not end, nor a local name start or end, with '.': ':.a'",
+            (3, 21),
+        ),
+        (
+            _P + "Ontology(\n  SubClassOf(ObjectSomeValuesFrom(:r :A.) :B)\n)",
+            OwlSyntaxError,
+            "a prefix may not end, nor a local name start or end, with '.': ':A.'",
+            (3, 38),
+        ),
         (_P + "Ontologie()", OwlSyntaxError, "expected Ontology(...), found 'Ontologie'", (2, 1)),
         ("Ontology(\n  SubClassOf(<http://a/A> <http://a/B>)", OwlSyntaxError, "unterminated Ontology(...)", (1, 1)),
         ("Ontology(\n  SubClassOf(<http://a/A> <http://a/B>) (\n)", OwlSyntaxError, "expected an axiom, found '('", (2, 41)),

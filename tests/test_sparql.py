@@ -227,13 +227,13 @@ def test_a_name_keeps_a_dot_inside_it():
         (
             "PREFIX ex: <http://ex/>\nSELECT ?x WHERE {\n  ?x a ex:.b }",
             OwlSyntaxError,
-            "a prefix may not end and a local name may not start with '.': 'ex:.b'",
+            "a prefix may not end, nor a local name start or end, with '.': 'ex:.b'",
             (3, 8),
         ),
         (
             "PREFIX ex.: <http://ex/>\nSELECT ?x WHERE { ?x a ex.:b }",
             OwlSyntaxError,
-            "a prefix may not end and a local name may not start with '.': 'ex.:'",
+            "a prefix may not end, nor a local name start or end, with '.': 'ex.:'",
             (1, 8),
         ),
     ],

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from gens import random_ontology
-from helpers import BASIC_OF_KIND, EXAMPLE_SPECIES, SPECIES
+from helpers import BASIC_OF_KIND, EXAMPLE_SPECIES, SPECIES, fact
 from metaql import (
     Atomic,
     ClassAssertion,
@@ -22,7 +22,6 @@ from metaql import (
     SIGNATURE,
     Some,
     TOP_CLASS,
-    atom,
     normalize_ontology,
     parse_ontology,
     tau,
@@ -52,57 +51,57 @@ def _rng(e):  # range-side existential
 # assertions at the bottom.
 TAU_TABLE = [
     # positive TBox rows
-    (ClassInclusion(Atomic(C1), Atomic(C2)), atom("isacCC", C1, C2)),
-    (ClassInclusion(Atomic(C1), Some(_r(R2, True), C2)), atom("isacCI", C1, R2, C2)),
-    (ClassInclusion(_dom(R1), Some(_r(R2), C2)), atom("isacRR", R1, R2, C2)),
-    (ClassInclusion(_rng(R1), Atomic(C2)), atom("isacIC", R1, C2)),
-    (ClassInclusion(_rng(R1), Some(_r(R2), C2)), atom("isacIR", R1, R2, C2)),
-    (ClassInclusion(_rng(R1), Some(_r(R2, True), C2)), atom("isacII", R1, R2, C2)),
-    (PropInclusion(_r(R1), _r(R2)), atom("isarRR", R1, R2)),
-    (PropInclusion(_r(R1), _r(R2, True)), atom("isarRI", R1, R2)),
-    (ClassInclusion(Atomic(C1), Some(_r(R2), C2)), atom("isacCR", C1, R2, C2)),
-    (ClassInclusion(_dom(R1), Atomic(C2)), atom("isacRC", R1, C2)),
-    (ClassInclusion(_dom(R1), Some(_r(R2, True), C2)), atom("isacRI", R1, R2, C2)),
-    (Reflexive(R1), atom("refl", R1)),
+    (ClassInclusion(Atomic(C1), Atomic(C2)), fact("isacCC", C1, C2)),
+    (ClassInclusion(Atomic(C1), Some(_r(R2, True), C2)), fact("isacCI", C1, R2, C2)),
+    (ClassInclusion(_dom(R1), Some(_r(R2), C2)), fact("isacRR", R1, R2, C2)),
+    (ClassInclusion(_rng(R1), Atomic(C2)), fact("isacIC", R1, C2)),
+    (ClassInclusion(_rng(R1), Some(_r(R2), C2)), fact("isacIR", R1, R2, C2)),
+    (ClassInclusion(_rng(R1), Some(_r(R2, True), C2)), fact("isacII", R1, R2, C2)),
+    (PropInclusion(_r(R1), _r(R2)), fact("isarRR", R1, R2)),
+    (PropInclusion(_r(R1), _r(R2, True)), fact("isarRI", R1, R2)),
+    (ClassInclusion(Atomic(C1), Some(_r(R2), C2)), fact("isacCR", C1, R2, C2)),
+    (ClassInclusion(_dom(R1), Atomic(C2)), fact("isacRC", R1, C2)),
+    (ClassInclusion(_dom(R1), Some(_r(R2, True), C2)), fact("isacRI", R1, R2, C2)),
+    (Reflexive(R1), fact("refl", R1)),
     # negative TBox rows
-    (PropDisjoint(_r(R1), _r(R2)), atom("disjrRR", R1, R2)),
-    (ClassDisjoint(Atomic(C1), Atomic(C2)), atom("disjcCC", C1, C2)),
-    (ClassDisjoint(Atomic(C1), _rng(R2)), atom("disjcCI", C1, R2)),
-    (ClassDisjoint(_dom(R1), Atomic(C2)), atom("disjcRC", R1, C2)),
-    (ClassDisjoint(_dom(R1), _dom(R2)), atom("disjcRR", R1, R2)),
-    (ClassDisjoint(_dom(R1), _rng(R2)), atom("disjcRI", R1, R2)),
-    (ClassDisjoint(_rng(R1), Atomic(C2)), atom("disjcIC", R1, C2)),
-    (ClassDisjoint(_rng(R1), _dom(R2)), atom("disjcIR", R1, R2)),
-    (ClassDisjoint(_rng(R1), _rng(R2)), atom("disjcII", R1, R2)),
-    (PropDisjoint(_r(R1), _r(R2, True)), atom("disjrRI", R1, R2)),
-    (Irreflexive(R1), atom("irrefl", R1)),
+    (PropDisjoint(_r(R1), _r(R2)), fact("disjrRR", R1, R2)),
+    (ClassDisjoint(Atomic(C1), Atomic(C2)), fact("disjcCC", C1, C2)),
+    (ClassDisjoint(Atomic(C1), _rng(R2)), fact("disjcCI", C1, R2)),
+    (ClassDisjoint(_dom(R1), Atomic(C2)), fact("disjcRC", R1, C2)),
+    (ClassDisjoint(_dom(R1), _dom(R2)), fact("disjcRR", R1, R2)),
+    (ClassDisjoint(_dom(R1), _rng(R2)), fact("disjcRI", R1, R2)),
+    (ClassDisjoint(_rng(R1), Atomic(C2)), fact("disjcIC", R1, C2)),
+    (ClassDisjoint(_rng(R1), _dom(R2)), fact("disjcIR", R1, R2)),
+    (ClassDisjoint(_rng(R1), _rng(R2)), fact("disjcII", R1, R2)),
+    (PropDisjoint(_r(R1), _r(R2, True)), fact("disjrRI", R1, R2)),
+    (Irreflexive(R1), fact("irrefl", R1)),
     # ABox rows
-    (ClassAssertion(C1, X), atom("instc", C1, X)),
-    (PropAssertion(R1, X, Y), atom("instr", R1, X, Y)),
-    (DifferentIndividuals(X, Y), atom("diff", X, Y)),
+    (ClassAssertion(C1, X), fact("instc", C1, X)),
+    (PropAssertion(R1, X, Y), fact("instr", R1, X, Y)),
+    (DifferentIndividuals(X, Y), fact("diff", X, Y)),
 ]
 
 
-@pytest.mark.parametrize("axiom,expected", TAU_TABLE, ids=[e.pred for _, e in TAU_TABLE])
+@pytest.mark.parametrize("axiom,expected", TAU_TABLE, ids=[pred for _, (pred, _) in TAU_TABLE])
 def test_tau_table_row(axiom, expected):
     assert tau(axiom) == expected
 
 
 def test_tau_table_is_complete():
     assert len(TAU_TABLE) == 26  # 23 TBox rows + 3 ABox rows
-    assert len({e.pred for _, e in TAU_TABLE}) == 26
+    assert len({pred for _, (pred, _) in TAU_TABLE}) == 26
 
 
 def test_unqualified_existential_right_side_uses_top_filler():
     ax = ClassInclusion(Atomic(C1), _dom(R2))
-    assert tau(ax) == atom("isacCR", C1, R2, TOP_CLASS)
+    assert tau(ax) == fact("isacCR", C1, R2, TOP_CLASS)
 
 
 def test_tau_of_every_class_disjointness_is_a_signature_fact():
     for lk, rk in product("CRI", repeat=2):
-        fact = tau(ClassDisjoint(BASIC_OF_KIND[lk](C1), BASIC_OF_KIND[rk](C2)))
-        assert fact.pred.startswith("disjc") and fact.pred in SIGNATURE
-        assert set(fact.args) == {C1, C2}
+        pred, iris = tau(ClassDisjoint(BASIC_OF_KIND[lk](C1), BASIC_OF_KIND[rk](C2)))
+        assert pred.startswith("disjc") and pred in SIGNATURE
+        assert set(iris) == {C1.iri, C2.iri}
 
 
 def test_tau_is_injective_on_the_table():
@@ -119,22 +118,22 @@ def _entities(x):
             yield from _entities(getattr(x, f.name))
 
 
-def _assert_facts_hold_the_axioms_entities(o):
+def _assert_facts_hold_the_axioms_iris(o):
     fb = translate_ontology(o)
     axiom_of = {tau(ax): ax for ax in o.axioms}
     assert fb.facts == axiom_of.keys()
     for f in fb.facts:
         own = list(_entities(axiom_of[f]))
-        assert all(any(t is e for e in own) for t in f.args)
-    args = {id(t): t for f in fb.facts for t in f.args}
-    assert len(args) == len({t.iri for t in args.values()})
+        assert all(any(s is e.iri for e in own) for s in f[1])
+    iris = {id(s): s for _, t in fb.facts for s in t}
+    assert len(iris) == len(set(iris.values()))
 
 
-def test_translation_shares_one_entity_object_per_iri():
-    _assert_facts_hold_the_axioms_entities(normalize_ontology(parse_ontology(university_ontology(2))))
+def test_translation_shares_one_iri_string_per_iri():
+    _assert_facts_hold_the_axioms_iris(normalize_ontology(parse_ontology(university_ontology(2))))
     rng = random.Random(1010)
     for _ in range(200):
-        _assert_facts_hold_the_axioms_entities(random_ontology(rng))
+        _assert_facts_hold_the_axioms_iris(random_ontology(rng))
 
 
 def test_translate_example_species():
@@ -144,13 +143,13 @@ def test_translate_example_species():
     def e(local):
         return Entity(SPECIES + local)
 
-    assert atom("isacCC", e("Eagle"), e("Birds")) in fb.facts
-    assert atom("isacCC", e("GoldenEagle"), e("Eagle")) in fb.facts
-    assert atom("instc", e("GoldenEagle"), e("Harry")) in fb.facts
-    assert atom("instc", e("EndangeredSpecies"), e("GoldenEagle")) in fb.facts
+    assert fact("isacCC", e("Eagle"), e("Birds")) in fb.facts
+    assert fact("isacCC", e("GoldenEagle"), e("Eagle")) in fb.facts
+    assert fact("instc", e("GoldenEagle"), e("Harry")) in fb.facts
+    assert fact("instc", e("EndangeredSpecies"), e("GoldenEagle")) in fb.facts
     # plus the two top-class normalization facts
-    assert atom("isacCC", e("GoldenEagle"), TOP_CLASS) in fb.facts
-    assert atom("isacCC", e("EndangeredSpecies"), TOP_CLASS) in fb.facts
+    assert fact("isacCC", e("GoldenEagle"), TOP_CLASS) in fb.facts
+    assert fact("isacCC", e("EndangeredSpecies"), TOP_CLASS) in fb.facts
     assert len(fb) == 6
 
 
