@@ -8,10 +8,11 @@ queries named on its command line, each in a fresh process under a
 wall-clock timeout, with CSV reporting, and `extend` merges two
 ontologies.
 
-Exit codes: 0 success, 1 parse/translation/evaluation errors and out of
-memory, 2 usage errors and unreadable inputs.  Memory limits are the
-invoking environment's job (ulimit, cgroups, systemd-run); a child
-killed by the kernel shows up as an ERROR row in bench output.
+Exit codes: 0 success, 1 parse/translation/evaluation errors, out of
+memory and a standard output closed early, 2 usage errors and unreadable
+inputs.  Memory limits are the invoking environment's job (ulimit,
+cgroups, systemd-run); a child killed by the kernel shows up as an ERROR
+row in bench output.
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ from .rules import builtin_rules
 from .sparql import parse_query, to_conjunctive_query
 from .translate import translate_ontology
 
-CSV_HEADER = ["dataset", "query", "load_ms", "translate_ms", "saturate_ms", "answer_ms", "answers", "status"]
+# The stage times `query --stats-json` reports, and a bench CSV's columns.
+_TIMES = ("load_ms", "translate_ms", "saturate_ms", "answer_ms")
+CSV_HEADER = ["dataset", "query", *_TIMES, "answers", "status"]
+# subprocess waits through poll(), whose timeout is a C int of milliseconds.
+_MAX_TIMEOUT_S = 2_147_483
 
 
 class _Usage(Exception):
@@ -68,10 +73,6 @@ def _refuse_overwrite(out, flag: str, *inputs: tuple[str, str | None]):
     for role, path in inputs:
         if path is not None and os.path.realpath(out) == os.path.realpath(path):
             raise _Usage(f"output {out} is the {role}; give another path with {flag}")
-
-
-def _load_query_text(args) -> str:
-    return args.query_string if args.query is None else _read_text(args.query)
 
 
 # ==============================================================================
@@ -110,19 +111,19 @@ def _run_query_pipeline(args):
     """Shared by query/oracle; returns (answers, timings, extras, plan),
     where plan is the --explain report or None.  Only `query` has
     --check-consistency, --dump-model and --explain."""
-    if args.backend == "query" and args.dump_model:
+    if args.command == "query" and args.dump_model:
         inputs = ("input ontology", args.ontology), ("query file", args.query)
         _refuse_overwrite(args.dump_model, "--dump-model", *inputs)
     t0 = time.perf_counter()
     ontology = normalize_ontology(parse_ontology(_read_text(args.ontology)))
     t1 = time.perf_counter()
-    cq = to_conjunctive_query(parse_query(_load_query_text(args)))
-    facts = translate_ontology(ontology) if args.backend == "query" else None
+    cq = to_conjunctive_query(parse_query(args.query_string if args.query is None else _read_text(args.query)))
+    facts = translate_ontology(ontology) if args.command == "query" else None
     t2 = time.perf_counter()
 
     extras = {}
     plan = None
-    if args.backend == "oracle":
+    if args.command == "oracle":
         answers = certain_answers_oracle(ontology, cq)
         t3 = t4 = time.perf_counter()
     else:
@@ -142,13 +143,9 @@ def _run_query_pipeline(args):
         if args.dump_model:
             _write_text(args.dump_model, store.canonical_dump())
 
-    timings = {
-        "load_ms": (t1 - t0) * 1000.0,
-        "translate_ms": (t2 - t1) * 1000.0,
-        "saturate_ms": (t3 - t2) * 1000.0,
-        "answer_ms": (t4 - t3) * 1000.0,
-        "total_ms": (t4 - t0) * 1000.0,
-    }
+    marks = (t0, t1, t2, t3, t4)
+    timings = {name: (end - start) * 1000.0 for name, start, end in zip(_TIMES, marks, marks[1:])}
+    timings["total_ms"] = (t4 - t0) * 1000.0
     return answers, timings, extras, plan
 
 
@@ -189,10 +186,7 @@ def cmd_extend(args) -> int:
     _refuse_overwrite(args.output, "-o", ("base ontology", args.base), ("extension", args.extension))
     base = parse_ontology(_read_text(args.base))
     extension = parse_ontology(_read_text(args.extension))
-    merged_prefixes = {**base.prefixes, **extension.prefixes}
-    merged = Ontology(
-        base.tbox | extension.tbox, base.abox | extension.abox, merged_prefixes
-    )
+    merged = Ontology(base.tbox | extension.tbox, base.abox | extension.abox)
     out = Path(args.output)
     _write_text(out, serialize_ontology(merged))
     print(f"axioms={len(merged)} output={out}")
@@ -207,37 +201,19 @@ def cmd_extend(args) -> int:
 def _bench_one_run(ontology: str, query: str, timeout_s: float) -> dict:
     """One (ontology, query) execution in a fresh subprocess."""
     cmd = [sys.executable, "-m", "metaql", "query", ontology, "-q", query, "--stats-json"]
-    row = {
-        "dataset": Path(ontology).name,
-        "query": Path(query).name,
-        "load_ms": "",
-        "translate_ms": "",
-        "saturate_ms": "",
-        "answer_ms": "",
-        "answers": "",
-        "status": "ERROR",
-    }
+    row = dict.fromkeys(CSV_HEADER, "")
+    row.update(dataset=Path(ontology).name, query=Path(query).name, status="ERROR")
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout_s)
     except subprocess.TimeoutExpired:
-        row["status"] = "OOT"
-        return row
+        return {**row, "status": "OOT"}
     if proc.returncode != 0:
         return row
     try:
         stats = json.loads(proc.stdout.strip().splitlines()[-1])
     except (ValueError, IndexError):
         return row
-    row.update(
-        {
-            "load_ms": f"{stats['load_ms']:.1f}",
-            "translate_ms": f"{stats['translate_ms']:.1f}",
-            "saturate_ms": f"{stats['saturate_ms']:.1f}",
-            "answer_ms": f"{stats['answer_ms']:.1f}",
-            "answers": str(stats["answers"]),
-            "status": "OK",
-        }
-    )
+    row.update({t: f"{stats[t]:.1f}" for t in _TIMES}, answers=str(stats["answers"]), status="OK")
     return row
 
 
@@ -246,7 +222,7 @@ def _median_row(runs: list[dict]) -> dict:
     agg["query"] = f"{runs[0]['query']}#median"
     statuses = [r["status"] for r in runs]
     agg["status"] = "OK" if all(s == "OK" for s in statuses) else ("OOT" if "OOT" in statuses else "ERROR")
-    for col in ("load_ms", "translate_ms", "saturate_ms", "answer_ms"):
+    for col in _TIMES:
         vals = [float(r[col]) for r in runs if r[col] != ""]
         agg[col] = f"{statistics.median(vals):.1f}" if vals else ""
     counts = [int(r["answers"]) for r in runs if r["answers"] != ""]
@@ -257,6 +233,8 @@ def _median_row(runs: list[dict]) -> dict:
 def cmd_bench(args) -> int:
     if not (math.isfinite(args.timeout) and args.timeout > 0):
         raise _Usage(f"--timeout must be a finite positive number of seconds, got {args.timeout}")
+    if args.timeout > _MAX_TIMEOUT_S:
+        raise _Usage(f"--timeout must be at most {_MAX_TIMEOUT_S} seconds, got {args.timeout}")
     if args.repeat < 1:
         raise _Usage(f"--repeat must be at least 1, got {args.repeat}")
 
@@ -301,11 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_translate = sub.add_parser("translate", help="translate an ontology to a Datalog facts file")
     p_translate.add_argument("ontology")
     p_translate.add_argument("-o", "--output", help="output .dl path (default: ontology with .dl suffix)")
+    p_translate.set_defaults(run=cmd_translate)
 
     p_rules = sub.add_parser("rules", help="dump the fixed inference rule base")
-    p_rules.add_argument("-o", "--output")
+    rules_out = p_rules.add_mutually_exclusive_group()
+    rules_out.add_argument("-o", "--output")
+    rules_out.add_argument("--stats", action="store_true", help="print per-family rule counts instead")
     p_rules.add_argument("--check-consistency", action="store_true", help="include violation reporting rules")
-    p_rules.add_argument("--stats", action="store_true", help="print per-family rule counts instead")
+    p_rules.set_defaults(run=cmd_rules)
 
     for name in ("query", "oracle"):
         p = sub.add_parser(
@@ -318,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         query.add_argument("-q", "--query", help="query file (.rq)")
         query.add_argument("--query-string", help="inline query text")
         p.add_argument("--stats-json", action="store_true", help="print the timing breakdown as one JSON line")
-        p.set_defaults(backend=name)
+        p.set_defaults(run=cmd_query)
         if name == "oracle":
             continue  # it has no rule base and no model
         p.add_argument("--check-consistency", action="store_true")
@@ -337,29 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeat", type=int, default=3, metavar="N", help="runs per pair (default: 3)")
     p_bench.add_argument("--timeout", type=float, default=60.0, metavar="S", help="seconds per run (default: 60)")
     p_bench.add_argument("-o", "--output", default="bench.csv", metavar="OUT.csv", help="CSV path (default: bench.csv)")
+    p_bench.set_defaults(run=cmd_bench)
 
     p_extend = sub.add_parser("extend", help="merge two ontologies (axiom-set union)")
     p_extend.add_argument("base")
     p_extend.add_argument("extension")
     p_extend.add_argument("-o", "--output", required=True)
+    p_extend.set_defaults(run=cmd_extend)
 
     return parser
-
-
-_HANDLERS = {
-    "translate": cmd_translate,
-    "rules": cmd_rules,
-    "query": cmd_query,
-    "oracle": cmd_query,
-    "bench": cmd_bench,
-    "extend": cmd_extend,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -374,4 +347,13 @@ def main(argv=None) -> int:
 
 
 def entry_point():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of standard output has gone.  Point the descriptor at
+        # the null device so that the interpreter's flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
+        code = 1
+    sys.exit(code)

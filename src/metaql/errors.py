@@ -12,7 +12,8 @@ class UnknownPrefix(MetaqlError):
 
 
 class InvalidIri(MetaqlError, ValueError):
-    """An entity IRI that is empty or contains whitespace."""
+    """An entity IRI that is empty, or holds whitespace or a character
+    SPARQL's IRIREF excludes."""
 
 
 class OwlSyntaxError(MetaqlError):
@@ -42,7 +43,7 @@ class ArityMismatch(MetaqlError):
 
 
 class UnsafeRule(MetaqlError):
-    """A head variable does not occur in the body, or a fact contains variables."""
+    """A head variable does not occur in the body."""
 
 
 class UnsafeQuery(MetaqlError):

@@ -143,6 +143,17 @@ def test_rules_dump_and_stats(tmp_path, capsys):
     assert any(":-" in line for line in lines)
 
 
+def test_rules_stats_and_output_are_a_usage_error(tmp_path, capsys):
+    # --stats prints counts instead of the rules, so an -o FILE beside it
+    # would be silently ignored.
+    out = tmp_path / "rules.dl"
+    with pytest.raises(SystemExit) as exc:
+        main(["rules", "--stats", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "argument -o/--output: not allowed with argument --stats" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_query_end_to_end(species_file, capsys):
     assert main(["query", str(species_file), "--query-string", ZOO_QUERY]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -522,6 +533,60 @@ def test_bench_error_rows_for_broken_ontology(tmp_path):
     assert [r["status"] for r in rows] == ["ERROR", "ERROR"]
 
 
+def _fake_child(monkeypatch, outcome) -> list:
+    """Make bench's child process end in `outcome`, a (returncode, stdout)
+    pair or an exception to raise; returns the list that collects each
+    run's (cmd, timeout)."""
+    calls = []
+
+    def run(cmd, capture_output, text, timeout):
+        calls.append((cmd, timeout))
+        if isinstance(outcome, Exception):
+            raise outcome
+        returncode, stdout = outcome
+        return subprocess.CompletedProcess(cmd, returncode, stdout, "")
+
+    monkeypatch.setattr(cli.subprocess, "run", run)
+    return calls
+
+
+STATS_LINE = '{"answers": 24, "load_ms": 12.345, "translate_ms": 0.06, "saturate_ms": 7.0, "answer_ms": 1.96, "total_ms": 21.4}'
+
+
+def test_bench_ok_row_takes_the_times_and_answers_from_the_last_line(tmp_path, monkeypatch):
+    calls = _fake_child(monkeypatch, (0, f"a\tb\n{STATS_LINE}\n"))
+    row = cli._bench_one_run(str(tmp_path / "uni.ofn"), str(tmp_path / "mq1.rq"), 7.5)
+    assert row == {
+        "dataset": "uni.ofn",
+        "query": "mq1.rq",
+        "load_ms": "12.3",
+        "translate_ms": "0.1",
+        "saturate_ms": "7.0",
+        "answer_ms": "2.0",
+        "answers": "24",
+        "status": "OK",
+    }
+    ((cmd, timeout),) = calls
+    assert cmd[1:] == ["-m", "metaql", "query", str(tmp_path / "uni.ofn"), "-q", str(tmp_path / "mq1.rq"), "--stats-json"]
+    assert timeout == 7.5
+
+
+@pytest.mark.parametrize(
+    "outcome, status",
+    [
+        ((1, f"{STATS_LINE}\n"), "ERROR"),
+        ((0, "a\tb\nanswers=1 total_ms=3.0\n"), "ERROR"),
+        ((0, ""), "ERROR"),
+        (subprocess.TimeoutExpired(["metaql"], 7.5), "OOT"),
+    ],
+    ids=["non-zero-exit", "last-line-not-json", "empty-stdout", "timeout"],
+)
+def test_bench_failed_run_rows_leave_times_and_answers_blank(monkeypatch, outcome, status):
+    _fake_child(monkeypatch, outcome)
+    row = cli._bench_one_run("uni.ofn", "mq1.rq", 7.5)
+    assert row == {**dict.fromkeys(CSV_HEADER, ""), "dataset": "uni.ofn", "query": "mq1.rq", "status": status}
+
+
 def _exit_code(argv) -> int:
     """main's return value, or the code argparse exits with."""
     try:
@@ -537,9 +602,11 @@ def _exit_code(argv) -> int:
         (["--repeat", "0x"], "argument --repeat: invalid int value: '0x'"),
         (["--timeout", "abc"], "argument --timeout: invalid float value: 'abc'"),
         (["--timeout", "-5"], "error: --timeout must be a finite positive number of seconds, got -5.0"),
+        (["--timeout", "2147484"], "error: --timeout must be at most 2147483 seconds, got 2147484.0"),
+        (["--timeout", "1e20"], "error: --timeout must be at most 2147483 seconds, got 1e+20"),
         (["--mystery", "1"], "unrecognized arguments: --mystery 1"),
     ],
-    ids=["repeat-0", "repeat-0x", "timeout-abc", "timeout-negative", "unknown-flag"],
+    ids=["repeat-0", "repeat-0x", "timeout-abc", "timeout-negative", "timeout-2147484", "timeout-1e20", "unknown-flag"],
 )
 def test_bench_bad_flags_exit_2(tmp_path, monkeypatch, capsys, flags, message):
     monkeypatch.setattr(cli, "_bench_one_run", lambda *args: pytest.fail("a bench run started"))
@@ -578,6 +645,22 @@ def test_bench_timeout_must_be_finite_and_positive(tmp_path, capsys, value):
     assert main(argv) == 2
     assert "--timeout must be a finite positive number of seconds" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_closed_standard_output_is_an_error_not_a_traceback(tmp_path):
+    # About 170 KB of answers, far more than a 64 KiB pipe holds, so the
+    # command is still writing when its reader goes.
+    ontology = tmp_path / "uni.ofn"
+    ontology.write_text(university_ontology(10), encoding="utf-8")
+    pythonpath = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    cmd = [sys.executable, "-m", "metaql", "query", str(ontology), "--query-string", "SELECT ?x ?y WHERE { ?x a ?y }"]
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline().count("\t") == 1
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == "error: standard output closed\n"
 
 
 def _cli_outputs_under_hash_seed(workdir: Path, seed: str) -> dict[str, bytes]:

@@ -242,6 +242,8 @@ class _RunStarted(Exception):
 @example("inf", "1")
 @example("0", "1")
 @example("1", "0")
+@example("2147484", "1")
+@example("1e20", "1")
 def test_bench_flags_validate_or_are_a_usage_error(timeout, repeat):
     def first_run(ontology, query, timeout_s):
         raise _RunStarted(timeout_s)
@@ -254,9 +256,10 @@ def test_bench_flags_validate_or_are_a_usage_error(timeout, repeat):
             with contextlib.redirect_stderr(stderr):
                 code = main(argv)
         except _RunStarted as started:
-            # A run starts only when --repeat is at least 1.
+            # A run starts only when --repeat is at least 1, and with a
+            # timeout that subprocess's poll() can wait for.
             (timeout_s,) = started.args
-            assert math.isfinite(timeout_s) and timeout_s > 0
+            assert math.isfinite(timeout_s) and 0 < timeout_s <= 2_147_483
             return
         except SystemExit as exc:
             code = exc.code
