@@ -7,6 +7,8 @@ SPARQL queries over the minimal model.  Variables may appear in class
 and property positions, so meta-queries work like any other query.
 """
 
+from importlib import import_module
+
 from .errors import (
     ArityMismatch,
     CyclicTBox,
@@ -57,7 +59,18 @@ from .engine import (
     explain_conjunctive_query,
 )
 from .sparql import SparqlQuery, TriplePattern, parse_query, to_conjunctive_query
-from .oracle import CanonicalModel, TBoxClosure, certain_answers_oracle, chase, tbox_closure
+
+# The oracle is a reference for tests and for `metaql oracle`; it is
+# imported on first use, so `metaql query` never loads it.
+_ORACLE = frozenset({"CanonicalModel", "TBoxClosure", "certain_answers_oracle", "chase", "tbox_closure"})
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE:
+        oracle = import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

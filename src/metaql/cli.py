@@ -32,7 +32,6 @@ from pathlib import Path
 from .engine import FactStore, PlanStep, answer_conjunctive_query, evaluate_fixpoint, explain_conjunctive_query
 from .errors import MetaqlError
 from .model import Entity, display_iri
-from .oracle import certain_answers_oracle
 from .owl import Ontology, normalize_ontology, parse_ontology, serialize_ontology
 from .rules import builtin_rules
 from .sparql import parse_query, to_conjunctive_query
@@ -124,11 +123,15 @@ def _run_query_pipeline(args):
     extras = {}
     plan = None
     if args.command == "oracle":
+        from .oracle import certain_answers_oracle  # `query` never loads it
+
         answers = certain_answers_oracle(ontology, cq)
         t3 = t4 = time.perf_counter()
     else:
         store = FactStore()
         store.assert_facts(facts.facts)
+        # The store holds all that saturation and answering read.
+        del ontology, facts
         catalogue = builtin_rules(check_consistency=args.check_consistency)
         stats = evaluate_fixpoint(store, catalogue)
         t3 = time.perf_counter()

@@ -2,7 +2,9 @@
 
 The store keeps one relation per predicate as a set of tuples of IRI
 strings, with hash indexes built lazily for whatever bound column
-patterns the joins ask for.  One cost-based planner orders the
+patterns the joins ask for.  A one-column index is keyed by the IRI
+string itself, so no key tuple is built for it; a wider one is keyed by
+the tuple of its columns.  One cost-based planner orders the
 bodies of rules and queries alike: each atom is estimated from the
 store's exact index buckets for its constants and bound columns, the
 cheapest atom goes first, and every later atom shares a variable with
@@ -24,8 +26,10 @@ The fixpoint is computed semi-naive.  In the first round the delta is
 the whole store, so each rule joins once, planned like a query.  Every
 later round joins each rule against the previous round's delta in each
 body position, with the delta atom pinned first, so nothing is rederived
-from scratch.  Rules whose head no body reads (the consistency rules)
-cannot feed the fixpoint; they run once after it, planned like queries.
+from scratch.  A delta is the list of the distinct tuples its round
+added, not a second hash set beside the store's.  Rules whose head no
+body reads (the consistency rules) cannot feed the fixpoint; they run
+once after it, planned like queries.
 
 A rule of the shape `p(X, Y) :- p(X, M), p(M, Y)` (in the catalogue,
 `isacCC` and `isarRR`) gets no join tasks: joined, it emits every pair
@@ -75,25 +79,28 @@ from .model import (
 from .rules import RuleCatalogue
 
 
+def _key(cols: Sequence[int]) -> Callable[[tuple], object]:
+    """The function taking a tuple to its index key on columns `cols`: the
+    column itself for one column, the tuple of them otherwise."""
+    return itemgetter(*cols) if cols else lambda t: ()
+
+
 def _columns(cols: Sequence[int]) -> Callable[[tuple], tuple]:
     """The function taking a tuple to the tuple of its columns `cols`."""
-    if not cols:
-        return lambda t: ()
-    if len(cols) == 1:
-        return itemgetter(slice(cols[0], cols[0] + 1))
-    return itemgetter(*cols)
+    return itemgetter(slice(cols[0], cols[0] + 1)) if len(cols) == 1 else _key(cols)
 
 
-def _picker(srcs: Sequence[tuple[str, int | str]], width: int) -> Callable[[tuple], tuple]:
-    """The function taking a tuple of `width` columns to the tuple `srcs`
-    names: ('s', column) picks a column, ('c', IRI) is a constant."""
+def _picker(srcs: Sequence[tuple[str, int | str]], width: int, columns=_columns) -> Callable[[tuple], object]:
+    """The function taking a tuple of `width` columns to what `columns`
+    makes of the columns `srcs` names: ('s', column) picks a column,
+    ('c', IRI) is a constant."""
     consts = tuple(v for kind, v in srcs if kind == "c")
     cols, extra = [], width
     for kind, v in srcs:
         if kind == "c":
             v, extra = extra, extra + 1
         cols.append(v)
-    pick = _columns(cols)
+    pick = columns(cols)
     return (lambda t: pick(t + consts)) if consts else pick
 
 
@@ -103,7 +110,7 @@ class FactStore:
     def __init__(self):
         self.relations: dict[str, set[tuple[str, ...]]] = {}
         self._arity: dict[str, int] = {}
-        self._indexes: dict[tuple[str, tuple[int, ...]], dict[tuple[str, ...], list[tuple[str, ...]]]] = {}
+        self._indexes: dict[tuple[str, tuple[int, ...]], dict[object, list[tuple[str, ...]]]] = {}
 
     def _check_arity(self, pred: str, arity: int):
         expected = self._arity.get(pred, KNOWN_ARITY.get(pred))
@@ -117,7 +124,7 @@ class FactStore:
         added = 0
         arity = self._arity.get(pred, KNOWN_ARITY.get(pred))
         indexes = [
-            (_columns(key_pos), index) for (p, key_pos), index in self._indexes.items() if p == pred
+            (_key(key_pos), index) for (p, key_pos), index in self._indexes.items() if p == pred
         ]
         for t in tuples:
             if len(t) != arity:
@@ -142,11 +149,15 @@ class FactStore:
     def relation(self, pred: str) -> set[tuple[str, ...]]:
         return self.relations.get(pred, set())
 
-    def index(self, pred: str, key_pos: tuple[int, ...]):
+    def index(self, pred: str, key_pos: tuple[int, ...]) -> dict[object, list[tuple[str, ...]]]:
+        """The tuples of `pred` bucketed by their columns `key_pos`, built
+        on first use and kept up to date by `add_tuples`.  A one-column
+        index is keyed by the IRI string itself, a wider one by the tuple
+        of its columns."""
         got = self._indexes.get((pred, key_pos))
         if got is None:
             got = {}
-            key = _columns(key_pos)
+            key = _key(key_pos)
             for t in self.relations.get(pred, ()):
                 got.setdefault(key(t), []).append(t)
             self._indexes[(pred, key_pos)] = got
@@ -202,8 +213,8 @@ def _estimate(a: Atom, bound: set[str], store: FactStore) -> float:
         return float(len(rel))
     index = store.index(a.pred, key_pos)
     if all(isinstance(a.args[p], Entity) for p in key_pos):
-        key = tuple(a.args[p].iri for p in key_pos)
-        return float(len(index.get(key, ())))
+        consts = tuple(a.args[p].iri for p in key_pos)
+        return float(len(index.get(consts[0] if len(consts) == 1 else consts, ())))
     return len(rel) / len(index) if index else 0.0
 
 
@@ -239,7 +250,7 @@ def _matcher(pairs: Sequence[tuple[int, tuple[str, int | str]]], width: int):
     test."""
     if not pairs:
         return None
-    lhs, rhs = _columns([pos for pos, _ in pairs]), _picker([src for _, src in pairs], width)
+    lhs, rhs = _key([pos for pos, _ in pairs]), _picker([src for _, src in pairs], width, _key)
     return lambda t: lhs(t) == rhs(t)
 
 
@@ -301,10 +312,15 @@ def _compile(head_terms: Sequence[Var | Entity], body: Sequence[Atom], order: Se
         full = len(key_pos) == arity
         preds.append(a.pred)
         if n == 0:
+            # the start: with a full key, the tuple of its constants if the
+            # relation holds it; else their index bucket, keyed as `index` keys
             key0, full0, consts0 = key_pos, full, tuple(iri for _, (_, iri) in key)
+            if not full and len(consts0) == 1:
+                consts0 = consts0[0]
             keep_seed, keep_start = _matcher(key + same, arity), _matcher(same, arity)
         else:
-            key_of = _picker([src for _, src in key], width)
+            # a full key is a tuple of the relation, a probe key an index key
+            key_of = _picker([src for _, src in key], width, _columns if full else _key)
             stages.append((a.pred, key_pos, full, key_of, _matcher(same, arity)))
         if n == 0 or not full:
             col.update((name, width + pos) for name, pos in new.items())
@@ -373,20 +389,22 @@ def _transitive(rule: Rule) -> bool:
     return bool(shape and same and shape[2] == (shape[1] == 1))
 
 
-def _close(store: FactStore, pred: str, succ: dict[str, list[str]], edges: Iterable[tuple[str, str]]) -> set:
+def _close(store: FactStore, pred: str, succ: dict[str, list[str]], edges: Iterable[tuple[str, str]]) -> list:
     """Add `edges` to `succ`, the generating edges of `pred`, and add the
-    pairs of their transitive closure that `pred` lacks; returns them.
-    Either `pred` is closed over `succ`, so a tail's predecessors in it
-    are all the nodes that reach the tail, or `succ` is empty and `edges`
-    hold all of `pred`, so those predecessors are tails themselves."""
+    pairs of their transitive closure that `pred` lacks; returns them,
+    each once.  Either `pred` is closed over `succ`, so a tail's
+    predecessors in it are all the nodes that reach the tail, or `succ` is
+    empty and `edges` hold all of `pred`, so those predecessors are tails
+    themselves."""
     before = store.index(pred, (1,)) if succ else {}
     sources = set()
     for a, b in edges:
         succ.setdefault(a, []).append(b)
         sources.add(a)
-        sources.update(x for x, _ in before.get((a,), ()))
+        sources.update(x for x, _ in before.get(a, ()))
     known = store.relation(pred).__contains__
-    added: set[tuple[str, str]] = set()
+    # the pairs of distinct sources are distinct
+    added: list[tuple[str, str]] = []
     for s in sources:
         seen: set[str] = set()
         stack = [s]
@@ -395,7 +413,7 @@ def _close(store: FactStore, pred: str, succ: dict[str, list[str]], edges: Itera
                 if n not in seen:
                     seen.add(n)
                     stack.append(n)
-        added.update(filterfalse(known, zip(repeat(s), seen)))
+        added.extend(filterfalse(known, zip(repeat(s), seen)))
     if added:
         store.add_tuples(pred, added)
     return added
@@ -438,18 +456,21 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
         id(r): s[0] for r in recursive if (s := _pivot(r)) and r.body[1 - s[0]].pred in closed.keys() - {r.head.pred}
     }
 
-    def merge(new: dict[str, set[tuple[str, ...]]], mine=()) -> dict[str, set[tuple[str, ...]]]:
+    def merge(new: dict[str, set[tuple[str, ...]]], mine=()) -> dict[str, list[tuple[str, ...]]]:
         # `new` (emptied as it goes) holds what the rules derived, `mine`
-        # what each pivot rule derived that is not in the store
+        # what each pivot rule derived that is not in the store; a delta
+        # is the list of the distinct tuples it adds
         delta = {}
         for pred in list(new):
-            fresh = new.pop(pred) - store.relation(pred)
+            fresh = new.pop(pred)
             fresh.update(*(own for rule, own in mine if rule.head.pred == pred))
+            fresh -= store.relation(pred)
             if fresh:
                 if pred in closed:
                     fresh = _close(store, pred, closed[pred], fresh)
                 else:
                     store.add_tuples(pred, fresh)
+                    fresh = list(fresh)
                 delta[pred] = fresh
                 stats.facts_derived[pred] = stats.facts_derived.get(pred, 0) + len(fresh)
         return delta
@@ -461,8 +482,8 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
             stats.facts_derived[pred] = len(added)
 
     # None: the first round, whose delta is the whole store
-    delta: dict[str, set[tuple[str, ...]]] | None = None
-    trimmed: dict[int, set[tuple[str, ...]] | None] = {}  # id(rule) -> its q atom's delta
+    delta: dict[str, list[tuple[str, ...]]] | None = None
+    trimmed: dict[int, list[tuple[str, ...]] | None] = {}  # id(rule) -> its q atom's delta
     tasks: dict[tuple[int, int], Callable] = {}
 
     while True:
@@ -492,7 +513,10 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
         if not delta:
             break
         # what a pivot rule derived is in the store, so in its head's delta
-        trimmed = {id(rule): delta[rule.head.pred] - own if own else delta.get(rule.head.pred) for rule, own in mine}
+        trimmed = {
+            id(rule): [t for t in delta[rule.head.pred] if t not in own] if own else delta.get(rule.head.pred)
+            for rule, own in mine
+        }
 
     new = {}
     for rule in sinks:

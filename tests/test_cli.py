@@ -1,15 +1,17 @@
+import ast
 import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from helpers import EXAMPLE_SPECIES, EXAMPLE_SPECIES_ZOO, SPECIES
-from metaql import cli
+from metaql import cli, evaluate_fixpoint, translate_ontology
 from metaql.cli import CSV_HEADER, main
 from metaql.synthetic import UNI, professor_type_extension, special_meta_queries, university_ontology
 
@@ -241,6 +243,60 @@ def test_oracle_translates_no_facts(species_file, capsys, monkeypatch):
     monkeypatch.setattr(cli, "translate_ontology", refuse)
     assert main(["oracle", str(species_file), "--query-string", ZOO_QUERY]) == 0
     assert capsys.readouterr().out.splitlines()[0] == SPECIES + "Harry"
+
+
+def _fresh_env(**extra) -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout's metaql."""
+    pythonpath = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+
+
+@pytest.mark.parametrize("flags", [[], ["--explain"], ["--dump-model", "model.dl"]])
+def test_query_holds_neither_ontology_nor_facts_while_saturating(tmp_path, species_file, capsys, monkeypatch, flags):
+    # The store holds all that saturation and answering read, so the
+    # pipeline drops the parsed ontology and the translated facts first.
+    refs, alive = [], []
+
+    def translate(ontology):
+        facts = translate_ontology(ontology)
+        refs.extend((weakref.ref(ontology), weakref.ref(facts)))
+        return facts
+
+    def saturate(store, catalogue):
+        alive.append([ref() is not None for ref in refs])
+        return evaluate_fixpoint(store, catalogue)
+
+    monkeypatch.setattr(cli, "translate_ontology", translate)
+    monkeypatch.setattr(cli, "evaluate_fixpoint", saturate)
+    monkeypatch.chdir(tmp_path)
+    assert main(["query", str(species_file), "--query-string", ZOO_QUERY, *flags]) == 0
+    assert SPECIES + "Harry" in capsys.readouterr().out.splitlines()
+    assert alive == [[False, False]]
+
+
+def test_a_query_process_never_imports_the_oracle(species_file):
+    env = _fresh_env()
+    script = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('metaql', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('metaql')), file=sys.stderr)\n"
+    )
+    cmd = [sys.executable, "-c", script, "query", str(species_file), "--query-string", ZOO_QUERY]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == SPECIES + "Harry"
+    loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
+    assert "metaql.engine" in loaded and "metaql.oracle" not in loaded
+
+
+def test_the_oracle_resolves_on_the_package_when_first_named():
+    env = _fresh_env()
+    script = "import sys, metaql; print('metaql.oracle' in sys.modules, metaql.oracle.chase is metaql.chase)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("flag", ["--check-consistency", "--explain", "--dump-model"])
@@ -652,8 +708,7 @@ def test_a_closed_standard_output_is_an_error_not_a_traceback(tmp_path):
     # command is still writing when its reader goes.
     ontology = tmp_path / "uni.ofn"
     ontology.write_text(university_ontology(10), encoding="utf-8")
-    pythonpath = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    env = _fresh_env()
     cmd = [sys.executable, "-m", "metaql", "query", str(ontology), "--query-string", "SELECT ?x ?y WHERE { ?x a ?y }"]
     with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
         assert proc.stdout.readline().count("\t") == 1
@@ -671,8 +726,7 @@ def _cli_outputs_under_hash_seed(workdir: Path, seed: str) -> dict[str, bytes]:
     workdir.mkdir()
     (workdir / "base.ofn").write_text(university_ontology(2), encoding="utf-8")
     (workdir / "ext.ofn").write_text(professor_type_extension(), encoding="utf-8")
-    pythonpath = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    env = _fresh_env(PYTHONHASHSEED=seed)
     sq1 = dict(special_meta_queries())["sq1"]
     runs = {
         "extend": ["extend", "base.ofn", "ext.ofn", "-o", "merged.ofn"],
