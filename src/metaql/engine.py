@@ -444,8 +444,8 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
     stats = EvalStats()
 
     for rule in rules:
-        if not rule.body:
-            store.add_tuples(rule.head.pred, [tuple(t.iri for t in rule.head.args)])
+        if not rule.body and store.add_tuples(rule.head.pred, [tuple(t.iri for t in rule.head.args)]):
+            stats.facts_derived[rule.head.pred] = stats.facts_derived.get(rule.head.pred, 0) + 1
     read = {a.pred for rule in rules for a in rule.body}
     # pred -> generating edges of each relation kept transitively closed
     closed: dict[str, dict[str, list[str]]] = {rule.head.pred: {} for rule in rules if _transitive(rule)}
@@ -479,7 +479,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
         store._check_arity(pred, 2)
         added = _close(store, pred, succ, store.relation(pred))
         if added:
-            stats.facts_derived[pred] = len(added)
+            stats.facts_derived[pred] = stats.facts_derived.get(pred, 0) + len(added)
 
     # None: the first round, whose delta is the whole store
     delta: dict[str, list[tuple[str, ...]]] | None = None

@@ -8,6 +8,7 @@ inclusions plus instance inference:
 
   TBOX-CHAIN-ATOMIC  compose two inclusions through a named class
   TBOX-CHAIN-EXIST   compose through the existential a right side implies
+                     (one generator, `_tbox_chain`, over the middle's kind)
   TBOX-FILLER        widen the filler of a qualified existential
   TBOX-ROLE-LIFT     push role inclusions into existentials (and the
                      role-to-existential seeds / reflexivity transfers)
@@ -20,22 +21,39 @@ inclusions plus instance inference:
   ABOX-REFL          reflexive properties relate every named element to itself
   VIOLATION          opt-in consistency reporting (never alters answers)
 
+Role inclusions come in two forms, P <= S (isarRR) and P <= S- (isarRI),
+listed once in `_ROLE_INCLUSIONS`.  One law covers every family that
+follows them: an inclusion into an inverse flips the side of an
+existential (R <-> I) and the order of a pair, and inverses compose by
+parity, so two inverse markers cancel (`_parity`).
+
 All rules are safe, negation-free Horn rules whose heads stay inside the
 fixed signature plus the named/violation auxiliaries.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import Atom, Rule, SIGNATURE, TOP_CLASS, atom
+from .model import Atom, Rule, SIGNATURE, TOP_CLASS, alpha_equivalent, atom
 
 KINDS = ("C", "R", "I")
 
 # The kind pairs that have a disjc predicate: all but CR, which is
 # represented as RC.
 _DISJC_FORMS = frozenset((p[5], p[6]) for p in SIGNATURE if p.startswith("disjc"))
+
+# The two role-inclusion forms, each with the letter that says whether it
+# targets an inverse: R for a role, I for its inverse, as in the
+# existential kinds R and I and in disjrRR/disjrRI.
+_ROLE_INCLUSIONS = (("isarRR", "R"), ("isarRI", "I"))
+
+
+def _parity(a: str, b: str) -> str:
+    """Inverses compose by parity: two inverse markers cancel."""
+    return "R" if a == b else "I"
 
 
 @dataclass(frozen=True)
@@ -47,14 +65,9 @@ class RuleCatalogue:
         return [r for r, t in zip(self.rules, self.family_tags) if t == tag]
 
     def family_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for t in self.family_tags:
-            counts[t] = counts.get(t, 0) + 1
-        return counts
+        return Counter(self.family_tags)
 
     def contains(self, rule: Rule) -> bool:
-        from .model import alpha_equivalent
-
         return any(alpha_equivalent(r, rule) for r in self.rules)
 
     def to_dl(self) -> str:
@@ -73,35 +86,23 @@ def _kind_args(kind: str, first: str, second: str) -> tuple[str, ...]:
     return (first,) if kind == "C" else (first, second)
 
 
-def _tbox_chain_atomic(out):
-    # B <= m, m <= K  =>  B <= K, with a named-class middle m.
-    for l in KINDS:
-        for k in KINDS:
-            rhs = _kind_args(k, "Y", "F")
-            out.append(
-                (
-                    "TBOX-CHAIN-ATOMIC",
-                    Rule(_isac(l, k, "X", *rhs), (_isac(l, "C", "X", "M"), _isac("C", k, "M", *rhs))),
-                )
-            )
+def _bridge(l3: str, mid: str, lvar: str, mvar: str) -> Atom:
+    """B3 <= middle, where the middle has kind `mid`."""
+    if mid == "C":
+        return _isac(l3, "C", lvar, mvar)
+    return _isac(l3, mid, lvar, mvar, "C0")
 
 
-def _tbox_chain_exist(out):
-    # B <= exists m (possibly qualified), exists m <= K  =>  B <= K,
-    # once for the domain side and once for the range side.
-    for mid in ("R", "I"):
+def _tbox_chain(out):
+    # B <= m, m <= K  =>  B <= K, through a middle m of any kind: a named
+    # class, or an existential (possibly qualified) on either side.
+    for mid in KINDS:
+        tag = "TBOX-CHAIN-ATOMIC" if mid == "C" else "TBOX-CHAIN-EXIST"
         for l in KINDS:
             for k in KINDS:
                 rhs = _kind_args(k, "Y", "F")
-                out.append(
-                    (
-                        "TBOX-CHAIN-EXIST",
-                        Rule(
-                            _isac(l, k, "X", *rhs),
-                            (_isac(l, mid, "X", "M", "C0"), _isac(mid, k, "M", *rhs)),
-                        ),
-                    )
-                )
+                body = (_bridge(l, mid, "X", "M"), _isac(mid, k, "M", *rhs))
+                out.append((tag, Rule(_isac(l, k, "X", *rhs), body)))
 
 
 def _tbox_filler(out):
@@ -122,44 +123,36 @@ def _tbox_filler(out):
 def _tbox_role_lift(out):
     # Qualified existentials follow their role upwards, flipping the side
     # when the inclusion targets an inverse.
-    lifts = (("R", "isarRR", "R"), ("R", "isarRI", "I"), ("I", "isarRR", "I"), ("I", "isarRI", "R"))
-    for src, via, dst in lifts:
-        for l in KINDS:
-            out.append(
-                (
-                    "TBOX-ROLE-LIFT",
-                    Rule(
-                        _isac(l, dst, "X", "S", "F"),
-                        (_isac(l, src, "X", "P", "F"), atom(via, "P", "S")),
-                    ),
+    for src in ("R", "I"):
+        for via, inv in _ROLE_INCLUSIONS:
+            for l in KINDS:
+                out.append(
+                    (
+                        "TBOX-ROLE-LIFT",
+                        Rule(
+                            _isac(l, _parity(src, inv), "X", "S", "F"),
+                            (_isac(l, src, "X", "P", "F"), atom(via, "P", "S")),
+                        ),
+                    )
                 )
-            )
     # A role inclusion bounds the domains/ranges themselves; these seeds
     # let the chain family lift anything sitting on the subrole.
-    seeds = (
-        ("isarRR", "isacRR"), ("isarRR", "isacII"), ("isarRI", "isacRI"), ("isarRI", "isacIR"),
-    )
-    for via, head in seeds:
-        out.append(("TBOX-ROLE-LIFT", Rule(atom(head, "P", "S", TOP_CLASS), (atom(via, "P", "S"),))))
+    for via, inv in _ROLE_INCLUSIONS:
+        for side in ("R", "I"):
+            head = _isac(side, _parity(side, inv), "P", "S", TOP_CLASS)
+            out.append(("TBOX-ROLE-LIFT", Rule(head, (atom(via, "P", "S"),))))
     # Reflexivity travels up role inclusions, irreflexivity down.
-    out.append(("TBOX-ROLE-LIFT", Rule(atom("refl", "S"), (atom("refl", "P"), atom("isarRR", "P", "S")))))
-    out.append(("TBOX-ROLE-LIFT", Rule(atom("refl", "S"), (atom("refl", "P"), atom("isarRI", "P", "S")))))
-    out.append(("TBOX-ROLE-LIFT", Rule(atom("irrefl", "P"), (atom("isarRR", "P", "S"), atom("irrefl", "S")))))
-    out.append(("TBOX-ROLE-LIFT", Rule(atom("irrefl", "P"), (atom("isarRI", "P", "S"), atom("irrefl", "S")))))
+    for via, _ in _ROLE_INCLUSIONS:
+        out.append(("TBOX-ROLE-LIFT", Rule(atom("refl", "S"), (atom("refl", "P"), atom(via, "P", "S")))))
+    for via, _ in _ROLE_INCLUSIONS:
+        out.append(("TBOX-ROLE-LIFT", Rule(atom("irrefl", "P"), (atom(via, "P", "S"), atom("irrefl", "S")))))
 
 
 def _role_trans(out):
-    # Inverse markers compose by parity.
-    table = (
-        ("isarRR", "isarRR", "isarRR"),
-        ("isarRR", "isarRI", "isarRI"),
-        ("isarRI", "isarRR", "isarRI"),
-        ("isarRI", "isarRI", "isarRR"),
-    )
-    for first, second, result in table:
-        out.append(
-            ("ROLE-TRANS", Rule(atom(result, "P", "T"), (atom(first, "P", "S"), atom(second, "S", "T"))))
-        )
+    for first, a in _ROLE_INCLUSIONS:
+        for second, b in _ROLE_INCLUSIONS:
+            head = atom(f"isarR{_parity(a, b)}", "P", "T")
+            out.append(("ROLE-TRANS", Rule(head, (atom(first, "P", "S"), atom(second, "S", "T")))))
 
 
 def _disj_sym(out):
@@ -184,13 +177,6 @@ def _disj_head(l3: str, k2: str, lvar: str, kvar: str) -> Atom:
     if (l3, k2) in _DISJC_FORMS:
         return atom(f"disjc{l3}{k2}", lvar, kvar)
     return atom(f"disjc{k2}{l3}", kvar, lvar)
-
-
-def _bridge(l3: str, mid: str, lvar: str, mvar: str) -> Atom:
-    """B3 <= middle, where the middle has kind `mid`."""
-    if mid == "C":
-        return _isac(l3, "C", lvar, mvar)
-    return _isac(l3, mid, lvar, mvar, "C0")
 
 
 def _disj_down(out):
@@ -223,16 +209,10 @@ def _disj_down(out):
         )
     # Role disjointness inherits along role inclusions, flipping with the
     # inverse marker.
-    table = (
-        ("isarRR", "disjrRR", "disjrRR"),
-        ("isarRI", "disjrRR", "disjrRI"),
-        ("isarRR", "disjrRI", "disjrRI"),
-        ("isarRI", "disjrRI", "disjrRR"),
-    )
-    for via, src, dst in table:
-        out.append(
-            ("DISJ-DOWN", Rule(atom(dst, "T", "S"), (atom(via, "T", "P"), atom(src, "P", "S"))))
-        )
+    for d in ("R", "I"):
+        for via, inv in _ROLE_INCLUSIONS:
+            head = atom(f"disjrR{_parity(d, inv)}", "T", "S")
+            out.append(("DISJ-DOWN", Rule(head, (atom(via, "T", "P"), atom(f"disjrR{d}", "P", "S")))))
 
 
 def _abox(out):
@@ -245,12 +225,9 @@ def _abox(out):
     out.append(
         ("ABOX-CLASS", Rule(atom("instc", "C", "Y"), (atom("instr", "P", "X", "Y"), atom("isacIC", "P", "C"))))
     )
-    out.append(
-        ("ABOX-ROLE", Rule(atom("instr", "S", "X", "Y"), (atom("instr", "P", "X", "Y"), atom("isarRR", "P", "S"))))
-    )
-    out.append(
-        ("ABOX-ROLE", Rule(atom("instr", "S", "Y", "X"), (atom("instr", "P", "X", "Y"), atom("isarRI", "P", "S"))))
-    )
+    for via, inv in _ROLE_INCLUSIONS:
+        head = atom("instr", "S", "X", "Y") if inv == "R" else atom("instr", "S", "Y", "X")
+        out.append(("ABOX-ROLE", Rule(head, (atom("instr", "P", "X", "Y"), atom(via, "P", "S")))))
     out.append(("AUX-NAMED", Rule(atom("named", "X"), (atom("instc", "C", "X"),))))
     out.append(("AUX-NAMED", Rule(atom("named", "X"), (atom("instr", "P", "X", "Y"),))))
     out.append(("AUX-NAMED", Rule(atom("named", "Y"), (atom("instr", "P", "X", "Y"),))))
@@ -286,8 +263,7 @@ def _violation(out):
 def builtin_rules(check_consistency: bool = False) -> RuleCatalogue:
     """The full catalogue; pure and cached."""
     out: list[tuple[str, Rule]] = []
-    _tbox_chain_atomic(out)
-    _tbox_chain_exist(out)
+    _tbox_chain(out)
     _tbox_filler(out)
     _tbox_role_lift(out)
     _role_trans(out)

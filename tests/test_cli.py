@@ -719,10 +719,11 @@ def test_a_closed_standard_output_is_an_error_not_a_traceback(tmp_path):
 
 
 def _cli_outputs_under_hash_seed(workdir: Path, seed: str) -> dict[str, bytes]:
-    """Stdout of extend, translate and query --explain --dump-model run in
-    fresh interpreters under PYTHONHASHSEED=seed, and every file they
-    write.  Paths are relative to `workdir`, so stdout names the same ones
-    under each seed; the query's `total_ms` timing is masked."""
+    """Stdout of extend, translate, query --explain --dump-model and rules
+    --check-consistency run in fresh interpreters under
+    PYTHONHASHSEED=seed, and every file they write.  Paths are relative to
+    `workdir`, so stdout names the same ones under each seed; the query's
+    `total_ms` timing is masked."""
     workdir.mkdir()
     (workdir / "base.ofn").write_text(university_ontology(2), encoding="utf-8")
     (workdir / "ext.ofn").write_text(professor_type_extension(), encoding="utf-8")
@@ -732,6 +733,7 @@ def _cli_outputs_under_hash_seed(workdir: Path, seed: str) -> dict[str, bytes]:
         "extend": ["extend", "base.ofn", "ext.ofn", "-o", "merged.ofn"],
         "translate": ["translate", "merged.ofn", "-o", "facts.dl"],
         "query": ["query", "merged.ofn", "--query-string", sq1, "--explain", "--dump-model", "model.dl"],
+        "rules": ["rules", "--check-consistency", "-o", "rules.dl"],
     }
     got = {}
     for name, argv in runs.items():
@@ -739,7 +741,7 @@ def _cli_outputs_under_hash_seed(workdir: Path, seed: str) -> dict[str, bytes]:
         proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()
         got[f"{name} stdout"] = re.sub(rb"total_ms=[0-9.]+", b"total_ms=*", proc.stdout)
-    for path in ("merged.ofn", "facts.dl", "model.dl"):
+    for path in ("merged.ofn", "facts.dl", "model.dl", "rules.dl"):
         got[path] = (workdir / path).read_bytes()
     return got
 
@@ -747,6 +749,6 @@ def _cli_outputs_under_hash_seed(workdir: Path, seed: str) -> dict[str, bytes]:
 def test_cli_output_is_byte_identical_across_hash_seeds(tmp_path):
     first = _cli_outputs_under_hash_seed(tmp_path / "seed0", "0")
     second = _cli_outputs_under_hash_seed(tmp_path / "seed4242", "4242")
-    assert b"answers=" in first["query stdout"] and first["model.dl"]
+    assert b"answers=" in first["query stdout"] and first["model.dl"] and first["rules.dl"]
     for what in first:
         assert first[what] == second[what], what

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gens import random_ontology, random_program, random_query
+from gens import PROG_CONSTS, random_ontology, random_program, random_query
 from helpers import EXAMPLE_SPECIES, SPECIES, brute_force_answers, fact, naive_evaluate, saturate
 from metaql import (
     Atom,
@@ -162,17 +162,41 @@ def test_builtin_catalogue_agrees_with_naive_twin(check_consistency):
     assert inconsistent > 0 if check_consistency else inconsistent == 0
 
 
-@pytest.mark.parametrize("check_consistency", [False, True])
+def _catalogue_over_ontology(check_consistency):
+    def program(rng):
+        return translate_ontology(random_ontology(rng)).facts, builtin_rules(check_consistency)
+
+    return program
+
+
+def _program_with_a_bodiless_fact(rng):
+    # The fact lands on a predicate the rules use; on a binary one, a
+    # transitive rule may also keep it closed.
+    facts, rules = random_program(rng)
+    head = rng.choice(rules).head
+    rules.append(Rule(Atom(head.pred, tuple(rng.choice(PROG_CONSTS) for _ in head.args)), ()))
+    if len(head.args) == 2 and rng.random() < 0.5:
+        x, m, y = Var("X"), Var("M"), Var("Y")
+        rules.append(Rule(Atom(head.pred, (x, y)), (Atom(head.pred, (x, m)), Atom(head.pred, (m, y)))))
+    return facts, rules
+
+
+@pytest.mark.parametrize(
+    "program",
+    [_catalogue_over_ontology(False), _catalogue_over_ontology(True), _program_with_a_bodiless_fact],
+    ids=["False", "True", "bodiless"],
+)
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_derived_counts_are_the_growth_of_the_model(check_consistency, seed):
-    # Every tuple a round adds is counted once, whichever rules derived it.
-    facts = translate_ontology(random_ontology(random.Random(seed))).facts
+def test_derived_counts_are_the_growth_of_the_model(program, seed):
+    # Every tuple a round adds is counted once, whichever rules derived it,
+    # and so is the fact of a rule with an empty body.
+    facts, rules = program(random.Random(seed))
     store = FactStore()
     store.assert_facts(facts)
     before = {pred: len(rel) for pred, rel in store.relations.items()}
     size = store.size()
-    stats = evaluate_fixpoint(store, builtin_rules(check_consistency))
+    stats = evaluate_fixpoint(store, rules)
     for pred, rel in store.relations.items():
         assert stats.facts_derived.get(pred, 0) == len(rel) - before.get(pred, 0), pred
     assert stats.total_derived() == store.size() - size

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -74,6 +75,34 @@ def test_family_counts_are_pinned():
     assert len(builtin_rules()) == 107
     assert 60 <= len(builtin_rules()) <= 110
     assert len(builtin_rules(check_consistency=True)) == 110
+
+
+# The catalogue text as `metaql rules -o` writes it, with and without the
+# consistency rules: a change to any rule, or to their order, says so.
+CATALOGUE_SHA256 = {
+    False: "d2e316f7fe3b47fc787ffef1cba303a813396f4dcd8c3409eac3ad1c3db4e87f",
+    True: "45301cc2706eee3973a6ee88170f2b15bd217ee46783dac1fc5ca8d2475c97e2",
+}
+
+
+@pytest.mark.parametrize("check_consistency", [False, True])
+def test_catalogue_text_and_tags_are_pinned(check_consistency):
+    catalogue = builtin_rules(check_consistency)
+    assert hashlib.sha256(catalogue.to_dl().encode("utf-8")).hexdigest() == CATALOGUE_SHA256[check_consistency]
+    runs = [
+        ("TBOX-CHAIN-ATOMIC", 9),
+        ("TBOX-CHAIN-EXIST", 18),
+        ("TBOX-FILLER", 6),
+        ("TBOX-ROLE-LIFT", 20),
+        ("ROLE-TRANS", 4),
+        ("DISJ-SYM", 9),
+        ("DISJ-DOWN", 31),
+        ("ABOX-CLASS", 3),
+        ("ABOX-ROLE", 2),
+        ("AUX-NAMED", 4),
+        ("ABOX-REFL", 1),
+    ] + [("VIOLATION", 3)] * check_consistency
+    assert catalogue.family_tags == tuple(tag for tag, n in runs for _ in range(n))
 
 
 def test_subclass_chain_closes_transitively():
