@@ -24,7 +24,6 @@ from .errors import (
 )
 from .model import (
     Atom,
-    Atomic,
     BOTTOM_CLASS,
     BOTTOM_PROPERTY,
     ClassAssertion,
@@ -75,7 +74,7 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityMismatch", "Atom", "Atomic", "BOTTOM_CLASS", "BOTTOM_PROPERTY",
+    "ArityMismatch", "Atom", "BOTTOM_CLASS", "BOTTOM_PROPERTY",
     "CanonicalModel", "ClassAssertion", "ClassDisjoint", "ClassInclusion",
     "ConjunctiveQuery", "CyclicTBox", "DifferentIndividuals",
     "Entity", "EvalStats", "FactBase", "FactStore", "InvalidIri",

@@ -113,16 +113,6 @@ class PropExpr:
 
 
 @dataclass(frozen=True, slots=True)
-class Atomic:
-    """A named class."""
-
-    cls: Entity
-
-    def __str__(self) -> str:
-        return str(self.cls)
-
-
-@dataclass(frozen=True, slots=True)
 class Some:
     """Existential restriction with an atomic filler.  ``filler == TOP_CLASS``
     plays the role of the unqualified domain/range concept."""
@@ -134,19 +124,22 @@ class Some:
         return f"some({self.prop}, {self.filler})"
 
 
-ClassExpr = Union[Atomic, Some]
+# A named class is its `Entity`: the fragment's only other class
+# expression is `Some`, so no wrapper is needed to tell the two apart.
+ClassExpr = Union[Entity, Some]
 
 
 def is_basic(ce: ClassExpr) -> bool:
     """Basic concepts: a named class, or an unqualified existential."""
-    return isinstance(ce, Atomic) or ce.filler == TOP_CLASS
+    return isinstance(ce, Entity) or ce.filler == TOP_CLASS
 
 
 def basic_kind(ce: ClassExpr) -> tuple[str, Entity]:
-    """Kind letter and carrier entity of a basic concept: C for a named
-    class, R for a domain-side existential, I for a range-side one."""
-    if isinstance(ce, Atomic):
-        return "C", ce.cls
+    """Kind letter and carrier entity of a class expression: C and the
+    class for a named class, R or I and the property for a domain-side or
+    range-side existential (a qualified one's filler is left out)."""
+    if isinstance(ce, Entity):
+        return "C", ce
     return ("I", ce.prop.prop) if ce.prop.inverse else ("R", ce.prop.prop)
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from .errors import CyclicTBox
 from .model import (
-    Atomic,
     ClassAssertion,
     ClassDisjoint,
     ClassInclusion,
@@ -64,14 +63,14 @@ def is_null(symbol: str) -> bool:
 
 
 def _basic_of_expr(ce) -> Basic:
-    if isinstance(ce, Atomic):
-        return ("C", ce.cls.iri)
+    if isinstance(ce, Entity):
+        return ("C", ce.iri)
     return ("I" if ce.prop.inverse else "R", ce.prop.prop.iri)
 
 
 def _rhs_of_expr(ce) -> Rhs:
-    if isinstance(ce, Atomic):
-        return ("C", ce.cls.iri)
+    if isinstance(ce, Entity):
+        return ("C", ce.iri)
     return ("I" if ce.prop.inverse else "R", ce.prop.prop.iri, ce.filler.iri)
 
 
@@ -356,10 +355,10 @@ def chase(o: Ontology, closure: TBoxClosure | None = None) -> CanonicalModel:
             if isinstance(ax, ClassInclusion):
                 members = sorted(model.basic_ext(_basic_of_expr(ax.sub)))
                 sup = ax.sup
-                if isinstance(sup, Atomic):
-                    if sup.cls == TOP_CLASS:
+                if isinstance(sup, Entity):
+                    if sup == TOP_CLASS:
                         continue
-                    ext = model.class_ext.setdefault(sup.cls.iri, set())
+                    ext = model.class_ext.setdefault(sup.iri, set())
                     for e in members:
                         if e not in ext:
                             ext.add(e)

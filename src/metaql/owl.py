@@ -21,7 +21,10 @@ IRI or ObjectInverseOf(PE).  ``#`` starts a comment outside strings.
 Equivalences, domains, ranges, inverse declarations and n-ary
 disjointness are rewritten into the core axiom forms, whose constructors
 store the orientation the fact translation needs; anything else is
-rejected explicitly rather than guessed at.
+rejected explicitly rather than guessed at.  An unsupported constructor
+is known by its shape: a name with no `:` followed by `(` where an
+entity is expected (a class, property, individual or filler position)
+raises `UnsupportedAxiom` naming it, as an unknown axiom keyword does.
 
 Both this parser and the query parser in `sparql.py` read their input
 through one `Cursor`: a single `finditer` pass splits the text into
@@ -52,7 +55,6 @@ from .model import (
     TOP_CLASS,
     TOP_PROPERTY,
     XSD_NS,
-    Atomic,
     Axiom,
     ClassAssertion,
     ClassDisjoint,
@@ -189,35 +191,6 @@ def check_dots(cur: Cursor, tok: Tok):
 # Parsing proper
 # ==============================================================================
 
-# OWL keywords we recognise but deliberately reject: outside the profile
-# handled here, or excluded (data properties, imports).
-_REJECTED = {
-    "Import",
-    "ObjectComplementOf",
-    "ObjectIntersectionOf",
-    "ObjectUnionOf",
-    "ObjectOneOf",
-    "ObjectAllValuesFrom",
-    "ObjectHasValue",
-    "ObjectHasSelf",
-    "ObjectMinCardinality",
-    "ObjectMaxCardinality",
-    "ObjectExactCardinality",
-    "DataPropertyAssertion",
-    "DataPropertyDomain",
-    "DataPropertyRange",
-    "SubDataPropertyOf",
-    "DataSomeValuesFrom",
-    "SameIndividual",
-    "FunctionalObjectProperty",
-    "InverseFunctionalObjectProperty",
-    "TransitiveObjectProperty",
-    "SymmetricObjectProperty",
-    "AsymmetricObjectProperty",
-    "HasKey",
-    "NegativeObjectPropertyAssertion",
-}
-
 _DISCARDED = {"Declaration", "AnnotationAssertion", "Annotation"}
 
 
@@ -286,7 +259,18 @@ class _Entities(dict):
         return ent
 
 
+def _reject_constructor(cur: Cursor, detail: str = ""):
+    """Raise `UnsupportedAxiom` if the next tokens are a constructor, a
+    name with no `:` (so no entity) followed by `(`."""
+    tokens, pos = cur.tokens, cur.pos
+    if pos + 1 < len(tokens) and tokens[pos + 1][0] == "lparen":
+        kind, text, _ = tokens[pos]
+        if kind == "name" and ":" not in text:
+            raise UnsupportedAxiom(text, detail)
+
+
 def _entity(cur: Cursor, entities: _Entities) -> Entity:
+    _reject_constructor(cur)
     tok = cur.next()
     if tok[0] == "name":
         check_dots(cur, tok)
@@ -314,16 +298,11 @@ def _class_expr(cur: Cursor, entities: _Entities) -> ClassExpr:
         cur.next()
         cur.expect("lparen")
         prop = _prop_expr(cur, entities)
-        tok = cur.peek()
-        if tok is not None and tok[0] == "name" and (tok[1] in _REJECTED or tok[1] == "ObjectSomeValuesFrom"):
-            raise UnsupportedAxiom(tok[1], "existential fillers must be named classes")
+        _reject_constructor(cur, "existential fillers must be named classes")
         filler = _entity(cur, entities)
         cur.expect("rparen")
         return Some(prop, filler)
-    tok = cur.peek()
-    if tok is not None and tok[0] == "name" and tok[1] in _REJECTED:
-        raise UnsupportedAxiom(tok[1])
-    return Atomic(_entity(cur, entities))
+    return _entity(cur, entities)
 
 
 def _basic_class_expr(keyword: str):
@@ -340,9 +319,9 @@ def _check_basic(ce: ClassExpr, keyword: str) -> ClassExpr:
 
 def _named_class(cur: Cursor, entities: _Entities) -> Entity:
     ce = _class_expr(cur, entities)
-    if not isinstance(ce, Atomic):
+    if not isinstance(ce, Entity):
         raise UnsupportedAxiom("ClassAssertion", "class assertions must use a named class")
-    return ce.cls
+    return ce
 
 
 # The n-ary keywords, each with at least two operands: the operand reader,
@@ -395,7 +374,7 @@ _FIXED = {
 # The axiom of a `flat` token, from its operands' entities in order.
 _FLAT = {
     "ClassAssertion": ClassAssertion,
-    "SubClassOf": lambda sub, sup: ClassInclusion(Atomic(sub), Atomic(sup)),
+    "SubClassOf": ClassInclusion,
     "ObjectPropertyAssertion": PropAssertion,
 }
 
@@ -453,7 +432,7 @@ def normalize_ontology(o: Ontology) -> Ontology:
     tbox = set(o.tbox)
     classes = {ax.cls for ax in o.abox if isinstance(ax, ClassAssertion)}
     props = {ax.prop for ax in o.abox if isinstance(ax, PropAssertion)}
-    tbox.update(ClassInclusion(Atomic(c), Atomic(TOP_CLASS)) for c in classes)
+    tbox.update(ClassInclusion(c, TOP_CLASS) for c in classes)
     tbox.update(PropInclusion(PropExpr(p), PropExpr(TOP_PROPERTY)) for p in props)
 
     return Ontology(frozenset(tbox), o.abox, dict(o.prefixes))
@@ -469,8 +448,8 @@ def _iri_text(e: Entity) -> str:
 
 
 def _ce_text(ce: ClassExpr) -> str:
-    if isinstance(ce, Atomic):
-        return _iri_text(ce.cls)
+    if isinstance(ce, Entity):
+        return _iri_text(ce)
     return f"ObjectSomeValuesFrom({_pe_text(ce.prop)} {_iri_text(ce.filler)})"
 
 

@@ -66,7 +66,7 @@ _Q_TOKEN_RE = re.compile(
       | (?P<lbrace>\{)
       | (?P<rbrace>\})
       | (?P<dot>\.)
-      | (?P<punct>[()\[\];,/|^+*!=<>-]+)
+      | (?P<punct>[()\[\];,/|^+*!=<>-])
       | (?P<name>[^\s{}()\[\];,?$"<>#/|^*+=!]+(?<!\.))
     """,
     re.VERBOSE,
@@ -183,6 +183,7 @@ def parse_query(text: str) -> SparqlQuery:
         if t is not None and t[0] == "dot":
             cur.next()
         elif t is not None and t[0] != "rbrace":
+            _check_unsupported(t)
             raise cur.error(f"expected '.' or '}}' after a triple pattern, found {t[1]!r}", t)
     cur.next()
 

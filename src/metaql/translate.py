@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .model import (
-    Atomic,
     Axiom,
     ClassAssertion,
     ClassDisjoint,
@@ -38,11 +37,10 @@ def tau(ax: Axiom) -> Fact:
     axiom in the orientation its predicate needs."""
     if isinstance(ax, ClassInclusion):
         lk, lname = basic_kind(ax.sub)
-        sup = ax.sup
-        if isinstance(sup, Atomic):
-            return f"isac{lk}C", (lname.iri, sup.cls.iri)
-        rk = "I" if sup.prop.inverse else "R"
-        return f"isac{lk}{rk}", (lname.iri, sup.prop.prop.iri, sup.filler.iri)
+        rk, rname = basic_kind(ax.sup)
+        if rk == "C":
+            return f"isac{lk}C", (lname.iri, rname.iri)
+        return f"isac{lk}{rk}", (lname.iri, rname.iri, ax.sup.filler.iri)
 
     if isinstance(ax, PropInclusion):
         pred = "isarRI" if ax.sup.inverse else "isarRR"

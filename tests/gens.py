@@ -11,7 +11,6 @@ import random
 
 from metaql import (
     Atom,
-    Atomic,
     ClassAssertion,
     ClassDisjoint,
     ClassInclusion,
@@ -43,14 +42,14 @@ INDS = [Entity(f"{NS}a{i}") for i in range(10)]
 def _basic(rng: random.Random):
     roll = rng.random()
     if roll < 0.6:
-        return Atomic(rng.choice(CLASSES))
+        return rng.choice(CLASSES)
     return Some(PropExpr(rng.choice(PROPS), inverse=roll >= 0.8), TOP_CLASS)
 
 
 def _rhs(rng: random.Random):
     roll = rng.random()
     if roll < 0.5:
-        return Atomic(rng.choice(CLASSES))
+        return rng.choice(CLASSES)
     filler = rng.choice(CLASSES) if rng.random() < 0.6 else TOP_CLASS
     return Some(PropExpr(rng.choice(PROPS), inverse=roll >= 0.75), filler)
 
@@ -168,8 +167,8 @@ def _axiom_entities(ax):
 
 
 def _expr_entities(ce):
-    if isinstance(ce, Atomic):
-        return [ce.cls]
+    if isinstance(ce, Entity):
+        return [ce]
     return [ce.prop.prop, ce.filler]
 
 

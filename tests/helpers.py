@@ -7,7 +7,6 @@ from typing import Iterable, Sequence
 
 from metaql import (
     Atom,
-    Atomic,
     ConjunctiveQuery,
     Entity,
     FactStore,
@@ -30,7 +29,7 @@ SPECIES = "http://ex/species#"
 
 # One basic concept of each kind letter over a given entity.
 BASIC_OF_KIND = {
-    "C": Atomic,
+    "C": lambda e: e,
     "R": lambda e: Some(PropExpr(e), TOP_CLASS),
     "I": lambda e: Some(PropExpr(e, inverse=True), TOP_CLASS),
 }

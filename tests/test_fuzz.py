@@ -114,6 +114,7 @@ NON_FLAT_AXIOMS = (
 BAD_AXIOMS = (
     "ClassAssertion(ObjectSomeValuesFrom(:p :A) :a)", "ClassAssertion(ObjectUnionOf(:A :B) :a)",
     "Declaration(ClassAssertion(ex:C :a)",
+    "SubObjectPropertyOf(ObjectPropertyChain(:p :q) :r)", "DifferentIndividuals(:a ObjectOneOf(:b))",
 )
 ONTOLOGY_FRAMES = ("Ontology({})", "Ontology(<http://x#o>\n{}\n)")
 BAD_FRAMES = ("Ontology({}", "{}", "Ontology() {}", "Ontology({}) {}")

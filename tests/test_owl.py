@@ -6,7 +6,6 @@ import pytest
 from gens import random_ontology
 from helpers import EXAMPLE_SPECIES, SPECIES, fact, parse_token_by_token
 from metaql import (
-    Atomic,
     ClassAssertion,
     ClassDisjoint,
     ClassInclusion,
@@ -41,8 +40,8 @@ def parse_axioms(body: str):
 
 def test_parse_example_species():
     o = parse_ontology(EXAMPLE_SPECIES)
-    assert ClassInclusion(Atomic(ent("Eagle")), Atomic(ent("Birds"))) in o.tbox
-    assert ClassInclusion(Atomic(ent("GoldenEagle")), Atomic(ent("Eagle"))) in o.tbox
+    assert ClassInclusion(ent("Eagle"), ent("Birds")) in o.tbox
+    assert ClassInclusion(ent("GoldenEagle"), ent("Eagle")) in o.tbox
     assert ClassAssertion(ent("GoldenEagle"), ent("Harry")) in o.abox
     assert ClassAssertion(ent("EndangeredSpecies"), ent("GoldenEagle")) in o.abox
     assert len(o) == 4
@@ -64,16 +63,16 @@ def test_parse_ontology_iri_and_comments():
 def test_equivalent_classes_become_two_inclusions():
     axs = parse_axioms("EquivalentClasses(:A :B)")
     assert axs == {
-        ClassInclusion(Atomic(ent("A")), Atomic(ent("B"))),
-        ClassInclusion(Atomic(ent("B")), Atomic(ent("A"))),
+        ClassInclusion(ent("A"), ent("B")),
+        ClassInclusion(ent("B"), ent("A")),
     }
 
 
 def test_domain_and_range_become_existential_inclusions():
     axs = parse_axioms("ObjectPropertyDomain(:r :C) ObjectPropertyRange(:r :D)")
     r = PropExpr(ent("r"))
-    assert ClassInclusion(Some(r, TOP_CLASS), Atomic(ent("C"))) in axs
-    assert ClassInclusion(Some(r.flipped(), TOP_CLASS), Atomic(ent("D"))) in axs
+    assert ClassInclusion(Some(r, TOP_CLASS), ent("C")) in axs
+    assert ClassInclusion(Some(r.flipped(), TOP_CLASS), ent("D")) in axs
 
 
 def test_inverse_object_properties_become_two_inclusions():
@@ -148,10 +147,10 @@ def test_an_entity_spelled_two_ways_in_two_parses_is_equal_and_hashes_equal():
     first = parse_ontology("Prefix(:=<http://ex/ns/>)\nOntology(SubClassOf(:A owl:Thing))")
     second = parse_ontology("Prefix(e:=<http://ex/>)\nOntology(SubClassOf(e:ns/A e:ns/B))")
     (ax1,), (ax2,) = first.tbox, second.tbox
-    a1, a2 = ax1.sub.cls, ax2.sub.cls
+    a1, a2 = ax1.sub, ax2.sub
     assert a1 is not a2
     assert a1 == a2 == Entity("http://ex/ns/A") and hash(a1) == hash(a2) == hash(Entity("http://ex/ns/A"))
-    assert ax1.sup.cls is TOP_CLASS
+    assert ax1.sup is TOP_CLASS
 
 
 def test_unknown_prefix_raises_at_its_first_occurrence():
@@ -210,8 +209,8 @@ def test_nary_axiom_with_one_operand_reports_its_keyword_position(axiom):
 
 def test_normalize_adds_top_inclusions():
     o = normalize_ontology(parse_ontology(EXAMPLE_SPECIES))
-    assert ClassInclusion(Atomic(ent("GoldenEagle")), Atomic(TOP_CLASS)) in o.tbox
-    assert ClassInclusion(Atomic(ent("EndangeredSpecies")), Atomic(TOP_CLASS)) in o.tbox
+    assert ClassInclusion(ent("GoldenEagle"), TOP_CLASS) in o.tbox
+    assert ClassInclusion(ent("EndangeredSpecies"), TOP_CLASS) in o.tbox
 
     zoo = parse_axioms("ObjectPropertyAssertion(:Lives_in :Harry :CPZ)")
     normalized = normalize_ontology(Ontology(frozenset(), frozenset(zoo), {}))
@@ -229,7 +228,7 @@ def _normalize_per_assertion(o: Ontology) -> Ontology:
     tbox = set(o.tbox)
     for ax in o.abox:
         if isinstance(ax, ClassAssertion):
-            tbox.add(ClassInclusion(Atomic(ax.cls), Atomic(TOP_CLASS)))
+            tbox.add(ClassInclusion(ax.cls, TOP_CLASS))
         elif isinstance(ax, PropAssertion):
             tbox.add(PropInclusion(PropExpr(ax.prop), PropExpr(TOP_PROPERTY)))
     return Ontology(frozenset(tbox), o.abox, {})
@@ -249,13 +248,13 @@ def test_normalize_flips_class_vs_domain_disjointness():
     # c excludes some r  has no direct fact form; the constructor stores it
     # in the domain-side orientation, and normalization keeps that.
     raw = Ontology(
-        frozenset({ClassDisjoint(Atomic(ent("C")), Some(PropExpr(ent("r")), TOP_CLASS))}),
+        frozenset({ClassDisjoint(ent("C"), Some(PropExpr(ent("r")), TOP_CLASS))}),
         frozenset(),
         {},
     )
     normalized = normalize_ontology(raw)
     assert normalized.tbox == {
-        ClassDisjoint(Some(PropExpr(ent("r")), TOP_CLASS), Atomic(ent("C")))
+        ClassDisjoint(Some(PropExpr(ent("r")), TOP_CLASS), ent("C"))
     }
 
 
@@ -361,6 +360,22 @@ _P = "Prefix(:=<http://ex/>)\n"
             None,
         ),
         (_P + "Ontology(\n  SubClassOf(:A ObjectUnionOf(:B :C))\n)", UnsupportedAxiom, "unsupported axiom 'ObjectUnionOf'", None),
+        (
+            _P + "Ontology(\n  SubObjectPropertyOf(ObjectPropertyChain(:p :q) :r)\n)",
+            UnsupportedAxiom,
+            "unsupported axiom 'ObjectPropertyChain'",
+            None,
+        ),
+        (_P + "Ontology(\n  ClassAssertion(:A ObjectOneOf(:a))\n)", UnsupportedAxiom, "unsupported axiom 'ObjectOneOf'", None),
+        (
+            _P + "Ontology(\n  SubClassOf(:A ObjectSomeValuesFrom(:r ObjectInverseOf(:s)))\n)",
+            UnsupportedAxiom,
+            "unsupported axiom 'ObjectInverseOf': existential fillers must be named classes",
+            None,
+        ),
+        (_P + "Ontology(\n  SubClassOf(:A Foo(:B))\n)", UnsupportedAxiom, "unsupported axiom 'Foo'", None),
+        # A prefixed name is an entity even before a `(`.
+        (_P + "Ontology(\n  SubClassOf(:A :B(:C))\n)", OwlSyntaxError, "expected rparen, found '('", (3, 19)),
         (
             _P + "Ontology(\n  SubClassOf(ObjectSomeValuesFrom(:r :C) :D)\n)",
             UnsupportedAxiom,

@@ -201,6 +201,12 @@ def test_a_name_keeps_a_dot_inside_it():
             "punctuation '/' (property paths / expressions)",
             None,
         ),
+        (
+            "SELECT ?x WHERE { ?x <http://e#p>/<http://e#q> ?y }",
+            UnsupportedFeature,
+            "punctuation '/' (property paths / expressions)",
+            None,
+        ),
         ("SELECT ?x WHERE { _:b <http://ex/p> ?x }", UnsupportedFeature, "blank nodes", None),
         ("PREFIX ex <http://ex/>\nSELECT ?x WHERE { ?x a ex:C }", OwlSyntaxError, "expected prefix name ending in ':'", (1, 8)),
         ("PREFIX ex: ex:C\nSELECT ?x WHERE { ?x a ex:C }", OwlSyntaxError, "expected <iri> after prefix name", (1, 12)),
@@ -220,6 +226,8 @@ def test_a_name_keeps_a_dot_inside_it():
             "expected '.' or '}' after a triple pattern, found '?y'",
             (2, 22),
         ),
+        (PFX + "SELECT ?x WHERE { ?x a :C FILTER(?x != :D) }", UnsupportedFeature, "FILTER", None),
+        (PFX + "SELECT ?x WHERE { ?x a :C OPTIONAL { ?x :p ?y } }", UnsupportedFeature, "OPTIONAL", None),
         ("SELECT ?x WHERE { ?x a <http://ex/C> }\n  ?y", OwlSyntaxError, "unexpected input after WHERE block: '?y'", (2, 3)),
         ("SELECT ?x WHERE { ?x a <http://ex/C> }\n  LIMIT 3", UnsupportedFeature, "solution modifiers", None),
         ("SELECT ?x WHERE\n  { }", OwlSyntaxError, "WHERE block must contain at least one triple pattern", (2, 3)),

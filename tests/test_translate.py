@@ -7,7 +7,6 @@ import pytest
 from gens import random_ontology
 from helpers import BASIC_OF_KIND, EXAMPLE_SPECIES, SPECIES, fact
 from metaql import (
-    Atomic,
     ClassAssertion,
     ClassDisjoint,
     ClassInclusion,
@@ -51,26 +50,26 @@ def _rng(e):  # range-side existential
 # assertions at the bottom.
 TAU_TABLE = [
     # positive TBox rows
-    (ClassInclusion(Atomic(C1), Atomic(C2)), fact("isacCC", C1, C2)),
-    (ClassInclusion(Atomic(C1), Some(_r(R2, True), C2)), fact("isacCI", C1, R2, C2)),
+    (ClassInclusion(C1, C2), fact("isacCC", C1, C2)),
+    (ClassInclusion(C1, Some(_r(R2, True), C2)), fact("isacCI", C1, R2, C2)),
     (ClassInclusion(_dom(R1), Some(_r(R2), C2)), fact("isacRR", R1, R2, C2)),
-    (ClassInclusion(_rng(R1), Atomic(C2)), fact("isacIC", R1, C2)),
+    (ClassInclusion(_rng(R1), C2), fact("isacIC", R1, C2)),
     (ClassInclusion(_rng(R1), Some(_r(R2), C2)), fact("isacIR", R1, R2, C2)),
     (ClassInclusion(_rng(R1), Some(_r(R2, True), C2)), fact("isacII", R1, R2, C2)),
     (PropInclusion(_r(R1), _r(R2)), fact("isarRR", R1, R2)),
     (PropInclusion(_r(R1), _r(R2, True)), fact("isarRI", R1, R2)),
-    (ClassInclusion(Atomic(C1), Some(_r(R2), C2)), fact("isacCR", C1, R2, C2)),
-    (ClassInclusion(_dom(R1), Atomic(C2)), fact("isacRC", R1, C2)),
+    (ClassInclusion(C1, Some(_r(R2), C2)), fact("isacCR", C1, R2, C2)),
+    (ClassInclusion(_dom(R1), C2), fact("isacRC", R1, C2)),
     (ClassInclusion(_dom(R1), Some(_r(R2, True), C2)), fact("isacRI", R1, R2, C2)),
     (Reflexive(R1), fact("refl", R1)),
     # negative TBox rows
     (PropDisjoint(_r(R1), _r(R2)), fact("disjrRR", R1, R2)),
-    (ClassDisjoint(Atomic(C1), Atomic(C2)), fact("disjcCC", C1, C2)),
-    (ClassDisjoint(Atomic(C1), _rng(R2)), fact("disjcCI", C1, R2)),
-    (ClassDisjoint(_dom(R1), Atomic(C2)), fact("disjcRC", R1, C2)),
+    (ClassDisjoint(C1, C2), fact("disjcCC", C1, C2)),
+    (ClassDisjoint(C1, _rng(R2)), fact("disjcCI", C1, R2)),
+    (ClassDisjoint(_dom(R1), C2), fact("disjcRC", R1, C2)),
     (ClassDisjoint(_dom(R1), _dom(R2)), fact("disjcRR", R1, R2)),
     (ClassDisjoint(_dom(R1), _rng(R2)), fact("disjcRI", R1, R2)),
-    (ClassDisjoint(_rng(R1), Atomic(C2)), fact("disjcIC", R1, C2)),
+    (ClassDisjoint(_rng(R1), C2), fact("disjcIC", R1, C2)),
     (ClassDisjoint(_rng(R1), _dom(R2)), fact("disjcIR", R1, R2)),
     (ClassDisjoint(_rng(R1), _rng(R2)), fact("disjcII", R1, R2)),
     (PropDisjoint(_r(R1), _r(R2, True)), fact("disjrRI", R1, R2)),
@@ -93,7 +92,7 @@ def test_tau_table_is_complete():
 
 
 def test_unqualified_existential_right_side_uses_top_filler():
-    ax = ClassInclusion(Atomic(C1), _dom(R2))
+    ax = ClassInclusion(C1, _dom(R2))
     assert tau(ax) == fact("isacCR", C1, R2, TOP_CLASS)
 
 
