@@ -47,8 +47,7 @@ from .model import (
     atom,
     intern,
 )
-from .owl import Ontology, normalize_ontology, parse_ontology, serialize_ontology
-from .translate import FactBase, tau, translate_ontology
+from .owl import FactBase, Ontology, normalize_ontology, parse_ontology, serialize_ontology, translate_ontology
 from .rules import RuleCatalogue, builtin_rules
 from .engine import (
     EvalStats,
@@ -88,5 +87,5 @@ __all__ = [
     "builtin_rules", "certain_answers_oracle", "chase",
     "evaluate_fixpoint", "explain_conjunctive_query", "intern",
     "normalize_ontology", "parse_ontology", "parse_query", "serialize_ontology",
-    "tau", "tbox_closure", "to_conjunctive_query", "translate_ontology",
+    "tbox_closure", "to_conjunctive_query", "translate_ontology",
 ]

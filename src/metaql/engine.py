@@ -53,7 +53,18 @@ reach those facts through its `p` atom.
 
 The cyclic garbage collector is paused while the fixpoint runs: nothing
 it allocates refers back to itself, so reference counting frees it all,
-and a collection would only scan the growing store in vain.
+and a collection would only scan the growing store in vain.  For the same
+reason a fixpoint entered with the collector on ends, if it returns,
+with `gc.freeze()`: the saturated store is acyclic and lives as long as
+its queries, so every later full collection would rescan it in vain.
+Such a fixpoint starts with one full collection, so the freeze finds no
+cyclic garbage to keep: none is left at the start and the fixpoint makes
+none.  (At the start the heap is smaller than at the end: 6 ms against
+22 ms on `meta_taxo`.)  The freeze is process-wide: it moves every
+object then alive, the caller's and the rest of the process's too, into
+the collector's permanent generation, where it is never scanned again; a
+cycle among those objects that later becomes garbage stays until
+`gc.unfreeze()` or the end of the process.
 """
 
 from __future__ import annotations
@@ -427,13 +438,23 @@ def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule
     like a query.  The result is independent of rule order, join order
     and insertion order; termination is guaranteed because the Herbrand
     base is finite.  The cyclic garbage collector is paused meanwhile:
-    what the fixpoint allocates holds no reference cycles.
+    what the fixpoint allocates holds no reference cycles.  If it was on,
+    a full collection first frees the cyclic garbage pending, and if the
+    fixpoint returns, `gc.freeze()` moves every object still alive in the
+    process, the store among them, out of all later collections before
+    the collector is switched back on (see the module docstring for the
+    cost).
     """
     rules = catalogue.rules if isinstance(catalogue, RuleCatalogue) else tuple(catalogue)
     was = gc.isenabled()
     gc.disable()
     try:
-        return _saturate(store, rules)
+        if was:
+            gc.collect()
+        stats = _saturate(store, rules)
+        if was:
+            gc.freeze()
+        return stats
     finally:
         if was:
             gc.enable()

@@ -1,11 +1,12 @@
 """Shared abstract syntax.
 
-Entities, class/property expressions and axioms mirror the restricted
-ontology language; terms, atoms, rules and conjunctive queries mirror the
-Datalog side.  All values are immutable after construction and safe to
-share across threads.  Axiom constructors store the normal form, the
-one shape with a predicate in `SIGNATURE`, so an axiom written either way
-is one value and no other module orients axioms.
+Entities and class/property expressions mirror the restricted ontology
+language; terms, atoms, rules and conjunctive queries mirror the Datalog
+side.  All values are immutable after construction and safe to share
+across threads.  An axiom is the one fact it translates to: each axiom
+constructor returns the fact of the axiom's normal form, the one shape
+with a predicate in `SIGNATURE`, so an axiom written either way is one
+value and no other module orients axioms.
 """
 
 from __future__ import annotations
@@ -147,100 +148,73 @@ def basic_kind(ce: ClassExpr) -> tuple[str, Entity]:
 # Axioms
 # ==============================================================================
 
+# An axiom is its fact: the pair of a predicate of `SIGNATURE` and the IRIs
+# of the axiom's entities, as the store holds it.  Each constructor below
+# takes the entities and expressions of one axiom form, written either
+# way, and returns the fact of its normal form, so equal axioms are equal
+# facts.  Inclusion and disjointness predicates are keyed on the shapes of
+# their sides: C for a named class, R for a domain-side existential, I for
+# a range-side one; a qualified right-hand existential carries its filler
+# as the last argument, the unqualified one the top class.
+Fact = tuple[str, tuple[str, ...]]
 
-@dataclass(frozen=True, slots=True)
-class ClassInclusion:
-    sub: ClassExpr
-    sup: ClassExpr
 
-    def __post_init__(self):
-        if not is_basic(self.sub):
-            raise ValueError(f"inclusion left side must be basic: {self.sub}")
+def ClassInclusion(sub: ClassExpr, sup: ClassExpr) -> Fact:
+    if not is_basic(sub):
+        raise ValueError(f"inclusion left side must be basic: {sub}")
+    lk, lname = basic_kind(sub)
+    rk, rname = basic_kind(sup)
+    if rk == "C":
+        return f"isac{lk}C", (lname.iri, rname.iri)
+    return f"isac{lk}{rk}", (lname.iri, rname.iri, sup.filler.iri)
 
 
-@dataclass(frozen=True, slots=True)
-class PropInclusion:
+def PropInclusion(sub: PropExpr, sup: PropExpr) -> Fact:
     # r^- <= s is stored as r <= s^-.
-    sub: PropExpr
-    sup: PropExpr
-
-    def __post_init__(self):
-        if self.sub.inverse:
-            object.__setattr__(self, "sub", self.sub.flipped())
-            object.__setattr__(self, "sup", self.sup.flipped())
+    inverse = sup.inverse != sub.inverse
+    return ("isarRI" if inverse else "isarRR"), (sub.prop.iri, sup.prop.iri)
 
 
-@dataclass(frozen=True, slots=True)
-class ClassDisjoint:
+def ClassDisjoint(left: ClassExpr, right: ClassExpr) -> Fact:
     # Two basic concepts with an empty intersection.  The signature has no
     # disjcCR, so disjointness of a class and a domain-side existential is
     # stored with the existential on the left.
-    left: ClassExpr
-    right: ClassExpr
-
-    def __post_init__(self):
-        if not (is_basic(self.left) and is_basic(self.right)):
-            raise ValueError("disjointness operands must be basic concepts")
-        if f"disjc{basic_kind(self.left)[0]}{basic_kind(self.right)[0]}" not in SIGNATURE:
-            left = self.left
-            object.__setattr__(self, "left", self.right)
-            object.__setattr__(self, "right", left)
+    if not (is_basic(left) and is_basic(right)):
+        raise ValueError("disjointness operands must be basic concepts")
+    (lk, lname), (rk, rname) = basic_kind(left), basic_kind(right)
+    if f"disjc{lk}{rk}" not in SIGNATURE:
+        (lk, lname), (rk, rname) = (rk, rname), (lk, lname)
+    return f"disjc{lk}{rk}", (lname.iri, rname.iri)
 
 
-@dataclass(frozen=True, slots=True)
-class PropDisjoint:
+def PropDisjoint(left: PropExpr, right: PropExpr) -> Fact:
     # r^- disjoint with s is stored as r disjoint with s^-.
-    left: PropExpr
-    right: PropExpr
-
-    def __post_init__(self):
-        if self.left.inverse:
-            object.__setattr__(self, "left", self.left.flipped())
-            object.__setattr__(self, "right", self.right.flipped())
+    inverse = right.inverse != left.inverse
+    return ("disjrRI" if inverse else "disjrRR"), (left.prop.iri, right.prop.iri)
 
 
-@dataclass(frozen=True, slots=True)
-class Reflexive:
-    prop: Entity
+def Reflexive(prop: Entity) -> Fact:
+    return "refl", (prop.iri,)
 
 
-@dataclass(frozen=True, slots=True)
-class Irreflexive:
-    prop: Entity
+def Irreflexive(prop: Entity) -> Fact:
+    return "irrefl", (prop.iri,)
 
 
-@dataclass(frozen=True, slots=True)
-class ClassAssertion:
-    cls: Entity
-    individual: Entity
+def ClassAssertion(cls: Entity, individual: Entity) -> Fact:
+    return "instc", (cls.iri, individual.iri)
 
 
-@dataclass(frozen=True, slots=True)
-class PropAssertion:
-    prop: Entity
-    subject: Entity
-    object: Entity
+def PropAssertion(prop: Entity, subject: Entity, object: Entity) -> Fact:
+    return "instr", (prop.iri, subject.iri, object.iri)
 
 
-@dataclass(frozen=True, slots=True)
-class DifferentIndividuals:
-    a: Entity
-    b: Entity
+def DifferentIndividuals(a: Entity, b: Entity) -> Fact:
+    return "diff", (a.iri, b.iri)
 
 
-Axiom = Union[
-    ClassInclusion,
-    PropInclusion,
-    ClassDisjoint,
-    PropDisjoint,
-    Reflexive,
-    Irreflexive,
-    ClassAssertion,
-    PropAssertion,
-    DifferentIndividuals,
-]
-
-TBOX_KINDS = (ClassInclusion, PropInclusion, ClassDisjoint, PropDisjoint, Reflexive, Irreflexive)
+# The predicates of assertions; every other axiom belongs to the TBox.
+ABOX_PREDICATES = frozenset({"instc", "instr", "diff"})
 
 
 # ==============================================================================
@@ -301,7 +275,6 @@ class Var:
 # An entity is a constant term of a rule or query.  Facts are no atoms:
 # each is a (predicate, IRI tuple) pair, as the store holds it.
 Term = Union[Entity, Var]
-Fact = tuple[str, tuple[str, ...]]
 _quoted = '"{}"'.format
 
 

@@ -29,22 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CyclicTBox
-from .model import (
-    ClassAssertion,
-    ClassDisjoint,
-    ClassInclusion,
-    ConjunctiveQuery,
-    DifferentIndividuals,
-    Entity,
-    Irreflexive,
-    PropAssertion,
-    PropDisjoint,
-    PropInclusion,
-    Reflexive,
-    Some,
-    TOP_CLASS,
-    Var,
-)
+from .model import TOP_CLASS, ConjunctiveQuery, Entity, Var
 from .owl import Ontology
 
 TOP = TOP_CLASS.iri
@@ -62,16 +47,10 @@ def is_null(symbol: str) -> bool:
     return symbol.startswith(_NULL_PREFIX)
 
 
-def _basic_of_expr(ce) -> Basic:
-    if isinstance(ce, Entity):
-        return ("C", ce.iri)
-    return ("I" if ce.prop.inverse else "R", ce.prop.prop.iri)
-
-
-def _rhs_of_expr(ce) -> Rhs:
-    if isinstance(ce, Entity):
-        return ("C", ce.iri)
-    return ("I" if ce.prop.inverse else "R", ce.prop.prop.iri, ce.filler.iri)
+def _inclusion(pred: str, args: tuple[str, ...]) -> tuple[Basic, Rhs]:
+    """The two sides of an `isac` fact: its predicate ends in their kind
+    letters, and a right-hand existential carries its filler last."""
+    return (pred[4], args[0]), (pred[5], *args[1:])
 
 
 def _basic_of_rhs(rhs: Rhs) -> Basic:
@@ -126,20 +105,20 @@ def tbox_closure(o: Ontology) -> TBoxClosure:
     refl: set[str] = set()
     irrefl: set[str] = set()
 
-    for ax in o.tbox:
-        if isinstance(ax, ClassInclusion):
-            incl.add((_basic_of_expr(ax.sub), _rhs_of_expr(ax.sup)))
-        elif isinstance(ax, PropInclusion):
-            role_incl.add((ax.sub.prop.iri, ax.sup.prop.iri, ax.sup.inverse))
-        elif isinstance(ax, ClassDisjoint):
-            disj.add(frozenset({_basic_of_expr(ax.left), _basic_of_expr(ax.right)}))
-        elif isinstance(ax, PropDisjoint):
-            kind = "inv" if ax.right.inverse else "plain"
-            role_disj.add((kind, frozenset({ax.left.prop.iri, ax.right.prop.iri})))
-        elif isinstance(ax, Reflexive):
-            refl.add(ax.prop.iri)
-        elif isinstance(ax, Irreflexive):
-            irrefl.add(ax.prop.iri)
+    for pred, args in o.tbox:
+        if pred.startswith("isac"):
+            incl.add(_inclusion(pred, args))
+        elif pred.startswith("isar"):
+            role_incl.add((args[0], args[1], pred == "isarRI"))
+        elif pred.startswith("disjc"):
+            disj.add(frozenset({(pred[5], args[0]), (pred[6], args[1])}))
+        elif pred.startswith("disjr"):
+            kind = "inv" if pred == "disjrRI" else "plain"
+            role_disj.add((kind, frozenset(args)))
+        elif pred == "refl":
+            refl.add(args[0])
+        elif pred == "irrefl":
+            irrefl.add(args[0])
 
     changed = True
     while changed:
@@ -283,12 +262,12 @@ def _check_acyclic(o: Ontology, closure: TBoxClosure):
         add_membership(("C", TOP), ("R", r))
         add_membership(("C", TOP), ("I", r))
 
-    for ax in o.tbox:
-        if isinstance(ax, ClassInclusion) and isinstance(ax.sup, Some):
-            role = ax.sup.prop.prop.iri
-            incident = ("R", role) if ax.sup.prop.inverse else ("I", role)
-            targets = {("C", ax.sup.filler.iri), incident, ("C", TOP)}
-            creation.append((_basic_of_expr(ax.sub), targets))
+    for pred, args in o.tbox:
+        if pred.startswith("isac") and pred[5] != "C":
+            sub, (kind, role, filler) = _inclusion(pred, args)
+            incident = ("R", role) if kind == "I" else ("I", role)
+            targets = {("C", filler), incident, ("C", TOP)}
+            creation.append((sub, targets))
 
     edges: dict[Basic, set[Basic]] = {k: set(v) for k, v in membership.items()}
     for src, targets in creation:
@@ -323,22 +302,18 @@ def chase(o: Ontology, closure: TBoxClosure | None = None) -> CanonicalModel:
     model = CanonicalModel(set(), set(), {}, {}, 0)
     generation: dict[str, int] = {}
 
-    for ax in o.abox:
-        if isinstance(ax, ClassAssertion):
-            model.class_ext.setdefault(ax.cls.iri, set()).add(ax.individual.iri)
-            model.elements.add(ax.individual.iri)
-        elif isinstance(ax, PropAssertion):
-            model.prop_ext.setdefault(ax.prop.iri, set()).add((ax.subject.iri, ax.object.iri))
-            model.elements.add(ax.subject.iri)
-            model.elements.add(ax.object.iri)
+    for pred, args in o.abox:
+        if pred == "instc":
+            model.class_ext.setdefault(args[0], set()).add(args[1])
+            model.elements.add(args[1])
+        elif pred == "instr":
+            model.prop_ext.setdefault(args[0], set()).add(args[1:])
+            model.elements.update(args[1:])
     model.named = set(model.elements)
     for e in model.elements:
         generation[e] = 0
 
-    positive = sorted(
-        (ax for ax in o.tbox if isinstance(ax, (ClassInclusion, PropInclusion, Reflexive))),
-        key=repr,
-    )
+    positive = sorted(ax for ax in o.tbox if ax[0].startswith(("isac", "isar")) or ax[0] == "refl")
     null_counter = itertools.count(1)
     # Bounds acyclic TBoxes whose chase branches exponentially.
     element_cap = max(1000, 50 * (len(model.elements) + 1))
@@ -351,24 +326,24 @@ def chase(o: Ontology, closure: TBoxClosure | None = None) -> CanonicalModel:
     changed = True
     while changed:
         changed = False
-        for ax in positive:
-            if isinstance(ax, ClassInclusion):
-                members = sorted(model.basic_ext(_basic_of_expr(ax.sub)))
-                sup = ax.sup
-                if isinstance(sup, Entity):
-                    if sup == TOP_CLASS:
+        for pred, args in positive:
+            if pred.startswith("isac"):
+                sub, sup = _inclusion(pred, args)
+                members = sorted(model.basic_ext(sub))
+                if sup[0] == "C":
+                    if sup[1] == TOP:
                         continue
-                    ext = model.class_ext.setdefault(sup.iri, set())
+                    ext = model.class_ext.setdefault(sup[1], set())
                     for e in members:
                         if e not in ext:
                             ext.add(e)
                             changed = True
                 else:
-                    prop = sup.prop.prop.iri
-                    filler = sup.filler.iri
+                    kind, prop, filler = sup
+                    inverse = kind == "I"
                     pairs = model.prop_ext.setdefault(prop, set())
                     for e in members:
-                        if sup.prop.inverse:
+                        if inverse:
                             witnesses = {x for x, y in pairs if y == e}
                         else:
                             witnesses = {y for x, y in pairs if x == e}
@@ -383,20 +358,20 @@ def chase(o: Ontology, closure: TBoxClosure | None = None) -> CanonicalModel:
                         model.elements.add(null)
                         generation[null] = gen
                         model.depth = max(model.depth, gen)
-                        pairs.add((null, e) if sup.prop.inverse else (e, null))
+                        pairs.add((null, e) if inverse else (e, null))
                         if filler != TOP:
                             model.class_ext.setdefault(filler, set()).add(null)
                         changed = True
-            elif isinstance(ax, PropInclusion):
-                sub_pairs = model.prop_ext.get(ax.sub.prop.iri, set())
-                sup_ext = model.prop_ext.setdefault(ax.sup.prop.iri, set())
+            elif pred.startswith("isar"):
+                sub_pairs = model.prop_ext.get(args[0], set())
+                sup_ext = model.prop_ext.setdefault(args[1], set())
                 for x, y in sorted(sub_pairs):
-                    pair = (y, x) if ax.sup.inverse else (x, y)
+                    pair = (y, x) if pred == "isarRI" else (x, y)
                     if pair not in sup_ext:
                         sup_ext.add(pair)
                         changed = True
-            else:  # Reflexive
-                ext = model.prop_ext.setdefault(ax.prop.iri, set())
+            else:  # refl
+                ext = model.prop_ext.setdefault(args[0], set())
                 for e in sorted(model.elements):
                     if (e, e) not in ext:
                         ext.add((e, e))
@@ -424,9 +399,7 @@ def _semantic_relations(o: Ontology, closure: TBoxClosure, model: CanonicalModel
         for x, y in pairs:
             instr.add((prop, x, y))
     diff = rels.setdefault("diff", set())
-    for ax in o.abox:
-        if isinstance(ax, DifferentIndividuals):
-            diff.add((ax.a.iri, ax.b.iri))
+    diff.update(args for pred, args in o.abox if pred == "diff")
     return rels
 
 

@@ -10,6 +10,7 @@ The accepted grammar is the restricted fragment needed here:
        InverseObjectProperties(PE PE)
        ObjectPropertyDomain(PE CE)  ObjectPropertyRange(PE CE)
        ReflexiveObjectProperty(PE)  IrreflexiveObjectProperty(PE)
+       SymmetricObjectProperty(PE)  AsymmetricObjectProperty(PE)
        ClassAssertion(C i)  ObjectPropertyAssertion(PE i i)
        DifferentIndividuals(i i ...)
        Declaration(...)          # parsed and discarded
@@ -17,27 +18,33 @@ The accepted grammar is the restricted fragment needed here:
     )
 
 with CE either an IRI or ObjectSomeValuesFrom(PE IRI), and PE either an
-IRI or ObjectInverseOf(PE).  ``#`` starts a comment outside strings.
-Equivalences, domains, ranges, inverse declarations and n-ary
+IRI or ObjectInverseOf(PE).  ``#`` starts a comment outside strings.  An
+axiom's leading Annotation(...) operands are discarded.  Equivalences,
+domains, ranges, inverse declarations, (a)symmetry and n-ary
 disjointness are rewritten into the core axiom forms, whose constructors
-store the orientation the fact translation needs; anything else is
-rejected explicitly rather than guessed at.  An unsupported constructor
-is known by its shape: a name with no `:` followed by `(` where an
-entity is expected (a class, property, individual or filler position)
-raises `UnsupportedAxiom` naming it, as an unknown axiom keyword does.
+in `model` return the fact of the normal form; anything else is rejected
+explicitly rather than guessed at.  An unsupported constructor is known
+by its shape: a name with no `:` followed by `(` where an entity is
+expected (a class, property, individual or filler position) raises
+`UnsupportedAxiom` naming it, as an unknown axiom keyword does.
 
-Both this parser and the query parser in `sparql.py` read their input
-through one `Cursor`: a single `finditer` pass splits the text into
-`(kind, text, offset)` tuples, and line and column are worked out from an
-offset only when a syntax error is raised.  A `flat` token is a whole
+A parse is one scan of the text, and an ontology is its facts.  At each
+axiom start the scan first tries `_FLAT_RE`, which matches a whole
 ClassAssertion, SubClassOf or ObjectPropertyAssertion over IRIs and
-prefixed names, nearly every axiom of a large ontology; other axioms are
-read from two tables, `_NARY` for the keywords with two or more operands
-of one kind and `_FIXED` for those with a fixed list of operands;
-`_parse_axiom` reads the parentheses and operands for all of them in one
-place.  Every error comes from the token-by-token parse: a text whose
-parse with `flat` tokens fails is parsed again without them.  Each parse
-resolves every distinct IRI text once, through its own `_Entities` dict.
+prefixed names, nearly every axiom of a large ontology, with the blanks
+and comments before it.  A match becomes its fact at once and the scan
+moves past it: no token is made for it.  The header, every other axiom
+and the trailer are read token by token through the `Cursor` that the
+query parser in `sparql.py` shares.  Here it tokenizes lazily, up to the
+next parenthesis at a time, so the text a match covers is never
+tokenized; offsets stay offsets into the whole text.  `_NARY` holds the
+keywords with two or more operands of one kind and `_FIXED` those with a
+fixed list of operands; `_parse_axiom` reads the parentheses and operands
+for all of them in one place.  Every error comes from the token-by-token
+parse of the whole text: a text whose scan fails is parsed again without
+flat matches.  Each parse resolves every distinct operand text to its
+`Entity` once, through its own `_Entities` dict, so a flat match makes
+no object but its fact.
 """
 
 from __future__ import annotations
@@ -48,20 +55,20 @@ from itertools import combinations
 
 from .errors import MetaqlError, OwlSyntaxError, UnsupportedAxiom
 from .model import (
+    ABOX_PREDICATES,
     OWL_NS,
     RDF_NS,
     RDFS_NS,
-    TBOX_KINDS,
     TOP_CLASS,
     TOP_PROPERTY,
     XSD_NS,
-    Axiom,
     ClassAssertion,
     ClassDisjoint,
     ClassExpr,
     ClassInclusion,
     DifferentIndividuals,
     Entity,
+    Fact,
     Irreflexive,
     PropAssertion,
     PropDisjoint,
@@ -71,6 +78,7 @@ from .model import (
     Some,
     display_iri,
     intern,
+    facts_to_dl,
     is_basic,
 )
 
@@ -80,12 +88,15 @@ DEFAULT_PREFIXES = {"owl": OWL_NS, "rdf": RDF_NS, "rdfs": RDFS_NS, "xsd": XSD_NS
 
 @dataclass(frozen=True)
 class Ontology:
-    tbox: frozenset[Axiom]
-    abox: frozenset[Axiom]
+    """The facts of an ontology's axioms: the assertions in `abox`, every
+    other axiom in `tbox`."""
+
+    tbox: frozenset[Fact]
+    abox: frozenset[Fact]
     prefixes: dict[str, str] = field(compare=False, default_factory=dict)
 
     @property
-    def axioms(self) -> frozenset[Axiom]:
+    def axioms(self) -> frozenset[Fact]:
         return self.tbox | self.abox
 
     def __len__(self) -> int:
@@ -96,7 +107,8 @@ class Ontology:
 # Tokenizer: the cursor shared by the ontology and the query parser
 # ==============================================================================
 
-_TOKENS = r"""(?P<ws>\s+)
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
       | (?P<iriref><[^<>\s]*>)
       | (?P<string>"(?:[^"\\]|\\.)*")
@@ -106,17 +118,20 @@ _TOKENS = r"""(?P<ws>\s+)
       | (?P<caret>\^\^)
       | (?P<langtag>@[A-Za-z][A-Za-z0-9-]*)
       | (?P<name>[^\s()<>"=^@#]+)
-    """
-# A `flat` operand is an IRI or a name holding a `:` whose dots `check_dots`
-# accepts, so never a keyword; an axiom `flat` does not match falls through.
-_OPERAND = r"""(?:<[^<>\s]*> | [^\s()<>"=^@\#:]*(?<!\.):(?!\.)[^\s()<>"=^@\#]*(?<!\.))"""
-_TOKEN_RE = re.compile(
-    rf"""(?P<flat>(?:ClassAssertion|SubClassOf)\s*\(\s*{_OPERAND}\s+{_OPERAND}\s*\)
-          | ObjectPropertyAssertion\s*\(\s*{_OPERAND}\s+{_OPERAND}\s+{_OPERAND}\s*\))
-      | {_TOKENS}""",
+    """,
     re.VERBOSE,
 )
-_PLAIN_TOKEN_RE = re.compile(_TOKENS, re.VERBOSE)
+# A flat operand is an IRI or a name holding a `:` whose dots `check_dots`
+# accepts, so never a keyword: one token of `_TOKEN_RE`.  The blanks and
+# comments before an axiom match in one way only (a comment runs to the end
+# of its line), so a text that is no flat axiom fails in linear time.
+_OPERAND = r"""(<[^<>\s]*> | [^\s()<>"=^@\#:]*(?<!\.):(?!\.)[^\s()<>"=^@\#]*(?<!\.))"""
+_FLAT_RE = re.compile(
+    rf"""(?:\s|\#[^\n]*(?![^\n]))*
+      (?: (ClassAssertion|SubClassOf)\s*\(\s*{_OPERAND}\s+{_OPERAND}\s*\)
+        | ObjectPropertyAssertion\s*\(\s*{_OPERAND}\s+{_OPERAND}\s+{_OPERAND}\s*\) )""",
+    re.VERBOSE,
+)
 
 # A token is a (kind, text, offset) tuple: the name of the pattern group it
 # matched, its text, and where it starts in the input.
@@ -127,27 +142,44 @@ class Cursor:
     """The tokens of one input text and a position in them; the lexer and
     token reader of both the ontology and the query parser.
 
-    `pattern`'s named groups are the token kinds (`_TOKEN_RE`'s, `flat`
-    first, or `sparql._Q_TOKEN_RE`'s); `ws` and `comment` tokens are
-    dropped.  `name` says what the text is in the message for running out
-    of tokens.  Every syntax error either parser raises comes from
-    `error`, which works out line and column from a token's offset.
+    `pattern`'s named groups are the token kinds (`_TOKEN_RE`'s or
+    `sparql._Q_TOKEN_RE`'s); `ws` and `comment` tokens are dropped.  `name`
+    says what the text is in the message for running out of tokens.  A
+    cursor tokenizes from offset `end` whenever it runs out of tokens: to
+    the end of the text, or, if `lazy`, through the next parenthesis; while
+    no token is pending, its owner may move `end` past text it has read
+    itself.  Every syntax error either parser raises comes from `error`,
+    which works out line and column from a token's offset.
     """
 
-    def __init__(self, pattern: re.Pattern, text: str, name: str):
+    def __init__(self, pattern: re.Pattern, text: str, name: str, lazy: bool = False):
+        self.pattern = pattern
         self.text = text
         self.name = name
+        self.lazy = lazy
         self.tokens: list[Tok] = []
         self.pos = 0
-        end = 0
-        for m in pattern.finditer(text):
+        self.end = 0
+        self._scan()
+
+    def _scan(self) -> bool:
+        """Tokenize from `end`: through the next parenthesis if lazy, else
+        to the end of the text.  Whether a token was added."""
+        text, end, count = self.text, self.end, len(self.tokens)
+        for m in self.pattern.finditer(text, end):
             if m.start() != end:
                 break
             end = m.end()
-            if m.lastgroup != "ws" and m.lastgroup != "comment":
-                self.tokens.append((m.lastgroup, m.group(), m.start()))
+            kind = m.lastgroup
+            if kind != "ws" and kind != "comment":
+                self.tokens.append((kind, m.group(), m.start()))
+                if self.lazy and (kind == "lparen" or kind == "rparen"):
+                    self.end = end
+                    return True
+        self.end = end
         if end < len(text):
             raise self.error(f"unexpected character {text[end]!r}", end)
+        return len(self.tokens) > count
 
     def error(self, message: str, at: Tok | int) -> OwlSyntaxError:
         """The syntax error `message` at token or offset `at`, for the
@@ -157,18 +189,22 @@ class Cursor:
         return OwlSyntaxError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
     def peek(self) -> Tok | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        if self.pos >= len(self.tokens) and not self._scan():
+            return None
+        return self.tokens[self.pos]
 
     # `at` and `next` index `tokens` themselves rather than call `peek`:
     # they run once or more per token.
     def at(self, kind: str, text: str | None = None) -> bool:
         """Whether the next token is of `kind` and, if given, spells `text`."""
         tokens, pos = self.tokens, self.pos
-        return pos < len(tokens) and tokens[pos][0] == kind and (text is None or tokens[pos][1] == text)
+        if pos >= len(tokens) and not self._scan():
+            return False
+        return tokens[pos][0] == kind and (text is None or tokens[pos][1] == text)
 
     def next(self) -> Tok:
         pos = self.pos
-        if pos >= len(self.tokens):
+        if pos >= len(self.tokens) and not self._scan():
             raise self.error(f"unexpected end of {self.name}", self.tokens[-1] if self.tokens else 0)
         self.pos = pos + 1
         return self.tokens[pos]
@@ -196,14 +232,17 @@ _DISCARDED = {"Declaration", "AnnotationAssertion", "Annotation"}
 
 def parse_ontology(text: str) -> Ontology:
     try:
-        return _parse(Cursor(_TOKEN_RE, text, "input"))
+        return _parse(text, flat=True)
     except MetaqlError:
-        # A `flat` token anywhere but at the start of an axiom changes the
-        # error, so every error comes from the token-by-token parse.
-        return _parse(Cursor(_PLAIN_TOKEN_RE, text, "input"))
+        # The scan stops at its first failure, wherever that is, so every
+        # error comes from the token-by-token parse of the whole text.
+        return _parse(text, flat=False)
 
 
-def _parse(cur: Cursor) -> Ontology:
+def _parse(text: str, flat: bool) -> Ontology:
+    """The ontology `text` holds; with `flat`, a flat axiom is matched by
+    `_FLAT_RE` instead of being tokenized."""
+    cur = Cursor(_TOKEN_RE, text, "input", lazy=flat)
     prefixes = dict(DEFAULT_PREFIXES)
 
     while cur.at("name", "Prefix"):
@@ -227,16 +266,31 @@ def _parse(cur: Cursor) -> Ontology:
         cur.next()
 
     entities = _Entities(prefixes)
-    tbox: set[Axiom] = set()
-    abox: set[Axiom] = set()
-    while not cur.at("rparen"):
+    tbox: set[Fact] = set()
+    abox: set[Fact] = set()
+    match = _FLAT_RE.match
+    while True:
+        if flat and cur.pos == len(cur.tokens):
+            end = cur.end
+            while (m := match(text, end)) is not None:
+                keyword, a, b, p, s, o = m.groups()
+                if keyword is None:
+                    abox.add(("instr", (entities[p].iri, entities[s].iri, entities[o].iri)))
+                elif keyword == "SubClassOf":
+                    tbox.add(("isacCC", (entities[a].iri, entities[b].iri)))
+                else:
+                    abox.add(("instc", (entities[a].iri, entities[b].iri)))
+                end = m.end()
+            cur.end = end
+        if cur.at("rparen"):
+            break
         tok = cur.peek()
         if tok is None:
             raise cur.error("unterminated Ontology(...)", head)
-        if tok[0] != "name" and tok[0] != "flat":
+        if tok[0] != "name":
             raise cur.error(f"expected an axiom, found {tok[1]!r}", tok)
-        for ax in _parse_axiom(cur, entities):
-            (tbox if isinstance(ax, TBOX_KINDS) else abox).add(ax)
+        for fact in _parse_axiom(cur, entities):
+            (abox if fact[0] in ABOX_PREDICATES else tbox).add(fact)
     cur.next()
 
     trailing = cur.peek()
@@ -262,11 +316,12 @@ class _Entities(dict):
 def _reject_constructor(cur: Cursor, detail: str = ""):
     """Raise `UnsupportedAxiom` if the next tokens are a constructor, a
     name with no `:` (so no entity) followed by `(`."""
+    tok = cur.peek()
     tokens, pos = cur.tokens, cur.pos
-    if pos + 1 < len(tokens) and tokens[pos + 1][0] == "lparen":
-        kind, text, _ = tokens[pos]
-        if kind == "name" and ":" not in text:
-            raise UnsupportedAxiom(text, detail)
+    if tok is not None and tok[0] == "name" and ":" not in tok[1]:
+        # A name never ends a lazy cursor's stretch, so its successor is read.
+        if pos + 1 < len(tokens) and tokens[pos + 1][0] == "lparen":
+            raise UnsupportedAxiom(tok[1], detail)
 
 
 def _entity(cur: Cursor, entities: _Entities) -> Entity:
@@ -363,6 +418,9 @@ _FIXED = {
     # refl(r^-) and irrefl(r^-) coincide with refl(r) / irrefl(r).
     "ReflexiveObjectProperty": ((_prop_expr,), lambda pe: [Reflexive(pe.prop)]),
     "IrreflexiveObjectProperty": ((_prop_expr,), lambda pe: [Irreflexive(pe.prop)]),
+    # OWL 2 QL's (a)symmetry: P is included in, or disjoint with, its inverse.
+    "SymmetricObjectProperty": ((_prop_expr,), lambda pe: [PropInclusion(pe, pe.flipped())]),
+    "AsymmetricObjectProperty": ((_prop_expr,), lambda pe: [PropDisjoint(pe, pe.flipped())]),
     "ClassAssertion": ((_named_class, _entity), lambda cls, ind: [ClassAssertion(cls, ind)]),
     "ObjectPropertyAssertion": (
         (_prop_expr, _entity, _entity),
@@ -371,36 +429,32 @@ _FIXED = {
 }
 
 
-# The axiom of a `flat` token, from its operands' entities in order.
-_FLAT = {
-    "ClassAssertion": ClassAssertion,
-    "SubClassOf": ClassInclusion,
-    "ObjectPropertyAssertion": PropAssertion,
-}
+def _skip_group(cur: Cursor):
+    """Read a `(` and everything up to the `)` that matches it."""
+    cur.expect("lparen")
+    depth = 1
+    while depth:
+        kind = cur.next()[0]
+        if kind == "lparen":
+            depth += 1
+        elif kind == "rparen":
+            depth -= 1
 
 
-def _parse_axiom(cur: Cursor, entities: _Entities) -> list[Axiom]:
+def _parse_axiom(cur: Cursor, entities: _Entities) -> list[Fact]:
     kw_tok = cur.next()
     kw = kw_tok[1]
-    if kw_tok[0] == "flat":
-        keyword, _, operands = kw.partition("(")
-        return [_FLAT[keyword.rstrip()](*[entities[op] for op in operands[:-1].split()])]
-
     if kw in _DISCARDED:
-        cur.expect("lparen")
-        depth = 1
-        while depth:
-            kind = cur.next()[0]
-            if kind == "lparen":
-                depth += 1
-            elif kind == "rparen":
-                depth -= 1
+        _skip_group(cur)
         return []
     if kw not in _FIXED and kw not in _NARY:
         raise UnsupportedAxiom(kw)
 
     nary = _NARY.get(kw)
     cur.expect("lparen")
+    while cur.at("name", "Annotation"):
+        cur.next()
+        _skip_group(cur)
     if nary is None:
         readers, build = _FIXED[kw]
         operands = [read(cur, entities) for read in readers]
@@ -420,65 +474,88 @@ def _parse_axiom(cur: Cursor, entities: _Entities) -> list[Axiom]:
 
 
 # ==============================================================================
-# Normalization
+# Normalization and translation
 # ==============================================================================
 
 
 def normalize_ontology(o: Ontology) -> Ontology:
-    """Add the top-inclusion axiom of every distinct class/property used
-    in an assertion.  Idempotent.  Orientation needs no pass here: the
-    axiom constructors in `model` store the normal form.
+    """Add the top inclusion of every distinct class and property used in
+    an assertion.  Idempotent.  Orientation needs no pass here: the axiom
+    constructors in `model` return the normal form.
     """
-    tbox = set(o.tbox)
-    classes = {ax.cls for ax in o.abox if isinstance(ax, ClassAssertion)}
-    props = {ax.prop for ax in o.abox if isinstance(ax, PropAssertion)}
-    tbox.update(ClassInclusion(c, TOP_CLASS) for c in classes)
-    tbox.update(PropInclusion(PropExpr(p), PropExpr(TOP_PROPERTY)) for p in props)
+    classes = {args[0] for pred, args in o.abox if pred == "instc"}
+    props = {args[0] for pred, args in o.abox if pred == "instr"}
+    tbox = o.tbox.union(
+        [("isacCC", (c, TOP_CLASS.iri)) for c in classes],
+        [("isarRR", (p, TOP_PROPERTY.iri)) for p in props],
+    )
+    return Ontology(tbox, o.abox, dict(o.prefixes))
 
-    return Ontology(frozenset(tbox), o.abox, dict(o.prefixes))
+
+@dataclass(frozen=True)
+class FactBase:
+    """Translated ontology: one (predicate, IRI tuple) fact per axiom."""
+
+    facts: frozenset[Fact]
+
+    def to_dl(self) -> str:
+        return facts_to_dl(self.facts)
+
+    def __len__(self) -> int:
+        return len(self.facts)
+
+
+def translate_ontology(o: Ontology) -> FactBase:
+    """The facts of a normalized ontology: each axiom already is its fact
+    (see `model`), so translation is their union."""
+    return FactBase(o.axioms)
 
 
 # ==============================================================================
 # Serialization
 # ==============================================================================
 
-
-def _iri_text(e: Entity) -> str:
-    return f"<{display_iri(e.iri)}>"
+_TOP_TEXT = f"<{display_iri(TOP_CLASS.iri)}>"
 
 
-def _ce_text(ce: ClassExpr) -> str:
-    if isinstance(ce, Entity):
-        return _iri_text(ce)
-    return f"ObjectSomeValuesFrom({_pe_text(ce.prop)} {_iri_text(ce.filler)})"
+def _pe_text(kind: str, prop: str) -> str:
+    return prop if kind == "R" else f"ObjectInverseOf({prop})"
 
 
-def _pe_text(pe: PropExpr) -> str:
-    if pe.inverse:
-        return f"ObjectInverseOf({_iri_text(pe.prop)})"
-    return _iri_text(pe.prop)
+def _ce_text(kind: str, carrier: str, filler: str = _TOP_TEXT) -> str:
+    """A class expression from its kind letter, its carrier and, for an
+    existential, its filler, each already spelled as an IRI."""
+    if kind == "C":
+        return carrier
+    return f"ObjectSomeValuesFrom({_pe_text(kind, carrier)} {filler})"
 
 
-def _axiom_text(ax: Axiom) -> str:
-    if isinstance(ax, ClassInclusion):
-        return f"SubClassOf({_ce_text(ax.sub)} {_ce_text(ax.sup)})"
-    if isinstance(ax, PropInclusion):
-        return f"SubObjectPropertyOf({_pe_text(ax.sub)} {_pe_text(ax.sup)})"
-    if isinstance(ax, ClassDisjoint):
-        return f"DisjointClasses({_ce_text(ax.left)} {_ce_text(ax.right)})"
-    if isinstance(ax, PropDisjoint):
-        return f"DisjointObjectProperties({_pe_text(ax.left)} {_pe_text(ax.right)})"
-    if isinstance(ax, Reflexive):
-        return f"ReflexiveObjectProperty({_iri_text(ax.prop)})"
-    if isinstance(ax, Irreflexive):
-        return f"IrreflexiveObjectProperty({_iri_text(ax.prop)})"
-    if isinstance(ax, ClassAssertion):
-        return f"ClassAssertion({_iri_text(ax.cls)} {_iri_text(ax.individual)})"
-    if isinstance(ax, PropAssertion):
-        return f"ObjectPropertyAssertion({_iri_text(ax.prop)} {_iri_text(ax.subject)} {_iri_text(ax.object)})"
-    if isinstance(ax, DifferentIndividuals):
-        return f"DifferentIndividuals({_iri_text(ax.a)} {_iri_text(ax.b)})"
-    raise TypeError(f"unknown axiom {ax!r}")
+# The keyword of each fact's axiom: for the inclusions and disjointness by
+# the predicate less its two kind letters.
+_KEYWORDS = {
+    "isac": "SubClassOf",
+    "disjc": "DisjointClasses",
+    "isar": "SubObjectPropertyOf",
+    "disjr": "DisjointObjectProperties",
+    "refl": "ReflexiveObjectProperty",
+    "irrefl": "IrreflexiveObjectProperty",
+    "instc": "ClassAssertion",
+    "instr": "ObjectPropertyAssertion",
+    "diff": "DifferentIndividuals",
+}
+
+
+def _axiom_text(fact: Fact) -> str:
+    pred, args = fact
+    texts = [f"<{display_iri(a)}>" for a in args]
+    stem, kinds = pred[:-2], pred[-2:]
+    if stem in ("isac", "disjc"):
+        operands = [_ce_text(kinds[0], texts[0]), _ce_text(kinds[1], *texts[1:])]
+    elif stem in ("isar", "disjr"):
+        operands = [texts[0], _pe_text(kinds[1], texts[1])]
+    else:
+        stem, operands = pred, texts
+    return f"{_KEYWORDS[stem]}({' '.join(operands)})"
 
 
 def serialize_ontology(o: Ontology) -> str:

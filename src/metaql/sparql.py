@@ -4,8 +4,11 @@ Only basic graph patterns are supported: PREFIX declarations followed by
 a single SELECT with a projection list (or ``*``) and a WHERE block of
 dot-separated triple patterns.  Variables may appear in any position,
 including class and property positions; that freedom is the whole point.
-OPTIONAL, FILTER, UNION, property paths, blank nodes and literals are
-rejected as unsupported rather than silently mistranslated.
+OPTIONAL, FILTER, UNION, property paths, blank nodes, literals,
+predicate-object and object lists (`;` and `,`), schema predicates other
+than those of `_RESERVED`, and schema classes other than owl:Thing and
+owl:Nothing as the object of rdf:type are rejected as unsupported rather
+than silently mistranslated.
 """
 
 from __future__ import annotations
@@ -23,11 +26,15 @@ from .model import (
     RDFS_NS,
     Term,
     Var,
+    display_iri,
     intern,
 )
 from .owl import DEFAULT_PREFIXES, Cursor, Tok, check_dots
 
 RDF_TYPE = RDF_NS + "type"
+_SCHEMA_NS = (RDF_NS, RDFS_NS, OWL_NS)
+# The schema classes a query may ask for members of.
+_SCHEMA_CLASSES = {OWL_NS + "Thing", OWL_NS + "Nothing"}
 
 # Schema IRIs with a fixed predicate, and whether the atom takes the
 # object before the subject; matching is case-insensitive on the full IRI
@@ -92,6 +99,11 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 
+# The abbreviations that share a subject, or a subject and predicate,
+# between triple patterns.
+_LISTS = {";": "predicate-object lists (';')", ",": "object lists (',')"}
+
+
 def _keyword(tok: Tok | None) -> str | None:
     """The upper-cased text of a name token; SPARQL keywords ignore case."""
     return tok[1].upper() if tok is not None and tok[0] == "name" else None
@@ -107,6 +119,8 @@ def _check_unsupported(tok: Tok):
     if kind == "punct":
         if text.startswith("["):
             raise UnsupportedFeature("blank nodes")
+        if text in _LISTS:
+            raise UnsupportedFeature(_LISTS[text])
         raise UnsupportedFeature(f"punctuation {text!r} (property paths / expressions)")
     if kind == "name" and text.startswith("_:"):
         raise UnsupportedFeature("blank nodes")
@@ -210,9 +224,14 @@ def _pattern_atom(tp: TriplePattern) -> Atom:
         mapped = _RESERVED.get(p.iri.lower())
         if mapped is not None:
             pred, swap = mapped
+            # A schema class, such as owl:Class, has no members in the model.
+            if swap and isinstance(o, Entity):
+                iri = display_iri(o.iri)
+                if iri.startswith(_SCHEMA_NS) and iri not in _SCHEMA_CLASSES:
+                    raise UnsupportedFeature(f"schema class {iri} as an rdf:type object")
             return Atom(pred, (o, s) if swap else (s, o))
         # Other schema vocabulary gets rejected rather than guessed at.
-        if p.iri.startswith((RDF_NS, RDFS_NS, OWL_NS)):
+        if p.iri.startswith(_SCHEMA_NS):
             raise UnsupportedFeature(f"schema predicate {p.iri}")
     return Atom("instr", (p, s, o))
 

@@ -124,7 +124,7 @@ def random_query(rng: random.Random, o: Ontology, max_atoms: int = 3) -> Conjunc
     are shared across atoms to force joins and may sit in class or
     property positions."""
     var_pool = [Var(f"v{i}") for i in range(3)]
-    symbols = sorted({e.iri for ax in o.axioms for e in _axiom_entities(ax)})
+    symbols = sorted({iri for ax in o.axioms for iri in _axiom_symbols(ax)})
 
     def term(rng):
         if rng.random() < 0.55:
@@ -146,30 +146,13 @@ def random_query(rng: random.Random, o: Ontology, max_atoms: int = 3) -> Conjunc
         return ConjunctiveQuery(answer_vars, tuple(body))
 
 
-def _axiom_entities(ax):
-    if isinstance(ax, ClassInclusion):
-        return _expr_entities(ax.sub) + _expr_entities(ax.sup)
-    if isinstance(ax, PropInclusion):
-        return [ax.sub.prop, ax.sup.prop]
-    if isinstance(ax, ClassDisjoint):
-        return _expr_entities(ax.left) + _expr_entities(ax.right)
-    if isinstance(ax, PropDisjoint):
-        return [ax.left.prop, ax.right.prop]
-    if isinstance(ax, (Reflexive, Irreflexive)):
-        return [ax.prop]
-    if isinstance(ax, ClassAssertion):
-        return [ax.cls, ax.individual]
-    if isinstance(ax, PropAssertion):
-        return [ax.prop, ax.subject, ax.object]
-    if isinstance(ax, DifferentIndividuals):
-        return [ax.a, ax.b]
-    return []
-
-
-def _expr_entities(ce):
-    if isinstance(ce, Entity):
-        return [ce]
-    return [ce.prop.prop, ce.filler]
+def _axiom_symbols(ax) -> list[str]:
+    """The IRIs of an axiom's entities: its fact's arguments, and the top
+    class, the filler of a basic existential, when one side is one."""
+    pred, args = ax
+    # The kind letters of the sides that are basic concepts.
+    basic = pred[4] if pred.startswith("isac") else pred[5:] if pred.startswith("disjc") else ""
+    return [*args, TOP_CLASS.iri] if {"R", "I"} & set(basic) else list(args)
 
 
 # ------------------------------------------------------------------------------

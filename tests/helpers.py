@@ -62,15 +62,15 @@ Ontology(
 
 
 def fact(pred: str, *args: Entity) -> tuple[str, tuple[str, ...]]:
-    """The fact `pred` over the IRIs of `args`, as `tau` and the store
-    spell it."""
+    """The fact `pred` over the IRIs of `args`, as the axiom constructors
+    and the store spell it."""
     return pred, tuple(e.iri for e in args)
 
 
 def parse_token_by_token(text: str) -> Ontology:
-    """`parse_ontology` without the `flat` token kind: every axiom read
-    token by token.  The reference the flat token is checked against."""
-    return owl._parse(owl.Cursor(owl._PLAIN_TOKEN_RE, text, "input"))
+    """`parse_ontology` without flat matches: every axiom read token by
+    token.  The reference the flat matches are checked against."""
+    return owl._parse(text, flat=False)
 
 
 def saturate(text: str, check_consistency: bool = False):

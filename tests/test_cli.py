@@ -602,7 +602,7 @@ def _fake_child(monkeypatch, outcome) -> list:
         returncode, stdout = outcome
         return subprocess.CompletedProcess(cmd, returncode, stdout, "")
 
-    monkeypatch.setattr(cli.subprocess, "run", run)
+    monkeypatch.setattr(subprocess, "run", run)
     return calls
 
 

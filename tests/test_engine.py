@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -547,7 +548,13 @@ def test_the_catalogue_has_27_rules_propagating_along_a_closed_relation(check_co
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_fixpoint_leaves_the_collector_as_it_found_it(enabled):
+def test_fixpoint_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    # A fixpoint entered with the collector on collects first and, if it
+    # returns, freezes what is alive, the store among it, while the
+    # collector is still off; one that raises does not freeze.
+    calls = []
+    monkeypatch.setattr(gc, "collect", lambda *args: calls.append(("collect", gc.isenabled())))
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(("freeze", gc.isenabled())))
     was = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
@@ -555,12 +562,54 @@ def test_fixpoint_leaves_the_collector_as_it_found_it(enabled):
         store.assert_facts(translate_ontology(random_ontology(random.Random(7), max_tbox=6, max_abox=12)).facts)
         evaluate_fixpoint(store, builtin_rules())
         assert gc.isenabled() is enabled
+        assert calls == ([("collect", False), ("freeze", False)] if enabled else [])
         store.assert_facts([fact("p", E[0], E[1])])
         with pytest.raises(ArityMismatch):
             evaluate_fixpoint(store, [_rule(atom("q", "X"), atom("p", "X"))])
         assert gc.isenabled() is enabled
+        assert calls == ([("collect", False), ("freeze", False), ("collect", False)] if enabled else [])
     finally:
         gc.enable() if was else gc.disable()
+
+
+def test_a_fixpoint_freezes_no_garbage():
+    # A cycle that is garbage when a fixpoint starts is freed, not frozen.
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    alive = weakref.ref(node)
+    del node
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        evaluate_fixpoint(FactStore(), builtin_rules())
+        assert alive() is None
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_the_front_end_and_the_load_leave_no_reference_cycles():
+    # Why no collection need run over parse, normalize, translate and
+    # load: reference counting alone frees everything they allocate.
+    from metaql import normalize_ontology, parse_ontology
+    from metaql.synthetic import professor_type_extension, university_ontology
+
+    texts = (university_ontology(2), professor_type_extension(), EXAMPLE_SPECIES)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            store = FactStore()
+            store.assert_facts(translate_ontology(normalize_ontology(parse_ontology(text))).facts)
+            assert store.size()
+            del store
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_saturation_leaves_no_reference_cycles():

@@ -1,6 +1,6 @@
 """Input-boundary properties: any text, however malformed, either parses
 or raises a `MetaqlError`; nothing else escapes the parsers.  The ontology
-parser's `flat` tokens change no value and no error.  Bench's
+parser's flat matches change no value and no error.  Bench's
 `--timeout` and `--repeat` either validate or are usage errors, and the
 `query` command ends every input in exit 0, 1 or 2."""
 
@@ -110,6 +110,7 @@ NON_FLAT_AXIOMS = (
     "SubClassOf(ObjectSomeValuesFrom(:p owl:Thing) ex:C)", "SubClassOf(:A ObjectSomeValuesFrom(ObjectInverseOf(:p) :B))",
     "ObjectPropertyAssertion(ObjectInverseOf(:p) :a :b)", "EquivalentClasses(:A :B)", "DisjointClasses(:A :B :C)",
     "Declaration(Class(:A))", "AnnotationAssertion(:x :a \"s\"@en)",
+    "SubClassOf(Annotation(:note \"(x)\") :A ex:C)",
 )
 BAD_AXIOMS = (
     "ClassAssertion(ObjectSomeValuesFrom(:p :A) :a)", "ClassAssertion(ObjectUnionOf(:A :B) :a)",

@@ -137,7 +137,8 @@ def test_class_disjointness_is_stored_in_an_orientation_the_signature_has():
         left, right = BASIC_OF_KIND[lk](R), BASIC_OF_KIND[rk](S)
         ax = ClassDisjoint(left, right)
         # Only CR has no disjc predicate; it is stored as RC.
-        assert (ax.left, ax.right) == ((right, left) if (lk, rk) == ("C", "R") else (left, right))
+        stored = (("R", S), ("C", R)) if (lk, rk) == ("C", "R") else ((lk, R), (rk, S))
+        assert ax == (f"disjc{stored[0][0]}{stored[1][0]}", (stored[0][1].iri, stored[1][1].iri))
     c, r = BASIC_OF_KIND["C"](R), BASIC_OF_KIND["R"](S)
     assert ClassDisjoint(c, r) == ClassDisjoint(r, c)
 

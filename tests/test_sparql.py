@@ -4,6 +4,8 @@ import pytest
 
 from helpers import EXAMPLE_SPECIES_ZOO, SPECIES, saturate
 from metaql import (
+    BOTTOM_CLASS,
+    TOP_CLASS,
     Entity,
     Var,
     answer_conjunctive_query,
@@ -208,6 +210,8 @@ def test_a_name_keeps_a_dot_inside_it():
             None,
         ),
         ("SELECT ?x WHERE { _:b <http://ex/p> ?x }", UnsupportedFeature, "blank nodes", None),
+        ("SELECT ?x WHERE { ?x a ?y ; ?p ?z }", UnsupportedFeature, "predicate-object lists (';')", None),
+        ("SELECT ?x WHERE { ?x a ?y , ?z }", UnsupportedFeature, "object lists (',')", None),
         ("PREFIX ex <http://ex/>\nSELECT ?x WHERE { ?x a ex:C }", OwlSyntaxError, "expected prefix name ending in ':'", (1, 8)),
         ("PREFIX ex: ex:C\nSELECT ?x WHERE { ?x a ex:C }", OwlSyntaxError, "expected <iri> after prefix name", (1, 12)),
         (PFX + "SELEKT ?x WHERE { ?x a :C }", OwlSyntaxError, "expected SELECT, found 'SELEKT'", (2, 1)),
@@ -254,3 +258,34 @@ def test_every_parser_error_site_reports_its_message_and_position(text, error, m
     else:
         assert str(exc.value) == f"{message} (line {position[0]}, column {position[1]})"
         assert (exc.value.line, exc.value.col) == position
+
+
+# One query per place the translation to Datalog raises, with its message.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "SELECT ?x ?y WHERE { ?x owl:equivalentClass ?y }",
+            "schema predicate http://www.w3.org/2002/07/owl#equivalentClass",
+        ),
+        ("SELECT ?c WHERE { ?c a owl:Class }", "schema class http://www.w3.org/2002/07/owl#Class as an rdf:type object"),
+        (
+            "SELECT ?c WHERE { ?c rdf:type rdfs:Class }",
+            "schema class http://www.w3.org/2000/01/rdf-schema#Class as an rdf:type object",
+        ),
+        (
+            "SELECT ?x WHERE { ?x a owl:topObjectProperty }",
+            "schema class http://www.w3.org/2002/07/owl#topObjectProperty as an rdf:type object",
+        ),
+    ],
+)
+def test_every_translation_error_site_reports_its_message(text, message):
+    with pytest.raises(UnsupportedFeature) as exc:
+        to_conjunctive_query(parse_query(text))
+    assert str(exc.value) == message
+
+
+def test_owl_thing_and_nothing_are_the_classes_of_the_schema_a_query_may_ask_for():
+    for name, reserved in (("Thing", TOP_CLASS), ("Nothing", BOTTOM_CLASS)):
+        cq = to_conjunctive_query(parse_query(f"SELECT ?x WHERE {{ ?x a owl:{name} }}"))
+        assert cq.body == (atom("instc", reserved, "x"),)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import product
 
@@ -23,7 +22,6 @@ from metaql import (
     TOP_CLASS,
     normalize_ontology,
     parse_ontology,
-    tau,
     translate_ontology,
 )
 from metaql.synthetic import scaled_university, university_ontology
@@ -83,7 +81,7 @@ TAU_TABLE = [
 
 @pytest.mark.parametrize("axiom,expected", TAU_TABLE, ids=[pred for _, (pred, _) in TAU_TABLE])
 def test_tau_table_row(axiom, expected):
-    assert tau(axiom) == expected
+    assert axiom == expected
 
 
 def test_tau_table_is_complete():
@@ -93,37 +91,24 @@ def test_tau_table_is_complete():
 
 def test_unqualified_existential_right_side_uses_top_filler():
     ax = ClassInclusion(C1, _dom(R2))
-    assert tau(ax) == fact("isacCR", C1, R2, TOP_CLASS)
+    assert ax == fact("isacCR", C1, R2, TOP_CLASS)
 
 
 def test_tau_of_every_class_disjointness_is_a_signature_fact():
     for lk, rk in product("CRI", repeat=2):
-        pred, iris = tau(ClassDisjoint(BASIC_OF_KIND[lk](C1), BASIC_OF_KIND[rk](C2)))
+        pred, iris = (ClassDisjoint(BASIC_OF_KIND[lk](C1), BASIC_OF_KIND[rk](C2)))
         assert pred.startswith("disjc") and pred in SIGNATURE
         assert set(iris) == {C1.iri, C2.iri}
 
 
 def test_tau_is_injective_on_the_table():
-    facts = [tau(ax) for ax, _ in TAU_TABLE]
+    facts = [ax for ax, _ in TAU_TABLE]
     assert len(set(facts)) == len(facts)
-
-
-def _entities(x):
-    """The `Entity` objects inside an axiom, in field order."""
-    if isinstance(x, Entity):
-        yield x
-    elif dataclasses.is_dataclass(x):
-        for f in dataclasses.fields(x):
-            yield from _entities(getattr(x, f.name))
 
 
 def _assert_facts_hold_the_axioms_iris(o):
     fb = translate_ontology(o)
-    axiom_of = {tau(ax): ax for ax in o.axioms}
-    assert fb.facts == axiom_of.keys()
-    for f in fb.facts:
-        own = list(_entities(axiom_of[f]))
-        assert all(any(s is e.iri for e in own) for s in f[1])
+    assert fb.facts == o.axioms
     iris = {id(s): s for _, t in fb.facts for s in t}
     assert len(iris) == len(set(iris.values()))
 
@@ -163,7 +148,7 @@ def test_one_fact_per_axiom():
             o = random_ontology(rng)
             fb = translate_ontology(o)
             assert len(fb) == len(o)
-            assert fb.facts == {tau(ax) for ax in o.axioms}
+            assert fb.facts == o.axioms
 
 
 def test_translation_count_at_benchmark_scale():
