@@ -2,8 +2,7 @@
 
 Subcommands mirror the pipeline stages: `translate` turns an ontology
 into a facts file, `rules` dumps the fixed rule base, `query` answers a
-SPARQL query end to end, `oracle` does the same with the brute-force
-reference semantics, `bench` times every pair of the ontologies and
+SPARQL query end to end, `bench` times every pair of the ontologies and
 queries named on its command line, each in a fresh process under a
 wall-clock timeout, with CSV reporting, and `extend` merges two
 ontologies.
@@ -102,52 +101,6 @@ def cmd_rules(args) -> int:
     return 0
 
 
-def _run_query_pipeline(args):
-    """Shared by query/oracle; returns (answers, timings, extras, plan),
-    where plan is the --explain report or None.  Only `query` has
-    --check-consistency, --dump-model and --explain."""
-    if args.command == "query" and args.dump_model:
-        inputs = ("input ontology", args.ontology), ("query file", args.query)
-        _refuse_overwrite(args.dump_model, "--dump-model", *inputs)
-    t0 = time.perf_counter()
-    ontology = normalize_ontology(parse_ontology(_read_text(args.ontology)))
-    t1 = time.perf_counter()
-    cq = to_conjunctive_query(parse_query(args.query_string if args.query is None else _read_text(args.query)))
-    facts = translate_ontology(ontology) if args.command == "query" else None
-    t2 = time.perf_counter()
-
-    extras = {}
-    plan = None
-    if args.command == "oracle":
-        from .oracle import certain_answers_oracle  # `query` never loads it
-
-        answers = certain_answers_oracle(ontology, cq)
-        t3 = t4 = time.perf_counter()
-    else:
-        store = FactStore()
-        store.assert_facts(facts.facts)
-        # The store holds all that saturation and answering read.
-        del ontology, facts
-        catalogue = builtin_rules(check_consistency=args.check_consistency)
-        stats = evaluate_fixpoint(store, catalogue)
-        t3 = time.perf_counter()
-        answers = answer_conjunctive_query(store, cq)
-        t4 = time.perf_counter()
-        if args.explain:
-            plan = explain_conjunctive_query(store, cq)
-        extras["rounds"] = stats.rounds
-        extras["derived"] = stats.total_derived()
-        if args.check_consistency:
-            extras["consistency"] = "violated" if store.relation("violation") else "ok"
-        if args.dump_model:
-            _write_text(args.dump_model, store.canonical_dump())
-
-    marks = (t0, t1, t2, t3, t4)
-    timings = {name: (end - start) * 1000.0 for name, start, end in zip(_TIMES, marks, marks[1:])}
-    timings["total_ms"] = (t4 - t0) * 1000.0
-    return answers, timings, extras, plan
-
-
 def _format_term(t) -> str:
     return f"<{display_iri(t.iri)}>" if isinstance(t, Entity) else f"?{t.name}"
 
@@ -165,9 +118,33 @@ def _format_plan(plan: list[PlanStep]) -> list[str]:
 
 
 def cmd_query(args) -> int:
-    answers, timings, extras, plan = _run_query_pipeline(args)
-    if plan is not None:
-        for line in _format_plan(plan):
+    if args.dump_model:
+        inputs = ("input ontology", args.ontology), ("query file", args.query)
+        _refuse_overwrite(args.dump_model, "--dump-model", *inputs)
+    t0 = time.perf_counter()
+    ontology = normalize_ontology(parse_ontology(_read_text(args.ontology)))
+    t1 = time.perf_counter()
+    cq = to_conjunctive_query(parse_query(args.query_string if args.query is None else _read_text(args.query)))
+    facts = translate_ontology(ontology)
+    t2 = time.perf_counter()
+    store = FactStore()
+    store.assert_facts(facts.facts)
+    # The store holds all that saturation and answering read.
+    del ontology, facts
+    stats = evaluate_fixpoint(store, builtin_rules(check_consistency=args.check_consistency))
+    t3 = time.perf_counter()
+    answers = answer_conjunctive_query(store, cq)
+    t4 = time.perf_counter()
+    marks = (t0, t1, t2, t3, t4)
+    timings = {name: (end - start) * 1000.0 for name, start, end in zip(_TIMES, marks, marks[1:])}
+    timings["total_ms"] = (t4 - t0) * 1000.0
+    extras = {"rounds": stats.rounds, "derived": stats.total_derived()}
+    if args.check_consistency:
+        extras["consistency"] = "violated" if store.relation("violation") else "ok"
+    if args.dump_model:
+        _write_text(args.dump_model, store.canonical_dump())
+    if args.explain:
+        for line in _format_plan(explain_conjunctive_query(store, cq)):
             print(line)
     for row in answers:
         print("\t".join(display_iri(v) for v in row))
@@ -296,27 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_rules.add_argument("--check-consistency", action="store_true", help="include violation reporting rules")
     p_rules.set_defaults(run=cmd_rules)
 
-    for name in ("query", "oracle"):
-        p = sub.add_parser(
-            name,
-            help="answer a SPARQL query"
-            + (" with the brute-force reference semantics" if name == "oracle" else ""),
-        )
-        p.add_argument("ontology")
-        query = p.add_mutually_exclusive_group(required=True)
-        query.add_argument("-q", "--query", help="query file (.rq)")
-        query.add_argument("--query-string", help="inline query text")
-        p.add_argument("--stats-json", action="store_true", help="print the timing breakdown as one JSON line")
-        p.set_defaults(run=cmd_query)
-        if name == "oracle":
-            continue  # it has no rule base and no model
-        p.add_argument("--check-consistency", action="store_true")
-        p.add_argument("--dump-model", metavar="PATH", help="write the saturated model as a sorted .dl file")
-        p.add_argument(
-            "--explain",
-            action="store_true",
-            help="print the join order with each step's key columns and estimated and actual rows",
-        )
+    p_query = sub.add_parser("query", help="answer a SPARQL query")
+    p_query.add_argument("ontology")
+    query = p_query.add_mutually_exclusive_group(required=True)
+    query.add_argument("-q", "--query", help="query file (.rq)")
+    query.add_argument("--query-string", help="inline query text")
+    p_query.add_argument("--stats-json", action="store_true", help="print the timing breakdown as one JSON line")
+    p_query.add_argument("--check-consistency", action="store_true")
+    p_query.add_argument("--dump-model", metavar="PATH", help="write the saturated model as a sorted .dl file")
+    p_query.add_argument(
+        "--explain",
+        action="store_true",
+        help="print the join order with each step's key columns and estimated and actual rows",
+    )
+    p_query.set_defaults(run=cmd_query)
 
     p_bench = sub.add_parser("bench", help="time every (ontology, query) pair in fresh processes")
     p_bench.add_argument("ontologies", nargs="+", metavar="ONTOLOGY")

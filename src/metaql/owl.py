@@ -4,11 +4,11 @@ The accepted grammar is the restricted fragment needed here:
 
     Prefix(p:=<iri>) ...
     Ontology( [<ontology-iri> [<version-iri>]]
-       SubClassOf(CE CE)  SubObjectPropertyOf(PE PE)
+       SubClassOf(CE SCE)  SubObjectPropertyOf(PE PE)
        DisjointClasses(CE CE ...)  DisjointObjectProperties(PE PE ...)
        EquivalentClasses(CE CE ...)  EquivalentObjectProperties(PE PE ...)
        InverseObjectProperties(PE PE)
-       ObjectPropertyDomain(PE CE)  ObjectPropertyRange(PE CE)
+       ObjectPropertyDomain(PE SCE)  ObjectPropertyRange(PE SCE)
        ReflexiveObjectProperty(PE)  IrreflexiveObjectProperty(PE)
        SymmetricObjectProperty(PE)  AsymmetricObjectProperty(PE)
        ClassAssertion(C i)  ObjectPropertyAssertion(PE i i)
@@ -17,11 +17,13 @@ The accepted grammar is the restricted fragment needed here:
        AnnotationAssertion(...)  # parsed and discarded
     )
 
-with CE either an IRI or ObjectSomeValuesFrom(PE IRI), and PE either an
-IRI or ObjectInverseOf(PE).  ``#`` starts a comment outside strings.  An
-axiom's leading Annotation(...) operands are discarded.  Equivalences,
-domains, ranges, inverse declarations, (a)symmetry and n-ary
-disjointness are rewritten into the core axiom forms, whose constructors
+with CE either an IRI or ObjectSomeValuesFrom(PE IRI), SCE a CE,
+ObjectIntersectionOf(SCE SCE ...) or ObjectComplementOf(CE) of a basic
+CE, and PE either an IRI or ObjectInverseOf(PE).  ``#`` starts a comment
+outside strings.  An axiom's leading Annotation(...) operands are
+discarded.  Equivalences, domains, ranges, inverse declarations,
+(a)symmetry, n-ary disjointness, and intersections and complements in a
+superclass are rewritten into the core axiom forms, whose constructors
 in `model` return the fact of the normal form; anything else is rejected
 explicitly rather than guessed at.  An unsupported constructor is known
 by its shape: a name with no `:` followed by `(` where an entity is
@@ -360,6 +362,35 @@ def _class_expr(cur: Cursor, entities: _Entities) -> ClassExpr:
     return _entity(cur, entities)
 
 
+def _super_class_expr(cur: Cursor, entities: _Entities) -> list[tuple]:
+    """A superclass as one (constructor, class expression) pair per conjunct:
+    `ClassInclusion` of a class expression, `ClassDisjoint` of a complement's
+    basic operand.  Open intersections are a stack of [keyword token,
+    operands read], so no depth of nesting can exhaust the call stack."""
+    parts, opened = [], []
+    while True:
+        if opened:
+            opened[-1][1] += 1
+        if cur.at("name", "ObjectIntersectionOf"):
+            opened.append([cur.next(), 0])
+            cur.expect("lparen")
+            continue
+        if cur.at("name", "ObjectComplementOf"):
+            cur.next()
+            cur.expect("lparen")
+            parts.append((ClassDisjoint, _check_basic(_class_expr(cur, entities), "ObjectComplementOf")))
+            cur.expect("rparen")
+        else:
+            parts.append((ClassInclusion, _class_expr(cur, entities)))
+        while opened and cur.at("rparen"):
+            kw_tok, count = opened.pop()
+            cur.next()
+            if count < 2:
+                raise cur.error("ObjectIntersectionOf needs at least two operands", kw_tok)
+        if not opened:
+            return parts
+
+
 def _basic_class_expr(keyword: str):
     """The operand reader of `keyword` for a class expression that may not
     be a qualified existential."""
@@ -402,18 +433,21 @@ _NARY = {
 # from the operands once the closing parenthesis is read.
 _FIXED = {
     "SubClassOf": (
-        (_class_expr, _class_expr),
-        lambda sub, sup: [ClassInclusion(_check_basic(sub, "SubClassOf"), sup)],
+        (_class_expr, _super_class_expr),
+        lambda sub, sup: [make(_check_basic(sub, "SubClassOf"), ce) for make, ce in sup],
     ),
     "SubObjectPropertyOf": ((_prop_expr, _prop_expr), lambda sub, sup: [PropInclusion(sub, sup)]),
     "InverseObjectProperties": (
         (_prop_expr, _prop_expr),
         lambda a, b: [PropInclusion(a, b.flipped()), PropInclusion(b, a.flipped())],
     ),
-    "ObjectPropertyDomain": ((_prop_expr, _class_expr), lambda pe, ce: [ClassInclusion(Some(pe, TOP_CLASS), ce)]),
+    "ObjectPropertyDomain": (
+        (_prop_expr, _super_class_expr),
+        lambda pe, sup: [make(Some(pe, TOP_CLASS), ce) for make, ce in sup],
+    ),
     "ObjectPropertyRange": (
-        (_prop_expr, _class_expr),
-        lambda pe, ce: [ClassInclusion(Some(pe.flipped(), TOP_CLASS), ce)],
+        (_prop_expr, _super_class_expr),
+        lambda pe, sup: [make(Some(pe.flipped(), TOP_CLASS), ce) for make, ce in sup],
     ),
     # refl(r^-) and irrefl(r^-) coincide with refl(r) / irrefl(r).
     "ReflexiveObjectProperty": ((_prop_expr,), lambda pe: [Reflexive(pe.prop)]),
@@ -560,8 +594,5 @@ def _axiom_text(fact: Fact) -> str:
 
 def serialize_ontology(o: Ontology) -> str:
     """Render with full IRIs only; reparsing yields an equal axiom set."""
-    lines = ["Ontology("]
-    for ax in sorted(o.tbox | o.abox, key=_axiom_text):
-        lines.append(f"  {_axiom_text(ax)}")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
+    lines = sorted(f"  {_axiom_text(ax)}" for ax in o.tbox | o.abox)
+    return "\n".join(["Ontology(", *lines, ")"]) + "\n"

@@ -11,8 +11,18 @@ from pathlib import Path
 import pytest
 
 from helpers import EXAMPLE_SPECIES, EXAMPLE_SPECIES_ZOO, SPECIES
-from metaql import cli, evaluate_fixpoint, translate_ontology
+from metaql import (
+    cli,
+    evaluate_fixpoint,
+    normalize_ontology,
+    parse_ontology,
+    parse_query,
+    to_conjunctive_query,
+    translate_ontology,
+)
 from metaql.cli import CSV_HEADER, main
+from metaql.model import display_iri
+from metaql.oracle import certain_answers_oracle
 from metaql.synthetic import UNI, professor_type_extension, special_meta_queries, university_ontology
 
 ZOO_QUERY = (
@@ -228,21 +238,19 @@ def test_query_check_consistency_flag(tmp_path, capsys):
     assert SPECIES + "felix" in out
 
 
-def test_oracle_subcommand_matches_query(species_file, capsys):
-    assert main(["query", str(species_file), "--query-string", ZOO_QUERY]) == 0
-    engine_rows = capsys.readouterr().out.strip().splitlines()[:-1]
-    assert main(["oracle", str(species_file), "--query-string", ZOO_QUERY]) == 0
-    oracle_rows = capsys.readouterr().out.strip().splitlines()[:-1]
-    assert engine_rows == oracle_rows
-
-
-def test_oracle_translates_no_facts(species_file, capsys, monkeypatch):
-    def refuse(ontology):
-        pytest.fail("the oracle translated the ontology to facts")
-
-    monkeypatch.setattr(cli, "translate_ontology", refuse)
-    assert main(["oracle", str(species_file), "--query-string", ZOO_QUERY]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == SPECIES + "Harry"
+@pytest.mark.parametrize(
+    "text, query",
+    [(university_ontology(1), "SELECT ?y WHERE { ?x a ?y }"), (EXAMPLE_SPECIES_ZOO, ZOO_QUERY)],
+    ids=["university", "zoo"],
+)
+def test_query_prints_the_rows_of_the_oracle(tmp_path, capsys, text, query):
+    src = tmp_path / "onto.ofn"
+    src.write_text(text, encoding="utf-8")
+    assert main(["query", str(src), "--query-string", query]) == 0
+    engine_rows = capsys.readouterr().out.splitlines()[:-1]
+    cq = to_conjunctive_query(parse_query(query))
+    oracle_rows = certain_answers_oracle(normalize_ontology(parse_ontology(text)), cq)
+    assert engine_rows == ["\t".join(display_iri(v) for v in row) for row in oracle_rows] != []
 
 
 def _fresh_env(**extra) -> dict[str, str]:
@@ -293,23 +301,10 @@ def test_a_query_process_never_imports_the_oracle(species_file):
 
 def test_the_oracle_resolves_on_the_package_when_first_named():
     env = _fresh_env()
-    script = "import sys, metaql; print('metaql.oracle' in sys.modules, metaql.oracle.chase is metaql.chase)"
+    script = "import sys, metaql; print('metaql.oracle' in sys.modules, metaql.oracle is sys.modules['metaql.oracle'])"
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
-
-
-@pytest.mark.parametrize("flag", ["--check-consistency", "--explain", "--dump-model"])
-def test_oracle_rejects_the_flags_it_does_not_honour(tmp_path, species_file, capsys, flag):
-    # The oracle has no rule base and no model; a flag it would ignore is a
-    # usage error before any work.
-    model = tmp_path / "model.dl"
-    argv = [flag, str(model)] if flag == "--dump-model" else [flag]
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", str(species_file), "--query-string", ZOO_QUERY, *argv])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
-    assert not model.exists()
 
 
 def test_query_dump_model_twice_is_byte_identical_and_sorted(tmp_path, species_file, capsys):
@@ -340,9 +335,6 @@ def test_query_explain_prints_plan_before_answers(tmp_path, capsys):
         f"4\t7.4\t6\t0,1\tinstc(<{UNI}Student>, ?x)",
     ]
     assert len(out[5:-1]) == 6 and out[-1].startswith("answers=6")
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", str(src), "--query-string", q7, "--explain"])
-    assert exc.value.code == 2
 
 
 def test_query_explain_with_a_constant_absent_from_the_model(tmp_path, capsys):

@@ -26,8 +26,8 @@ OWL_TOKENS = (
     "SubObjectPropertyOf", "EquivalentObjectProperties", "InverseObjectProperties",
     "DisjointObjectProperties", "ObjectPropertyDomain", "ObjectPropertyRange",
     "ReflexiveObjectProperty", "IrreflexiveObjectProperty", "DifferentIndividuals",
-    "Declaration", "Class", "Annotation", "ObjectUnionOf", "Import", '"lit"', '"x\\"', "^^",
-    "@en", "xsd:string", "# note\n", "\n", " ", "\x00",
+    "Declaration", "Class", "Annotation", "ObjectUnionOf", "ObjectIntersectionOf", "ObjectComplementOf",
+    "Import", '"lit"', '"x\\"', "^^", "@en", "xsd:string", "# note\n", "\n", " ", "\x00",
     "ClassAssertion(ex:C :A)", "SubClassOf(:A <http://x#a>)", "ObjectPropertyAssertion(:p :A <http://x#a>)",
 )
 
@@ -111,6 +111,7 @@ NON_FLAT_AXIOMS = (
     "ObjectPropertyAssertion(ObjectInverseOf(:p) :a :b)", "EquivalentClasses(:A :B)", "DisjointClasses(:A :B :C)",
     "Declaration(Class(:A))", "AnnotationAssertion(:x :a \"s\"@en)",
     "SubClassOf(Annotation(:note \"(x)\") :A ex:C)",
+    "ObjectPropertyRange(:p ObjectIntersectionOf(:A ObjectComplementOf(ex:C)))",
 )
 BAD_AXIOMS = (
     "ClassAssertion(ObjectSomeValuesFrom(:p :A) :a)", "ClassAssertion(ObjectUnionOf(:A :B) :a)",

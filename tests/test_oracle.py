@@ -13,16 +13,13 @@ from metaql import (
     Var,
     answer_conjunctive_query,
     builtin_rules,
-    certain_answers_oracle,
-    chase,
     evaluate_fixpoint,
     normalize_ontology,
     parse_ontology,
-    tbox_closure,
     translate_ontology,
 )
 from metaql.errors import CyclicTBox
-from metaql.oracle import OracleEvaluator, is_null
+from metaql.oracle import OracleEvaluator, certain_answers_oracle, chase, is_null, tbox_closure
 
 
 def _parse(body: str):

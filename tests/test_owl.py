@@ -21,9 +21,9 @@ from metaql import (
     normalize_ontology,
     parse_ontology,
     serialize_ontology,
-    tbox_closure,
 )
 from metaql.errors import OwlSyntaxError, UnknownPrefix, UnsupportedAxiom
+from metaql.oracle import tbox_closure
 
 
 def ent(local: str) -> Entity:
@@ -105,6 +105,15 @@ def test_deeply_nested_inverses_fold_by_parity(depth):
         parse_axioms(f"SubObjectPropertyOf({nested[:-1]} :s)")
 
 
+def test_deeply_nested_intersections_flatten_to_their_conjuncts():
+    # The superclass reader keeps its open intersections on a list, so no
+    # depth of nesting exhausts the call stack.
+    nested = "ObjectIntersectionOf(:B " * 5000 + "ObjectComplementOf(:C)" + ")" * 5000
+    assert parse_axioms(f"SubClassOf(:A {nested})") == parse_axioms("SubClassOf(:A :B) DisjointClasses(:A :C)")
+    with pytest.raises(OwlSyntaxError):
+        parse_axioms(f"SubClassOf(:A {nested[:-1]})")
+
+
 def test_nary_disjoint_classes_expand_to_all_pairs():
     axs = parse_axioms("DisjointClasses(:A :B :C)")
     assert len(axs) == 3
@@ -148,6 +157,23 @@ def test_declarations_and_annotations_are_discarded():
         (
             'ObjectPropertyDomain(Annotation(rdfs:comment "a (b)") ObjectInverseOf(:r) :C)',
             "ObjectPropertyDomain(ObjectInverseOf(:r) :C)",
+        ),
+        # OWL 2 QL's superclass expressions: an intersection is one inclusion
+        # per conjunct, and a complement is a disjointness.
+        ("SubClassOf(:A ObjectIntersectionOf(:B :C))", "SubClassOf(:A :B) SubClassOf(:A :C)"),
+        ("SubClassOf(:A ObjectComplementOf(:B))", "DisjointClasses(:A :B)"),
+        (
+            "ObjectPropertyRange(:p ObjectIntersectionOf(:B :C))",
+            "ObjectPropertyRange(:p :B) ObjectPropertyRange(:p :C)",
+        ),
+        (
+            "ObjectPropertyDomain(ObjectInverseOf(:p) ObjectComplementOf(ObjectSomeValuesFrom(:q owl:Thing)))",
+            "DisjointClasses(ObjectSomeValuesFrom(ObjectInverseOf(:p) owl:Thing) ObjectSomeValuesFrom(:q owl:Thing))",
+        ),
+        (
+            "SubClassOf(:A ObjectIntersectionOf(:B\n"
+            "  ObjectIntersectionOf(ObjectComplementOf(:C) ObjectSomeValuesFrom(:s :D))))",
+            "SubClassOf(:A :B) DisjointClasses(:A :C) SubClassOf(:A ObjectSomeValuesFrom(:s :D))",
         ),
     ],
 )
@@ -251,7 +277,7 @@ def test_unsupported_axioms_are_rejected_by_keyword():
         "TransitiveObjectProperty(:r)",
         "Import(<http://ex/other>)",
         "SubClassOf(:A ObjectMinCardinality(2 :r))",
-        "SubClassOf(:A ObjectComplementOf(:B))",
+        "SubClassOf(ObjectComplementOf(:A) :B)",
         "DataPropertyAssertion(:age :a :b)",
         "MadeUpAxiom(:A)",
     ):
@@ -446,6 +472,30 @@ _P = "Prefix(:=<http://ex/>)\n"
             None,
         ),
         (_P + "Ontology(\n  SubClassOf(:A ObjectUnionOf(:B :C))\n)", UnsupportedAxiom, "unsupported axiom 'ObjectUnionOf'", None),
+        (
+            _P + "Ontology(\n  SubClassOf(ObjectComplementOf(:A) :B)\n)",
+            UnsupportedAxiom,
+            "unsupported axiom 'ObjectComplementOf'",
+            None,
+        ),
+        (
+            _P + "Ontology(\n  SubClassOf(:A ObjectComplementOf(ObjectSomeValuesFrom(:r :C)))\n)",
+            UnsupportedAxiom,
+            "unsupported axiom 'ObjectComplementOf': qualified existential not allowed in this position",
+            None,
+        ),
+        (
+            _P + "Ontology(\n  EquivalentClasses(:A ObjectIntersectionOf(:B :C))\n)",
+            UnsupportedAxiom,
+            "unsupported axiom 'ObjectIntersectionOf'",
+            None,
+        ),
+        (
+            _P + "Ontology(\n  SubClassOf(:A ObjectIntersectionOf(:B))\n)",
+            OwlSyntaxError,
+            "ObjectIntersectionOf needs at least two operands",
+            (3, 17),
+        ),
         (
             _P + "Ontology(\n  SubObjectPropertyOf(ObjectPropertyChain(:p :q) :r)\n)",
             UnsupportedAxiom,

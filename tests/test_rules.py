@@ -12,11 +12,11 @@ from metaql import (
     atom,
     builtin_rules,
     evaluate_fixpoint,
-    tbox_closure,
     translate_ontology,
 )
 from metaql.cli import main
 from metaql.model import Entity
+from metaql.oracle import tbox_closure
 
 A, B, C = Entity("http://t#a"), Entity("http://t#b"), Entity("http://t#c")
 
