@@ -26,21 +26,14 @@ from .model import (
     Atom,
     BOTTOM_CLASS,
     BOTTOM_PROPERTY,
-    ClassAssertion,
     ClassDisjoint,
     ClassInclusion,
     ConjunctiveQuery,
-    DifferentIndividuals,
     Entity,
-    Irreflexive,
-    PropAssertion,
     PropDisjoint,
-    PropExpr,
     PropInclusion,
-    Reflexive,
     Rule,
     SIGNATURE,
-    Some,
     TOP_CLASS,
     TOP_PROPERTY,
     Var,
@@ -73,14 +66,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityMismatch", "Atom", "BOTTOM_CLASS", "BOTTOM_PROPERTY",
-    "ClassAssertion", "ClassDisjoint", "ClassInclusion",
-    "ConjunctiveQuery", "CyclicTBox", "DifferentIndividuals",
+    "ClassDisjoint", "ClassInclusion", "ConjunctiveQuery", "CyclicTBox",
     "Entity", "EvalStats", "FactBase", "FactStore", "InvalidIri",
-    "Irreflexive", "MetaqlError", "Ontology", "OwlSyntaxError",
-    "PropAssertion", "PropDisjoint", "PropExpr", "PropInclusion",
-    "Reflexive", "Rule", "RuleCatalogue", "SIGNATURE", "Some",
-    "SparqlQuery", "TOP_CLASS", "TOP_PROPERTY",
-    "TriplePattern", "UnknownPredicate", "UnknownPrefix", "UnsafeQuery",
+    "MetaqlError", "Ontology", "OwlSyntaxError", "PropDisjoint",
+    "PropInclusion", "Rule", "RuleCatalogue", "SIGNATURE", "SparqlQuery",
+    "TOP_CLASS", "TOP_PROPERTY", "TriplePattern", "UnknownPredicate", "UnknownPrefix", "UnsafeQuery",
     "UnsafeRule", "UnsupportedAxiom", "UnsupportedFeature", "Var",
     "answer_conjunctive_query", "atom", "builtin_rules",
     "evaluate_fixpoint", "explain_conjunctive_query", "intern",

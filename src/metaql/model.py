@@ -1,12 +1,14 @@
 """Shared abstract syntax.
 
-Entities and class/property expressions mirror the restricted ontology
-language; terms, atoms, rules and conjunctive queries mirror the Datalog
-side.  All values are immutable after construction and safe to share
-across threads.  An axiom is the one fact it translates to: each axiom
-constructor returns the fact of the axiom's normal form, the one shape
-with a predicate in `SIGNATURE`, so an axiom written either way is one
-value and no other module orients axioms.
+Entities name the classes, properties and individuals of the restricted
+ontology language; terms, atoms, rules and conjunctive queries mirror the
+Datalog side.  All values are immutable after construction and safe to
+share across threads.  An axiom is the one fact it translates to, and an
+operand of an axiom is its side of that fact: a kind letter and IRIs.
+The four constructors that decide a normal form (the inclusions and the
+disjointness axioms) take sides and return the fact of that normal form,
+the one shape with a predicate in `SIGNATURE`, so an axiom written either
+way is one value and no other module orients axioms.
 """
 
 from __future__ import annotations
@@ -94,123 +96,62 @@ def display_iri(iri: str) -> str:
 
 
 # ==============================================================================
-# Class and property expressions
-# ==============================================================================
-
-
-@dataclass(frozen=True, slots=True)
-class PropExpr:
-    """An object property or its inverse.  Double inverses cannot be
-    represented; parsers fold them away by flipping the flag."""
-
-    prop: Entity
-    inverse: bool = False
-
-    def flipped(self) -> "PropExpr":
-        return PropExpr(self.prop, not self.inverse)
-
-    def __str__(self) -> str:
-        return f"{self.prop}^-" if self.inverse else str(self.prop)
-
-
-@dataclass(frozen=True, slots=True)
-class Some:
-    """Existential restriction with an atomic filler.  ``filler == TOP_CLASS``
-    plays the role of the unqualified domain/range concept."""
-
-    prop: PropExpr
-    filler: Entity
-
-    def __str__(self) -> str:
-        return f"some({self.prop}, {self.filler})"
-
-
-# A named class is its `Entity`: the fragment's only other class
-# expression is `Some`, so no wrapper is needed to tell the two apart.
-ClassExpr = Union[Entity, Some]
-
-
-def is_basic(ce: ClassExpr) -> bool:
-    """Basic concepts: a named class, or an unqualified existential."""
-    return isinstance(ce, Entity) or ce.filler == TOP_CLASS
-
-
-def basic_kind(ce: ClassExpr) -> tuple[str, Entity]:
-    """Kind letter and carrier entity of a class expression: C and the
-    class for a named class, R or I and the property for a domain-side or
-    range-side existential (a qualified one's filler is left out)."""
-    if isinstance(ce, Entity):
-        return "C", ce
-    return ("I", ce.prop.prop) if ce.prop.inverse else ("R", ce.prop.prop)
-
-
-# ==============================================================================
 # Axioms
 # ==============================================================================
 
 # An axiom is its fact: the pair of a predicate of `SIGNATURE` and the IRIs
-# of the axiom's entities, as the store holds it.  Each constructor below
-# takes the entities and expressions of one axiom form, written either
+# of the axiom's entities, as the store holds it.  Inclusion and
+# disjointness predicates are keyed on the kind letters of their sides, and
+# a side is a tuple of its kind letter and its IRIs:
+#
+#   ("C", class)                a named class
+#   ("R" | "I", prop)           a property expression, `prop` or its inverse
+#   ("R" | "I", prop, filler)   an existential on the domain (R) or range (I)
+#                               side of `prop`; unqualified, `filler` is the
+#                               top class
+#
+# Each constructor below takes the sides of one axiom form, written either
 # way, and returns the fact of its normal form, so equal axioms are equal
-# facts.  Inclusion and disjointness predicates are keyed on the shapes of
-# their sides: C for a named class, R for a domain-side existential, I for
-# a range-side one; a qualified right-hand existential carries its filler
-# as the last argument, the unqualified one the top class.
+# facts.  A qualified right-hand existential carries its filler as the
+# fact's last argument, the unqualified one the top class.  The other
+# axioms name their predicate only, and are spelled as facts directly:
+# ("refl", (p,)), ("irrefl", (p,)), ("instc", (class, a)),
+# ("instr", (p, a, b)) and ("diff", (a, b)).
 Fact = tuple[str, tuple[str, ...]]
+Side = tuple[str, ...]
 
 
-def ClassInclusion(sub: ClassExpr, sup: ClassExpr) -> Fact:
+def is_basic(side: Side) -> bool:
+    """Basic concepts: a named class, or an unqualified existential."""
+    return side[0] == "C" or side[2] == TOP_CLASS.iri
+
+
+def ClassInclusion(sub: Side, sup: Side) -> Fact:
     if not is_basic(sub):
         raise ValueError(f"inclusion left side must be basic: {sub}")
-    lk, lname = basic_kind(sub)
-    rk, rname = basic_kind(sup)
-    if rk == "C":
-        return f"isac{lk}C", (lname.iri, rname.iri)
-    return f"isac{lk}{rk}", (lname.iri, rname.iri, sup.filler.iri)
+    return f"isac{sub[0]}{sup[0]}", (sub[1], *sup[1:])
 
 
-def PropInclusion(sub: PropExpr, sup: PropExpr) -> Fact:
+def PropInclusion(sub: Side, sup: Side) -> Fact:
     # r^- <= s is stored as r <= s^-.
-    inverse = sup.inverse != sub.inverse
-    return ("isarRI" if inverse else "isarRR"), (sub.prop.iri, sup.prop.iri)
+    return ("isarRR" if sub[0] == sup[0] else "isarRI"), (sub[1], sup[1])
 
 
-def ClassDisjoint(left: ClassExpr, right: ClassExpr) -> Fact:
+def ClassDisjoint(left: Side, right: Side) -> Fact:
     # Two basic concepts with an empty intersection.  The signature has no
     # disjcCR, so disjointness of a class and a domain-side existential is
     # stored with the existential on the left.
     if not (is_basic(left) and is_basic(right)):
         raise ValueError("disjointness operands must be basic concepts")
-    (lk, lname), (rk, rname) = basic_kind(left), basic_kind(right)
-    if f"disjc{lk}{rk}" not in SIGNATURE:
-        (lk, lname), (rk, rname) = (rk, rname), (lk, lname)
-    return f"disjc{lk}{rk}", (lname.iri, rname.iri)
+    pred = f"disjc{left[0]}{right[0]}"
+    if pred not in SIGNATURE:
+        return f"disjc{right[0]}{left[0]}", (right[1], left[1])
+    return pred, (left[1], right[1])
 
 
-def PropDisjoint(left: PropExpr, right: PropExpr) -> Fact:
+def PropDisjoint(left: Side, right: Side) -> Fact:
     # r^- disjoint with s is stored as r disjoint with s^-.
-    inverse = right.inverse != left.inverse
-    return ("disjrRI" if inverse else "disjrRR"), (left.prop.iri, right.prop.iri)
-
-
-def Reflexive(prop: Entity) -> Fact:
-    return "refl", (prop.iri,)
-
-
-def Irreflexive(prop: Entity) -> Fact:
-    return "irrefl", (prop.iri,)
-
-
-def ClassAssertion(cls: Entity, individual: Entity) -> Fact:
-    return "instc", (cls.iri, individual.iri)
-
-
-def PropAssertion(prop: Entity, subject: Entity, object: Entity) -> Fact:
-    return "instr", (prop.iri, subject.iri, object.iri)
-
-
-def DifferentIndividuals(a: Entity, b: Entity) -> Fact:
-    return "diff", (a.iri, b.iri)
+    return ("disjrRR" if left[0] == right[0] else "disjrRI"), (left[1], right[1])
 
 
 # The predicates of assertions; every other axiom belongs to the TBox.

@@ -23,12 +23,17 @@ CE, and PE either an IRI or ObjectInverseOf(PE).  ``#`` starts a comment
 outside strings.  An axiom's leading Annotation(...) operands are
 discarded.  Equivalences, domains, ranges, inverse declarations,
 (a)symmetry, n-ary disjointness, and intersections and complements in a
-superclass are rewritten into the core axiom forms, whose constructors
-in `model` return the fact of the normal form; anything else is rejected
-explicitly rather than guessed at.  An unsupported constructor is known
-by its shape: a name with no `:` followed by `(` where an entity is
-expected (a class, property, individual or filler position) raises
-`UnsupportedAxiom` naming it, as an unknown axiom keyword does.
+superclass are rewritten into the core axiom forms.  Each operand is read
+straight to its side of the fact (see `model`): a property expression to
+its kind letter and property, a class expression to its kind letter and
+IRIs.  The constructors in `model` return the fact of a core form's
+normal form from its sides; assertions, (ir)reflexivity and different
+individuals name their predicate only and are spelled as facts here.
+Anything else is rejected explicitly rather than guessed at.  An
+unsupported constructor is known by its shape: a name with no `:`
+followed by `(` where an entity is expected (a class, property,
+individual or filler position) raises `UnsupportedAxiom` naming it, as an
+unknown axiom keyword does.
 
 A parse is one scan of the text, and an ontology is its facts.  At each
 axiom start the scan first tries `_FLAT_RE`, which matches a whole
@@ -37,16 +42,17 @@ prefixed names, nearly every axiom of a large ontology, with the blanks
 and comments before it.  A match becomes its fact at once and the scan
 moves past it: no token is made for it.  The header, every other axiom
 and the trailer are read token by token through the `Cursor` that the
-query parser in `sparql.py` shares.  Here it tokenizes lazily, up to the
-next parenthesis at a time, so the text a match covers is never
-tokenized; offsets stay offsets into the whole text.  `_NARY` holds the
-keywords with two or more operands of one kind and `_FIXED` those with a
-fixed list of operands; `_parse_axiom` reads the parentheses and operands
-for all of them in one place.  Every error comes from the token-by-token
-parse of the whole text: a text whose scan fails is parsed again without
-flat matches.  Each parse resolves every distinct operand text to its
-`Entity` once, through its own `_Entities` dict, so a flat match makes
-no object but its fact.
+query parser in `sparql.py` shares, which tokenizes up to the next
+parenthesis at a time, so the text a match covers is never tokenized;
+offsets stay offsets into the whole text.  The text is parsed once, so
+its errors come in reading order: an unexpected character when the
+stretch holding it is tokenized, any other error when its token or flat
+operand is read.  `_NARY` holds the keywords with two or more operands
+of one kind and `_FIXED` those with a fixed list of operands;
+`_parse_axiom` reads the parentheses and operands for all of them in one
+place.  Each parse resolves every distinct operand
+text to its IRI once, through its own `_Entities` dict, so a flat match
+makes no object but its fact.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import MetaqlError, OwlSyntaxError, UnsupportedAxiom
+from .errors import OwlSyntaxError, UnsupportedAxiom
 from .model import (
     ABOX_PREDICATES,
     OWL_NS,
@@ -64,20 +70,12 @@ from .model import (
     TOP_CLASS,
     TOP_PROPERTY,
     XSD_NS,
-    ClassAssertion,
     ClassDisjoint,
-    ClassExpr,
     ClassInclusion,
-    DifferentIndividuals,
-    Entity,
     Fact,
-    Irreflexive,
-    PropAssertion,
     PropDisjoint,
-    PropExpr,
     PropInclusion,
-    Reflexive,
-    Some,
+    Side,
     display_iri,
     intern,
     facts_to_dl,
@@ -147,26 +145,26 @@ class Cursor:
     `pattern`'s named groups are the token kinds (`_TOKEN_RE`'s or
     `sparql._Q_TOKEN_RE`'s); `ws` and `comment` tokens are dropped.  `name`
     says what the text is in the message for running out of tokens.  A
-    cursor tokenizes from offset `end` whenever it runs out of tokens: to
-    the end of the text, or, if `lazy`, through the next parenthesis; while
-    no token is pending, its owner may move `end` past text it has read
-    itself.  Every syntax error either parser raises comes from `error`,
-    which works out line and column from a token's offset.
+    cursor tokenizes from offset `end` whenever it runs out of tokens,
+    through the next `lparen` or `rparen` token or else to the end of the
+    text (the query lexer has neither kind, so a query is read whole);
+    while no token is pending, its owner may move `end` past text it has
+    read itself.  Every syntax error either parser raises comes from
+    `error`, which works out line and column from a token's offset.
     """
 
-    def __init__(self, pattern: re.Pattern, text: str, name: str, lazy: bool = False):
+    def __init__(self, pattern: re.Pattern, text: str, name: str):
         self.pattern = pattern
         self.text = text
         self.name = name
-        self.lazy = lazy
         self.tokens: list[Tok] = []
         self.pos = 0
         self.end = 0
         self._scan()
 
     def _scan(self) -> bool:
-        """Tokenize from `end`: through the next parenthesis if lazy, else
-        to the end of the text.  Whether a token was added."""
+        """Tokenize from `end` through the next parenthesis, or else to the
+        end of the text.  Whether a token was added."""
         text, end, count = self.text, self.end, len(self.tokens)
         for m in self.pattern.finditer(text, end):
             if m.start() != end:
@@ -175,7 +173,7 @@ class Cursor:
             kind = m.lastgroup
             if kind != "ws" and kind != "comment":
                 self.tokens.append((kind, m.group(), m.start()))
-                if self.lazy and (kind == "lparen" or kind == "rparen"):
+                if kind == "lparen" or kind == "rparen":
                     self.end = end
                     return True
         self.end = end
@@ -233,18 +231,13 @@ _DISCARDED = {"Declaration", "AnnotationAssertion", "Annotation"}
 
 
 def parse_ontology(text: str) -> Ontology:
-    try:
-        return _parse(text, flat=True)
-    except MetaqlError:
-        # The scan stops at its first failure, wherever that is, so every
-        # error comes from the token-by-token parse of the whole text.
-        return _parse(text, flat=False)
+    return _parse(text, flat=True)
 
 
 def _parse(text: str, flat: bool) -> Ontology:
     """The ontology `text` holds; with `flat`, a flat axiom is matched by
     `_FLAT_RE` instead of being tokenized."""
-    cur = Cursor(_TOKEN_RE, text, "input", lazy=flat)
+    cur = Cursor(_TOKEN_RE, text, "input")
     prefixes = dict(DEFAULT_PREFIXES)
 
     while cur.at("name", "Prefix"):
@@ -263,9 +256,10 @@ def _parse(text: str, flat: bool) -> Ontology:
     if head[1] != "Ontology":
         raise cur.error(f"expected Ontology(...), found {head[1]!r}", head)
     cur.expect("lparen")
-    # Optional ontology IRI and version IRI.
-    while cur.at("iriref"):
-        cur.next()
+    # An optional ontology IRI, and after it an optional version IRI.
+    for _ in range(2):
+        if cur.at("iriref"):
+            cur.next()
 
     entities = _Entities(prefixes)
     tbox: set[Fact] = set()
@@ -277,11 +271,11 @@ def _parse(text: str, flat: bool) -> Ontology:
             while (m := match(text, end)) is not None:
                 keyword, a, b, p, s, o = m.groups()
                 if keyword is None:
-                    abox.add(("instr", (entities[p].iri, entities[s].iri, entities[o].iri)))
+                    abox.add(("instr", (entities[p], entities[s], entities[o])))
                 elif keyword == "SubClassOf":
-                    tbox.add(("isacCC", (entities[a].iri, entities[b].iri)))
+                    tbox.add(("isacCC", (entities[a], entities[b])))
                 else:
-                    abox.add(("instc", (entities[a].iri, entities[b].iri)))
+                    abox.add(("instc", (entities[a], entities[b])))
                 end = m.end()
             cur.end = end
         if cur.at("rparen"):
@@ -302,17 +296,17 @@ def _parse(text: str, flat: bool) -> Ontology:
 
 
 class _Entities(dict):
-    """Token text to `Entity` for one parse, under that parse's prefixes:
-    each distinct IRI text is interned and validated once.  A text whose
-    `intern` raises is not stored."""
+    """Token text to the IRI it names for one parse, under that parse's
+    prefixes: each distinct IRI text is interned and validated once.  A
+    text whose `intern` raises is not stored."""
 
     def __init__(self, prefixes: dict[str, str]):
         super().__init__()
         self.prefixes = prefixes
 
-    def __missing__(self, text: str) -> Entity:
-        ent = self[text] = intern(text, self.prefixes)
-        return ent
+    def __missing__(self, text: str) -> str:
+        iri = self[text] = intern(text, self.prefixes).iri
+        return iri
 
 
 def _reject_constructor(cur: Cursor, detail: str = ""):
@@ -321,12 +315,12 @@ def _reject_constructor(cur: Cursor, detail: str = ""):
     tok = cur.peek()
     tokens, pos = cur.tokens, cur.pos
     if tok is not None and tok[0] == "name" and ":" not in tok[1]:
-        # A name never ends a lazy cursor's stretch, so its successor is read.
+        # A name never ends a cursor's stretch, so its successor is read.
         if pos + 1 < len(tokens) and tokens[pos + 1][0] == "lparen":
             raise UnsupportedAxiom(tok[1], detail)
 
 
-def _entity(cur: Cursor, entities: _Entities) -> Entity:
+def _entity(cur: Cursor, entities: _Entities) -> str:
     _reject_constructor(cur)
     tok = cur.next()
     if tok[0] == "name":
@@ -336,7 +330,12 @@ def _entity(cur: Cursor, entities: _Entities) -> Entity:
     return entities[tok[1]]
 
 
-def _prop_expr(cur: Cursor, entities: _Entities) -> PropExpr:
+def _flip(pe: Side) -> Side:
+    """The inverse of a property expression."""
+    return ("I" if pe[0] == "R" else "R"), pe[1]
+
+
+def _prop_expr(cur: Cursor, entities: _Entities) -> Side:
     # Nested inverses are counted, not recursed into, so no depth of
     # nesting can exhaust the stack.
     depth = 0
@@ -344,13 +343,13 @@ def _prop_expr(cur: Cursor, entities: _Entities) -> PropExpr:
         cur.next()
         cur.expect("lparen")
         depth += 1
-    pe = PropExpr(_entity(cur, entities))
+    prop = _entity(cur, entities)
     for _ in range(depth):
         cur.expect("rparen")
-    return pe.flipped() if depth % 2 else pe
+    return ("I" if depth % 2 else "R"), prop
 
 
-def _class_expr(cur: Cursor, entities: _Entities) -> ClassExpr:
+def _class_expr(cur: Cursor, entities: _Entities) -> Side:
     if cur.at("name", "ObjectSomeValuesFrom"):
         cur.next()
         cur.expect("lparen")
@@ -358,12 +357,12 @@ def _class_expr(cur: Cursor, entities: _Entities) -> ClassExpr:
         _reject_constructor(cur, "existential fillers must be named classes")
         filler = _entity(cur, entities)
         cur.expect("rparen")
-        return Some(prop, filler)
-    return _entity(cur, entities)
+        return (*prop, filler)
+    return "C", _entity(cur, entities)
 
 
 def _super_class_expr(cur: Cursor, entities: _Entities) -> list[tuple]:
-    """A superclass as one (constructor, class expression) pair per conjunct:
+    """A superclass as one (constructor, side) pair per conjunct:
     `ClassInclusion` of a class expression, `ClassDisjoint` of a complement's
     basic operand.  Open intersections are a stack of [keyword token,
     operands read], so no depth of nesting can exhaust the call stack."""
@@ -397,21 +396,21 @@ def _basic_class_expr(keyword: str):
     return lambda cur, entities: _check_basic(_class_expr(cur, entities), keyword)
 
 
-def _check_basic(ce: ClassExpr, keyword: str) -> ClassExpr:
+def _check_basic(ce: Side, keyword: str) -> Side:
     if not is_basic(ce):
         raise UnsupportedAxiom(keyword, "qualified existential not allowed in this position")
     return ce
 
 
-def _named_class(cur: Cursor, entities: _Entities) -> Entity:
+def _named_class(cur: Cursor, entities: _Entities) -> str:
     ce = _class_expr(cur, entities)
-    if not isinstance(ce, Entity):
+    if ce[0] != "C":
         raise UnsupportedAxiom("ClassAssertion", "class assertions must use a named class")
-    return ce
+    return ce[1]
 
 
 # The n-ary keywords, each with at least two operands: the operand reader,
-# the axioms for one pair of operands, and whether every pair gets them
+# the facts for one pair of operands, and whether every pair gets them
 # (True) or only neighbours (False).
 _NARY = {
     "DisjointClasses": (_basic_class_expr("DisjointClasses"), lambda a, b: [ClassDisjoint(a, b)], True),
@@ -426,10 +425,10 @@ _NARY = {
         lambda a, b: [PropInclusion(a, b), PropInclusion(b, a)],
         False,
     ),
-    "DifferentIndividuals": (_entity, lambda a, b: [DifferentIndividuals(a, b)], True),
+    "DifferentIndividuals": (_entity, lambda a, b: [("diff", (a, b))], True),
 }
 
-# The fixed-arity keywords: one reader per operand, and the axioms built
+# The fixed-arity keywords: one reader per operand, and the facts built
 # from the operands once the closing parenthesis is read.
 _FIXED = {
     "SubClassOf": (
@@ -439,26 +438,26 @@ _FIXED = {
     "SubObjectPropertyOf": ((_prop_expr, _prop_expr), lambda sub, sup: [PropInclusion(sub, sup)]),
     "InverseObjectProperties": (
         (_prop_expr, _prop_expr),
-        lambda a, b: [PropInclusion(a, b.flipped()), PropInclusion(b, a.flipped())],
+        lambda a, b: [PropInclusion(a, _flip(b)), PropInclusion(b, _flip(a))],
     ),
     "ObjectPropertyDomain": (
         (_prop_expr, _super_class_expr),
-        lambda pe, sup: [make(Some(pe, TOP_CLASS), ce) for make, ce in sup],
+        lambda pe, sup: [make((*pe, TOP_CLASS.iri), ce) for make, ce in sup],
     ),
     "ObjectPropertyRange": (
         (_prop_expr, _super_class_expr),
-        lambda pe, sup: [make(Some(pe.flipped(), TOP_CLASS), ce) for make, ce in sup],
+        lambda pe, sup: [make((*_flip(pe), TOP_CLASS.iri), ce) for make, ce in sup],
     ),
     # refl(r^-) and irrefl(r^-) coincide with refl(r) / irrefl(r).
-    "ReflexiveObjectProperty": ((_prop_expr,), lambda pe: [Reflexive(pe.prop)]),
-    "IrreflexiveObjectProperty": ((_prop_expr,), lambda pe: [Irreflexive(pe.prop)]),
+    "ReflexiveObjectProperty": ((_prop_expr,), lambda pe: [("refl", (pe[1],))]),
+    "IrreflexiveObjectProperty": ((_prop_expr,), lambda pe: [("irrefl", (pe[1],))]),
     # OWL 2 QL's (a)symmetry: P is included in, or disjoint with, its inverse.
-    "SymmetricObjectProperty": ((_prop_expr,), lambda pe: [PropInclusion(pe, pe.flipped())]),
-    "AsymmetricObjectProperty": ((_prop_expr,), lambda pe: [PropDisjoint(pe, pe.flipped())]),
-    "ClassAssertion": ((_named_class, _entity), lambda cls, ind: [ClassAssertion(cls, ind)]),
+    "SymmetricObjectProperty": ((_prop_expr,), lambda pe: [PropInclusion(pe, _flip(pe))]),
+    "AsymmetricObjectProperty": ((_prop_expr,), lambda pe: [PropDisjoint(pe, _flip(pe))]),
+    "ClassAssertion": ((_named_class, _entity), lambda cls, ind: [("instc", (cls, ind))]),
     "ObjectPropertyAssertion": (
         (_prop_expr, _entity, _entity),
-        lambda pe, s, o: [PropAssertion(pe.prop, o, s) if pe.inverse else PropAssertion(pe.prop, s, o)],
+        lambda pe, s, o: [("instr", (pe[1], o, s) if pe[0] == "I" else (pe[1], s, o))],
     ),
 }
 

@@ -164,20 +164,20 @@ def parse_query(text: str) -> SparqlQuery:
     if _keyword(t) != "SELECT":
         raise cur.error(f"expected SELECT, found {t[1]!r}", t)
 
-    star = False
     projection: list[Var] = []
     if _keyword(cur.peek()) == "DISTINCT":
         cur.next()  # answers are sets anyway
-    while True:
-        if cur.at("var"):
+    # SPARQL's projection is `Var+ | '*'`.
+    star = cur.at("punct", "*")
+    if star:
+        cur.next()
+    else:
+        while cur.at("var"):
             projection.append(Var(cur.next()[1][1:]))
-        elif cur.at("punct", "*"):
-            cur.next()
-            star = True
-        else:
-            break
-    if not star and not projection:
-        raise cur.error("projection must list variables or *", cur.peek() or 0)
+        if not projection:
+            raise cur.error("projection must list variables or *", cur.peek() or 0)
+    if cur.at("punct", "*"):
+        raise cur.error("'*' must be the whole projection", cur.next())
 
     t = cur.next()
     _check_unsupported(t)

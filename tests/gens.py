@@ -11,21 +11,14 @@ import random
 
 from metaql import (
     Atom,
-    ClassAssertion,
     ClassDisjoint,
     ClassInclusion,
     ConjunctiveQuery,
-    DifferentIndividuals,
     Entity,
-    Irreflexive,
     Ontology,
-    PropAssertion,
     PropDisjoint,
-    PropExpr,
     PropInclusion,
-    Reflexive,
     Rule,
-    Some,
     TOP_CLASS,
     Var,
     normalize_ontology,
@@ -39,19 +32,27 @@ PROPS = [Entity(f"{NS}p{i}") for i in range(4)]
 INDS = [Entity(f"{NS}a{i}") for i in range(10)]
 
 
+# Sides of facts (see `metaql.model`), drawn in a fixed order so that a
+# seed makes the same ontology.
 def _basic(rng: random.Random):
     roll = rng.random()
     if roll < 0.6:
-        return rng.choice(CLASSES)
-    return Some(PropExpr(rng.choice(PROPS), inverse=roll >= 0.8), TOP_CLASS)
+        return "C", rng.choice(CLASSES).iri
+    return ("I" if roll >= 0.8 else "R"), rng.choice(PROPS).iri, TOP_CLASS.iri
 
 
 def _rhs(rng: random.Random):
     roll = rng.random()
     if roll < 0.5:
-        return rng.choice(CLASSES)
+        return "C", rng.choice(CLASSES).iri
     filler = rng.choice(CLASSES) if rng.random() < 0.6 else TOP_CLASS
-    return Some(PropExpr(rng.choice(PROPS), inverse=roll >= 0.75), filler)
+    return ("I" if roll >= 0.75 else "R"), rng.choice(PROPS).iri, filler.iri
+
+
+def _prop_pair(rng: random.Random):
+    """A property and, with probability 0.3 inverted, another."""
+    left, right = rng.choice(PROPS).iri, rng.choice(PROPS).iri
+    return ("R", left), ("I" if rng.random() < 0.3 else "R", right)
 
 
 def _symbol(rng: random.Random):
@@ -69,35 +70,23 @@ def random_ontology(rng: random.Random, max_tbox: int = 12, max_abox: int = 30) 
             if kind == "ci":
                 tbox.add(ClassInclusion(_basic(rng), _rhs(rng)))
             elif kind == "pi":
-                tbox.add(
-                    PropInclusion(
-                        PropExpr(rng.choice(PROPS)),
-                        PropExpr(rng.choice(PROPS), inverse=rng.random() < 0.3),
-                    )
-                )
+                tbox.add(PropInclusion(*_prop_pair(rng)))
             elif kind == "cd":
                 tbox.add(ClassDisjoint(_basic(rng), _basic(rng)))
             elif kind == "pd":
-                tbox.add(
-                    PropDisjoint(
-                        PropExpr(rng.choice(PROPS)),
-                        PropExpr(rng.choice(PROPS), inverse=rng.random() < 0.3),
-                    )
-                )
-            elif kind == "refl":
-                tbox.add(Reflexive(rng.choice(PROPS)))
+                tbox.add(PropDisjoint(*_prop_pair(rng)))
             else:
-                tbox.add(Irreflexive(rng.choice(PROPS)))
+                tbox.add((kind, (rng.choice(PROPS).iri,)))
 
         abox = set()
         for _ in range(rng.randint(0, max_abox)):
             kind = rng.choice(("instc", "instc", "instr", "instr", "diff"))
             if kind == "instc":
-                abox.add(ClassAssertion(rng.choice(CLASSES), _symbol(rng)))
+                abox.add(("instc", (rng.choice(CLASSES).iri, _symbol(rng).iri)))
             elif kind == "instr":
-                abox.add(PropAssertion(rng.choice(PROPS), _symbol(rng), _symbol(rng)))
+                abox.add(("instr", (rng.choice(PROPS).iri, _symbol(rng).iri, _symbol(rng).iri)))
             else:
-                abox.add(DifferentIndividuals(rng.choice(INDS), rng.choice(INDS)))
+                abox.add(("diff", (rng.choice(INDS).iri, rng.choice(INDS).iri)))
 
         o = normalize_ontology(Ontology(frozenset(tbox), frozenset(abox), {}))
         try:

@@ -11,10 +11,8 @@ from metaql import (
     Entity,
     FactStore,
     Ontology,
-    PropExpr,
     Rule,
     RuleCatalogue,
-    Some,
     TOP_CLASS,
     Var,
     builtin_rules,
@@ -27,11 +25,12 @@ from metaql import owl
 
 SPECIES = "http://ex/species#"
 
-# One basic concept of each kind letter over a given entity.
+# One basic concept of each kind letter over a given entity, as the side
+# of a fact (see `metaql.model`).
 BASIC_OF_KIND = {
-    "C": lambda e: e,
-    "R": lambda e: Some(PropExpr(e), TOP_CLASS),
-    "I": lambda e: Some(PropExpr(e, inverse=True), TOP_CLASS),
+    "C": lambda e: ("C", e.iri),
+    "R": lambda e: ("R", e.iri, TOP_CLASS.iri),
+    "I": lambda e: ("I", e.iri, TOP_CLASS.iri),
 }
 
 # The golden-eagle ontology: subclass chain plus a metaclass assertion.

@@ -10,7 +10,6 @@ from metaql import (
     ConjunctiveQuery,
     Entity,
     PropDisjoint,
-    PropExpr,
     PropInclusion,
     Rule,
     SIGNATURE,
@@ -115,12 +114,6 @@ def test_query_validation():
         ConjunctiveQuery((Var("Z"),), (atom("instc", "C", "X"),))
 
 
-def test_prop_expr_double_inverse_is_identity():
-    pe = PropExpr(Entity("http://ex/r"))
-    assert pe.flipped().flipped() == pe
-    assert pe.flipped().inverse
-
-
 R, S = Entity("http://ex/r"), Entity("http://ex/s")
 
 
@@ -128,8 +121,8 @@ R, S = Entity("http://ex/r"), Entity("http://ex/s")
 @pytest.mark.parametrize("right_inverse", [False, True])
 def test_property_axiom_stores_an_inverse_left_side_flipped(axiom, right_inverse):
     # r^- op s is r op s^-, and r^- op s^- is r op s.
-    written = axiom(PropExpr(R, inverse=True), PropExpr(S, inverse=right_inverse))
-    assert written == axiom(PropExpr(R), PropExpr(S, inverse=not right_inverse))
+    written = axiom(("I", R.iri), ("I" if right_inverse else "R", S.iri))
+    assert written == axiom(("R", R.iri), ("R" if right_inverse else "I", S.iri))
 
 
 def test_class_disjointness_is_stored_in_an_orientation_the_signature_has():

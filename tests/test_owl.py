@@ -4,18 +4,13 @@ from pathlib import Path
 import pytest
 
 from gens import random_ontology
-from helpers import EXAMPLE_SPECIES, SPECIES, fact, parse_token_by_token
+from helpers import BASIC_OF_KIND, EXAMPLE_SPECIES, SPECIES, fact, parse_token_by_token
 from metaql import (
-    ClassAssertion,
     ClassDisjoint,
     ClassInclusion,
     Entity,
     Ontology,
-    PropAssertion,
-    PropDisjoint,
-    PropExpr,
     PropInclusion,
-    Some,
     TOP_CLASS,
     TOP_PROPERTY,
     normalize_ontology,
@@ -38,10 +33,10 @@ def parse_axioms(body: str):
 
 def test_parse_example_species():
     o = parse_ontology(EXAMPLE_SPECIES)
-    assert ClassInclusion(ent("Eagle"), ent("Birds")) in o.tbox
-    assert ClassInclusion(ent("GoldenEagle"), ent("Eagle")) in o.tbox
-    assert ClassAssertion(ent("GoldenEagle"), ent("Harry")) in o.abox
-    assert ClassAssertion(ent("EndangeredSpecies"), ent("GoldenEagle")) in o.abox
+    assert fact("isacCC", ent("Eagle"), ent("Birds")) in o.tbox
+    assert fact("isacCC", ent("GoldenEagle"), ent("Eagle")) in o.tbox
+    assert fact("instc", ent("GoldenEagle"), ent("Harry")) in o.abox
+    assert fact("instc", ent("EndangeredSpecies"), ent("GoldenEagle")) in o.abox
     assert len(o) == 4
 
 
@@ -61,38 +56,36 @@ def test_parse_ontology_iri_and_comments():
 def test_equivalent_classes_become_two_inclusions():
     axs = parse_axioms("EquivalentClasses(:A :B)")
     assert axs == {
-        ClassInclusion(ent("A"), ent("B")),
-        ClassInclusion(ent("B"), ent("A")),
+        fact("isacCC", ent("A"), ent("B")),
+        fact("isacCC", ent("B"), ent("A")),
     }
 
 
 def test_domain_and_range_become_existential_inclusions():
     axs = parse_axioms("ObjectPropertyDomain(:r :C) ObjectPropertyRange(:r :D)")
-    r = PropExpr(ent("r"))
-    assert ClassInclusion(Some(r, TOP_CLASS), ent("C")) in axs
-    assert ClassInclusion(Some(r.flipped(), TOP_CLASS), ent("D")) in axs
+    assert fact("isacRC", ent("r"), ent("C")) in axs
+    assert fact("isacIC", ent("r"), ent("D")) in axs
 
 
 def test_inverse_object_properties_become_two_inclusions():
     axs = parse_axioms("InverseObjectProperties(:r :s)")
     assert axs == {
-        PropInclusion(PropExpr(ent("r")), PropExpr(ent("s"), inverse=True)),
-        PropInclusion(PropExpr(ent("s")), PropExpr(ent("r"), inverse=True)),
+        fact("isarRI", ent("r"), ent("s")),
+        fact("isarRI", ent("s"), ent("r")),
     }
 
 
 def test_inverse_on_left_of_property_inclusion_is_normalized():
     axs = parse_axioms("SubObjectPropertyOf(ObjectInverseOf(:r) :s)")
-    assert axs == {PropInclusion(PropExpr(ent("r")), PropExpr(ent("s"), inverse=True))}
+    assert axs == {fact("isarRI", ent("r"), ent("s"))}
     # Double inverse folds away entirely.
     axs = parse_axioms("SubObjectPropertyOf(ObjectInverseOf(ObjectInverseOf(:r)) :s)")
-    assert axs == {PropInclusion(PropExpr(ent("r")), PropExpr(ent("s")))}
+    assert axs == {fact("isarRR", ent("r"), ent("s"))}
 
 
 def test_inverse_on_left_of_property_disjointness_is_normalized():
     axs = parse_axioms("DisjointObjectProperties(ObjectInverseOf(:r) :s)")
-    assert axs == {PropDisjoint(PropExpr(ent("r")), PropExpr(ent("s"), inverse=True))}
-    assert list(axs) == [fact("disjrRI", ent("r"), ent("s"))]
+    assert axs == {fact("disjrRI", ent("r"), ent("s"))}
 
 
 @pytest.mark.parametrize("depth", [5000, 5001])
@@ -100,7 +93,7 @@ def test_deeply_nested_inverses_fold_by_parity(depth):
     nested = "ObjectInverseOf(" * depth + ":r" + ")" * depth
     axs = parse_axioms(f"SubObjectPropertyOf({nested} :s)")
     odd = depth % 2 == 1
-    assert axs == {PropInclusion(PropExpr(ent("r")), PropExpr(ent("s"), inverse=odd))}
+    assert axs == {fact("isarRI" if odd else "isarRR", ent("r"), ent("s"))}
     with pytest.raises(OwlSyntaxError):
         parse_axioms(f"SubObjectPropertyOf({nested[:-1]} :s)")
 
@@ -128,7 +121,7 @@ def test_nary_different_individuals_expand_to_all_pairs():
 
 def test_inverse_property_assertion_swaps_arguments():
     axs = parse_axioms("ObjectPropertyAssertion(ObjectInverseOf(:r) :a :b)")
-    assert axs == {PropAssertion(ent("r"), ent("b"), ent("a"))}
+    assert axs == {fact("instr", ent("r"), ent("b"), ent("a"))}
 
 
 def test_declarations_and_annotations_are_discarded():
@@ -321,12 +314,12 @@ def test_nary_axiom_with_one_operand_reports_its_keyword_position(axiom):
 
 def test_normalize_adds_top_inclusions():
     o = normalize_ontology(parse_ontology(EXAMPLE_SPECIES))
-    assert ClassInclusion(ent("GoldenEagle"), TOP_CLASS) in o.tbox
-    assert ClassInclusion(ent("EndangeredSpecies"), TOP_CLASS) in o.tbox
+    assert fact("isacCC", ent("GoldenEagle"), TOP_CLASS) in o.tbox
+    assert fact("isacCC", ent("EndangeredSpecies"), TOP_CLASS) in o.tbox
 
     zoo = parse_axioms("ObjectPropertyAssertion(:Lives_in :Harry :CPZ)")
     normalized = normalize_ontology(Ontology(frozenset(), frozenset(zoo), {}))
-    assert PropInclusion(PropExpr(ent("Lives_in")), PropExpr(TOP_PROPERTY)) in normalized.tbox
+    assert fact("isarRR", ent("Lives_in"), TOP_PROPERTY) in normalized.tbox
 
 
 def test_normalize_is_idempotent():
@@ -340,9 +333,9 @@ def _normalize_per_assertion(o: Ontology) -> Ontology:
     tbox = set(o.tbox)
     for pred, args in o.abox:
         if pred == "instc":
-            tbox.add(ClassInclusion(Entity(args[0]), TOP_CLASS))
+            tbox.add(ClassInclusion(("C", args[0]), ("C", TOP_CLASS.iri)))
         elif pred == "instr":
-            tbox.add(PropInclusion(PropExpr(Entity(args[0])), PropExpr(TOP_PROPERTY)))
+            tbox.add(PropInclusion(("R", args[0]), ("R", TOP_PROPERTY.iri)))
     return Ontology(frozenset(tbox), o.abox, {})
 
 
@@ -360,13 +353,13 @@ def test_normalize_flips_class_vs_domain_disjointness():
     # c excludes some r  has no direct fact form; the constructor stores it
     # in the domain-side orientation, and normalization keeps that.
     raw = Ontology(
-        frozenset({ClassDisjoint(ent("C"), Some(PropExpr(ent("r")), TOP_CLASS))}),
+        frozenset({ClassDisjoint(BASIC_OF_KIND["C"](ent("C")), BASIC_OF_KIND["R"](ent("r")))}),
         frozenset(),
         {},
     )
     normalized = normalize_ontology(raw)
     assert normalized.tbox == {
-        ClassDisjoint(Some(PropExpr(ent("r")), TOP_CLASS), ent("C"))
+        ClassDisjoint(BASIC_OF_KIND["R"](ent("r")), BASIC_OF_KIND["C"](ent("C")))
     }
 
 
@@ -457,6 +450,10 @@ _P = "Prefix(:=<http://ex/>)\n"
         (_P + "Ontologie()", OwlSyntaxError, "expected Ontology(...), found 'Ontologie'", (2, 1)),
         ("Ontology(\n  SubClassOf(<http://a/A> <http://a/B>)", OwlSyntaxError, "unterminated Ontology(...)", (1, 1)),
         ("Ontology(\n  SubClassOf(<http://a/A> <http://a/B>) (\n)", OwlSyntaxError, "expected an axiom, found '('", (2, 41)),
+        # An ontology IRI and a version IRI, and no third.
+        ("Ontology(<a> <b> <c> <d>)", OwlSyntaxError, "expected an axiom, found '<c>'", (1, 18)),
+        # The first error in reading order, not the unexpected character after it.
+        ("Prefix(ex:=<http://e#>) Ontology(SubClassOf(ex:A) <)", OwlSyntaxError, "expected an IRI, found ')'", (1, 49)),
         ("Ontology()\n\nOntology()", OwlSyntaxError, "unexpected input after Ontology(...): 'Ontology'", (3, 1)),
         (_P + "Ontology(\n  SubClassOf(:A =)\n)", OwlSyntaxError, "expected an IRI, found '='", (3, 17)),
         (

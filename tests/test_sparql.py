@@ -218,6 +218,9 @@ def test_a_name_keeps_a_dot_inside_it():
         ("ASK WHERE { ?x a <http://ex/C> }", UnsupportedFeature, "ASK queries", None),
         ("SELECT\n  WHERE { ?x a :C }", OwlSyntaxError, "projection must list variables or *", (2, 3)),
         ("SELECT DISTINCT", OwlSyntaxError, "projection must list variables or *", (1, 1)),
+        ("SELECT ?x * WHERE { ?x a ?y }", OwlSyntaxError, "'*' must be the whole projection", (1, 11)),
+        ("SELECT * * WHERE { ?x a ?y }", OwlSyntaxError, "'*' must be the whole projection", (1, 10)),
+        ("SELECT *\n  ?x WHERE { ?x a ?y }", OwlSyntaxError, "expected WHERE, found '?x'", (2, 3)),
         ("SELECT ?x\n  { ?x a :C }", OwlSyntaxError, "expected WHERE, found '{'", (2, 3)),
         ("SELECT ?x WHERE\n  ?x a :C", OwlSyntaxError, "expected '{' after WHERE", (2, 3)),
         ("SELECT ?x WHERE {\n  { ?x a :C } }", UnsupportedFeature, "grouped graph patterns", None),

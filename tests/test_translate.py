@@ -6,19 +6,10 @@ import pytest
 from gens import random_ontology
 from helpers import BASIC_OF_KIND, EXAMPLE_SPECIES, SPECIES, fact
 from metaql import (
-    ClassAssertion,
     ClassDisjoint,
     ClassInclusion,
-    DifferentIndividuals,
     Entity,
-    Irreflexive,
-    PropAssertion,
-    PropDisjoint,
-    PropExpr,
-    PropInclusion,
-    Reflexive,
     SIGNATURE,
-    Some,
     TOP_CLASS,
     normalize_ontology,
     parse_ontology,
@@ -31,57 +22,58 @@ R1, R2 = Entity("http://t#r1"), Entity("http://t#r2")
 X, Y = Entity("http://t#x"), Entity("http://t#y")
 
 
-def _r(e, inv=False):
-    return PropExpr(e, inverse=inv)
+def _some(pe, filler="owl:Thing"):  # an existential, unqualified by default
+    return f"ObjectSomeValuesFrom({pe} {filler})"
 
 
-def _dom(e):  # domain-side existential, a basic concept
-    return Some(_r(e), TOP_CLASS)
+def _inv(p):
+    return f"ObjectInverseOf({p})"
 
 
-def _rng(e):  # range-side existential
-    return Some(_r(e, True), TOP_CLASS)
-
-
-# The complete fact-translation table: one row per axiom form, positive
-# inclusions and reflexivity on the left, negative forms on the right,
-# assertions at the bottom.
+# The complete fact-translation table: one row per axiom form, an OWL axiom
+# text and its fact; positive inclusions and reflexivity first, negative
+# forms next, assertions at the bottom.
 TAU_TABLE = [
     # positive TBox rows
-    (ClassInclusion(C1, C2), fact("isacCC", C1, C2)),
-    (ClassInclusion(C1, Some(_r(R2, True), C2)), fact("isacCI", C1, R2, C2)),
-    (ClassInclusion(_dom(R1), Some(_r(R2), C2)), fact("isacRR", R1, R2, C2)),
-    (ClassInclusion(_rng(R1), C2), fact("isacIC", R1, C2)),
-    (ClassInclusion(_rng(R1), Some(_r(R2), C2)), fact("isacIR", R1, R2, C2)),
-    (ClassInclusion(_rng(R1), Some(_r(R2, True), C2)), fact("isacII", R1, R2, C2)),
-    (PropInclusion(_r(R1), _r(R2)), fact("isarRR", R1, R2)),
-    (PropInclusion(_r(R1), _r(R2, True)), fact("isarRI", R1, R2)),
-    (ClassInclusion(C1, Some(_r(R2), C2)), fact("isacCR", C1, R2, C2)),
-    (ClassInclusion(_dom(R1), C2), fact("isacRC", R1, C2)),
-    (ClassInclusion(_dom(R1), Some(_r(R2, True), C2)), fact("isacRI", R1, R2, C2)),
-    (Reflexive(R1), fact("refl", R1)),
+    ("SubClassOf(t:c1 t:c2)", fact("isacCC", C1, C2)),
+    (f"SubClassOf(t:c1 {_some(_inv('t:r2'), 't:c2')})", fact("isacCI", C1, R2, C2)),
+    (f"SubClassOf({_some('t:r1')} {_some('t:r2', 't:c2')})", fact("isacRR", R1, R2, C2)),
+    (f"SubClassOf({_some(_inv('t:r1'))} t:c2)", fact("isacIC", R1, C2)),
+    (f"SubClassOf({_some(_inv('t:r1'))} {_some('t:r2', 't:c2')})", fact("isacIR", R1, R2, C2)),
+    (f"SubClassOf({_some(_inv('t:r1'))} {_some(_inv('t:r2'), 't:c2')})", fact("isacII", R1, R2, C2)),
+    ("SubObjectPropertyOf(t:r1 t:r2)", fact("isarRR", R1, R2)),
+    (f"SubObjectPropertyOf(t:r1 {_inv('t:r2')})", fact("isarRI", R1, R2)),
+    (f"SubClassOf(t:c1 {_some('t:r2', 't:c2')})", fact("isacCR", C1, R2, C2)),
+    (f"SubClassOf({_some('t:r1')} t:c2)", fact("isacRC", R1, C2)),
+    (f"SubClassOf({_some('t:r1')} {_some(_inv('t:r2'), 't:c2')})", fact("isacRI", R1, R2, C2)),
+    ("ReflexiveObjectProperty(t:r1)", fact("refl", R1)),
     # negative TBox rows
-    (PropDisjoint(_r(R1), _r(R2)), fact("disjrRR", R1, R2)),
-    (ClassDisjoint(C1, C2), fact("disjcCC", C1, C2)),
-    (ClassDisjoint(C1, _rng(R2)), fact("disjcCI", C1, R2)),
-    (ClassDisjoint(_dom(R1), C2), fact("disjcRC", R1, C2)),
-    (ClassDisjoint(_dom(R1), _dom(R2)), fact("disjcRR", R1, R2)),
-    (ClassDisjoint(_dom(R1), _rng(R2)), fact("disjcRI", R1, R2)),
-    (ClassDisjoint(_rng(R1), C2), fact("disjcIC", R1, C2)),
-    (ClassDisjoint(_rng(R1), _dom(R2)), fact("disjcIR", R1, R2)),
-    (ClassDisjoint(_rng(R1), _rng(R2)), fact("disjcII", R1, R2)),
-    (PropDisjoint(_r(R1), _r(R2, True)), fact("disjrRI", R1, R2)),
-    (Irreflexive(R1), fact("irrefl", R1)),
+    ("DisjointObjectProperties(t:r1 t:r2)", fact("disjrRR", R1, R2)),
+    ("DisjointClasses(t:c1 t:c2)", fact("disjcCC", C1, C2)),
+    (f"DisjointClasses(t:c1 {_some(_inv('t:r2'))})", fact("disjcCI", C1, R2)),
+    (f"DisjointClasses({_some('t:r1')} t:c2)", fact("disjcRC", R1, C2)),
+    (f"DisjointClasses({_some('t:r1')} {_some('t:r2')})", fact("disjcRR", R1, R2)),
+    (f"DisjointClasses({_some('t:r1')} {_some(_inv('t:r2'))})", fact("disjcRI", R1, R2)),
+    (f"DisjointClasses({_some(_inv('t:r1'))} t:c2)", fact("disjcIC", R1, C2)),
+    (f"DisjointClasses({_some(_inv('t:r1'))} {_some('t:r2')})", fact("disjcIR", R1, R2)),
+    (f"DisjointClasses({_some(_inv('t:r1'))} {_some(_inv('t:r2'))})", fact("disjcII", R1, R2)),
+    (f"DisjointObjectProperties(t:r1 {_inv('t:r2')})", fact("disjrRI", R1, R2)),
+    ("IrreflexiveObjectProperty(t:r1)", fact("irrefl", R1)),
     # ABox rows
-    (ClassAssertion(C1, X), fact("instc", C1, X)),
-    (PropAssertion(R1, X, Y), fact("instr", R1, X, Y)),
-    (DifferentIndividuals(X, Y), fact("diff", X, Y)),
+    ("ClassAssertion(t:c1 t:x)", fact("instc", C1, X)),
+    ("ObjectPropertyAssertion(t:r1 t:x t:y)", fact("instr", R1, X, Y)),
+    ("DifferentIndividuals(t:x t:y)", fact("diff", X, Y)),
 ]
+
+
+def row_facts(axiom: str):
+    """The facts of one axiom text of the table, under the prefix `t:`."""
+    return parse_ontology(f"Prefix(t:=<http://t#>)\nOntology({axiom})").axioms
 
 
 @pytest.mark.parametrize("axiom,expected", TAU_TABLE, ids=[pred for _, (pred, _) in TAU_TABLE])
 def test_tau_table_row(axiom, expected):
-    assert axiom == expected
+    assert row_facts(axiom) == {expected}
 
 
 def test_tau_table_is_complete():
@@ -90,7 +82,7 @@ def test_tau_table_is_complete():
 
 
 def test_unqualified_existential_right_side_uses_top_filler():
-    ax = ClassInclusion(C1, _dom(R2))
+    ax = ClassInclusion(BASIC_OF_KIND["C"](C1), BASIC_OF_KIND["R"](R2))
     assert ax == fact("isacCR", C1, R2, TOP_CLASS)
 
 
@@ -102,8 +94,8 @@ def test_tau_of_every_class_disjointness_is_a_signature_fact():
 
 
 def test_tau_is_injective_on_the_table():
-    facts = [ax for ax, _ in TAU_TABLE]
-    assert len(set(facts)) == len(facts)
+    facts = [f for axiom, _ in TAU_TABLE for f in row_facts(axiom)]
+    assert len(set(facts)) == len(facts) == len(TAU_TABLE)
 
 
 def _assert_facts_hold_the_axioms_iris(o):
