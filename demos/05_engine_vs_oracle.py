@@ -9,7 +9,7 @@ through an anonymous witness are the documented gap, visible here.
 """
 
 import metaql as M
-from metaql.model import Atom, Entity, Var
+from metaql.model import Atom, Var
 from metaql.oracle import OracleEvaluator
 
 ONTOLOGY = """
@@ -37,14 +37,14 @@ for prop, pairs in sorted(oracle.model.prop_ext.items()):
         print(f"   {prop.removeprefix(NS)}({x.removeprefix(NS)}, {y.removeprefix(NS)})")
 
 print("\n== agreement on a named-consequence query: every Person")
-q = M.ConjunctiveQuery((Var("x"),), (Atom("instc", (Entity(NS + "Person"), Var("x"))),))
+q = M.ConjunctiveQuery((Var("x"),), (Atom("instc", (NS + "Person", Var("x"))),))
 print("   engine:", [r[0].removeprefix(NS) for r in M.answer_conjunctive_query(store, q)])
 print("   oracle:", [r[0].removeprefix(NS) for r in oracle.answers(q)])
 
 print("\n== the anonymous-join gap, measured honestly")
 q2 = M.ConjunctiveQuery(
     (Var("x"),),
-    (Atom("instr", (Entity(NS + "memberOf"), Var("x"), Var("y"))),),
+    (Atom("instr", (NS + "memberOf", Var("x"), Var("y"))),),
 )
 engine = M.answer_conjunctive_query(store, q2)
 named_scope = oracle.answers(q2, allow_null_witnesses=False)

@@ -29,7 +29,6 @@ from .model import (
     ClassDisjoint,
     ClassInclusion,
     ConjunctiveQuery,
-    Entity,
     PropDisjoint,
     PropInclusion,
     Rule,
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArityMismatch", "Atom", "BOTTOM_CLASS", "BOTTOM_PROPERTY",
     "ClassDisjoint", "ClassInclusion", "ConjunctiveQuery", "CyclicTBox",
-    "Entity", "EvalStats", "FactBase", "FactStore", "InvalidIri",
+    "EvalStats", "FactBase", "FactStore", "InvalidIri",
     "MetaqlError", "Ontology", "OwlSyntaxError", "PropDisjoint",
     "PropInclusion", "Rule", "RuleCatalogue", "SIGNATURE", "SparqlQuery",
     "TOP_CLASS", "TOP_PROPERTY", "TriplePattern", "UnknownPredicate", "UnknownPrefix", "UnsafeQuery",

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .engine import FactStore, PlanStep, answer_conjunctive_query, evaluate_fixpoint, explain_conjunctive_query
 from .errors import MetaqlError
-from .model import Entity, display_iri
+from .model import display_iri
 from .owl import Ontology, normalize_ontology, parse_ontology, serialize_ontology, translate_ontology
 from .rules import builtin_rules
 from .sparql import parse_query, to_conjunctive_query
@@ -102,7 +102,7 @@ def cmd_rules(args) -> int:
 
 
 def _format_term(t) -> str:
-    return f"<{display_iri(t.iri)}>" if isinstance(t, Entity) else f"?{t.name}"
+    return f"<{display_iri(t)}>" if isinstance(t, str) else f"?{t.name}"
 
 
 def _format_plan(plan: list[PlanStep]) -> list[str]:

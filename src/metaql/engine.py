@@ -14,13 +14,15 @@ One compile step turns every planned body into a join chain: the
 fixpoint's rule tasks, the sink rules, queries and the prefixes
 `explain_conjunctive_query` counts.  It walks the atoms in plan order
 and gives each variable the row column of its first occurrence, where a
-row concatenates the tuples matched so far.  The chain is a left-deep
-sequence of set-at-a-time stages.  The first atom filters a fixpoint
-delta, or starts from its constants' index bucket; every later atom
-extends each row with its key's bucket, or, when the key covers every
-column, keeps the rows whose key is in the relation and builds no index.
-The stages are generators that stream into the head, so no intermediate
-rows are held, and nothing runs when a relation of the body is empty.
+row concatenates the tuples matched so far.  A term's source is then
+that column, an int, or, for a constant, its IRI string, the value the
+store's tuples hold.  The chain is a left-deep sequence of set-at-a-time
+stages.  The first atom filters a fixpoint delta, or starts from its
+constants' index bucket; every later atom extends each row with its
+key's bucket, or, when the key covers every column, keeps the rows whose
+key is in the relation and builds no index.  The stages are generators
+that stream into the head, so no intermediate rows are held, and nothing
+runs when a relation of the body is empty.
 
 The fixpoint is computed semi-naive.  In the first round the delta is
 the whole store, so each rule joins once, planned like a query.  Every
@@ -80,7 +82,6 @@ from .errors import ArityMismatch, UnknownPredicate
 from .model import (
     Atom,
     ConjunctiveQuery,
-    Entity,
     Fact,
     KNOWN_ARITY,
     Rule,
@@ -101,14 +102,14 @@ def _columns(cols: Sequence[int]) -> Callable[[tuple], tuple]:
     return itemgetter(slice(cols[0], cols[0] + 1)) if len(cols) == 1 else _key(cols)
 
 
-def _picker(srcs: Sequence[tuple[str, int | str]], width: int, columns=_columns) -> Callable[[tuple], object]:
+def _picker(srcs: Sequence[int | str], width: int, columns=_columns) -> Callable[[tuple], object]:
     """The function taking a tuple of `width` columns to what `columns`
-    makes of the columns `srcs` names: ('s', column) picks a column,
-    ('c', IRI) is a constant."""
-    consts = tuple(v for kind, v in srcs if kind == "c")
+    makes of the sources `srcs`: an int picks that column, an IRI string
+    is a constant."""
+    consts = tuple(v for v in srcs if isinstance(v, str))
     cols, extra = [], width
-    for kind, v in srcs:
-        if kind == "c":
+    for v in srcs:
+        if isinstance(v, str):
             v, extra = extra, extra + 1
         cols.append(v)
     pick = columns(cols)
@@ -216,15 +217,15 @@ class EvalStats:
 
 def _estimate(a: Atom, bound: set[str], store: FactStore) -> float:
     """Rows of `a` expected per binding of the variables in `bound`."""
-    key_pos = tuple(p for p, t in enumerate(a.args) if isinstance(t, Entity) or t.name in bound)
+    key_pos = tuple(p for p, t in enumerate(a.args) if isinstance(t, str) or t.name in bound)
     if len(key_pos) == len(a.args):
         return 1.0
     rel = store.relation(a.pred)
     if not key_pos:
         return float(len(rel))
     index = store.index(a.pred, key_pos)
-    if all(isinstance(a.args[p], Entity) for p in key_pos):
-        consts = tuple(a.args[p].iri for p in key_pos)
+    consts = tuple(a.args[p] for p in key_pos)
+    if all(isinstance(c, str) for c in consts):
         return float(len(index.get(consts[0] if len(consts) == 1 else consts, ())))
     return len(rel) / len(index) if index else 0.0
 
@@ -254,7 +255,7 @@ def _plan(body: Sequence[Atom], store: FactStore, first: int | None = None) -> l
     return order
 
 
-def _matcher(pairs: Sequence[tuple[int, tuple[str, int | str]]], width: int):
+def _matcher(pairs: Sequence[tuple[int, int | str]], width: int):
     """The test that each column `pos` of a tuple of `width` columns equals
     what its source names, for the (pos, source) `pairs` (constants, or an
     earlier column of a repeated variable); None when there is nothing to
@@ -283,7 +284,7 @@ def _member(rows, rel, key):
     return (r for r in rows if key(r) in rel)
 
 
-def _compile(head_terms: Sequence[Var | Entity], body: Sequence[Atom], order: Sequence[int], store: FactStore):
+def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], order: Sequence[int], store: FactStore):
     """Compile `body`, joined in `order`, to one left-deep chain of
     set-at-a-time stages, `run(seed, out)`, which adds the tuple of
     `head_terms` of every match to `out`.
@@ -306,17 +307,18 @@ def _compile(head_terms: Sequence[Var | Entity], body: Sequence[Atom], order: Se
     for n, idx in enumerate(order):
         a = body[idx]
         arity = len(a.args)
-        # key: (position, source) for constants and variables bound by an
-        # earlier atom; same: (position, source) for a variable repeated
-        # within this atom, read from its first position here
+        # key: (position, source) for constants (an IRI string) and
+        # variables bound by an earlier atom (a row column); same:
+        # (position, column) for a variable repeated within this atom,
+        # read from its first position here
         key, same, new = [], [], {}
         for pos, t in enumerate(a.args):
-            if isinstance(t, Entity):
-                key.append((pos, ("c", t.iri)))
+            if isinstance(t, str):
+                key.append((pos, t))
             elif t.name in col:
-                key.append((pos, ("s", col[t.name])))
+                key.append((pos, col[t.name]))
             elif t.name in new:
-                same.append((pos, ("s", new[t.name])))
+                same.append((pos, new[t.name]))
             else:
                 new[t.name] = pos
         key_pos = tuple(pos for pos, _ in key)
@@ -325,7 +327,7 @@ def _compile(head_terms: Sequence[Var | Entity], body: Sequence[Atom], order: Se
         if n == 0:
             # the start: with a full key, the tuple of its constants if the
             # relation holds it; else their index bucket, keyed as `index` keys
-            key0, full0, consts0 = key_pos, full, tuple(iri for _, (_, iri) in key)
+            key0, full0, consts0 = key_pos, full, tuple(iri for _, iri in key)
             if not full and len(consts0) == 1:
                 consts0 = consts0[0]
             keep_seed, keep_start = _matcher(key + same, arity), _matcher(same, arity)
@@ -336,10 +338,7 @@ def _compile(head_terms: Sequence[Var | Entity], body: Sequence[Atom], order: Se
         if n == 0 or not full:
             col.update((name, width + pos) for name, pos in new.items())
             width += arity
-    head = _picker(
-        [("c", t.iri) if isinstance(t, Entity) else ("s", col[t.name]) for t in head_terms],
-        width,
-    )
+    head = _picker([t if isinstance(t, str) else col[t.name] for t in head_terms], width)
 
     def run(seed: Iterable[tuple[str, ...]] | None, out: set):
         rels = [store.relations.get(pred) for pred in preds]
@@ -465,7 +464,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
     stats = EvalStats()
 
     for rule in rules:
-        if not rule.body and store.add_tuples(rule.head.pred, [tuple(t.iri for t in rule.head.args)]):
+        if not rule.body and store.add_tuples(rule.head.pred, [rule.head.args]):
             stats.facts_derived[rule.head.pred] = stats.facts_derived.get(rule.head.pred, 0) + 1
     read = {a.pred for rule in rules for a in rule.body}
     # pred -> generating edges of each relation kept transitively closed
@@ -592,7 +591,7 @@ def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[Pla
     bound: dict[Var, None] = {}  # the variables of the prefix, in order of first occurrence
     for n, (idx, cost) in enumerate(order, start=1):
         a = q.body[idx]
-        key = tuple(p for p, t in enumerate(a.args) if isinstance(t, Entity) or t in bound)
+        key = tuple(p for p, t in enumerate(a.args) if isinstance(t, str) or t in bound)
         bound.update(dict.fromkeys(t for t in a.args if isinstance(t, Var)))
         estimated *= cost
         rows: set[tuple[str, ...]] = set()

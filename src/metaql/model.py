@@ -1,9 +1,10 @@
 """Shared abstract syntax.
 
-Entities name the classes, properties and individuals of the restricted
-ontology language; terms, atoms, rules and conjunctive queries mirror the
-Datalog side.  All values are immutable after construction and safe to
-share across threads.  An axiom is the one fact it translates to, and an
+An IRI string names a class, property or individual of the restricted
+ontology language, and is a constant of the Datalog side, whose terms,
+atoms, rules and conjunctive queries are defined here: a term is an IRI
+string or a `Var`.  All values are immutable after construction and safe
+to share across threads.  An axiom is the one fact it translates to, and an
 operand of an axiom is its side of that fact: a kind letter and IRIs.
 The four constructors that decide a normal form (the inclusions and the
 disjointness axioms) take sides and return the fact of that normal form,
@@ -20,7 +21,7 @@ from typing import Iterable, Union
 from .errors import ArityMismatch, InvalidIri, UnknownPrefix, UnsafeQuery, UnsafeRule
 
 # ==============================================================================
-# Entities
+# IRIs
 # ==============================================================================
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
@@ -29,7 +30,7 @@ RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 
 # Reserved top/bottom names live in a tool namespace; input files spell them
-# owl:Thing etc. and intern() maps those spellings onto the reserved entities.
+# owl:Thing etc. and intern() maps those spellings onto the reserved IRIs.
 _RESERVED_NS = "urn:metaql:"
 
 # Characters SPARQL 1.1's IRIREF excludes, plus every Unicode whitespace
@@ -37,29 +38,18 @@ _RESERVED_NS = "urn:metaql:"
 _find_bad_iri_char = re.compile(r'[\s\x00-\x20<>"{}|^`\\]').search
 
 
-@dataclass(frozen=True, slots=True)
-class Entity:
-    """An IRI-denoted name; under punning one entity may act as class,
-    property and individual at the same time."""
-
-    iri: str
-
-    def __post_init__(self):
-        if not self.iri or _find_bad_iri_char(self.iri):
-            raise InvalidIri(f"bad entity IRI {self.iri!r}")
-
-    def __hash__(self) -> int:
-        # The IRI's own hash: the generated one would build a 1-tuple per call.
-        return hash(self.iri)
-
-    def __str__(self) -> str:
-        return self.iri
+def check_iri(iri: str) -> str:
+    """`iri` itself, if a quoted fact argument can carry it; raises
+    InvalidIri otherwise."""
+    if not iri or _find_bad_iri_char(iri):
+        raise InvalidIri(f"bad entity IRI {iri!r}")
+    return iri
 
 
-TOP_CLASS = Entity(_RESERVED_NS + "topClass")
-BOTTOM_CLASS = Entity(_RESERVED_NS + "botClass")
-TOP_PROPERTY = Entity(_RESERVED_NS + "topProperty")
-BOTTOM_PROPERTY = Entity(_RESERVED_NS + "botProperty")
+TOP_CLASS = _RESERVED_NS + "topClass"
+BOTTOM_CLASS = _RESERVED_NS + "botClass"
+TOP_PROPERTY = _RESERVED_NS + "topProperty"
+BOTTOM_PROPERTY = _RESERVED_NS + "botProperty"
 
 OWL_TO_RESERVED = {
     OWL_NS + "Thing": TOP_CLASS,
@@ -67,15 +57,15 @@ OWL_TO_RESERVED = {
     OWL_NS + "topObjectProperty": TOP_PROPERTY,
     OWL_NS + "bottomObjectProperty": BOTTOM_PROPERTY,
 }
-RESERVED_TO_OWL = {e.iri: iri for iri, e in OWL_TO_RESERVED.items()}
+RESERVED_TO_OWL = {reserved: iri for iri, reserved in OWL_TO_RESERVED.items()}
 
 
-def intern(name: str, prefixes: dict[str, str]) -> Entity:
-    """Resolve a token to an Entity with a fully expanded IRI.
+def intern(name: str, prefixes: dict[str, str]) -> str:
+    """Resolve a token to its fully expanded, checked IRI.
 
     Accepts ``<full-iri>`` or ``prefix:local`` (the empty prefix is
-    spelled ``:local``).  Idempotent: interning the same token twice
-    yields equal entities.
+    spelled ``:local``); an OWL name of a top or bottom entity resolves
+    to its reserved IRI.
     """
     if name.startswith("<") and name.endswith(">"):
         iri = name[1:-1]
@@ -86,12 +76,11 @@ def intern(name: str, prefixes: dict[str, str]) -> Entity:
         if prefix not in prefixes:
             raise UnknownPrefix(prefix)
         iri = prefixes[prefix] + local
-    reserved = OWL_TO_RESERVED.get(iri)
-    return reserved if reserved is not None else Entity(iri)
+    return OWL_TO_RESERVED.get(iri) or check_iri(iri)
 
 
 def display_iri(iri: str) -> str:
-    """Spell reserved entities with their OWL names for output."""
+    """Spell reserved IRIs with their OWL names for output."""
     return RESERVED_TO_OWL.get(iri, iri)
 
 
@@ -123,7 +112,7 @@ Side = tuple[str, ...]
 
 def is_basic(side: Side) -> bool:
     """Basic concepts: a named class, or an unqualified existential."""
-    return side[0] == "C" or side[2] == TOP_CLASS.iri
+    return side[0] == "C" or side[2] == TOP_CLASS
 
 
 def ClassInclusion(sub: Side, sup: Side) -> Fact:
@@ -213,9 +202,10 @@ class Var:
         return self.name
 
 
-# An entity is a constant term of a rule or query.  Facts are no atoms:
-# each is a (predicate, IRI tuple) pair, as the store holds it.
-Term = Union[Entity, Var]
+# An IRI string is a constant term of a rule or query, and a `Var` never
+# equals one.  Facts are no atoms: each is a (predicate, IRI tuple) pair,
+# as the store holds it.
+Term = Union[str, Var]
 _quoted = '"{}"'.format
 
 
@@ -236,12 +226,15 @@ class Atom:
             raise ArityMismatch(
                 f"{self.pred} expects {expected} argument(s), got {len(self.args)}"
             )
+        for t in self.args:
+            if not isinstance(t, Var):
+                check_iri(t)
 
     def variables(self) -> set[Var]:
         return {t for t in self.args if isinstance(t, Var)}
 
     def to_dl(self) -> str:
-        args = ", ".join(f'"{t.iri}"' if isinstance(t, Entity) else t.name for t in self.args)
+        args = ", ".join(t.name if isinstance(t, Var) else f'"{t}"' for t in self.args)
         return f"{self.pred}({args})"
 
     def __str__(self) -> str:
@@ -249,7 +242,8 @@ class Atom:
 
 
 def atom(pred: str, *args) -> Atom:
-    """Build an Atom, reading strings as variables."""
+    """Build an Atom, reading strings as variables; a constant is passed
+    to `Atom` itself."""
     return Atom(pred, tuple(Var(a) if isinstance(a, str) else a for a in args))
 
 
@@ -296,16 +290,13 @@ def alpha_equivalent(r1: Rule, r2: Rule) -> bool:
     """Rule equality up to a consistent renaming of variables."""
 
     def canon(rule: Rule):
-        mapping: dict[str, str] = {}
+        mapping: dict[Var, int] = {}
         out = []
         for a in (rule.head, *rule.body):
-            args = []
-            for t in a.args:
-                if isinstance(t, Var):
-                    args.append(mapping.setdefault(t.name, f"V{len(mapping)}"))
-                else:
-                    args.append(t)
-            out.append((a.pred, tuple(args)))
+            # a variable becomes the int of its first occurrence, which no
+            # IRI string equals
+            args = tuple(mapping.setdefault(t, len(mapping)) if isinstance(t, Var) else t for t in a.args)
+            out.append((a.pred, args))
         return out
 
     return canon(r1) == canon(r2)

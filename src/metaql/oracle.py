@@ -29,10 +29,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CyclicTBox
-from .model import TOP_CLASS, ConjunctiveQuery, Entity, Var
+from .model import TOP_CLASS as TOP, ConjunctiveQuery, Var
 from .owl import Ontology
-
-TOP = TOP_CLASS.iri
 
 # Basic concepts are ('C', class), ('R', role) or ('I', role); inclusion
 # right-hand sides are ('C', class), ('R', role, filler) or
@@ -448,8 +446,8 @@ class OracleEvaluator:
                     cand = dict(env)
                     ok = True
                     for t, v in zip(a.args, tup):
-                        if isinstance(t, Entity):
-                            if t.iri != v:
+                        if isinstance(t, str):
+                            if t != v:
                                 ok = False
                                 break
                         elif cand.get(t.name, v) != v:

@@ -13,8 +13,11 @@ The accepted grammar is the restricted fragment needed here:
        SymmetricObjectProperty(PE)  AsymmetricObjectProperty(PE)
        ClassAssertion(C i)  ObjectPropertyAssertion(PE i i)
        DifferentIndividuals(i i ...)
-       Declaration(...)          # parsed and discarded
-       AnnotationAssertion(...)  # parsed and discarded
+       Declaration(...)               # parsed and discarded
+       AnnotationAssertion(...)       # parsed and discarded
+       SubAnnotationPropertyOf(...)   # parsed and discarded
+       AnnotationPropertyDomain(...)  # parsed and discarded
+       AnnotationPropertyRange(...)   # parsed and discarded
     )
 
 with CE either an IRI or ObjectSomeValuesFrom(PE IRI), SCE a CE,
@@ -46,11 +49,11 @@ query parser in `sparql.py` shares, which tokenizes up to the next
 parenthesis at a time, so the text a match covers is never tokenized;
 offsets stay offsets into the whole text.  The text is parsed once, so
 its errors come in reading order: an unexpected character when the
-stretch holding it is tokenized, any other error when its token or flat
-operand is read.  `_NARY` holds the keywords with two or more operands
-of one kind and `_FIXED` those with a fixed list of operands;
-`_parse_axiom` reads the parentheses and operands for all of them in one
-place.  Each parse resolves every distinct operand
+parser asks for a token past the ones before it, any other error when
+its token or flat operand is read.  `_NARY` holds the keywords with two
+or more operands of one kind and `_FIXED` those with a fixed list of
+operands; `_parse_axiom` reads the parentheses and operands for all of
+them in one place.  Each parse resolves every distinct operand
 text to its IRI once, through its own `_Entities` dict, so a flat match
 makes no object but its fact.
 """
@@ -146,11 +149,12 @@ class Cursor:
     `sparql._Q_TOKEN_RE`'s); `ws` and `comment` tokens are dropped.  `name`
     says what the text is in the message for running out of tokens.  A
     cursor tokenizes from offset `end` whenever it runs out of tokens,
-    through the next `lparen` or `rparen` token or else to the end of the
-    text (the query lexer has neither kind, so a query is read whole);
-    while no token is pending, its owner may move `end` past text it has
-    read itself.  Every syntax error either parser raises comes from
-    `error`, which works out line and column from a token's offset.
+    through the next `lparen` or `rparen` token or else to the first
+    character no token matches or the end of the text (the query lexer has
+    neither kind, so a query is read in one stretch); while no token is
+    pending, its owner may move `end` past text it has read itself.  Every
+    syntax error either parser raises comes from `error`, which works out
+    line and column from a token's offset.
     """
 
     def __init__(self, pattern: re.Pattern, text: str, name: str):
@@ -164,7 +168,9 @@ class Cursor:
 
     def _scan(self) -> bool:
         """Tokenize from `end` through the next parenthesis, or else to the
-        end of the text.  Whether a token was added."""
+        end of the text or a character no token matches.  Whether a token
+        was added; such a character is an error only when no token comes
+        before it, so the tokens before it are read first."""
         text, end, count = self.text, self.end, len(self.tokens)
         for m in self.pattern.finditer(text, end):
             if m.start() != end:
@@ -177,7 +183,7 @@ class Cursor:
                     self.end = end
                     return True
         self.end = end
-        if end < len(text):
+        if end < len(text) and len(self.tokens) == count:
             raise self.error(f"unexpected character {text[end]!r}", end)
         return len(self.tokens) > count
 
@@ -227,7 +233,15 @@ def check_dots(cur: Cursor, tok: Tok):
 # Parsing proper
 # ==============================================================================
 
-_DISCARDED = {"Declaration", "AnnotationAssertion", "Annotation"}
+# Annotations carry no meaning under the Direct Semantics.
+_DISCARDED = {
+    "Declaration",
+    "AnnotationAssertion",
+    "SubAnnotationPropertyOf",
+    "AnnotationPropertyDomain",
+    "AnnotationPropertyRange",
+    "Annotation",
+}
 
 
 def parse_ontology(text: str) -> Ontology:
@@ -305,7 +319,7 @@ class _Entities(dict):
         self.prefixes = prefixes
 
     def __missing__(self, text: str) -> str:
-        iri = self[text] = intern(text, self.prefixes).iri
+        iri = self[text] = intern(text, self.prefixes)
         return iri
 
 
@@ -442,11 +456,11 @@ _FIXED = {
     ),
     "ObjectPropertyDomain": (
         (_prop_expr, _super_class_expr),
-        lambda pe, sup: [make((*pe, TOP_CLASS.iri), ce) for make, ce in sup],
+        lambda pe, sup: [make((*pe, TOP_CLASS), ce) for make, ce in sup],
     ),
     "ObjectPropertyRange": (
         (_prop_expr, _super_class_expr),
-        lambda pe, sup: [make((*_flip(pe), TOP_CLASS.iri), ce) for make, ce in sup],
+        lambda pe, sup: [make((*_flip(pe), TOP_CLASS), ce) for make, ce in sup],
     ),
     # refl(r^-) and irrefl(r^-) coincide with refl(r) / irrefl(r).
     "ReflexiveObjectProperty": ((_prop_expr,), lambda pe: [("refl", (pe[1],))]),
@@ -519,8 +533,8 @@ def normalize_ontology(o: Ontology) -> Ontology:
     classes = {args[0] for pred, args in o.abox if pred == "instc"}
     props = {args[0] for pred, args in o.abox if pred == "instr"}
     tbox = o.tbox.union(
-        [("isacCC", (c, TOP_CLASS.iri)) for c in classes],
-        [("isarRR", (p, TOP_PROPERTY.iri)) for p in props],
+        [("isacCC", (c, TOP_CLASS)) for c in classes],
+        [("isarRR", (p, TOP_PROPERTY)) for p in props],
     )
     return Ontology(tbox, o.abox, dict(o.prefixes))
 
@@ -548,7 +562,7 @@ def translate_ontology(o: Ontology) -> FactBase:
 # Serialization
 # ==============================================================================
 
-_TOP_TEXT = f"<{display_iri(TOP_CLASS.iri)}>"
+_TOP_TEXT = f"<{display_iri(TOP_CLASS)}>"
 
 
 def _pe_text(kind: str, prop: str) -> str:

@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import Atom, Rule, SIGNATURE, TOP_CLASS, alpha_equivalent, atom
+from .model import Atom, Rule, SIGNATURE, TOP_CLASS, Var, alpha_equivalent, atom
 
 KINDS = ("C", "R", "I")
 
@@ -139,7 +139,7 @@ def _tbox_role_lift(out):
     # let the chain family lift anything sitting on the subrole.
     for via, inv in _ROLE_INCLUSIONS:
         for side in ("R", "I"):
-            head = _isac(side, _parity(side, inv), "P", "S", TOP_CLASS)
+            head = Atom(f"isac{side}{_parity(side, inv)}", (Var("P"), Var("S"), TOP_CLASS))
             out.append(("TBOX-ROLE-LIFT", Rule(head, (atom(via, "P", "S"),))))
     # Reflexivity travels up role inclusions, irreflexivity down.
     for via, _ in _ROLE_INCLUSIONS:
@@ -231,7 +231,7 @@ def _abox(out):
     out.append(("AUX-NAMED", Rule(atom("named", "X"), (atom("instc", "C", "X"),))))
     out.append(("AUX-NAMED", Rule(atom("named", "X"), (atom("instr", "P", "X", "Y"),))))
     out.append(("AUX-NAMED", Rule(atom("named", "Y"), (atom("instr", "P", "X", "Y"),))))
-    out.append(("AUX-NAMED", Rule(atom("instc", TOP_CLASS, "X"), (atom("named", "X"),))))
+    out.append(("AUX-NAMED", Rule(Atom("instc", (TOP_CLASS, Var("X"))), (atom("named", "X"),))))
     out.append(("ABOX-REFL", Rule(atom("instr", "P", "X", "X"), (atom("refl", "P"), atom("named", "X")))))
 
 

@@ -20,7 +20,6 @@ from .errors import UnsupportedFeature
 from .model import (
     Atom,
     ConjunctiveQuery,
-    Entity,
     OWL_NS,
     RDF_NS,
     RDFS_NS,
@@ -140,7 +139,7 @@ def _term(cur: Cursor, prefixes, position: str) -> Term:
         if text == "a":
             if position != "predicate":
                 raise cur.error("'a' is only valid in predicate position", tok)
-            return intern("<" + RDF_TYPE + ">", prefixes)
+            return RDF_TYPE
         check_dots(cur, tok)
         return intern(text, prefixes)
     raise cur.error(f"expected a term, found {text!r}", tok)
@@ -220,19 +219,19 @@ def parse_query(text: str) -> SparqlQuery:
 
 def _pattern_atom(tp: TriplePattern) -> Atom:
     s, p, o = tp.s, tp.p, tp.o
-    if isinstance(p, Entity):
-        mapped = _RESERVED.get(p.iri.lower())
+    if isinstance(p, str):
+        mapped = _RESERVED.get(p.lower())
         if mapped is not None:
             pred, swap = mapped
             # A schema class, such as owl:Class, has no members in the model.
-            if swap and isinstance(o, Entity):
-                iri = display_iri(o.iri)
+            if swap and isinstance(o, str):
+                iri = display_iri(o)
                 if iri.startswith(_SCHEMA_NS) and iri not in _SCHEMA_CLASSES:
                     raise UnsupportedFeature(f"schema class {iri} as an rdf:type object")
             return Atom(pred, (o, s) if swap else (s, o))
         # Other schema vocabulary gets rejected rather than guessed at.
-        if p.iri.startswith(_SCHEMA_NS):
-            raise UnsupportedFeature(f"schema predicate {p.iri}")
+        if p.startswith(_SCHEMA_NS):
+            raise UnsupportedFeature(f"schema predicate {p}")
     return Atom("instr", (p, s, o))
 
 

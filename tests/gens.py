@@ -14,7 +14,6 @@ from metaql import (
     ClassDisjoint,
     ClassInclusion,
     ConjunctiveQuery,
-    Entity,
     Ontology,
     PropDisjoint,
     PropInclusion,
@@ -27,9 +26,9 @@ from metaql.errors import CyclicTBox
 from metaql.oracle import _check_acyclic, tbox_closure
 
 NS = "http://test.example/o#"
-CLASSES = [Entity(f"{NS}C{i}") for i in range(8)]
-PROPS = [Entity(f"{NS}p{i}") for i in range(4)]
-INDS = [Entity(f"{NS}a{i}") for i in range(10)]
+CLASSES = [f"{NS}C{i}" for i in range(8)]
+PROPS = [f"{NS}p{i}" for i in range(4)]
+INDS = [f"{NS}a{i}" for i in range(10)]
 
 
 # Sides of facts (see `metaql.model`), drawn in a fixed order so that a
@@ -37,21 +36,21 @@ INDS = [Entity(f"{NS}a{i}") for i in range(10)]
 def _basic(rng: random.Random):
     roll = rng.random()
     if roll < 0.6:
-        return "C", rng.choice(CLASSES).iri
-    return ("I" if roll >= 0.8 else "R"), rng.choice(PROPS).iri, TOP_CLASS.iri
+        return "C", rng.choice(CLASSES)
+    return ("I" if roll >= 0.8 else "R"), rng.choice(PROPS), TOP_CLASS
 
 
 def _rhs(rng: random.Random):
     roll = rng.random()
     if roll < 0.5:
-        return "C", rng.choice(CLASSES).iri
+        return "C", rng.choice(CLASSES)
     filler = rng.choice(CLASSES) if rng.random() < 0.6 else TOP_CLASS
-    return ("I" if roll >= 0.75 else "R"), rng.choice(PROPS).iri, filler.iri
+    return ("I" if roll >= 0.75 else "R"), rng.choice(PROPS), filler
 
 
 def _prop_pair(rng: random.Random):
     """A property and, with probability 0.3 inverted, another."""
-    left, right = rng.choice(PROPS).iri, rng.choice(PROPS).iri
+    left, right = rng.choice(PROPS), rng.choice(PROPS)
     return ("R", left), ("I" if rng.random() < 0.3 else "R", right)
 
 
@@ -76,17 +75,17 @@ def random_ontology(rng: random.Random, max_tbox: int = 12, max_abox: int = 30) 
             elif kind == "pd":
                 tbox.add(PropDisjoint(*_prop_pair(rng)))
             else:
-                tbox.add((kind, (rng.choice(PROPS).iri,)))
+                tbox.add((kind, (rng.choice(PROPS),)))
 
         abox = set()
         for _ in range(rng.randint(0, max_abox)):
             kind = rng.choice(("instc", "instc", "instr", "instr", "diff"))
             if kind == "instc":
-                abox.add(("instc", (rng.choice(CLASSES).iri, _symbol(rng).iri)))
+                abox.add(("instc", (rng.choice(CLASSES), _symbol(rng))))
             elif kind == "instr":
-                abox.add(("instr", (rng.choice(PROPS).iri, _symbol(rng).iri, _symbol(rng).iri)))
+                abox.add(("instr", (rng.choice(PROPS), _symbol(rng), _symbol(rng))))
             else:
-                abox.add(("diff", (rng.choice(INDS).iri, rng.choice(INDS).iri)))
+                abox.add(("diff", (rng.choice(INDS), rng.choice(INDS))))
 
         o = normalize_ontology(Ontology(frozenset(tbox), frozenset(abox), {}))
         try:
@@ -119,7 +118,7 @@ def random_query(rng: random.Random, o: Ontology, max_atoms: int = 3) -> Conjunc
         if rng.random() < 0.55:
             return rng.choice(var_pool)
         if symbols and rng.random() < 0.9:
-            return Entity(rng.choice(symbols))
+            return rng.choice(symbols)
         return rng.choice(CLASSES)
 
     while True:
@@ -141,14 +140,14 @@ def _axiom_symbols(ax) -> list[str]:
     pred, args = ax
     # The kind letters of the sides that are basic concepts.
     basic = pred[4] if pred.startswith("isac") else pred[5:] if pred.startswith("disjc") else ""
-    return [*args, TOP_CLASS.iri] if {"R", "I"} & set(basic) else list(args)
+    return [*args, TOP_CLASS] if {"R", "I"} & set(basic) else list(args)
 
 
 # ------------------------------------------------------------------------------
 # Random positive Datalog programs (for the naive/semi-naive differential)
 # ------------------------------------------------------------------------------
 
-PROG_CONSTS = [Entity(f"{NS}k{i}") for i in range(6)]
+PROG_CONSTS = [f"{NS}k{i}" for i in range(6)]
 
 
 def random_program(rng: random.Random, max_rules: int = 8, max_facts: int = 25):
@@ -158,7 +157,7 @@ def random_program(rng: random.Random, max_rules: int = 8, max_facts: int = 25):
     facts = []
     for _ in range(rng.randint(1, max_facts)):
         pred, arity = rng.choice(preds)
-        facts.append((pred, tuple(rng.choice(PROG_CONSTS).iri for _ in range(arity))))
+        facts.append((pred, tuple(rng.choice(PROG_CONSTS) for _ in range(arity))))
 
     var_pool = [Var(f"X{i}") for i in range(4)]
     rules = []

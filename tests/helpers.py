@@ -8,7 +8,6 @@ from typing import Iterable, Sequence
 from metaql import (
     Atom,
     ConjunctiveQuery,
-    Entity,
     FactStore,
     Ontology,
     Rule,
@@ -25,12 +24,12 @@ from metaql import owl
 
 SPECIES = "http://ex/species#"
 
-# One basic concept of each kind letter over a given entity, as the side
-# of a fact (see `metaql.model`).
+# One basic concept of each kind letter over a given IRI, as the side of
+# a fact (see `metaql.model`).
 BASIC_OF_KIND = {
-    "C": lambda e: ("C", e.iri),
-    "R": lambda e: ("R", e.iri, TOP_CLASS.iri),
-    "I": lambda e: ("I", e.iri, TOP_CLASS.iri),
+    "C": lambda iri: ("C", iri),
+    "R": lambda iri: ("R", iri, TOP_CLASS),
+    "I": lambda iri: ("I", iri, TOP_CLASS),
 }
 
 # The golden-eagle ontology: subclass chain plus a metaclass assertion.
@@ -60,10 +59,10 @@ Ontology(
 """
 
 
-def fact(pred: str, *args: Entity) -> tuple[str, tuple[str, ...]]:
-    """The fact `pred` over the IRIs of `args`, as the axiom constructors
-    and the store spell it."""
-    return pred, tuple(e.iri for e in args)
+def fact(pred: str, *iris: str) -> tuple[str, tuple[str, ...]]:
+    """The fact `pred` over `iris`, as the axiom constructors and the
+    store spell it."""
+    return pred, iris
 
 
 def parse_token_by_token(text: str) -> Ontology:
@@ -97,7 +96,7 @@ def brute_force_answers(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str
         ok = True
         for a in q.body:
             args = tuple(
-                t.iri if isinstance(t, Entity) else env[t.name] for t in a.args
+                t if isinstance(t, str) else env[t.name] for t in a.args
             )
             if (a.pred, args) not in facts:
                 ok = False
@@ -120,7 +119,7 @@ def naive_evaluate(
     model = set(facts)
     for r in rule_list:
         if not r.body:
-            model.add((r.head.pred, tuple(a.iri for a in r.head.args)))  # type: ignore[union-attr]
+            model.add((r.head.pred, r.head.args))
 
     def matches(a: Atom, env: dict[str, str]):
         for pred, args in model:
@@ -129,8 +128,8 @@ def naive_evaluate(
             new_env = dict(env)
             ok = True
             for t, v in zip(a.args, args):
-                if isinstance(t, Entity):
-                    if t.iri != v:
+                if isinstance(t, str):
+                    if t != v:
                         ok = False
                         break
                 elif t.name in new_env:
@@ -157,7 +156,7 @@ def naive_evaluate(
                 head = (
                     r.head.pred,
                     tuple(
-                        t.iri if isinstance(t, Entity) else env[t.name] for t in r.head.args
+                        t if isinstance(t, str) else env[t.name] for t in r.head.args
                     ),
                 )
                 if head not in model:

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import EXAMPLE_SPECIES, EXAMPLE_SPECIES_ZOO, SPECIES
+from helpers import EXAMPLE_SPECIES, EXAMPLE_SPECIES_ZOO, SPECIES, saturate
 from metaql import (
+    answer_conjunctive_query,
     cli,
     evaluate_fixpoint,
     normalize_ontology,
@@ -349,6 +350,21 @@ def test_query_explain_with_a_constant_absent_from_the_model(tmp_path, capsys):
         f"2\t0.0\t0\t0,1\tinstc(<{UNI}GraduateStudent>, ?x)",
     ]
     assert len(out) == 4 and out[-1].startswith("answers=0")
+
+
+def test_a_constant_spelled_like_a_variable_stays_a_constant(tmp_path, capsys):
+    # The IRI <x> and the variable ?x are two terms to the engine, the
+    # plan printer and the oracle alike.
+    text, query = "Ontology(ClassAssertion(<x> <a>))", "SELECT ?x WHERE { ?x a <x> }"
+    ontology, store, _ = saturate(text)
+    cq = to_conjunctive_query(parse_query(query))
+    assert answer_conjunctive_query(store, cq) == certain_answers_oracle(ontology, cq) == [("a",)]
+    src = tmp_path / "x.ofn"
+    src.write_text(text, encoding="utf-8")
+    assert main(["query", str(src), "--query-string", query, "--explain"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["step\test_rows\trows\tkey\tatom", "1\t1.0\t1\t0\tinstc(<x>, ?x)", "a"]
+    assert len(out) == 4 and out[-1].startswith("answers=1")
 
 
 @pytest.mark.parametrize("command", ["translate", "rules", "extend", "dump-model", "bench"])

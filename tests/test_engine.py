@@ -10,7 +10,6 @@ from helpers import EXAMPLE_SPECIES, SPECIES, brute_force_answers, fact, naive_e
 from metaql import (
     Atom,
     ConjunctiveQuery,
-    Entity,
     FactStore,
     Rule,
     Var,
@@ -23,7 +22,7 @@ from metaql import (
 from metaql.engine import _close, _pivot, _transitive
 from metaql.errors import ArityMismatch, UnknownPredicate
 
-E = [Entity(f"http://t#e{i}") for i in range(60)]
+E = [f"http://t#e{i}" for i in range(60)]
 
 
 def test_assert_facts_has_set_semantics():
@@ -67,7 +66,7 @@ def test_bulk_load_matches_loading_one_fact_at_a_time():
 def test_relations_hold_the_iri_strings():
     store = FactStore()
     store.assert_facts([fact("instc", E[0], E[1])])
-    assert store.relation("instc") == {(E[0].iri, E[1].iri)}
+    assert store.relation("instc") == {(E[0], E[1])}
 
 
 def test_arity_mismatch_within_one_assert_facts_call():
@@ -86,7 +85,7 @@ def test_arity_mismatch_on_dynamic_predicates():
 def test_an_atom_is_not_a_fact():
     # Facts are (predicate, IRI tuple) pairs; an Atom, ground or not, fails.
     store = FactStore()
-    for a in (atom("instc", E[0], E[1]), Atom("named", (Var("X"),))):
+    for a in (Atom("instc", (E[0], E[1])), Atom("named", (Var("X"),))):
         with pytest.raises(TypeError):
             store.assert_facts([a])
     assert store.size() == 0
@@ -110,7 +109,7 @@ def test_fixpoint_on_empty_store():
 
 def test_subclass_chain_of_fifty_closes_completely():
     n = 50
-    names = [Entity(f"http://t#k{i}") for i in range(n)]
+    names = [f"http://t#k{i}" for i in range(n)]
     facts = [fact("isacCC", names[i], names[i + 1]) for i in range(n - 1)]
     store = FactStore()
     store.assert_facts(facts)
@@ -127,7 +126,7 @@ def test_rules_with_empty_bodies_become_facts():
     store = FactStore()
     rule_fact = Rule(Atom("named", (E[0],)))
     evaluate_fixpoint(store, [rule_fact])
-    assert store.string_facts() == {("named", (E[0].iri,))}
+    assert store.string_facts() == {("named", (E[0],))}
 
 
 def test_naive_evaluate_empty_program():
@@ -229,7 +228,7 @@ def test_join_fires_once_its_empty_partner_fills():
         _rule(atom("p", "X"), atom("w", "X")),
     ]
     model = _program_agrees_with_naive_twin(facts, rules)
-    assert ("q", (E[1].iri, E[1].iri)) in model
+    assert ("q", (E[1], E[1])) in model
 
 
 def test_sink_rule_reads_facts_of_the_last_round():
@@ -243,7 +242,7 @@ def test_sink_rule_reads_facts_of_the_last_round():
     store.assert_facts(facts)
     stats = evaluate_fixpoint(store, rules)
     assert store.string_facts() == naive_evaluate(facts, rules)
-    assert ("done", (E[0].iri,)) in store.string_facts()
+    assert ("done", (E[0],)) in store.string_facts()
     assert stats.facts_derived["done"] == 1
 
 
@@ -265,7 +264,7 @@ def test_two_atom_body_with_constant_and_repeated_variable():
         _rule(atom("q", "Y"), atom("q", "X"), atom("u", "Z", "Y", "Y")),
     ]
     model = _program_agrees_with_naive_twin(facts, rules)
-    assert {args for pred, args in model if pred == "q"} == {(E[0].iri,), (E[5].iri,)}
+    assert {args for pred, args in model if pred == "q"} == {(E[0],), (E[5],)}
 
 
 def test_all_constant_seed_atom_fires_when_it_arrives():
@@ -285,7 +284,7 @@ def test_all_constant_seed_atom_fires_when_it_arrives():
         _rule(atom("done", "X"), atom("w", "X")),
     ]
     model = _program_agrees_with_naive_twin(facts, rules)
-    assert {args for pred, args in model if pred == "q"} == {(E[3].iri,), (E[4].iri,)}
+    assert {args for pred, args in model if pred == "q"} == {(E[3],), (E[4],)}
     assert not {args for pred, args in model if pred == "w"}
 
 
@@ -307,14 +306,14 @@ def test_repeated_variable_inside_a_later_atom():
     ]
     rules = [_rule(atom("q", "X", "Y"), atom("p", "X", "A"), atom("r", "A", "Z"), atom("u", "Z", "Y", "Y"))]
     model = _program_agrees_with_naive_twin(facts, rules)
-    assert {args for pred, args in model if pred == "q"} == {(E[0].iri, E[5].iri)}
+    assert {args for pred, args in model if pred == "q"} == {(E[0], E[5])}
     store = FactStore()
     store.assert_facts(facts)
     q = ConjunctiveQuery(
         (Var("X"), Var("Y")),
         (atom("u", "Z", "Y", "Y"), atom("r", "A", "Z"), atom("p", "X", "A")),
     )
-    assert store_answers(store, q) == brute_force_answers(store, q) == [(E[0].iri, E[5].iri)]
+    assert store_answers(store, q) == brute_force_answers(store, q) == [(E[0], E[5])]
 
 
 def test_rule_body_atom_of_the_wrong_arity_is_rejected():
@@ -429,7 +428,7 @@ def test_the_catalogue_closes_exactly_isacCC_and_isarRR(check_consistency):
         (_rule(atom("p", "X", "Y"), atom("p", "X", "M"), atom("p", "Y", "M")), False),
         (_rule(atom("p", "X", "Y"), atom("p", "X", "M"), atom("q", "M", "Y")), False),
         (_rule(atom("p", "X", "X"), atom("p", "X", "M"), atom("p", "M", "X")), False),
-        (_rule(atom("p", "X", E[2]), atom("p", "X", "M"), atom("p", "M", "Y")), False),
+        (_rule(Atom("p", (Var("X"), E[2])), atom("p", "X", "M"), atom("p", "M", "Y")), False),
         (_rule(atom("t", "X", "Y", "F"), atom("t", "X", "M", "C0"), atom("t", "M", "Y", "F")), False),
     ],
     ids=["transitive", "body-swapped", "shared-target", "other-predicate", "head-x-x", "head-constant", "ternary"],
@@ -509,7 +508,7 @@ def test_rule_propagating_along_a_closed_relation_agrees_with_naive_twin(rule):
         (_rule(atom("q", "Y", "X"), atom("q", "C", "X"), atom("g", "C", "Y")), (0, 0, True)),
         (_rule(atom("q", "Y", "X"), atom("q", "X", "C"), atom("p", "C", "Y")), None),
         (_rule(atom("h", "Y", "X", "X"), atom("h", "C", "X", "X"), atom("p", "C", "Y")), None),
-        (_rule(atom("q", "Y", E[2]), atom("q", "C", E[2]), atom("p", "C", "Y")), None),
+        (_rule(Atom("q", (Var("Y"), E[2])), Atom("q", (Var("C"), E[2])), atom("p", "C", "Y")), None),
         (_rule(atom("q", "Y", "C"), atom("q", "C", "X"), atom("p", "C", "Y")), None),
         (_rule(atom("q", "Y", "Y"), atom("q", "C", "Y"), atom("p", "C", "Y")), None),
         (_rule(atom("q", "Y", "X"), atom("q", "C", "X"), atom("p", "C", "Y"), atom("w", "C")), None),
@@ -643,7 +642,7 @@ def store_answers(store, q):
 def test_answer_meta_query_on_example_species():
     # Members of EndangeredSpecies that themselves have members.
     _, store, _ = saturate(EXAMPLE_SPECIES)
-    es = Entity(SPECIES + "EndangeredSpecies")
+    es = SPECIES + "EndangeredSpecies"
     q = ConjunctiveQuery(
         (Var("X"),),
         (Atom("instc", (es, Var("X"))), Atom("instc", (Var("X"), Var("Y")))),
@@ -654,7 +653,7 @@ def test_answer_meta_query_on_example_species():
 def test_answer_with_unknown_constant_is_empty():
     _, store, _ = saturate(EXAMPLE_SPECIES)
     q = ConjunctiveQuery(
-        (Var("X"),), (Atom("instc", (Entity("http://nowhere#C"), Var("X"))),)
+        (Var("X"),), (Atom("instc", ("http://nowhere#C", Var("X"))),)
     )
     assert store_answers(store, q) == []
 
@@ -677,8 +676,8 @@ def test_all_constant_atom_as_the_first_probing_step():
     # instc(Species, GoldenEagle) covers every column and costs 1, so it
     # is the query's first step: a membership test, not an index bucket.
     _, store, _ = saturate(EXAMPLE_SPECIES)
-    es, ge = Entity(SPECIES + "EndangeredSpecies"), Entity(SPECIES + "GoldenEagle")
-    for cls in (es, Entity(SPECIES + "Birds")):
+    es, ge = SPECIES + "EndangeredSpecies", SPECIES + "GoldenEagle"
+    for cls in (es, SPECIES + "Birds"):
         q = ConjunctiveQuery(
             (Var("X"),), (Atom("instc", (Var("X"), Var("Y"))), Atom("instc", (cls, ge)))
         )
@@ -819,8 +818,8 @@ def _one_round(string_facts, catalogue):
             new = dict(env)
             ok = True
             for t, v in zip(atom_.args, args):
-                if isinstance(t, Entity):
-                    if t.iri != v:
+                if isinstance(t, str):
+                    if t != v:
                         ok = False
                         break
                 elif new.setdefault(t.name, v) != v:
@@ -840,7 +839,7 @@ def _one_round(string_facts, catalogue):
                 (
                     rule.head.pred,
                     tuple(
-                        t.iri if isinstance(t, Entity) else env[t.name]
+                        t if isinstance(t, str) else env[t.name]
                         for t in rule.head.args
                     ),
                 )

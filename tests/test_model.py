@@ -8,7 +8,6 @@ from metaql import (
     Atom,
     ClassDisjoint,
     ConjunctiveQuery,
-    Entity,
     PropDisjoint,
     PropInclusion,
     Rule,
@@ -23,15 +22,15 @@ from metaql.model import OWL_NS, alpha_equivalent
 
 
 def test_intern_prefixed_name():
-    assert intern("ub:Professor", {"ub": "http://ex/u#"}) == Entity("http://ex/u#Professor")
+    assert intern("ub:Professor", {"ub": "http://ex/u#"}) == "http://ex/u#Professor"
 
 
 def test_intern_full_iri_is_identity():
-    assert intern("<http://ex/a>", {}) == Entity("http://ex/a")
+    assert intern("<http://ex/a>", {}) == "http://ex/a"
 
 
 def test_intern_default_prefix():
-    assert intern(":GoldenEagle", {"": "http://ex/z#"}) == Entity("http://ex/z#GoldenEagle")
+    assert intern(":GoldenEagle", {"": "http://ex/z#"}) == "http://ex/z#GoldenEagle"
 
 
 def test_intern_is_idempotent_on_equal_tokens():
@@ -46,46 +45,60 @@ def test_intern_undeclared_prefix():
         intern("bare-name", {})
 
 
-def test_intern_maps_owl_spellings_to_reserved_entities():
+def test_intern_maps_owl_spellings_to_reserved_iris():
     assert intern(f"<{OWL_NS}Thing>", {}) == TOP_CLASS
     assert intern("owl:Thing", {"owl": OWL_NS}) == TOP_CLASS
 
 
-def test_entity_rejects_empty_and_whitespace():
-    with pytest.raises(ValueError):
-        Entity("")
-    with pytest.raises(ValueError):
-        Entity("http://ex/a b")
+# The two ways a constant is made: `intern` reading an ontology or query
+# token, and `Atom` taking an IRI string; both check the IRI.
+MAKE_CONSTANT = [lambda iri: intern(f"<{iri}>", {}), lambda iri: Atom("named", (iri,))]
+MAKE_IDS = ["intern", "Atom"]
 
 
-def test_entity_rejects_every_unicode_whitespace_character():
+@pytest.mark.parametrize("make", MAKE_CONSTANT, ids=MAKE_IDS)
+def test_a_constant_rejects_empty_and_whitespace(make):
+    with pytest.raises(ValueError):
+        make("")
+    with pytest.raises(ValueError):
+        make("http://ex/a b")
+
+
+@pytest.mark.parametrize("make", MAKE_CONSTANT, ids=MAKE_IDS)
+def test_a_constant_rejects_every_unicode_whitespace_character(make):
     spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
     assert len(spaces) > 20
     for ch in spaces:
         with pytest.raises(InvalidIri):
-            Entity(f"http://ex/a{ch}b")
-    Entity("http://ex/a\u200bb")  # zero-width space is not whitespace
+            make(f"http://ex/a{ch}b")
+    make("http://ex/a\u200bb")  # zero-width space is not whitespace
 
 
 # The characters SPARQL 1.1's IRIREF excludes that are not whitespace.
 IRIREF_EXCLUDED = [*'<>"{}|^`\\', *(chr(c) for c in range(0x21) if not chr(c).isspace())]
 
 
+@pytest.mark.parametrize("make", MAKE_CONSTANT, ids=MAKE_IDS)
 @pytest.mark.parametrize("ch", IRIREF_EXCLUDED, ids=[f"U+{ord(ch):04X}" for ch in IRIREF_EXCLUDED])
-def test_entity_rejects_a_character_iriref_excludes(ch):
+def test_a_constant_rejects_a_character_iriref_excludes(ch, make):
     with pytest.raises(InvalidIri):
-        Entity(f"http://ex/a{ch}b")
+        make(f"http://ex/a{ch}b")
 
 
-def test_entity_equality_is_iri_equality():
-    assert Entity("http://ex/a") == Entity("http://ex/a")
-    assert Entity("http://ex/a") != Entity("http://ex/A")
+def test_a_constant_is_its_iri_and_never_a_variable():
+    assert intern("<http://ex/a>", {}) == "http://ex/a" != intern("<http://ex/A>", {})
+    # A constant spelled like a variable stays a constant.
+    assert Var("x") != "x" and "x" != Var("x")
+    assert len({Var("x"), "x"}) == 2
+    assert Atom("p", ("X",)) != atom("p", "X")
+    assert str(Atom("p", ("X",))) == 'p("X")'
+    assert str(atom("p", "X")) == "p(X)"
 
 
 def test_atom_arity_check():
-    e = Entity("http://ex/a")
+    e = "http://ex/a"
     with pytest.raises(ArityMismatch):
-        atom("instc", e, e, e)
+        Atom("instc", (e, e, e))
     with pytest.raises(ArityMismatch):
         atom("refl")
     # Unknown predicates (query heads) are unchecked here.
@@ -114,15 +127,15 @@ def test_query_validation():
         ConjunctiveQuery((Var("Z"),), (atom("instc", "C", "X"),))
 
 
-R, S = Entity("http://ex/r"), Entity("http://ex/s")
+R, S = "http://ex/r", "http://ex/s"
 
 
 @pytest.mark.parametrize("axiom", [PropInclusion, PropDisjoint])
 @pytest.mark.parametrize("right_inverse", [False, True])
 def test_property_axiom_stores_an_inverse_left_side_flipped(axiom, right_inverse):
     # r^- op s is r op s^-, and r^- op s^- is r op s.
-    written = axiom(("I", R.iri), ("I" if right_inverse else "R", S.iri))
-    assert written == axiom(("R", R.iri), ("R" if right_inverse else "I", S.iri))
+    written = axiom(("I", R), ("I" if right_inverse else "R", S))
+    assert written == axiom(("R", R), ("R" if right_inverse else "I", S))
 
 
 def test_class_disjointness_is_stored_in_an_orientation_the_signature_has():
@@ -131,7 +144,7 @@ def test_class_disjointness_is_stored_in_an_orientation_the_signature_has():
         ax = ClassDisjoint(left, right)
         # Only CR has no disjc predicate; it is stored as RC.
         stored = (("R", S), ("C", R)) if (lk, rk) == ("C", "R") else ((lk, R), (rk, S))
-        assert ax == (f"disjc{stored[0][0]}{stored[1][0]}", (stored[0][1].iri, stored[1][1].iri))
+        assert ax == (f"disjc{stored[0][0]}{stored[1][0]}", (stored[0][1], stored[1][1]))
     c, r = BASIC_OF_KIND["C"](R), BASIC_OF_KIND["R"](S)
     assert ClassDisjoint(c, r) == ClassDisjoint(r, c)
 
@@ -142,6 +155,8 @@ def test_alpha_equivalence_ignores_names_not_structure():
     r3 = Rule(atom("isacCC", "X", "Z"), (atom("isacCC", "X", "Y"), atom("isacCC", "Z", "Y")))
     assert alpha_equivalent(r1, r2)
     assert not alpha_equivalent(r1, r3)
+    # A constant is never a renamed variable, whatever its spelling.
+    assert not alpha_equivalent(Rule(Atom("named", ("V0",)), (atom("named", "X"),)), Rule(atom("named", "X"), (atom("named", "X"),)))
 
 
 def test_every_public_name_resolves_on_the_package():

@@ -8,7 +8,6 @@ from metaql import (
     Atom,
     BOTTOM_CLASS,
     ConjunctiveQuery,
-    Entity,
     FactStore,
     Var,
     answer_conjunctive_query,
@@ -108,7 +107,7 @@ def test_certain_answers_on_example_species():
     o = normalize_ontology(parse_ontology(EXAMPLE_SPECIES))
     q = ConjunctiveQuery(
         (Var("X"),),
-        (Atom("instc", (Entity(SPECIES + "EndangeredSpecies"), Var("X"))),),
+        (Atom("instc", (SPECIES + "EndangeredSpecies", Var("X"))),),
     )
     assert certain_answers_oracle(o, q) == [(SPECIES + "GoldenEagle",)]
 
@@ -122,7 +121,7 @@ def test_certain_answers_empty_class():
 def test_nulls_never_appear_in_answers():
     o = _parse("SubClassOf(:c ObjectSomeValuesFrom(:r :d)) ClassAssertion(:c :a)")
     q = ConjunctiveQuery(
-        (Var("Y"),), (Atom("instr", (Entity(SPECIES + "r"), Var("X"), Var("Y"))),)
+        (Var("Y"),), (Atom("instr", (SPECIES + "r", Var("X"), Var("Y"))),)
     )
     assert certain_answers_oracle(o, q) == []
 
@@ -130,7 +129,7 @@ def test_nulls_never_appear_in_answers():
 def test_null_witness_switch_isolates_anonymous_joins():
     o = _parse("SubClassOf(:c ObjectSomeValuesFrom(:r :d)) ClassAssertion(:c :a)")
     q = ConjunctiveQuery(
-        (Var("X"),), (Atom("instr", (Entity(SPECIES + "r"), Var("X"), Var("Y"))),)
+        (Var("X"),), (Atom("instr", (SPECIES + "r", Var("X"), Var("Y"))),)
     )
     assert certain_answers_oracle(o, q, allow_null_witnesses=True) == [(SPECIES + "a",)]
     assert certain_answers_oracle(o, q, allow_null_witnesses=False) == []
@@ -162,9 +161,9 @@ def test_oracle_agrees_with_engine_on_a_chain_of_65_existentials():
     oracle = OracleEvaluator(o)
     x, y = Var("X"), Var("Y")
     queries = [
-        ConjunctiveQuery((x,), (Atom("instc", (Entity(SPECIES + "A0"), x)),)),
+        ConjunctiveQuery((x,), (Atom("instc", (SPECIES + "A0", x)),)),
         ConjunctiveQuery((y, x), (Atom("instc", (y, x)),)),
-        ConjunctiveQuery((x,), (Atom("instr", (Entity(SPECIES + "r64"), x, y)),)),
+        ConjunctiveQuery((x,), (Atom("instr", (SPECIES + "r64", x, y)),)),
     ]
     for q in queries:
         engine = answer_conjunctive_query(store, q)

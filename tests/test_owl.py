@@ -8,7 +8,6 @@ from helpers import BASIC_OF_KIND, EXAMPLE_SPECIES, SPECIES, fact, parse_token_b
 from metaql import (
     ClassDisjoint,
     ClassInclusion,
-    Entity,
     Ontology,
     PropInclusion,
     TOP_CLASS,
@@ -21,8 +20,8 @@ from metaql.errors import OwlSyntaxError, UnknownPrefix, UnsupportedAxiom
 from metaql.oracle import tbox_closure
 
 
-def ent(local: str) -> Entity:
-    return Entity(SPECIES + local)
+def ent(local: str) -> str:
+    return SPECIES + local
 
 
 def parse_axioms(body: str):
@@ -124,11 +123,18 @@ def test_inverse_property_assertion_swaps_arguments():
     assert axs == {fact("instr", ent("r"), ent("b"), ent("a"))}
 
 
-def test_declarations_and_annotations_are_discarded():
-    axs = parse_axioms(
-        'Declaration(Class(:A)) AnnotationAssertion(rdfs:label :A "a label"@en)'
-    )
-    assert axs == set()
+@pytest.mark.parametrize(
+    "text",
+    [
+        'Declaration(Class(:A)) AnnotationAssertion(rdfs:label :A "a label"@en)',
+        'SubAnnotationPropertyOf(Annotation(rdfs:comment "x") :shortLabel rdfs:label)',
+        "AnnotationPropertyDomain(rdfs:label :A)",
+        "AnnotationPropertyRange(rdfs:label xsd:string)",
+    ],
+    ids=["declaration-and-assertion", "sub-property", "domain", "range"],
+)
+def test_declarations_and_annotations_are_discarded(text):
+    assert parse_axioms(text) == set()
 
 
 @pytest.mark.parametrize(
@@ -254,8 +260,8 @@ def test_an_entity_spelled_two_ways_in_two_parses_is_equal_and_hashes_equal():
     (ax1,), (ax2,) = first.tbox, second.tbox
     a1, a2 = ax1[1][0], ax2[1][0]
     assert a1 is not a2
-    assert a1 == a2 == "http://ex/ns/A" and hash(a1) == hash(a2) == hash(Entity("http://ex/ns/A"))
-    assert ax1[1][1] is TOP_CLASS.iri
+    assert a1 == a2 == "http://ex/ns/A" and hash(a1) == hash(a2) == hash("http://ex/ns/A")
+    assert ax1[1][1] is TOP_CLASS
 
 
 def test_unknown_prefix_raises_at_its_first_occurrence():
@@ -333,9 +339,9 @@ def _normalize_per_assertion(o: Ontology) -> Ontology:
     tbox = set(o.tbox)
     for pred, args in o.abox:
         if pred == "instc":
-            tbox.add(ClassInclusion(("C", args[0]), ("C", TOP_CLASS.iri)))
+            tbox.add(ClassInclusion(("C", args[0]), ("C", TOP_CLASS)))
         elif pred == "instr":
-            tbox.add(PropInclusion(("R", args[0]), ("R", TOP_PROPERTY.iri)))
+            tbox.add(PropInclusion(("R", args[0]), ("R", TOP_PROPERTY)))
     return Ontology(frozenset(tbox), o.abox, {})
 
 
@@ -454,6 +460,8 @@ _P = "Prefix(:=<http://ex/>)\n"
         ("Ontology(<a> <b> <c> <d>)", OwlSyntaxError, "expected an axiom, found '<c>'", (1, 18)),
         # The first error in reading order, not the unexpected character after it.
         ("Prefix(ex:=<http://e#>) Ontology(SubClassOf(ex:A) <)", OwlSyntaxError, "expected an IRI, found ')'", (1, 49)),
+        ("Prefix(:=<http://e#>) Ontology(SubClassOf(:A nope:B <))", UnknownPrefix, "undeclared prefix 'nope'", None),
+        ("Ontology(Foo <)", UnsupportedAxiom, "unsupported axiom 'Foo'", None),
         ("Ontology()\n\nOntology()", OwlSyntaxError, "unexpected input after Ontology(...): 'Ontology'", (3, 1)),
         (_P + "Ontology(\n  SubClassOf(:A =)\n)", OwlSyntaxError, "expected an IRI, found '='", (3, 17)),
         (

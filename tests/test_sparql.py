@@ -4,9 +4,9 @@ import pytest
 
 from helpers import EXAMPLE_SPECIES_ZOO, SPECIES, saturate
 from metaql import (
+    Atom,
     BOTTOM_CLASS,
     TOP_CLASS,
-    Entity,
     Var,
     answer_conjunctive_query,
     atom,
@@ -24,7 +24,7 @@ def test_parse_zoo_meta_query():
     q = parse_query(PFX + "SELECT ?z WHERE { ?y a :ES . ?z a ?y . ?z :Lives_in :CPZ }")
     assert len(q.patterns) == 3
     assert q.answer_vars == (Var("z"),)
-    assert q.patterns[1] == TriplePattern(Var("z"), Entity("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"), Var("y"))
+    assert q.patterns[1] == TriplePattern(Var("z"), "http://www.w3.org/1999/02/22-rdf-syntax-ns#type", Var("y"))
 
 
 def test_parse_accepts_capitalized_subclassof():
@@ -85,13 +85,13 @@ def test_other_schema_vocabulary_is_not_guessed():
 def test_translate_zoo_query_bodies():
     q = parse_query(PFX + "SELECT ?z WHERE { ?y a :ES . ?z a ?y . ?z :Lives_in :CPZ }")
     cq = to_conjunctive_query(q)
-    es = Entity(SPECIES + "ES")
-    lives = Entity(SPECIES + "Lives_in")
-    cpz = Entity(SPECIES + "CPZ")
+    es = SPECIES + "ES"
+    lives = SPECIES + "Lives_in"
+    cpz = SPECIES + "CPZ"
     assert cq.body == (
-        atom("instc", es, "y"),
+        Atom("instc", (es, Var("y"))),
         atom("instc", "y", "z"),
-        atom("instr", lives, "z", cpz),
+        Atom("instr", (lives, Var("z"), cpz)),
     )
     assert cq.answer_vars == (Var("z"),)
 
@@ -99,13 +99,13 @@ def test_translate_zoo_query_bodies():
 def test_translate_self_membership_meta_query():
     # Classes that are themselves members of another class.
     q = parse_query(PFX + "SELECT ?x WHERE { ?x a :c . ?y a ?x }")
-    assert to_conjunctive_query(q).body == (atom("instc", Entity(SPECIES + "c"), "x"), atom("instc", "x", "y"))
+    assert to_conjunctive_query(q).body == (Atom("instc", (SPECIES + "c", Var("x"))), atom("instc", "x", "y"))
 
 
 def test_translate_plain_property_pattern():
     q = parse_query(PFX + "SELECT ?s ?o WHERE { ?s :p ?o }")
     cq = to_conjunctive_query(q)
-    assert cq.body == (atom("instr", Entity(SPECIES + "p"), "s", "o"),)
+    assert cq.body == (Atom("instr", (SPECIES + "p", Var("s"), Var("o"))),)
     assert cq.answer_vars == (Var("s"), Var("o"))
 
 
@@ -144,7 +144,7 @@ def test_same_variable_in_every_position_translates():
 def test_variable_in_predicate_position():
     q = parse_query(PFX + "SELECT ?p WHERE { :Harry ?p :CPZ }")
     assert to_conjunctive_query(q).body == (
-        atom("instr", "p", Entity(SPECIES + "Harry"), Entity(SPECIES + "CPZ")),
+        Atom("instr", (Var("p"), SPECIES + "Harry", SPECIES + "CPZ")),
     )
 
 
@@ -183,7 +183,7 @@ def test_a_dot_after_a_name_ends_the_pattern(where, spaced):
 
 def test_a_name_keeps_a_dot_inside_it():
     q = parse_query("PREFIX ex: <http://ex/>\nSELECT ?x WHERE { ?x a ex:a.b.c. }")
-    assert q.patterns == (TriplePattern(Var("x"), Entity(RDF_TYPE), Entity("http://ex/a.b.c")),)
+    assert q.patterns == (TriplePattern(Var("x"), RDF_TYPE, "http://ex/a.b.c"),)
 
 
 # One malformed input per place the query parser raises: the exception
@@ -239,6 +239,8 @@ def test_a_name_keeps_a_dot_inside_it():
         ("SELECT ?x WHERE { ?x a <http://ex/C> }\n  LIMIT 3", UnsupportedFeature, "solution modifiers", None),
         ("SELECT ?x WHERE\n  { }", OwlSyntaxError, "WHERE block must contain at least one triple pattern", (2, 3)),
         ("SELECT ?x WHERE { ?x a nope:C }", UnknownPrefix, "undeclared prefix 'nope'", None),
+        # The first error in reading order, not the unexpected character after it.
+        ('SELECT ?x WHERE { ?x nope:p "a }', UnknownPrefix, "undeclared prefix 'nope'", None),
         (
             "PREFIX ex: <http://ex/>\nSELECT ?x WHERE {\n  ?x a ex:.b }",
             OwlSyntaxError,
@@ -291,4 +293,4 @@ def test_every_translation_error_site_reports_its_message(text, message):
 def test_owl_thing_and_nothing_are_the_classes_of_the_schema_a_query_may_ask_for():
     for name, reserved in (("Thing", TOP_CLASS), ("Nothing", BOTTOM_CLASS)):
         cq = to_conjunctive_query(parse_query(f"SELECT ?x WHERE {{ ?x a owl:{name} }}"))
-        assert cq.body == (atom("instc", reserved, "x"),)
+        assert cq.body == (Atom("instc", (reserved, Var("x"))),)

@@ -8,7 +8,6 @@ from helpers import BASIC_OF_KIND, EXAMPLE_SPECIES, SPECIES, fact
 from metaql import (
     ClassDisjoint,
     ClassInclusion,
-    Entity,
     SIGNATURE,
     TOP_CLASS,
     normalize_ontology,
@@ -17,9 +16,9 @@ from metaql import (
 )
 from metaql.synthetic import scaled_university, university_ontology
 
-C1, C2 = Entity("http://t#c1"), Entity("http://t#c2")
-R1, R2 = Entity("http://t#r1"), Entity("http://t#r2")
-X, Y = Entity("http://t#x"), Entity("http://t#y")
+C1, C2 = "http://t#c1", "http://t#c2"
+R1, R2 = "http://t#r1", "http://t#r2"
+X, Y = "http://t#x", "http://t#y"
 
 
 def _some(pe, filler="owl:Thing"):  # an existential, unqualified by default
@@ -90,7 +89,7 @@ def test_tau_of_every_class_disjointness_is_a_signature_fact():
     for lk, rk in product("CRI", repeat=2):
         pred, iris = (ClassDisjoint(BASIC_OF_KIND[lk](C1), BASIC_OF_KIND[rk](C2)))
         assert pred.startswith("disjc") and pred in SIGNATURE
-        assert set(iris) == {C1.iri, C2.iri}
+        assert set(iris) == {C1, C2}
 
 
 def test_tau_is_injective_on_the_table():
@@ -117,7 +116,7 @@ def test_translate_example_species():
     fb = translate_ontology(o)
 
     def e(local):
-        return Entity(SPECIES + local)
+        return SPECIES + local
 
     assert fact("isacCC", e("Eagle"), e("Birds")) in fb.facts
     assert fact("isacCC", e("GoldenEagle"), e("Eagle")) in fb.facts
