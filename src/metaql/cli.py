@@ -55,8 +55,10 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path, text: str):
+    # A bench CSV names its files; one given as undecodable bytes is
+    # written back as those bytes, as on standard output.
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        Path(path).write_text(text, encoding="utf-8", errors="surrogateescape", newline="\n")
     except OSError as exc:
         raise _Usage(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -325,6 +327,8 @@ def main(argv=None) -> int:
 
 
 def entry_point():
+    # A path given as undecodable bytes is echoed back as those bytes.
+    sys.stdout.reconfigure(errors="surrogateescape")
     try:
         code = main()
         sys.stdout.flush()

@@ -4,25 +4,25 @@ The store keeps one relation per predicate as a set of tuples of IRI
 strings, with hash indexes built lazily for whatever bound column
 patterns the joins ask for.  A one-column index is keyed by the IRI
 string itself, so no key tuple is built for it; a wider one is keyed by
-the tuple of its columns.  One cost-based planner orders the
-bodies of rules and queries alike: each atom is estimated from the
-store's exact index buckets for its constants and bound columns, the
-cheapest atom goes first, and every later atom shares a variable with
-those before it unless the body is disconnected.
+the tuple of its columns.
 
-One compile step turns every planned body into a join chain: the
-fixpoint's rule tasks, the sink rules, queries and the prefixes
-`explain_conjunctive_query` counts.  It walks the atoms in plan order
-and gives each variable the row column of its first occurrence, where a
-row concatenates the tuples matched so far.  A term's source is then
-that column, an int, or, for a constant, its IRI string, the value the
-store's tuples hold.  The chain is a left-deep sequence of set-at-a-time
-stages.  The first atom filters a fixpoint delta, or starts from its
-constants' index bucket; every later atom extends each row with its
-key's bucket, or, when the key covers every column, keeps the rows whose
-key is in the relation and builds no index.  The stages are generators
-that stream into the head, so no intermediate rows are held, and nothing
-runs when a relation of the body is empty.
+One walk over a body plans it and compiles it to a join chain, for the
+fixpoint's rule tasks, the sink rules and queries alike.  Each step
+estimates the atoms with no variable or one shared with those placed
+(every atom left, when there is none) from the store's exact index
+buckets for their constants and bound columns, and takes the cheapest.
+It gives that atom's new variables the row columns of their first
+occurrence, where a row concatenates the tuples matched so far, so a
+term's source is that column, an int, or, for a constant, its IRI
+string, the value the store's tuples hold; and it compiles the atom's
+stage of the chain, a left-deep sequence of set-at-a-time stages.  The
+first atom filters a fixpoint delta, or starts from its constants' index
+bucket; every later atom extends each row with its key's bucket, or,
+when the key covers every column, keeps the rows whose key is in the
+relation and builds no index.  The stages are generators that stream
+into the head, so no intermediate rows are held, and nothing runs when a
+relation of the body is empty.  `explain_conjunctive_query` runs the
+query's own chain once and counts the rows of each stage.
 
 The fixpoint is computed semi-naive.  In the first round the delta is
 the whole store, so each rule joins once, planned like a query.  Every
@@ -74,9 +74,9 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from itertools import filterfalse, repeat
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate, filterfalse, repeat
+from operator import itemgetter, mul
+from typing import Callable, Container, Iterable, Sequence
 
 from .errors import ArityMismatch, UnknownPredicate
 from .model import (
@@ -204,18 +204,18 @@ class EvalStats:
 # Join planning and compilation
 # ==============================================================================
 #
-# One planner orders the body of every rule and query.  An atom's cost is
-# its estimated rows per incoming binding, read off the store's exact
-# index buckets: with only constants in its key, the size of their bucket;
-# with bound variables in it too, the average bucket of that key; with
-# every column in it, 1.  The cheapest atom goes first, then repeatedly
-# the cheapest atom sharing a variable with those placed, so no cross
-# product is built unless the body itself is disconnected.  One pass over
-# the ordered body gives each variable the row column of its first
-# occurrence and compiles the chain of join stages that reads them.
+# One walk over the body of every rule and query both plans and compiles
+# it.  An atom's cost is its estimated rows per incoming binding, read off
+# the store's exact index buckets: with only constants in its key, the
+# size of their bucket; with bound variables in it too, the average bucket
+# of that key; with every column in it, 1.  Each step takes the cheapest
+# atom with no variable or one shared with those placed (any atom left,
+# when there is none), so no cross product is built unless the body
+# itself is disconnected.  The same step gives the atom's new variables
+# the row columns of their first occurrence and compiles its join stage.
 
 
-def _estimate(a: Atom, bound: set[str], store: FactStore) -> float:
+def _estimate(a: Atom, bound: Container[str], store: FactStore) -> float:
     """Rows of `a` expected per binding of the variables in `bound`."""
     key_pos = tuple(p for p, t in enumerate(a.args) if isinstance(t, str) or t.name in bound)
     if len(key_pos) == len(a.args):
@@ -228,31 +228,6 @@ def _estimate(a: Atom, bound: set[str], store: FactStore) -> float:
     if all(isinstance(c, str) for c in consts):
         return float(len(index.get(consts[0] if len(consts) == 1 else consts, ())))
     return len(rel) / len(index) if index else 0.0
-
-
-def _plan(body: Sequence[Atom], store: FactStore, first: int | None = None) -> list[tuple[int, float]]:
-    """Join order for `body` as (atom index, estimated rows per binding)
-    pairs; `first`, the delta atom of a fixpoint round, is pinned first.
-    Raises ArityMismatch for an atom whose arity is not its predicate's."""
-    for a in body:
-        store._check_arity(a.pred, len(a.args))
-    remaining = list(range(len(body)))
-    names = [{t.name for t in a.args if isinstance(t, Var)} for a in body]
-    bound: set[str] = set()
-    order = []
-    while remaining:
-        if first is not None and not order:
-            pick, cost = first, _estimate(body[first], bound, store)
-        else:
-            connected = [i for i in remaining if names[i] & bound or not names[i]]
-            pick, cost = min(
-                ((i, _estimate(body[i], bound, store)) for i in (connected or remaining)),
-                key=lambda ic: (ic[1], ic[0]),
-            )
-        remaining.remove(pick)
-        order.append((pick, cost))
-        bound |= names[pick]
-    return order
 
 
 def _matcher(pairs: Sequence[tuple[int, int | str]], width: int):
@@ -284,10 +259,13 @@ def _member(rows, rel, key):
     return (r for r in rows if key(r) in rel)
 
 
-def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], order: Sequence[int], store: FactStore):
-    """Compile `body`, joined in `order`, to one left-deep chain of
-    set-at-a-time stages, `run(seed, out)`, which adds the tuple of
-    `head_terms` of every match to `out`.
+def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], store: FactStore, first: int | None = None):
+    """Plan `body` and compile it, in one walk, to one left-deep chain of
+    set-at-a-time stages, `run(seed, out, counts=None)`, which adds the
+    tuple of `head_terms` of every match to `out`.  Returns `run` and the
+    plan, one (atom index, key columns, estimated rows per binding) per
+    step; `first`, the delta atom of a fixpoint round, is pinned first.
+    The callers check the body's arities.
 
     A row is the concatenation of the tuples it matched, and each variable
     is read from the row column of its first occurrence, so no binding is
@@ -299,12 +277,23 @@ def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], order: Seque
     whose key is in the relation and adds no column.  The stages are
     generators, so no intermediate rows are held: the last one streams
     through the head into `out`.  Nothing runs when a relation of the body
-    is empty.
+    is empty, unless `counts` is given: then every stage runs, its rows are
+    held in a list and their number appended to `counts`.  A row is fixed
+    by the binding of its variables and no stage emits one twice, so that
+    is the number of distinct bindings of the plan's prefix.
     """
+    names = [{t.name for t in a.args if isinstance(t, Var)} for a in body]
+    remaining = list(range(len(body)))
     col: dict[str, int] = {}  # variable -> row column of its first occurrence
     width = 0
-    preds, stages = [], []
-    for n, idx in enumerate(order):
+    plan, preds, stages = [], [], []
+    while remaining:
+        if plan or first is None:
+            candidates = [i for i in remaining if not names[i] or not names[i].isdisjoint(col)] or remaining
+        else:
+            candidates = [first]
+        cost, idx = min((_estimate(body[i], col, store), i) for i in candidates)
+        remaining.remove(idx)
         a = body[idx]
         arity = len(a.args)
         # key: (position, source) for constants (an IRI string) and
@@ -324,7 +313,7 @@ def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], order: Seque
         key_pos = tuple(pos for pos, _ in key)
         full = len(key_pos) == arity
         preds.append(a.pred)
-        if n == 0:
+        if not plan:
             # the start: with a full key, the tuple of its constants if the
             # relation holds it; else their index bucket, keyed as `index` keys
             key0, full0, consts0 = key_pos, full, tuple(iri for _, iri in key)
@@ -335,14 +324,15 @@ def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], order: Seque
             # a full key is a tuple of the relation, a probe key an index key
             key_of = _picker([src for _, src in key], width, _columns if full else _key)
             stages.append((a.pred, key_pos, full, key_of, _matcher(same, arity)))
-        if n == 0 or not full:
+        if not plan or not full:
             col.update((name, width + pos) for name, pos in new.items())
             width += arity
+        plan.append((idx, key_pos, cost))
     head = _picker([t if isinstance(t, str) else col[t.name] for t in head_terms], width)
 
-    def run(seed: Iterable[tuple[str, ...]] | None, out: set):
-        rels = [store.relations.get(pred) for pred in preds]
-        if not all(rels):
+    def run(seed: Iterable[tuple[str, ...]] | None, out: set, counts: list[int] | None = None):
+        rels = [store.relations.get(pred, ()) for pred in preds]
+        if counts is None and not all(rels):
             return
         keep0 = keep_seed
         if seed is None:
@@ -352,17 +342,16 @@ def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], order: Seque
             else:
                 seed = store.index(preds[0], key0).get(consts0, ()) if key0 else rels[0]
         rows = filter(keep0, seed) if keep0 else seed
-        for (pred, key_pos, full, key, keep), rel in zip(stages, rels[1:]):
-            rows = _member(rows, rel, key) if full else _probe(rows, store.index(pred, key_pos).get, key, keep)
+        for n, rel in enumerate(rels):
+            if n:
+                pred, key_pos, full, key, keep = stages[n - 1]
+                rows = _member(rows, rel, key) if full else _probe(rows, store.index(pred, key_pos).get, key, keep)
+            if counts is not None:
+                rows = list(rows)
+                counts.append(len(rows))
         out.update(map(head, rows))
 
-    return run
-
-
-def _rule_join(rule: Rule, store: FactStore, first: int | None = None):
-    """The compiled join of `rule`'s body, planned with `first` pinned."""
-    order = [i for i, _ in _plan(rule.body, store, first)]
-    return _compile(rule.head.args, rule.body, order, store)
+    return run, plan
 
 
 # ==============================================================================
@@ -464,6 +453,8 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
     stats = EvalStats()
 
     for rule in rules:
+        for a in rule.body:
+            store._check_arity(a.pred, len(a.args))
         if not rule.body and store.add_tuples(rule.head.pred, [rule.head.args]):
             stats.facts_derived[rule.head.pred] = stats.facts_derived.get(rule.head.pred, 0) + 1
     read = {a.pred for rule in rules for a in rule.body}
@@ -496,7 +487,6 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
         return delta
 
     for pred, succ in closed.items():
-        store._check_arity(pred, 2)
         added = _close(store, pred, succ, store.relation(pred))
         if added:
             stats.facts_derived[pred] = stats.facts_derived.get(pred, 0) + len(added)
@@ -517,7 +507,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
             shared = new.setdefault(rule.head.pred, set())
             out = shared if pivot is None else set()
             if delta is None:
-                _rule_join(rule, store)(None, out)
+                _compile(rule.head.args, rule.body, store)[0](None, out)
             else:
                 for pos, a in enumerate(rule.body):
                     seed = trimmed[id(rule)] if pos == pivot else delta.get(a.pred)
@@ -525,7 +515,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
                         continue
                     task = tasks.get((id(rule), pos))
                     if task is None:
-                        task = tasks[(id(rule), pos)] = _rule_join(rule, store, first=pos)
+                        task = tasks[(id(rule), pos)] = _compile(rule.head.args, rule.body, store, pos)[0]
                     task(seed, out)
             if pivot is not None:
                 mine.append((rule, out - store.relation(rule.head.pred)))
@@ -540,7 +530,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
 
     new = {}
     for rule in sinks:
-        _rule_join(rule, store)(None, new.setdefault(rule.head.pred, set()))
+        _compile(rule.head.args, rule.body, store)[0](None, new.setdefault(rule.head.pred, set()))
     merge(new)
 
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -552,18 +542,23 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
 # ==============================================================================
 
 
-def _query_plan(store: FactStore, q: ConjunctiveQuery) -> list[tuple[int, float]]:
-    """The planned order of `q`."""
+def _check_query(store: FactStore, q: ConjunctiveQuery):
+    """Raises UnknownPredicate or ArityMismatch for an atom of `q` the
+    store cannot answer."""
     for a in q.body:
         if a.pred not in KNOWN_ARITY and a.pred not in store.relations:
             raise UnknownPredicate(a.pred)
-    return _plan(q.body, store)
+        store._check_arity(a.pred, len(a.args))
 
 
 def answer_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str, ...]]:
-    """Distinct answer bindings, sorted lexicographically by IRI."""
+    """Distinct answer bindings, sorted lexicographically by IRI.  A query
+    over an empty relation is answered before it is planned."""
+    _check_query(store, q)
+    if not all(store.relations.get(a.pred) for a in q.body):
+        return []
     out: set[tuple[str, ...]] = set()
-    _compile(q.answer_vars, q.body, [i for i, _ in _query_plan(store, q)], store)(None, out)
+    _compile(q.answer_vars, q.body, store)[0](None, out)
     return sorted(out)
 
 
@@ -582,19 +577,12 @@ def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[Pla
 
     The estimate after a step is the product of the planner's per-binding
     estimates so far.  Actual rows are the distinct bindings of each prefix
-    of the plan, compiled on its own with the variables bound so far as
-    its head, so answering itself keeps no counters.
+    of the plan, counted from one run of the query's own compiled chain;
+    answering itself keeps no counters.
     """
-    order = _query_plan(store, q)
-    report = []
-    estimated = 1.0
-    bound: dict[Var, None] = {}  # the variables of the prefix, in order of first occurrence
-    for n, (idx, cost) in enumerate(order, start=1):
-        a = q.body[idx]
-        key = tuple(p for p, t in enumerate(a.args) if isinstance(t, str) or t in bound)
-        bound.update(dict.fromkeys(t for t in a.args if isinstance(t, Var)))
-        estimated *= cost
-        rows: set[tuple[str, ...]] = set()
-        _compile(tuple(bound), q.body, [i for i, _ in order[:n]], store)(None, rows)
-        report.append(PlanStep(a, key, estimated, len(rows)))
-    return report
+    _check_query(store, q)
+    run, plan = _compile(q.answer_vars, q.body, store)
+    counts: list[int] = []
+    run(None, set(), counts)
+    estimates = accumulate((cost for _, _, cost in plan), mul)
+    return [PlanStep(q.body[i], key, est, n) for (i, key, _), est, n in zip(plan, estimates, counts)]

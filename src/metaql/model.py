@@ -34,8 +34,9 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 _RESERVED_NS = "urn:metaql:"
 
 # Characters SPARQL 1.1's IRIREF excludes, plus every Unicode whitespace
-# character: none of them can be carried by a quoted fact argument.
-_find_bad_iri_char = re.compile(r'[\s\x00-\x20<>"{}|^`\\]').search
+# character and lone surrogate (an undecodable byte of a command-line
+# argument): none of them can be carried by a quoted fact argument.
+_find_bad_iri_char = re.compile(r'[\s\x00-\x20<>"{}|^`\\\ud800-\udfff]').search
 
 
 def check_iri(iri: str) -> str:

@@ -352,6 +352,22 @@ def test_query_explain_with_a_constant_absent_from_the_model(tmp_path, capsys):
     assert len(out) == 4 and out[-1].startswith("answers=0")
 
 
+def test_query_explain_counts_the_rows_of_a_step_before_an_empty_relation(tmp_path, capsys):
+    # The ground atom goes first and holds, and no `instr` fact exists:
+    # step 1 still reports its one row.
+    src = tmp_path / "one.ofn"
+    src.write_text("Prefix(:=<http://e#>)\nOntology(ClassAssertion(:A :a))\n", encoding="utf-8")
+    q = "SELECT ?x WHERE { ?x <http://e#p> ?y . <http://e#a> a <http://e#A> }"
+    assert main(["query", str(src), "--query-string", q, "--explain"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [
+        "step\test_rows\trows\tkey\tatom",
+        "1\t1.0\t1\t0,1\tinstc(<http://e#A>, <http://e#a>)",
+        "2\t0.0\t0\t0\tinstr(<http://e#p>, ?x, ?y)",
+    ]
+    assert len(out) == 4 and out[-1].startswith("answers=0")
+
+
 def test_a_constant_spelled_like_a_variable_stays_a_constant(tmp_path, capsys):
     # The IRI <x> and the variable ?x are two terms to the engine, the
     # plan printer and the oracle alike.
@@ -724,6 +740,38 @@ def test_a_closed_standard_output_is_an_error_not_a_traceback(tmp_path):
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == "error: standard output closed\n"
+
+
+def test_an_undecodable_query_argument_is_an_error_not_a_traceback(species_file):
+    # An argument's undecodable byte reaches the query as a lone surrogate,
+    # which no IRI carries and strict UTF-8 cannot print.
+    query = os.fsdecode(b"SELECT ?x WHERE { ?x a <http://e#\xff> }")
+    cmd = [sys.executable, "-m", "metaql", "query", str(species_file), "--query-string", query, "--explain"]
+    proc = subprocess.run(cmd, env=_fresh_env(PYTHONIOENCODING="utf-8"), capture_output=True, timeout=120)
+    assert b"Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: bad entity IRI 'http://e#\\udcff'\n")
+
+
+@pytest.mark.parametrize("command", ["translate", "rules", "extend", "bench"])
+def test_an_undecodable_path_is_echoed_as_its_bytes(tmp_path, command):
+    # Standard output is strict UTF-8, and the path names a file by the
+    # bytes given, which its `output=` line writes back.
+    name = os.fsdecode(b"o\xff")
+    (tmp_path / f"{name}.ofn").write_text(EXAMPLE_SPECIES_ZOO, encoding="utf-8")
+    (tmp_path / "zoo.rq").write_text(ZOO_QUERY, encoding="utf-8")
+    argv, out = {
+        "translate": (["translate", f"{name}.ofn"], f"{name}.dl"),
+        "rules": (["rules", "-o", f"{name}.dl"], f"{name}.dl"),
+        "extend": (["extend", f"{name}.ofn", f"{name}.ofn", "-o", f"{name}-merged.ofn"], f"{name}-merged.ofn"),
+        "bench": (["bench", f"{name}.ofn", "-q", "zoo.rq", "--repeat", "1", "-o", f"{name}.csv"], f"{name}.csv"),
+    }[command]
+    cmd = [sys.executable, "-m", "metaql", *argv]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=_fresh_env(PYTHONIOENCODING="utf-8"), capture_output=True, timeout=120)
+    assert b"Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.endswith(b" output=" + os.fsencode(out) + b"\n") and (tmp_path / out).exists()
+    if command == "bench":
+        assert b"\no\xff.ofn,zoo.rq," in (tmp_path / out).read_bytes()
 
 
 def _cli_outputs_under_hash_seed(workdir: Path, seed: str) -> dict[str, bytes]:

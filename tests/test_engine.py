@@ -743,6 +743,28 @@ def test_a_constant_absent_from_the_model_matches_nothing():
     assert [step.actual for step in report] == [0, 0]
 
 
+def test_a_long_query_over_an_empty_relation_is_answered_before_it_is_planned(monkeypatch):
+    # Planning 2,001 atoms would estimate about two million candidates;
+    # with no `instr` fact, no plan can match.
+    from metaql import engine, parse_query, to_conjunctive_query
+
+    _, store, _ = saturate("Prefix(:=<http://e#>)\nOntology(ClassAssertion(:A :a))")
+    patterns = " . ".join(f"?x <http://e#p{i}> ?y{i}" for i in range(2000))
+    q = to_conjunctive_query(parse_query(f"SELECT ?x WHERE {{ ?x a ?c . {patterns} }}"))
+    assert len(q.body) == 2001 and "instr" not in store.relations
+    monkeypatch.setattr(engine, "_compile", lambda *args: pytest.fail("the query was planned"))
+    assert store_answers(store, q) == []
+
+
+@pytest.mark.parametrize("bad, error", [(atom("mystery", "X"), UnknownPredicate), (atom("p", "X"), ArityMismatch)])
+def test_a_query_over_an_empty_relation_still_checks_its_atoms(bad, error):
+    store = FactStore()
+    store.assert_facts([fact("p", E[0], E[1])])
+    empty = atom("instr", "P", "X", "Y")
+    with pytest.raises(error):
+        store_answers(store, ConjunctiveQuery((Var("X"),), (empty, bad)))
+
+
 def test_answering_leaves_the_store_unchanged():
     # The benchmark's queries over the professor-type extension.
     from metaql import normalize_ontology, parse_ontology, parse_query, to_conjunctive_query
