@@ -8,8 +8,8 @@ wall-clock timeout, with CSV reporting, and `extend` merges two
 ontologies.
 
 Exit codes: 0 success, 1 parse/translation/evaluation errors, out of
-memory and a standard output closed early, 2 usage errors and unreadable
-inputs.  Memory limits are the invoking environment's job (ulimit,
+memory and a standard output closed or unable to encode an answer, 2
+usage errors and unreadable inputs.  Memory limits are the invoking environment's job (ulimit,
 cgroups, systemd-run); a child killed by the kernel shows up as an ERROR
 row in bench output.
 """
@@ -327,6 +327,9 @@ def main(argv=None) -> int:
 
 
 def entry_point():
+    # `sys.exit` prints a message to standard error and exits with 1.
+    if sys.stdout is None:  # started with standard output closed
+        sys.exit("error: standard output closed")
     # A path given as undecodable bytes is echoed back as those bytes.
     sys.stdout.reconfigure(errors="surrogateescape")
     try:
@@ -336,6 +339,8 @@ def entry_point():
         # The reader of standard output has gone.  Point the descriptor at
         # the null device so that the interpreter's flush at exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output closed", file=sys.stderr)
-        code = 1
+        code = "error: standard output closed"
+    except UnicodeEncodeError as exc:
+        # Files are UTF-8; standard output's encoding is the environment's.
+        code = f"error: standard output ({sys.stdout.encoding}) cannot encode {ascii(exc.object[exc.start:exc.end])}"
     sys.exit(code)

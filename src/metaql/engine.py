@@ -15,14 +15,15 @@ It gives that atom's new variables the row columns of their first
 occurrence, where a row concatenates the tuples matched so far, so a
 term's source is that column, an int, or, for a constant, its IRI
 string, the value the store's tuples hold; and it compiles the atom's
-stage of the chain, a left-deep sequence of set-at-a-time stages.  The
-first atom filters a fixpoint delta, or starts from its constants' index
-bucket; every later atom extends each row with its key's bucket, or,
-when the key covers every column, keeps the rows whose key is in the
-relation and builds no index.  The stages are generators that stream
-into the head, so no intermediate rows are held, and nothing runs when a
-relation of the body is empty.  `explain_conjunctive_query` runs the
-query's own chain once and counts the rows of each stage.
+stage of the chain, a left-deep sequence of set-at-a-time stages.  A
+chain starts from a later round's delta, which its pinned first atom
+filters, or else from one empty row.  Every other atom extends each row
+with its key's bucket, the whole relation for an empty key, or, when the
+key covers every column, keeps the rows whose key is in the relation and
+builds no index.  The stages are generators that stream into the head,
+so no intermediate rows are held, and nothing runs when a relation of
+the body is empty.  `explain_conjunctive_query` runs the query's own
+chain once and counts the rows of each stage.
 
 The fixpoint is computed semi-naive.  In the first round the delta is
 the whole store, so each rule joins once, planned like a query.  Every
@@ -76,7 +77,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import accumulate, filterfalse, repeat
 from operator import itemgetter, mul
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Collection, Container, Iterable, Sequence
 
 from .errors import ArityMismatch, UnknownPredicate
 from .model import (
@@ -161,11 +162,14 @@ class FactStore:
     def relation(self, pred: str) -> set[tuple[str, ...]]:
         return self.relations.get(pred, set())
 
-    def index(self, pred: str, key_pos: tuple[int, ...]) -> dict[object, list[tuple[str, ...]]]:
+    def index(self, pred: str, key_pos: tuple[int, ...]) -> dict[object, Collection[tuple[str, ...]]]:
         """The tuples of `pred` bucketed by their columns `key_pos`, built
         on first use and kept up to date by `add_tuples`.  A one-column
         index is keyed by the IRI string itself, a wider one by the tuple
-        of its columns."""
+        of its columns.  With no columns, the one bucket `()` is the
+        relation itself, and no index is kept."""
+        if not key_pos:
+            return {(): self.relation(pred)}
         got = self._indexes.get((pred, key_pos))
         if got is None:
             got = {}
@@ -220,14 +224,11 @@ def _estimate(a: Atom, bound: Container[str], store: FactStore) -> float:
     key_pos = tuple(p for p, t in enumerate(a.args) if isinstance(t, str) or t.name in bound)
     if len(key_pos) == len(a.args):
         return 1.0
-    rel = store.relation(a.pred)
-    if not key_pos:
-        return float(len(rel))
     index = store.index(a.pred, key_pos)
     consts = tuple(a.args[p] for p in key_pos)
     if all(isinstance(c, str) for c in consts):
         return float(len(index.get(consts[0] if len(consts) == 1 else consts, ())))
-    return len(rel) / len(index) if index else 0.0
+    return len(store.relation(a.pred)) / len(index) if index else 0.0
 
 
 def _matcher(pairs: Sequence[tuple[int, int | str]], width: int):
@@ -243,12 +244,18 @@ def _matcher(pairs: Sequence[tuple[int, int | str]], width: int):
 
 # The stages of a join chain.  Each is a generator made inside its own
 # function, so the names it reads are bound when it is made, not when the
-# chain is finally drained.
+# chain is finally drained.  A chain with no delta starts from `_START`,
+# one empty row.
+
+_START = ((),)
 
 
 def _probe(rows, get, key, keep):
     """Each row extended with every tuple of its key's bucket that `keep`
-    (when given) accepts."""
+    (when given) accepts; from `_START`, the bucket's own tuples."""
+    if rows is _START:
+        bucket = get(key(()), ())
+        return filter(keep, bucket) if keep else bucket
     if keep is None:
         return (r + u for r in rows for u in get(key(r), ()))
     return (r + u for r in rows for u in get(key(r), ()) if keep(u))
@@ -269,24 +276,24 @@ def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], store: FactS
 
     A row is the concatenation of the tuples it matched, and each variable
     is read from the row column of its first occurrence, so no binding is
-    kept.  The first atom filters `seed` (a fixpoint delta) on its constants
-    and repeated variables; with no seed it starts from its constants'
-    bucket instead.  Its tuple is always in the row, even when its key
-    covers every column.  Every later atom extends each row with its key's
-    index bucket, or, when its key covers every column, keeps the rows
-    whose key is in the relation and adds no column.  The stages are
-    generators, so no intermediate rows are held: the last one streams
-    through the head into `out`.  Nothing runs when a relation of the body
-    is empty, unless `counts` is given: then every stage runs, its rows are
-    held in a list and their number appended to `counts`.  A row is fixed
-    by the binding of its variables and no stage emits one twice, so that
-    is the number of distinct bindings of the plan's prefix.
+    kept.  The pinned atom filters `seed` (a fixpoint delta) on its
+    constants and repeated variables, and its tuple starts the row; with
+    no seed, the row starts empty.  Every other atom is a stage: it extends
+    each row with its key's index bucket, or, when its key covers every
+    column, keeps the rows whose key is in the relation and adds no column.
+    The stages are generators, so no intermediate rows are held: the last
+    one streams through the head into `out`.  Nothing runs when a relation
+    of the body is empty, unless `counts` is given: then every stage runs,
+    its rows are held in a list and their number appended to `counts`.  A
+    row is fixed by the binding of its variables and no stage emits one
+    twice, so with no seed that is the number of distinct bindings of each
+    prefix of the plan.
     """
     names = [{t.name for t in a.args if isinstance(t, Var)} for a in body]
     remaining = list(range(len(body)))
     col: dict[str, int] = {}  # variable -> row column of its first occurrence
     width = 0
-    plan, preds, stages = [], [], []
+    plan, stages, keep_seed = [], [], None
     while remaining:
         if plan or first is None:
             candidates = [i for i in remaining if not names[i] or not names[i].isdisjoint(col)] or remaining
@@ -312,40 +319,27 @@ def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], store: FactS
                 new[t.name] = pos
         key_pos = tuple(pos for pos, _ in key)
         full = len(key_pos) == arity
-        preds.append(a.pred)
-        if not plan:
-            # the start: with a full key, the tuple of its constants if the
-            # relation holds it; else their index bucket, keyed as `index` keys
-            key0, full0, consts0 = key_pos, full, tuple(iri for _, iri in key)
-            if not full and len(consts0) == 1:
-                consts0 = consts0[0]
-            keep_seed, keep_start = _matcher(key + same, arity), _matcher(same, arity)
+        if idx == first:
+            keep_seed = _matcher(key + same, arity)
         else:
             # a full key is a tuple of the relation, a probe key an index key
             key_of = _picker([src for _, src in key], width, _columns if full else _key)
             stages.append((a.pred, key_pos, full, key_of, _matcher(same, arity)))
-        if not plan or not full:
+        if idx == first or not full:
             col.update((name, width + pos) for name, pos in new.items())
             width += arity
         plan.append((idx, key_pos, cost))
     head = _picker([t if isinstance(t, str) else col[t.name] for t in head_terms], width)
 
     def run(seed: Iterable[tuple[str, ...]] | None, out: set, counts: list[int] | None = None):
-        rels = [store.relations.get(pred, ()) for pred in preds]
-        if counts is None and not all(rels):
+        if counts is None and not all(store.relations.get(a.pred) for a in body):
             return
-        keep0 = keep_seed
-        if seed is None:
-            keep0 = keep_start
-            if full0:
-                seed = (consts0,) if consts0 in rels[0] else ()
+        rows = _START if seed is None else filter(keep_seed, seed) if keep_seed else seed
+        for pred, key_pos, full, key, keep in stages:
+            if full:
+                rows = _member(rows, store.relation(pred), key)
             else:
-                seed = store.index(preds[0], key0).get(consts0, ()) if key0 else rels[0]
-        rows = filter(keep0, seed) if keep0 else seed
-        for n, rel in enumerate(rels):
-            if n:
-                pred, key_pos, full, key, keep = stages[n - 1]
-                rows = _member(rows, rel, key) if full else _probe(rows, store.index(pred, key_pos).get, key, keep)
+                rows = _probe(rows, store.index(pred, key_pos).get, key, keep)
             if counts is not None:
                 rows = list(rows)
                 counts.append(len(rows))

@@ -742,6 +742,25 @@ def test_a_closed_standard_output_is_an_error_not_a_traceback(tmp_path):
     assert err == "error: standard output closed\n"
 
 
+@pytest.mark.parametrize("argv", [["rules", "--stats"], ["query", "species.ofn", "--query-string", ZOO_QUERY]])
+def test_a_command_started_with_standard_output_closed_is_an_error(tmp_path, species_file, argv):
+    # `>&-` starts the interpreter with no descriptor 1, so `sys.stdout` is None.
+    cmd = ["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "metaql", *argv]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=_fresh_env(), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, b"error: standard output closed\n")
+
+
+def test_an_answer_standard_output_cannot_encode_is_an_error_not_a_traceback(tmp_path):
+    (tmp_path / "e.ofn").write_text("Prefix(:=<http://e#>)\nOntology(ClassAssertion(:A :\u00e9))\n", encoding="utf-8")
+    cmd = [sys.executable, "-m", "metaql", "query", "e.ofn", "--query-string", "SELECT ?x WHERE { ?x a <http://e#A> }"]
+    for encoding, answer in (("utf-8", "http://e#\u00e9\n".encode()), ("latin-1", b"http://e#\xe9\n")):
+        proc = subprocess.run(cmd, cwd=tmp_path, env=_fresh_env(PYTHONIOENCODING=encoding), capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"") and proc.stdout.startswith(answer)
+    proc = subprocess.run(cmd, cwd=tmp_path, env=_fresh_env(PYTHONIOENCODING="ascii"), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: standard output (ascii) cannot encode '\\xe9'\n"
+
+
 def test_an_undecodable_query_argument_is_an_error_not_a_traceback(species_file):
     # An argument's undecodable byte reaches the query as a lone surrogate,
     # which no IRI carries and strict UTF-8 cannot print.

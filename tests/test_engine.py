@@ -795,6 +795,30 @@ def test_fully_bound_steps_build_no_index():
     assert all(len(key) < arity.get(pred, len(key) + 1) for pred, key in store._indexes)
 
 
+def test_a_cross_product_reads_the_live_relation_and_keeps_no_index():
+    # ABOX-REFL, instr(P, X, X) :- refl(P), named(X), and the query both
+    # join a disconnected body.
+    from metaql import parse_query, to_conjunctive_query
+    from metaql.engine import _compile
+
+    text = "Prefix(:=<http://e#>)\nOntology(ReflexiveObjectProperty(:p) ClassAssertion(:A :a) ClassAssertion(:B :b))"
+    _, store, _ = saturate(text)
+    assert ("http://e#p", "http://e#a", "http://e#a") in store.relation("instr")
+    q = to_conjunctive_query(parse_query("SELECT ?x ?c WHERE { ?x a <http://e#A> . ?y a ?c }"))
+    answers = store_answers(store, q)
+    assert ("http://e#a", "http://e#B") in answers and answers == brute_force_answers(store, q)
+    assert all(key for _, key in store._indexes)
+    # compiled once, a chain's cross product reads the relation as it is
+    run, _ = _compile((Var("X"), Var("Y")), (atom("p", "X"), atom("r", "Y")), store)
+    store.assert_facts([fact("p", E[0]), fact("r", E[1])])
+    for y in (E[2], E[3]):
+        store.assert_facts([fact("r", y)])
+        out = set()
+        run(None, out)
+        assert (E[0], y) in out and (E[0], E[1]) in out
+    assert all(key for _, key in store._indexes)
+
+
 def test_insertion_order_does_not_change_the_model():
     from metaql import normalize_ontology, parse_ontology
     from metaql.synthetic import university_ontology
