@@ -10,9 +10,11 @@ One walk over a body plans it and compiles it to a join chain, for the
 fixpoint's rule tasks, the sink rules and queries alike.  Each step
 estimates the atoms with no variable or one shared with those placed
 (every atom left, when there is none) from the store's exact index
-buckets for their constants and bound columns, and takes the cheapest.
-It gives that atom's new variables the row columns of their first
-occurrence, where a row concatenates the tuples matched so far, so a
+buckets for their constants and bound columns, and takes the cheapest;
+an atom is re-estimated only when one of its variables is bound, so a
+long body needs one estimate per atom and variable bound, not one per
+atom and step.  It gives that atom's new variables
+row columns, where a row concatenates the columns matched so far, so a
 term's source is that column, an int, or, for a constant, its IRI
 string, the value the store's tuples hold; and it compiles the atom's
 stage of the chain, a left-deep sequence of set-at-a-time stages.  A
@@ -20,10 +22,15 @@ chain starts from a later round's delta, which its pinned first atom
 filters, or else from one empty row.  Every other atom extends each row
 with its key's bucket, the whole relation for an empty key, or, when the
 key covers every column, keeps the rows whose key is in the relation and
-builds no index.  The stages are generators that stream into the head,
-so no intermediate rows are held, and nothing runs when a relation of
-the body is empty.  `explain_conjunctive_query` runs the query's own
-chain once and counts the rows of each stage.
+builds no index.  A variable is dead when it occurs once in the body and
+not in the head, so nothing reads it: a stage with no key and some dead
+new variables reads the distinct values of its live columns off the keys
+of an index on them, when the store already holds one, and its row
+carries no dead column.  The stages are generators that stream into the
+head, so no intermediate rows are held, and nothing runs when a relation
+of the body is empty.  `explain_conjunctive_query` runs the query's own
+chain once and counts, for each stage, the distinct bindings of the
+variables still read, those placed less the dead ones.
 
 The fixpoint is computed semi-naive.  In the first round the delta is
 the whole store, so each rule joins once, planned like a query.  Every
@@ -216,7 +223,7 @@ class EvalStats:
 # atom with no variable or one shared with those placed (any atom left,
 # when there is none), so no cross product is built unless the body
 # itself is disconnected.  The same step gives the atom's new variables
-# the row columns of their first occurrence and compiles its join stage.
+# the row columns its stage adds for them and compiles that stage.
 
 
 def _estimate(a: Atom, bound: Container[str], store: FactStore) -> float:
@@ -242,65 +249,133 @@ def _matcher(pairs: Sequence[tuple[int, int | str]], width: int):
     return lambda t: lhs(t) == rhs(t)
 
 
-# The stages of a join chain.  Each is a generator made inside its own
-# function, so the names it reads are bound when it is made, not when the
-# chain is finally drained.  A chain with no delta starts from `_START`,
-# one empty row.
+# The stages of a join chain.  Each is made by its own function, which
+# binds the names its generators read when the stage is made, not when the
+# chain is finally drained, and looks up its relation or index at each run.
+# A chain with no delta starts from `_START`, one empty row.  A chain
+# longer than `_DRAIN` stages is drained into a list every `_DRAIN`
+# stages, so its generators never nest deeper than that.
 
 _START = ((),)
+_DRAIN = 256
 
 
-def _probe(rows, get, key, keep):
-    """Each row extended with every tuple of its key's bucket that `keep`
-    (when given) accepts; from `_START`, the bucket's own tuples."""
-    if rows is _START:
-        bucket = get(key(()), ())
-        return filter(keep, bucket) if keep else bucket
-    if keep is None:
-        return (r + u for r in rows for u in get(key(r), ()))
-    return (r + u for r in rows for u in get(key(r), ()) if keep(u))
+def _probe(store: FactStore, pred: str, key_pos: tuple[int, ...], key, keep):
+    """The stage extending each row with every tuple of its key's bucket
+    that `keep` (when given) accepts; from `_START`, the bucket's own
+    tuples."""
+
+    def stage(rows):
+        get = store.index(pred, key_pos).get
+        if rows is _START:
+            bucket = get(key(()), ())
+            return filter(keep, bucket) if keep else bucket
+        if keep is None:
+            return (r + u for r in rows for u in get(key(r), ()))
+        return (r + u for r in rows for u in get(key(r), ()) if keep(u))
+
+    return stage
 
 
-def _member(rows, rel, key):
-    """The rows whose key is a tuple of `rel`."""
-    return (r for r in rows if key(r) in rel)
+def _member(store: FactStore, pred: str, key):
+    """The stage keeping the rows whose key is a tuple of `pred`."""
+
+    def stage(rows):
+        rel = store.relation(pred)
+        return (r for r in rows if key(r) in rel)
+
+    return stage
 
 
-def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], store: FactStore, first: int | None = None):
+def _project(store: FactStore, pred: str, live: tuple[int, ...]):
+    """The stage extending each row with every distinct value of the
+    columns `live` of `pred`, the keys of its index on them."""
+    one = len(live) == 1
+
+    def stage(rows):
+        index = store.index(pred, live)
+        if rows is _START:
+            return zip(index) if one else index
+        if one:
+            return (r + (k,) for r in rows for k in index)
+        return (r + k for r in rows for k in index)
+
+    return stage
+
+
+def _uses(head_terms: Sequence[Var | str], body: Sequence[Atom]) -> tuple[dict[str, list[int]], set[str]]:
+    """Each variable of `body` with the atom of each of its occurrences, and
+    the dead variables: those that occur once in `body` and not in
+    `head_terms`, which nothing reads."""
+    occurs: dict[str, list[int]] = {}
+    for i, a in enumerate(body):
+        for t in a.args:
+            if isinstance(t, Var):
+                occurs.setdefault(t.name, []).append(i)
+    dead = {name for name, at in occurs.items() if len(at) == 1} - {t.name for t in head_terms if isinstance(t, Var)}
+    return occurs, dead
+
+
+def _compile(
+    head_terms: Sequence[Var | str],
+    body: Sequence[Atom],
+    store: FactStore,
+    first: int | None = None,
+    uses: tuple[dict[str, list[int]], set[str]] | None = None,
+):
     """Plan `body` and compile it, in one walk, to one left-deep chain of
     set-at-a-time stages, `run(seed, out, counts=None)`, which adds the
     tuple of `head_terms` of every match to `out`.  Returns `run` and the
     plan, one (atom index, key columns, estimated rows per binding) per
     step; `first`, the delta atom of a fixpoint round, is pinned first.
-    The callers check the body's arities.
+    `uses` is `_uses(head_terms, body)`, for a caller that compiles one
+    rule several times.  The callers check the body's arities.
 
-    A row is the concatenation of the tuples it matched, and each variable
-    is read from the row column of its first occurrence, so no binding is
+    Each candidate's estimate is kept and redone only when one of its
+    variables is bound, so a connected body of n atoms needs one estimate
+    per atom and variable bound, and a scan of the kept estimates per step.
+
+    A row is the concatenation of the columns the stages added, and each
+    variable is read from the row column it was given, so no binding is
     kept.  The pinned atom filters `seed` (a fixpoint delta) on its
     constants and repeated variables, and its tuple starts the row; with
-    no seed, the row starts empty.  Every other atom is a stage: it extends
-    each row with its key's index bucket, or, when its key covers every
-    column, keeps the rows whose key is in the relation and adds no column.
+    no seed, the row starts empty.  Every other atom is a stage:
+    - when its key covers every column, it keeps the rows whose key is in
+      the relation and adds no column;
+    - when it has no key, no repeated variable and some dead new
+      variables, and the index on the columns of the live ones is already
+      in the store, it extends each row with each key of that index, the
+      distinct values of those columns, and the dead ones get no column;
+    - otherwise it extends each row with its key's index bucket, dead
+      columns too.
     The stages are generators, so no intermediate rows are held: the last
-    one streams through the head into `out`.  Nothing runs when a relation
-    of the body is empty, unless `counts` is given: then every stage runs,
-    its rows are held in a list and their number appended to `counts`.  A
-    row is fixed by the binding of its variables and no stage emits one
-    twice, so with no seed that is the number of distinct bindings of each
-    prefix of the plan.
+    one streams through the head into `out`, and a chain longer than
+    `_DRAIN` stages is drained into a list every `_DRAIN` stages.  Nothing
+    runs when a relation of the body is empty, unless `counts` is given:
+    then every stage runs, its rows are held in a list, and the number of
+    distinct bindings of its prefix's variables less the dead ones is
+    appended to `counts`.  No stage emits a row twice, so with no seed,
+    when the row carries no dead column, that is its number of rows.
     """
-    names = [{t.name for t in a.args if isinstance(t, Var)} for a in body]
-    remaining = list(range(len(body)))
-    col: dict[str, int] = {}  # variable -> row column of its first occurrence
+    occurs, dead = uses or _uses(head_terms, body)
+    left = set(range(len(body)))
+    # each candidate's estimate given the variables with a column, a
+    # candidate being an atom with no variable or one with a column (a dead
+    # variable may get none, but no other atom reads it)
+    cost = dict.fromkeys(left.difference(*occurs.values()), 1.0)
+    col: dict[str, int] = {}  # variable -> its row column
     width = 0
-    plan, stages, keep_seed = [], [], None
-    while remaining:
-        if plan or first is None:
-            candidates = [i for i in remaining if not names[i] or not names[i].isdisjoint(col)] or remaining
+    plan, stages, widths, keep_seed = [], [], [], None
+    while left:
+        if not plan and first is not None:
+            est, idx = _estimate(body[first], col, store), first
+        elif cost:
+            est, idx = min((c, i) for i, c in cost.items())
         else:
-            candidates = [first]
-        cost, idx = min((_estimate(body[i], col, store), i) for i in candidates)
-        remaining.remove(idx)
+            # the body is disconnected: any atom left will do
+            est, idx = min((_estimate(body[i], col, store), i) for i in left)
+        left.remove(idx)
+        cost.pop(idx, None)
         a = body[idx]
         arity = len(a.args)
         # key: (position, source) for constants (an IRI string) and
@@ -318,31 +393,44 @@ def _compile(head_terms: Sequence[Var | str], body: Sequence[Atom], store: FactS
             else:
                 new[t.name] = pos
         key_pos = tuple(pos for pos, _ in key)
-        full = len(key_pos) == arity
+        srcs = [src for _, src in key]
         if idx == first:
             keep_seed = _matcher(key + same, arity)
+        elif len(key_pos) == arity:
+            stages.append(_member(store, a.pred, _picker(srcs, width)))
+            arity = 0
+        elif (
+            not key
+            and not same
+            and not dead.isdisjoint(new)
+            and (a.pred, live := tuple(pos for name, pos in new.items() if name not in dead)) in store._indexes
+        ):
+            stages.append(_project(store, a.pred, live))
+            # the new variables' columns within what the stage adds to the row
+            new, arity = {name: live.index(pos) for name, pos in new.items() if pos in live}, len(live)
         else:
-            # a full key is a tuple of the relation, a probe key an index key
-            key_of = _picker([src for _, src in key], width, _columns if full else _key)
-            stages.append((a.pred, key_pos, full, key_of, _matcher(same, arity)))
-        if idx == first or not full:
-            col.update((name, width + pos) for name, pos in new.items())
-            width += arity
-        plan.append((idx, key_pos, cost))
+            stages.append(_probe(store, a.pred, key_pos, _picker(srcs, width, _key), _matcher(same, arity)))
+        col.update((name, width + pos) for name, pos in new.items())
+        width += arity
+        for i in {i for name in new for i in occurs[name] if i in left}:
+            cost[i] = _estimate(body[i], col, store)
+        if idx != first:
+            widths.append(width)
+        plan.append((idx, key_pos, est))
     head = _picker([t if isinstance(t, str) else col[t.name] for t in head_terms], width)
 
     def run(seed: Iterable[tuple[str, ...]] | None, out: set, counts: list[int] | None = None):
         if counts is None and not all(store.relations.get(a.pred) for a in body):
             return
         rows = _START if seed is None else filter(keep_seed, seed) if keep_seed else seed
-        for pred, key_pos, full, key, keep in stages:
-            if full:
-                rows = _member(rows, store.relation(pred), key)
-            else:
-                rows = _probe(rows, store.index(pred, key_pos).get, key, keep)
+        for n, (stage, end) in enumerate(zip(stages, widths), 1):
+            rows = stage(rows)
             if counts is not None:
                 rows = list(rows)
-                counts.append(len(rows))
+                view = _key([c for name, c in col.items() if c < end and name not in dead])
+                counts.append(len(set(map(view, rows))))
+            elif n % _DRAIN == 0:
+                rows = list(rows)
         out.update(map(head, rows))
 
     return run, plan
@@ -460,6 +548,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
     pivots = {
         id(r): s[0] for r in recursive if (s := _pivot(r)) and r.body[1 - s[0]].pred in closed.keys() - {r.head.pred}
     }
+    uses = {id(rule): _uses(rule.head.args, rule.body) for rule in recursive}
 
     def merge(new: dict[str, set[tuple[str, ...]]], mine=()) -> dict[str, list[tuple[str, ...]]]:
         # `new` (emptied as it goes) holds what the rules derived, `mine`
@@ -501,7 +590,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
             shared = new.setdefault(rule.head.pred, set())
             out = shared if pivot is None else set()
             if delta is None:
-                _compile(rule.head.args, rule.body, store)[0](None, out)
+                _compile(rule.head.args, rule.body, store, None, uses[id(rule)])[0](None, out)
             else:
                 for pos, a in enumerate(rule.body):
                     seed = trimmed[id(rule)] if pos == pivot else delta.get(a.pred)
@@ -509,7 +598,8 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
                         continue
                     task = tasks.get((id(rule), pos))
                     if task is None:
-                        task = tasks[(id(rule), pos)] = _compile(rule.head.args, rule.body, store, pos)[0]
+                        task = _compile(rule.head.args, rule.body, store, pos, uses[id(rule)])[0]
+                        tasks[(id(rule), pos)] = task
                     task(seed, out)
             if pivot is not None:
                 mine.append((rule, out - store.relation(rule.head.pred)))
@@ -562,17 +652,21 @@ class PlanStep:
 
     atom: Atom
     key: tuple[int, ...]  # the columns looked up by value
-    estimated: float  # bindings expected after this step
-    actual: int  # bindings found after this step
+    estimated: float  # bindings expected after this step, dead variables' too
+    actual: int  # bindings found after this step of the variables still read
 
 
 def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[PlanStep]:
     """The join order chosen for `q`, with estimated against actual rows.
 
     The estimate after a step is the product of the planner's per-binding
-    estimates so far.  Actual rows are the distinct bindings of each prefix
-    of the plan, counted from one run of the query's own compiled chain;
-    answering itself keeps no counters.
+    estimates so far, over every variable placed.  Actual rows are the
+    distinct bindings of each prefix of the plan, projected onto the
+    variables still read (the prefix's variables less the dead ones, which
+    occur once in the body and not in the head), counted from one run of
+    the query's own compiled chain; answering itself keeps no counters.
+    So on a step with a dead variable, the estimate counts its values and
+    the actual rows do not.
     """
     _check_query(store, q)
     run, plan = _compile(q.answer_vars, q.body, store)

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from metaql import (
     explain_conjunctive_query,
     translate_ontology,
 )
-from metaql.engine import _close, _pivot, _transitive
+from metaql.engine import _close, _compile, _estimate, _pivot, _transitive
 from metaql.errors import ArityMismatch, UnknownPredicate
 
 E = [f"http://t#e{i}" for i in range(60)]
@@ -708,25 +709,160 @@ def test_query_answers_match_brute_force_enumeration(max_atoms):
 
 def test_explain_rows_match_brute_force_per_prefix():
     # Each step's actual rows are the distinct bindings of the plan's prefix
-    # up to it, which brute force counts independently of the join chain.
+    # up to it, projected onto the variables the chain keeps reading: the
+    # prefix's variables less the dead ones.  Brute force counts them
+    # independently of the join chain.  Each drawn query is also asked for
+    # its first answer variable alone, which leaves more variables dead.
     rng = random.Random(4242)
-    checked = 0
+    checked = projected = 0
     for _ in range(40):
         o = random_ontology(rng, max_tbox=6, max_abox=12)
         store = FactStore()
         store.assert_facts(translate_ontology(o).facts)
         evaluate_fixpoint(store, builtin_rules())
         for _ in range(2):
-            q = random_query(rng, o, 5)
-            report = explain_conjunctive_query(store, q)
-            atoms = [step.atom for step in report]
-            assert sorted(atoms, key=str) == sorted(q.body, key=str)
-            for n, step in enumerate(report, start=1):
-                variables = tuple(dict.fromkeys(t for a in atoms[:n] for t in a.args if isinstance(t, Var)))
-                prefix = ConjunctiveQuery(variables, tuple(atoms[:n]))
-                assert step.actual == len(brute_force_answers(store, prefix))
-                checked += 1
-    assert checked > 50
+            drawn = random_query(rng, o, 5)
+            for q in dict.fromkeys((drawn, ConjunctiveQuery(drawn.answer_vars[:1], drawn.body))):
+                # the variables that occur once in the body and not in the head
+                uses = Counter(t for a in q.body for t in a.args if isinstance(t, Var))
+                dead = {v for v, n in uses.items() if n == 1} - set(q.answer_vars)
+                report = explain_conjunctive_query(store, q)
+                atoms = [step.atom for step in report]
+                assert sorted(atoms, key=str) == sorted(q.body, key=str)
+                for n, step in enumerate(report, start=1):
+                    variables = tuple(dict.fromkeys(t for a in atoms[:n] for t in a.args if isinstance(t, Var)))
+                    live = tuple(v for v in variables if v not in dead)
+                    rows = len(brute_force_answers(store, ConjunctiveQuery(live, tuple(atoms[:n]))))
+                    assert step.actual == rows
+                    checked += 1
+                    # a step where a dead variable has several values per binding
+                    projected += rows != len(brute_force_answers(store, ConjunctiveQuery(variables, tuple(atoms[:n]))))
+    assert checked > 50 and projected > 0
+
+
+def _rescan_plan(body, store, first=None):
+    """The plan's (atom, estimate) steps when every step re-estimates every
+    candidate: the atoms with no variable or one already bound, every atom
+    left when there is none, or the pinned `first`."""
+    names = [{t.name for t in a.args if isinstance(t, Var)} for a in body]
+    remaining, bound, plan = list(range(len(body))), set(), []
+    while remaining:
+        if plan or first is None:
+            candidates = [i for i in remaining if not names[i] or not names[i].isdisjoint(bound)] or remaining
+        else:
+            candidates = [first]
+        cost, idx = min((_estimate(body[i], bound, store), i) for i in candidates)
+        remaining.remove(idx)
+        bound |= names[idx]
+        plan.append((idx, cost))
+    return plan
+
+
+def test_the_plan_is_the_one_a_full_rescan_picks():
+    # The planner keeps each atom's estimate and redoes it only when one of
+    # its variables is bound; every step still takes the cheapest candidate.
+    rng = random.Random(5151)
+    for _ in range(30):
+        o = random_ontology(rng, max_tbox=6, max_abox=12)
+        store = FactStore()
+        store.assert_facts(translate_ontology(o).facts)
+        evaluate_fixpoint(store, builtin_rules())
+        for _ in range(3):
+            q = random_query(rng, o, 6)
+            for first in (None, *range(len(q.body))):
+                _, plan = _compile(q.answer_vars, q.body, store, first)
+                assert [(i, cost) for i, _, cost in plan] == _rescan_plan(q.body, store, first)
+
+
+def test_a_meta_query_reads_the_keys_of_an_index_it_finds_and_builds_none():
+    # `?x a ?c` selecting `?c`: `?x` is dead, so with `instc(0,)` in the
+    # store the step reads its keys, one row per class; without it, every
+    # tuple, and no index is built.  Either way `--explain` counts the
+    # distinct classes.
+    from metaql import parse_query, to_conjunctive_query
+
+    store = FactStore()
+    store.assert_facts([fact("instc", E[c], E[10 + x]) for c in range(3) for x in range(c, 6)])
+    q = to_conjunctive_query(parse_query("SELECT ?c WHERE { ?x a ?c }"))
+    assert store_answers(store, q) == brute_force_answers(store, q) == [(E[0],), (E[1],), (E[2],)]
+    assert [step.actual for step in explain_conjunctive_query(store, q)] == [3]
+    assert not store._indexes
+    store.index("instc", (0,))
+    indexes = set(store._indexes)
+    assert store_answers(store, q) == brute_force_answers(store, q)
+    assert [step.actual for step in explain_conjunctive_query(store, q)] == [3]
+    assert set(store._indexes) == indexes
+
+
+def test_two_projected_steps_each_read_their_own_index():
+    # Two steps with no key, each with a dead variable and its index in the
+    # store: each stage reads its own index however late the chain runs.
+    from metaql import parse_query, to_conjunctive_query
+
+    _, store, _ = saturate(
+        "Prefix(:=<http://e#>)\nOntology(ClassAssertion(:A :a) ClassAssertion(:B :b) "
+        "ObjectPropertyAssertion(:p :a :b) ObjectPropertyAssertion(:q :b :b) ObjectPropertyAssertion(:r :a :a))"
+    )
+    store.index("instc", (0,))
+    store.index("instr", (0,))
+    q = to_conjunctive_query(parse_query("SELECT ?c ?p WHERE { ?x a ?c . ?u ?p ?v }"))
+    classes = {c for c, _ in store.relation("instc")}
+    props = {p for p, _, _ in store.relation("instr")}
+    answers = store_answers(store, q)
+    assert answers == brute_force_answers(store, q) == sorted((c, p) for c in classes for p in props)
+    assert len(classes) > 1 and len(props) > 1
+    counts = sorted(step.actual for step in explain_conjunctive_query(store, q))
+    assert counts in ([len(classes), len(answers)], [len(props), len(answers)])
+
+
+def test_a_keyed_step_whose_new_variables_are_all_dead_counts_the_bindings_still_read():
+    # `?x :p ?y` selecting `?x`: once `?x` is bound, the step probes
+    # `instr(0, 1)` and its rows carry `?y`, but `--explain` counts the
+    # bindings of `?x` alone, one per `?x`, not one per `?y`.
+    from metaql import parse_query, to_conjunctive_query
+
+    text = "".join(f" ClassAssertion(:A :a{i})" for i in range(5)) + "".join(
+        f" ObjectPropertyAssertion(:p :a{i} :b{j})" for i in range(2) for j in range(3)
+    )
+    _, store, _ = saturate(f"Prefix(:=<http://e#>)\nOntology({text})")
+    q = to_conjunctive_query(parse_query("SELECT ?x WHERE { ?x a <http://e#A> . ?x <http://e#p> ?y }"))
+    assert store_answers(store, q) == brute_force_answers(store, q) == [("http://e#a0",), ("http://e#a1",)]
+    report = explain_conjunctive_query(store, q)
+    assert [(step.atom, step.key, step.actual) for step in report] == [(q.body[0], (0,), 5), (q.body[1], (0, 1), 2)]
+
+
+def _long_query(n, select):
+    """The ontology `A(a)`, `p<i>(a, b<i>)` for i < n, and the query of `?x a :A`
+    and every `?x :p<i> ?y<i>`."""
+    from metaql import parse_query, to_conjunctive_query
+
+    axioms = " ".join(f"ObjectPropertyAssertion(:p{i} :a :b{i})" for i in range(n))
+    _, store, _ = saturate(f"Prefix(:=<http://e#>)\nOntology(ClassAssertion(:A :a) {axioms})")
+    patterns = " . ".join(f"?x <http://e#p{i}> ?y{i}" for i in range(n))
+    return store, to_conjunctive_query(parse_query(f"SELECT {select} WHERE {{ ?x a <http://e#A> . {patterns} }}"))
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+@pytest.mark.parametrize("select", ["?x", "*"])
+def test_a_long_query_answers_without_nesting_every_stage(n, select):
+    # Brute force cannot enumerate n variables; the one match is known:
+    # `?x` is `a` and each `?y<i>` is `b<i>`.
+    store, q = _long_query(n, select)
+    row = ("http://e#a",) if select == "?x" else ("http://e#a", *(f"http://e#b{i}" for i in range(n)))
+    assert store_answers(store, q) == [row]
+
+
+def test_planning_a_long_body_estimates_each_atom_a_bounded_number_of_times(monkeypatch):
+    # 2,001 atoms: each is estimated when it is found and again when one of
+    # its variables is bound, not once per step.
+    from metaql import engine
+
+    store, q = _long_query(2000, "?x")
+    calls = []
+    monkeypatch.setattr(engine, "_estimate", lambda *args: calls.append(1) or _estimate(*args))
+    _, plan = _compile(q.answer_vars, q.body, store)
+    assert plan[0][0] == 0 and len(plan) == 2001
+    assert len(calls) < 3 * len(q.body)
 
 
 def test_a_constant_absent_from_the_model_matches_nothing():
@@ -799,8 +935,6 @@ def test_a_cross_product_reads_the_live_relation_and_keeps_no_index():
     # ABOX-REFL, instr(P, X, X) :- refl(P), named(X), and the query both
     # join a disconnected body.
     from metaql import parse_query, to_conjunctive_query
-    from metaql.engine import _compile
-
     text = "Prefix(:=<http://e#>)\nOntology(ReflexiveObjectProperty(:p) ClassAssertion(:A :a) ClassAssertion(:B :b))"
     _, store, _ = saturate(text)
     assert ("http://e#p", "http://e#a", "http://e#a") in store.relation("instr")
