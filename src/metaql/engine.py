@@ -22,7 +22,13 @@ chain starts from a later round's delta, which its pinned first atom
 filters, or else from one empty row.  Every other atom extends each row
 with its key's bucket, the whole relation for an empty key, or, when the
 key covers every column, keeps the rows whose key is in the relation and
-builds no index.  A variable is dead when it occurs once in the body and
+builds no index.  When such a key holds both constants and row columns,
+and the store already holds the index on the constants' positions, the
+stage keeps instead the rows whose columns are in a value set, the
+distinct values of those columns in the constants' bucket, which the
+store caches until the predicate grows; so `?s a tx:EndangeredSpecies`
+after a join is one string lookup per row, and no key tuple is built.
+A variable is dead when it occurs once in the body and
 not in the head, so nothing reads it: a stage with no key and some dead
 new variables reads the distinct values of its live columns off the keys
 of an index on them, when the store already holds one, and its row
@@ -125,12 +131,20 @@ def _picker(srcs: Sequence[int | str], width: int, columns=_columns) -> Callable
 
 
 class FactStore:
-    """Per-predicate indexed relations over tuples of IRI strings."""
+    """Per-predicate indexed relations over tuples of IRI strings.
+
+    Besides the indexes, which `add_tuples` keeps up to date, the store
+    caches value sets: the distinct values of some columns among the
+    tuples of one index bucket.  Each is built on first use, and
+    `add_tuples` drops all of a predicate's value sets at once whenever it
+    adds to that predicate."""
 
     def __init__(self):
         self.relations: dict[str, set[tuple[str, ...]]] = {}
         self._arity: dict[str, int] = {}
         self._indexes: dict[tuple[str, tuple[int, ...]], dict[object, list[tuple[str, ...]]]] = {}
+        # pred -> (key columns, key, value columns) -> value set
+        self._values: dict[str, dict[tuple, set]] = {}
 
     def _check_arity(self, pred: str, arity: int):
         expected = self._arity.get(pred, KNOWN_ARITY.get(pred))
@@ -146,6 +160,8 @@ class FactStore:
         indexes = [
             (_key(key_pos), index) for (p, key_pos), index in self._indexes.items() if p == pred
         ]
+        # dropped before the loop, so none goes stale even if it raises
+        self._values.pop(pred, None)
         for t in tuples:
             if len(t) != arity:
                 self._check_arity(pred, len(t))
@@ -184,6 +200,17 @@ class FactStore:
             for t in self.relations.get(pred, ()):
                 got.setdefault(key(t), []).append(t)
             self._indexes[(pred, key_pos)] = got
+        return got
+
+    def values(self, pred: str, key_pos: tuple[int, ...], key: object, cols: tuple[int, ...]) -> set:
+        """The distinct values of the columns `cols` (keyed as an index is:
+        the IRI string for one column, their tuple for more) among the
+        tuples of `pred` in the bucket `key` of its index on `key_pos`;
+        built on first use and cached until `add_tuples` adds to `pred`."""
+        cached = self._values.setdefault(pred, {})
+        got = cached.get((key_pos, key, cols))
+        if got is None:
+            got = cached[(key_pos, key, cols)] = set(map(_key(cols), self.index(pred, key_pos).get(key, ())))
         return got
 
     def size(self) -> int:
@@ -277,12 +304,33 @@ def _probe(store: FactStore, pred: str, key_pos: tuple[int, ...], key, keep):
     return stage
 
 
-def _member(store: FactStore, pred: str, key):
-    """The stage keeping the rows whose key is a tuple of `pred`."""
+def _member(store: FactStore, pred: str, key: Sequence[tuple[int, int | str]], width: int):
+    """The stage keeping the rows whose key, the (position, source) `key`
+    of every column, is a tuple of `pred`.  With constants and row columns
+    both in it, when the store already holds the index on the constants'
+    positions, the stage keeps the rows whose columns are in the value set
+    of the constants' bucket instead, and builds no tuple."""
+    consts, bound = [], []
+    for pair in key:
+        (consts if isinstance(pair[1], str) else bound).append(pair)
+    if consts and bound:
+        const_pos, names = zip(*consts)
+        if (pred, const_pos) in store._indexes:
+            bound_pos, cols = zip(*bound)
+            spec = (pred, const_pos, names[0] if len(names) == 1 else names, bound_pos)
+            pick = itemgetter(*cols)
+
+            def stage(rows):
+                values = store.values(*spec)
+                return (r for r in rows if pick(r) in values)
+
+            return stage
+
+    pick = _picker([src for _, src in key], width)
 
     def stage(rows):
         rel = store.relation(pred)
-        return (r for r in rows if key(r) in rel)
+        return (r for r in rows if pick(r) in rel)
 
     return stage
 
@@ -341,7 +389,10 @@ def _compile(
     constants and repeated variables, and its tuple starts the row; with
     no seed, the row starts empty.  Every other atom is a stage:
     - when its key covers every column, it keeps the rows whose key is in
-      the relation and adds no column;
+      the relation and adds no column; when that key holds constants and
+      row columns both, and the index on the constants' positions is
+      already in the store, it keeps the rows whose columns are in the
+      store's value set for the constants' bucket instead;
     - when it has no key, no repeated variable and some dead new
       variables, and the index on the columns of the live ones is already
       in the store, it extends each row with each key of that index, the
@@ -397,7 +448,7 @@ def _compile(
         if idx == first:
             keep_seed = _matcher(key + same, arity)
         elif len(key_pos) == arity:
-            stages.append(_member(store, a.pred, _picker(srcs, width)))
+            stages.append(_member(store, a.pred, key, width))
             arity = 0
         elif (
             not key

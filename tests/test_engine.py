@@ -953,6 +953,101 @@ def test_a_cross_product_reads_the_live_relation_and_keeps_no_index():
     assert all(key for _, key in store._indexes)
 
 
+def test_value_sets_are_cached_and_dropped_when_their_predicate_grows(monkeypatch):
+    # A membership step with constants reads a value set the store caches.
+    # Each query is answered twice on one store, the second time from the
+    # same sets; then every atom of the query, over drawn symbols, is
+    # asserted, so its constants' buckets grow, and the query is answered
+    # again.  Every answer is brute force's, the drawn row among the last.
+    values = FactStore.values
+    calls = []
+    monkeypatch.setattr(FactStore, "values", lambda self, *args: calls.append(args) or values(self, *args))
+    rng = random.Random(3434)
+    used = 0
+    for _ in range(40):
+        o = random_ontology(rng, max_tbox=6, max_abox=12)
+        store = FactStore()
+        store.assert_facts(translate_ontology(o).facts)
+        evaluate_fixpoint(store, builtin_rules())
+        symbols = sorted({s for rel in store.relations.values() for t in rel for s in t})
+        for _ in range(3):
+            q = random_query(rng, o, 5)
+            expected = brute_force_answers(store, q)
+            before = len(calls)
+            assert store_answers(store, q) == expected
+            used += len(calls) > before
+            built = {pred: dict(sets) for pred, sets in store._values.items()}
+            assert store_answers(store, q) == expected
+            assert all(store._values[pred][k] is s for pred, sets in built.items() for k, s in sets.items())
+            env = {t.name: rng.choice(symbols) for a in q.body for t in a.args if isinstance(t, Var)}
+            store.assert_facts((a.pred, tuple(env[t.name] if isinstance(t, Var) else t for t in a.args)) for a in q.body)
+            assert not any(pred in store._values for pred in {a.pred for a in q.body})
+            answers = store_answers(store, q)
+            assert answers == brute_force_answers(store, q)
+            assert tuple(env[v.name] for v in q.answer_vars) in answers
+    assert used >= 10
+
+
+def _membership_store():
+    """`A(a0)`, `A(a1)`, and seven `p` pairs, three of them to `b`: `A`'s
+    bucket is the smaller, so a query joins `?x a :A` first."""
+    e = "http://e#"
+    store = FactStore()
+    store.assert_facts(
+        [fact("instc", e + "A", e + x) for x in ("a0", "a1")]
+        + [fact("instr", e + "p", e + x, e + y) for x, y in (("a0", "a0"), ("a1", "a2"), ("a2", "a2"), ("a3", "a3"))]
+        + [fact("instr", e + "p", e + x, e + "b") for x in ("a0", "a2", "a4")]
+    )
+    return store
+
+
+@pytest.mark.parametrize(
+    "pattern, key",
+    [
+        # a bound variable repeated next to a constant
+        ("?x e:p ?x", ((0,), "http://e#p", (1, 2))),
+        # two constants and one bound column
+        ("?x e:p e:b", ((0, 2), ("http://e#p", "http://e#b"), (1,))),
+    ],
+)
+def test_a_membership_step_with_constants_reads_the_value_set_of_their_bucket(pattern, key):
+    from metaql import parse_query, to_conjunctive_query
+
+    store = _membership_store()
+    q = to_conjunctive_query(parse_query(f"PREFIX e: <http://e#>\nSELECT ?x WHERE {{ ?x a e:A . {pattern} }}"))
+    assert store_answers(store, q) == brute_force_answers(store, q) == [("http://e#a0",)]
+    assert list(store._values) == ["instr"] and list(store._values["instr"]) == [key]
+
+
+def test_a_membership_step_on_a_constant_with_no_bucket_keeps_no_row():
+    # The planner joins such an atom first, for its empty bucket; a pinned
+    # delta atom, as in a fixpoint round, puts it after the atom binding `?x`.
+    store = _membership_store()
+    store.index("instc", (0,))
+    body = (atom("instc", "C", "X"), Atom("instc", ("http://e#Z", Var("X"))))
+    q = ConjunctiveQuery((Var("X"),), body)
+    run, _ = _compile(q.answer_vars, body, store, 0)
+    out = set()
+    run(list(store.relation("instc")), out)
+    assert sorted(out) == brute_force_answers(store, q) == []
+    assert store._values == {"instc": {((0,), "http://e#Z", (1,)): set()}}
+
+
+def test_a_membership_step_whose_constants_have_no_index_tests_the_relation():
+    # Pinned first, `?x a ?c` binds the variable of `?x :p ?x`, so its
+    # constant is never estimated alone and the store has no index on it:
+    # the step tests each key in the relation and builds no index.
+    store = _membership_store()
+    body = (atom("instc", "C", "X"), Atom("instr", ("http://e#p", Var("X"), Var("X"))))
+    q = ConjunctiveQuery((Var("X"),), body)
+    keys = set(store._indexes)
+    run, _ = _compile(q.answer_vars, body, store, 0)
+    out = set()
+    run(list(store.relation("instc")), out)
+    assert sorted(out) == brute_force_answers(store, q) == [("http://e#a0",)]
+    assert set(store._indexes) == keys and not store._values
+
+
 def test_insertion_order_does_not_change_the_model():
     from metaql import normalize_ontology, parse_ontology
     from metaql.synthetic import university_ontology
