@@ -34,9 +34,21 @@ new variables reads the distinct values of its live columns off the keys
 of an index on them, when the store already holds one, and its row
 carries no dead column.  The stages are generators that stream into the
 head, so no intermediate rows are held, and nothing runs when a relation
-of the body is empty.  `explain_conjunctive_query` runs the query's own
-chain once and counts, for each stage, the distinct bindings of the
-variables still read, those placed less the dead ones.
+of the body is empty.
+
+A query's chain is compiled on its first answer and kept on the store,
+one per query value, until `add_tuples` next adds to the store; nothing
+else drops it.  A chain holds no store: it is given the store at each run
+and looks up its relations, indexes and value sets then, so a kept
+chain's answers are exact.  It must not hold the store either, since
+`evaluate_fixpoint` freezes the saturated store (below): a cycle from the
+store through a kept chain back to it would never be collected.  A
+query's chain collects its rows in the shape of the answer: a head of one
+variable emits the IRI string itself, not a 1-tuple, and when every
+variable with a row column is in the head, the rows are distinct
+already, so they go into a list, not a set.  `explain_conjunctive_query`
+runs the same kept chain once and counts, for each stage, the distinct
+bindings of the variables still read, those placed less the dead ones.
 
 The fixpoint is computed semi-naive.  In the first round the delta is
 the whole store, so each rule joins once, planned like a query.  Every
@@ -137,7 +149,11 @@ class FactStore:
     caches value sets: the distinct values of some columns among the
     tuples of one index bucket.  Each is built on first use, and
     `add_tuples` drops all of a predicate's value sets at once whenever it
-    adds to that predicate."""
+    adds to that predicate.  It also keeps each query's compiled chain,
+    one (run, plan) per `ConjunctiveQuery` value, which every `add_tuples`
+    call drops.  A chain holds no reference to the store, which it is
+    given at each run: `evaluate_fixpoint` freezes the store, so a cycle
+    through a kept chain would never be collected."""
 
     def __init__(self):
         self.relations: dict[str, set[tuple[str, ...]]] = {}
@@ -145,6 +161,8 @@ class FactStore:
         self._indexes: dict[tuple[str, tuple[int, ...]], dict[object, list[tuple[str, ...]]]] = {}
         # pred -> (key columns, key, value columns) -> value set
         self._values: dict[str, dict[tuple, set]] = {}
+        # query -> its compiled (run, plan)
+        self._chains: dict[ConjunctiveQuery, tuple[Callable, list]] = {}
 
     def _check_arity(self, pred: str, arity: int):
         expected = self._arity.get(pred, KNOWN_ARITY.get(pred))
@@ -162,6 +180,7 @@ class FactStore:
         ]
         # dropped before the loop, so none goes stale even if it raises
         self._values.pop(pred, None)
+        self._chains.clear()
         for t in tuples:
             if len(t) != arity:
                 self._check_arity(pred, len(t))
@@ -278,7 +297,8 @@ def _matcher(pairs: Sequence[tuple[int, int | str]], width: int):
 
 # The stages of a join chain.  Each is made by its own function, which
 # binds the names its generators read when the stage is made, not when the
-# chain is finally drained, and looks up its relation or index at each run.
+# chain is finally drained.  A stage is `stage(store, rows)`: it holds no
+# store, and looks up its relation, index or value set at each run.
 # A chain with no delta starts from `_START`, one empty row.  A chain
 # longer than `_DRAIN` stages is drained into a list every `_DRAIN`
 # stages, so its generators never nest deeper than that.
@@ -287,12 +307,12 @@ _START = ((),)
 _DRAIN = 256
 
 
-def _probe(store: FactStore, pred: str, key_pos: tuple[int, ...], key, keep):
+def _probe(pred: str, key_pos: tuple[int, ...], key, keep):
     """The stage extending each row with every tuple of its key's bucket
     that `keep` (when given) accepts; from `_START`, the bucket's own
     tuples."""
 
-    def stage(rows):
+    def stage(store, rows):
         get = store.index(pred, key_pos).get
         if rows is _START:
             bucket = get(key(()), ())
@@ -304,23 +324,24 @@ def _probe(store: FactStore, pred: str, key_pos: tuple[int, ...], key, keep):
     return stage
 
 
-def _member(store: FactStore, pred: str, key: Sequence[tuple[int, int | str]], width: int):
+def _member(pred: str, key: Sequence[tuple[int, int | str]], width: int, indexed: Container):
     """The stage keeping the rows whose key, the (position, source) `key`
     of every column, is a tuple of `pred`.  With constants and row columns
-    both in it, when the store already holds the index on the constants'
-    positions, the stage keeps the rows whose columns are in the value set
-    of the constants' bucket instead, and builds no tuple."""
+    both in it, when the index on the constants' positions is among
+    `indexed`, the (predicate, positions) of the store's indexes, the stage
+    keeps the rows whose columns are in the value set of the constants'
+    bucket instead, and builds no tuple."""
     consts, bound = [], []
     for pair in key:
         (consts if isinstance(pair[1], str) else bound).append(pair)
     if consts and bound:
         const_pos, names = zip(*consts)
-        if (pred, const_pos) in store._indexes:
+        if (pred, const_pos) in indexed:
             bound_pos, cols = zip(*bound)
             spec = (pred, const_pos, names[0] if len(names) == 1 else names, bound_pos)
             pick = itemgetter(*cols)
 
-            def stage(rows):
+            def stage(store, rows):
                 values = store.values(*spec)
                 return (r for r in rows if pick(r) in values)
 
@@ -328,19 +349,19 @@ def _member(store: FactStore, pred: str, key: Sequence[tuple[int, int | str]], w
 
     pick = _picker([src for _, src in key], width)
 
-    def stage(rows):
+    def stage(store, rows):
         rel = store.relation(pred)
         return (r for r in rows if pick(r) in rel)
 
     return stage
 
 
-def _project(store: FactStore, pred: str, live: tuple[int, ...]):
+def _project(pred: str, live: tuple[int, ...]):
     """The stage extending each row with every distinct value of the
     columns `live` of `pred`, the keys of its index on them."""
     one = len(live) == 1
 
-    def stage(rows):
+    def stage(store, rows):
         index = store.index(pred, live)
         if rows is _START:
             return zip(index) if one else index
@@ -370,14 +391,27 @@ def _compile(
     store: FactStore,
     first: int | None = None,
     uses: tuple[dict[str, list[int]], set[str]] | None = None,
+    query: bool = False,
 ):
     """Plan `body` and compile it, in one walk, to one left-deep chain of
-    set-at-a-time stages, `run(seed, out, counts=None)`, which adds the
-    tuple of `head_terms` of every match to `out`.  Returns `run` and the
-    plan, one (atom index, key columns, estimated rows per binding) per
-    step; `first`, the delta atom of a fixpoint round, is pinned first.
+    set-at-a-time stages, `run(store, seed, out=None, counts=None)`, which
+    adds the tuple of `head_terms` of every match to `out`.  Returns `run`
+    and the plan, one (atom index, key columns, estimated rows per binding)
+    per step; `first`, the delta atom of a fixpoint round, is pinned first.
     `uses` is `_uses(head_terms, body)`, for a caller that compiles one
     rule several times.  The callers check the body's arities.
+
+    The chain reads the store it is given at each run and holds none, so
+    a caller may keep it as long as the plan holds: queries keep theirs on
+    the store until it grows (`FactStore._chains`).  It must not hold the
+    store: `evaluate_fixpoint` freezes the saturated store, so a cycle from
+    the store through a kept chain back to it would never be collected.
+
+    A `query` chain emits its rows in the shape of the answer: a head of
+    one variable emits the IRI string itself, not a 1-tuple, and with no
+    `out`, `run` returns what the head emits in a new list when every
+    variable with a row column is in the head, which makes the rows
+    distinct already, and in a new set otherwise.
 
     Each candidate's estimate is kept and redone only when one of its
     variables is bound, so a connected body of n atoms needs one estimate
@@ -448,7 +482,7 @@ def _compile(
         if idx == first:
             keep_seed = _matcher(key + same, arity)
         elif len(key_pos) == arity:
-            stages.append(_member(store, a.pred, key, width))
+            stages.append(_member(a.pred, key, width, store._indexes))
             arity = 0
         elif (
             not key
@@ -456,11 +490,11 @@ def _compile(
             and not dead.isdisjoint(new)
             and (a.pred, live := tuple(pos for name, pos in new.items() if name not in dead)) in store._indexes
         ):
-            stages.append(_project(store, a.pred, live))
+            stages.append(_project(a.pred, live))
             # the new variables' columns within what the stage adds to the row
             new, arity = {name: live.index(pos) for name, pos in new.items() if pos in live}, len(live)
         else:
-            stages.append(_probe(store, a.pred, key_pos, _picker(srcs, width, _key), _matcher(same, arity)))
+            stages.append(_probe(a.pred, key_pos, _picker(srcs, width, _key), _matcher(same, arity)))
         col.update((name, width + pos) for name, pos in new.items())
         width += arity
         for i in {i for name in new for i in occurs[name] if i in left}:
@@ -468,20 +502,26 @@ def _compile(
         if idx != first:
             widths.append(width)
         plan.append((idx, key_pos, est))
-    head = _picker([t if isinstance(t, str) else col[t.name] for t in head_terms], width)
+    srcs = [t if isinstance(t, str) else col[t.name] for t in head_terms]
+    head = _picker(srcs, width, _key if query and len(srcs) == 1 else _columns)
+    collect = list if query and col.keys() <= {t.name for t in head_terms if isinstance(t, Var)} else set
 
-    def run(seed: Iterable[tuple[str, ...]] | None, out: set, counts: list[int] | None = None):
+    def run(
+        store: FactStore, seed: Iterable[tuple[str, ...]] | None, out: set | None = None, counts: list[int] | None = None
+    ):
         if counts is None and not all(store.relations.get(a.pred) for a in body):
-            return
+            return collect() if out is None else None
         rows = _START if seed is None else filter(keep_seed, seed) if keep_seed else seed
         for n, (stage, end) in enumerate(zip(stages, widths), 1):
-            rows = stage(rows)
+            rows = stage(store, rows)
             if counts is not None:
                 rows = list(rows)
                 view = _key([c for name, c in col.items() if c < end and name not in dead])
                 counts.append(len(set(map(view, rows))))
             elif n % _DRAIN == 0:
                 rows = list(rows)
+        if out is None:
+            return collect(map(head, rows))
         out.update(map(head, rows))
 
     return run, plan
@@ -641,7 +681,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
             shared = new.setdefault(rule.head.pred, set())
             out = shared if pivot is None else set()
             if delta is None:
-                _compile(rule.head.args, rule.body, store, None, uses[id(rule)])[0](None, out)
+                _compile(rule.head.args, rule.body, store, None, uses[id(rule)])[0](store, None, out)
             else:
                 for pos, a in enumerate(rule.body):
                     seed = trimmed[id(rule)] if pos == pivot else delta.get(a.pred)
@@ -651,7 +691,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
                     if task is None:
                         task = _compile(rule.head.args, rule.body, store, pos, uses[id(rule)])[0]
                         tasks[(id(rule), pos)] = task
-                    task(seed, out)
+                    task(store, seed, out)
             if pivot is not None:
                 mine.append((rule, out - store.relation(rule.head.pred)))
         delta = merge(new, mine)
@@ -665,7 +705,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
 
     new = {}
     for rule in sinks:
-        _compile(rule.head.args, rule.body, store)[0](None, new.setdefault(rule.head.pred, set()))
+        _compile(rule.head.args, rule.body, store)[0](store, None, new.setdefault(rule.head.pred, set()))
     merge(new)
 
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -686,15 +726,28 @@ def _check_query(store: FactStore, q: ConjunctiveQuery):
         store._check_arity(a.pred, len(a.args))
 
 
+def _chain(store: FactStore, q: ConjunctiveQuery):
+    """Compile `q` and keep its (run, plan) on `store` until it grows."""
+    chain = store._chains[q] = _compile(q.answer_vars, q.body, store, query=True)
+    return chain
+
+
 def answer_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str, ...]]:
     """Distinct answer bindings, sorted lexicographically by IRI.  A query
-    over an empty relation is answered before it is planned."""
-    _check_query(store, q)
-    if not all(store.relations.get(a.pred) for a in q.body):
-        return []
-    out: set[tuple[str, ...]] = set()
-    _compile(q.answer_vars, q.body, store)[0](None, out)
-    return sorted(out)
+    over an empty relation is answered before it is planned.  Otherwise
+    its chain is compiled on the first call and kept on the store until
+    `add_tuples` next adds to it.  The chain holds no reference to the
+    store, which `evaluate_fixpoint` froze, so it makes no cycle the
+    collector would never free; it looks up the store's relations, indexes
+    and value sets at each run, so its answers are exact."""
+    chain = store._chains.get(q)
+    if chain is None:
+        _check_query(store, q)
+        if not all(store.relations.get(a.pred) for a in q.body):
+            return []
+        chain = _chain(store, q)
+    rows = chain[0](store, None)
+    return list(zip(sorted(rows))) if len(q.answer_vars) == 1 else sorted(rows)
 
 
 @dataclass(frozen=True)
@@ -715,13 +768,17 @@ def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[Pla
     distinct bindings of each prefix of the plan, projected onto the
     variables still read (the prefix's variables less the dead ones, which
     occur once in the body and not in the head), counted from one run of
-    the query's own compiled chain; answering itself keeps no counters.
+    the chain that answers the query, the one kept on the store (compiled
+    and kept here if there is none); answering itself keeps no counters.
     So on a step with a dead variable, the estimate counts its values and
     the actual rows do not.
     """
-    _check_query(store, q)
-    run, plan = _compile(q.answer_vars, q.body, store)
+    chain = store._chains.get(q)
+    if chain is None:
+        _check_query(store, q)
+        chain = _chain(store, q)
+    run, plan = chain
     counts: list[int] = []
-    run(None, set(), counts)
+    run(store, None, None, counts)
     estimates = accumulate((cost for _, _, cost in plan), mul)
     return [PlanStep(q.body[i], key, est, n) for (i, key, _), est, n in zip(plan, estimates, counts)]

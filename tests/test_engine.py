@@ -948,7 +948,7 @@ def test_a_cross_product_reads_the_live_relation_and_keeps_no_index():
     for y in (E[2], E[3]):
         store.assert_facts([fact("r", y)])
         out = set()
-        run(None, out)
+        run(store, None, out)
         assert (E[0], y) in out and (E[0], E[1]) in out
     assert all(key for _, key in store._indexes)
 
@@ -986,6 +986,108 @@ def test_value_sets_are_cached_and_dropped_when_their_predicate_grows(monkeypatc
             assert answers == brute_force_answers(store, q)
             assert tuple(env[v.name] for v in q.answer_vars) in answers
     assert used >= 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_kept_chain_answers_without_compiling_until_the_store_grows(seed):
+    # A query's chain is kept on the store per query value: answering it
+    # again, from an equal query, or explaining it compiles nothing, and a
+    # kept plan explains as a fresh one does.  Then every atom of the
+    # query, over drawn symbols, is asserted; the store drops its chains,
+    # and the next answer has the drawn row among them.
+    from metaql import engine
+
+    rng = random.Random(seed)
+    o = random_ontology(rng, max_tbox=6, max_abox=12)
+    store = FactStore()
+    store.assert_facts(translate_ontology(o).facts)
+    evaluate_fixpoint(store, builtin_rules())
+    # the ontology may have no symbol
+    symbols = sorted({s for rel in store.relations.values() for t in rel for s in t} | {E[0]})
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_compile", lambda *args, **kwargs: calls.append(args) or _compile(*args, **kwargs))
+        for _ in range(3):
+            q = random_query(rng, o, 5)
+            expected = brute_force_answers(store, q)
+            assert store_answers(store, q) == expected
+            before = len(calls)
+            assert store_answers(store, ConjunctiveQuery(q.answer_vars, q.body)) == expected
+            assert len(calls) == before
+            # a query over an empty relation is answered before it is compiled
+            kept = q in store._chains
+            assert kept == all(store.relations.get(a.pred) for a in q.body)
+            report = explain_conjunctive_query(store, q)
+            assert len(calls) == before + (not kept) and q in store._chains
+            store._chains.clear()
+            assert explain_conjunctive_query(store, q) == report
+            env = {t.name: rng.choice(symbols) for a in q.body for t in a.args if isinstance(t, Var)}
+            store.assert_facts((a.pred, tuple(env[t.name] if isinstance(t, Var) else t for t in a.args)) for a in q.body)
+            assert not store._chains
+            answers = store_answers(store, q)
+            assert answers == brute_force_answers(store, q)
+            assert tuple(env[v.name] for v in q.answer_vars) in answers
+
+
+def test_a_store_that_answered_a_query_is_freed_once_dropped():
+    # The fixpoint freezes the store, so a chain kept on it that held the
+    # store would make a cycle the collector never frees.
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        _, store, _ = saturate(EXAMPLE_SPECIES)
+        es = SPECIES + "EndangeredSpecies"
+        q = ConjunctiveQuery((Var("X"),), (Atom("instc", (es, Var("X"))), Atom("instc", (Var("X"), Var("Y")))))
+        assert store_answers(store, q) == brute_force_answers(store, q) == [(SPECIES + "GoldenEagle",)]
+        explain_conjunctive_query(store, q)
+        assert q in store._chains
+        alive = weakref.ref(store)
+        del store
+        gc.collect()
+        assert alive() is None
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def _shapes_store(indexed):
+    """`A(a0)`, `A(a1)`, `B(a1)` and `p(a0, b0)`, `p(a0, b1)`, `q(a0, b0)`,
+    `q(a2, b2)`, with the indexes `indexed` built."""
+    store = FactStore()
+    store.assert_facts(
+        [fact("instc", E[c], E[x]) for c, x in ((10, 0), (10, 1), (11, 1))]
+        + [fact("instr", E[p], E[x], E[y]) for p, x, y in ((20, 0, 30), (20, 0, 31), (21, 0, 30), (21, 2, 32))]
+    )
+    for pred, key_pos in indexed:
+        store.index(pred, key_pos)
+    return store
+
+
+@pytest.mark.parametrize(
+    "text, rows, listed",
+    [
+        # two properties from `e0`: its rows collapse to one answer
+        ("SELECT ?x WHERE { ?x ?p ?y }", [(E[0],), (E[2],)], (False, True)),
+        ("SELECT ?x ?x WHERE { ?x a <http://t#e10> }", [(E[0], E[0]), (E[1], E[1])], (True, True)),
+        ("SELECT ?x WHERE { ?x a <http://t#e10> }", [(E[0],), (E[1],)], (True, True)),
+        ("SELECT ?x WHERE { ?x a <http://t#e10> . ?x <http://t#e20> ?y }", [(E[0],)], (False, False)),
+        ("SELECT ?y WHERE { ?x a ?y }", [(E[10],), (E[11],)], (False, True)),
+    ],
+)
+@pytest.mark.parametrize("indexed", [False, True])
+def test_answers_are_collected_in_the_shape_of_the_answer(text, rows, listed, indexed):
+    # A one-variable head emits the IRI string, and rows whose every
+    # column is an answer variable go into a list, since they are
+    # distinct already; other rows go into a set.  With the indexes that
+    # `_project` reads, `?x ?p ?y` and `?x a ?y` carry no dead column.
+    from metaql import parse_query, to_conjunctive_query
+
+    store = _shapes_store([("instc", (0,)), ("instr", (1,))] if indexed else [])
+    q = to_conjunctive_query(parse_query(text))
+    assert store_answers(store, q) == brute_force_answers(store, q) == rows
+    got = store._chains[q][0](store, None)
+    assert type(got) is (list if listed[indexed] else set)
+    assert all(isinstance(r, str) for r in got) is (len(q.answer_vars) == 1)
 
 
 def _membership_store():
@@ -1028,7 +1130,7 @@ def test_a_membership_step_on_a_constant_with_no_bucket_keeps_no_row():
     q = ConjunctiveQuery((Var("X"),), body)
     run, _ = _compile(q.answer_vars, body, store, 0)
     out = set()
-    run(list(store.relation("instc")), out)
+    run(store, list(store.relation("instc")), out)
     assert sorted(out) == brute_force_answers(store, q) == []
     assert store._values == {"instc": {((0,), "http://e#Z", (1,)): set()}}
 
@@ -1043,7 +1145,7 @@ def test_a_membership_step_whose_constants_have_no_index_tests_the_relation():
     keys = set(store._indexes)
     run, _ = _compile(q.answer_vars, body, store, 0)
     out = set()
-    run(list(store.relation("instc")), out)
+    run(store, list(store.relation("instc")), out)
     assert sorted(out) == brute_force_answers(store, q) == [("http://e#a0",)]
     assert set(store._indexes) == keys and not store._values
 
