@@ -23,18 +23,19 @@ filters, or else from one empty row.  Every other atom extends each row
 with its key's bucket, the whole relation for an empty key, or, when the
 key covers every column, keeps the rows whose key is in the relation and
 builds no index.  When such a key holds both constants and row columns,
-and the store already holds the index on the constants' positions, the
-stage keeps instead the rows whose columns are in a value set, the
+the stage keeps instead the rows whose columns are in a value set, the
 distinct values of those columns in the constants' bucket, which the
 store caches until the predicate grows; so `?s a tx:EndangeredSpecies`
 after a join is one string lookup per row, and no key tuple is built.
 A variable is dead when it occurs once in the body and
-not in the head, so nothing reads it: a stage with no key and some dead
-new variables reads the distinct values of its live columns off the keys
-of an index on them, when the store already holds one, and its row
-carries no dead column.  The stages are generators that stream into the
-head, so no intermediate rows are held, and nothing runs when a relation
-of the body is empty.
+not in the head, so nothing reads it: a stage with no key, no repeated
+variable and some dead new variables reads the value set of its live
+columns, the distinct values the store holds there (the keys of an index
+on them, when it holds one), and its row carries no dead column.  So a
+plan depends on the body and the estimates alone, not on which indexes
+the store happened to build first.  The stages are generators that
+stream into the head, so no intermediate rows are held, and nothing runs
+when a relation of the body is empty.
 
 A query's chain is compiled on its first answer and kept on the store,
 one per query value, until `add_tuples` next adds to the store; nothing
@@ -54,8 +55,9 @@ The fixpoint is computed semi-naive.  In the first round the delta is
 the whole store, so each rule joins once, planned like a query.  Every
 later round joins each rule against the previous round's delta in each
 body position, with the delta atom pinned first, so nothing is rederived
-from scratch.  A delta is the list of the distinct tuples its round
-added, not a second hash set beside the store's.  Rules whose head no
+from scratch.  A delta is the list of the tuples its round added, as
+`add_tuples` returns them, not a second hash set beside the store's: the
+store alone decides which derived tuples are new.  Rules whose head no
 body reads (the consistency rules) cannot feed the fixpoint; they run
 once after it, planned like queries.
 
@@ -99,8 +101,9 @@ from __future__ import annotations
 
 import gc
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, filterfalse, repeat
+from itertools import accumulate, repeat
 from operator import itemgetter, mul
 from typing import Callable, Collection, Container, Iterable, Sequence
 
@@ -145,15 +148,16 @@ def _picker(srcs: Sequence[int | str], width: int, columns=_columns) -> Callable
 class FactStore:
     """Per-predicate indexed relations over tuples of IRI strings.
 
-    Besides the indexes, which `add_tuples` keeps up to date, the store
+    The store alone decides which tuples are new: `add_tuples` returns
+    them.  Besides the indexes, which `add_tuples` keeps up to date, it
     caches value sets: the distinct values of some columns among the
-    tuples of one index bucket.  Each is built on first use, and
-    `add_tuples` drops all of a predicate's value sets at once whenever it
-    adds to that predicate.  It also keeps each query's compiled chain,
-    one (run, plan) per `ConjunctiveQuery` value, which every `add_tuples`
-    call drops.  A chain holds no reference to the store, which it is
-    given at each run: `evaluate_fixpoint` freezes the store, so a cycle
-    through a kept chain would never be collected."""
+    tuples of one index bucket, or of the whole relation.  Each is built
+    on first use, and `add_tuples` drops all of a predicate's value sets
+    at once whenever it adds to that predicate.  It also keeps each
+    query's compiled chain, one (run, plan) per `ConjunctiveQuery` value,
+    which every `add_tuples` call drops.  A chain holds no reference to
+    the store, which it is given at each run: `evaluate_fixpoint` freezes
+    the store, so a cycle through a kept chain would never be collected."""
 
     def __init__(self):
         self.relations: dict[str, set[tuple[str, ...]]] = {}
@@ -171,9 +175,11 @@ class FactStore:
         elif expected != arity:
             raise ArityMismatch(f"{pred} expects {expected} argument(s), got {arity}")
 
-    def add_tuples(self, pred: str, tuples: Iterable[tuple[str, ...]]) -> int:
+    def add_tuples(self, pred: str, tuples: Iterable[tuple[str, ...]]) -> list[tuple[str, ...]]:
+        """Add `tuples` to `pred`; returns the tuples it added, those not yet
+        in `pred`, each once and in input order."""
         rel = self.relations.setdefault(pred, set())
-        added = 0
+        added = []
         arity = self._arity.get(pred, KNOWN_ARITY.get(pred))
         indexes = [
             (_key(key_pos), index) for (p, key_pos), index in self._indexes.items() if p == pred
@@ -187,7 +193,7 @@ class FactStore:
                 arity = len(t)
             if t not in rel:
                 rel.add(t)
-                added += 1
+                added.append(t)
                 for key, index in indexes:
                     index.setdefault(key(t), []).append(t)
         return added
@@ -199,7 +205,7 @@ class FactStore:
         by_pred: dict[str, list[tuple[str, ...]]] = {}
         for pred, iris in facts:
             by_pred.setdefault(pred, []).append(iris)
-        return sum(self.add_tuples(pred, tuples) for pred, tuples in by_pred.items())
+        return sum(len(self.add_tuples(pred, tuples)) for pred, tuples in by_pred.items())
 
     def relation(self, pred: str) -> set[tuple[str, ...]]:
         return self.relations.get(pred, set())
@@ -221,11 +227,16 @@ class FactStore:
             self._indexes[(pred, key_pos)] = got
         return got
 
-    def values(self, pred: str, key_pos: tuple[int, ...], key: object, cols: tuple[int, ...]) -> set:
+    def values(self, pred: str, key_pos: tuple[int, ...], key: object, cols: tuple[int, ...]) -> Collection:
         """The distinct values of the columns `cols` (keyed as an index is:
         the IRI string for one column, their tuple for more) among the
-        tuples of `pred` in the bucket `key` of its index on `key_pos`;
-        built on first use and cached until `add_tuples` adds to `pred`."""
+        tuples of `pred` in the bucket `key` of its index on `key_pos`, or
+        in the whole relation for `key_pos` and `key` both `()`.  A keyless
+        request is served from the keys of the index on `cols` when the
+        store holds it; otherwise the set is built on first use and cached
+        until `add_tuples` adds to `pred`."""
+        if not key_pos and (pred, cols) in self._indexes:
+            return self._indexes[(pred, cols)].keys()
         cached = self._values.setdefault(pred, {})
         got = cached.get((key_pos, key, cols))
         if got is None:
@@ -247,7 +258,7 @@ class FactStore:
 @dataclass
 class EvalStats:
     rounds: int = 0
-    facts_derived: dict[str, int] = field(default_factory=dict)
+    facts_derived: Counter[str] = field(default_factory=Counter)
     wall_ms: float = 0.0
 
     def total_derived(self) -> int:
@@ -324,28 +335,24 @@ def _probe(pred: str, key_pos: tuple[int, ...], key, keep):
     return stage
 
 
-def _member(pred: str, key: Sequence[tuple[int, int | str]], width: int, indexed: Container):
+def _member(pred: str, key: Sequence[tuple[int, int | str]], width: int):
     """The stage keeping the rows whose key, the (position, source) `key`
     of every column, is a tuple of `pred`.  With constants and row columns
-    both in it, when the index on the constants' positions is among
-    `indexed`, the (predicate, positions) of the store's indexes, the stage
-    keeps the rows whose columns are in the value set of the constants'
-    bucket instead, and builds no tuple."""
+    both in it, the stage keeps the rows whose columns are in the value
+    set of the constants' bucket instead, and builds no tuple."""
     consts, bound = [], []
     for pair in key:
         (consts if isinstance(pair[1], str) else bound).append(pair)
     if consts and bound:
-        const_pos, names = zip(*consts)
-        if (pred, const_pos) in indexed:
-            bound_pos, cols = zip(*bound)
-            spec = (pred, const_pos, names[0] if len(names) == 1 else names, bound_pos)
-            pick = itemgetter(*cols)
+        (const_pos, names), (bound_pos, cols) = zip(*consts), zip(*bound)
+        spec = (pred, const_pos, names[0] if len(names) == 1 else names, bound_pos)
+        pick = itemgetter(*cols)
 
-            def stage(store, rows):
-                values = store.values(*spec)
-                return (r for r in rows if pick(r) in values)
+        def stage(store, rows):
+            values = store.values(*spec)
+            return (r for r in rows if pick(r) in values)
 
-            return stage
+        return stage
 
     pick = _picker([src for _, src in key], width)
 
@@ -358,16 +365,16 @@ def _member(pred: str, key: Sequence[tuple[int, int | str]], width: int, indexed
 
 def _project(pred: str, live: tuple[int, ...]):
     """The stage extending each row with every distinct value of the
-    columns `live` of `pred`, the keys of its index on them."""
+    columns `live` of `pred`, its value set on them."""
     one = len(live) == 1
 
     def stage(store, rows):
-        index = store.index(pred, live)
+        values = store.values(pred, (), (), live)
         if rows is _START:
-            return zip(index) if one else index
+            return zip(values) if one else values
         if one:
-            return (r + (k,) for r in rows for k in index)
-        return (r + k for r in rows for k in index)
+            return (r + (k,) for r in rows for k in values)
+        return (r + k for r in rows for k in values)
 
     return stage
 
@@ -424,13 +431,11 @@ def _compile(
     no seed, the row starts empty.  Every other atom is a stage:
     - when its key covers every column, it keeps the rows whose key is in
       the relation and adds no column; when that key holds constants and
-      row columns both, and the index on the constants' positions is
-      already in the store, it keeps the rows whose columns are in the
-      store's value set for the constants' bucket instead;
+      row columns both, it keeps the rows whose columns are in the store's
+      value set for the constants' bucket instead;
     - when it has no key, no repeated variable and some dead new
-      variables, and the index on the columns of the live ones is already
-      in the store, it extends each row with each key of that index, the
-      distinct values of those columns, and the dead ones get no column;
+      variables, it extends each row with each value in the store's value
+      set of the live ones' columns, and the dead ones get no column;
     - otherwise it extends each row with its key's index bucket, dead
       columns too.
     The stages are generators, so no intermediate rows are held: the last
@@ -482,14 +487,10 @@ def _compile(
         if idx == first:
             keep_seed = _matcher(key + same, arity)
         elif len(key_pos) == arity:
-            stages.append(_member(a.pred, key, width, store._indexes))
+            stages.append(_member(a.pred, key, width))
             arity = 0
-        elif (
-            not key
-            and not same
-            and not dead.isdisjoint(new)
-            and (a.pred, live := tuple(pos for name, pos in new.items() if name not in dead)) in store._indexes
-        ):
+        elif not key and not same and not dead.isdisjoint(new):
+            live = tuple(pos for name, pos in new.items() if name not in dead)
             stages.append(_project(a.pred, live))
             # the new variables' columns within what the stage adds to the row
             new, arity = {name: live.index(pos) for name, pos in new.items() if pos in live}, len(live)
@@ -574,9 +575,7 @@ def _close(store: FactStore, pred: str, succ: dict[str, list[str]], edges: Itera
         succ.setdefault(a, []).append(b)
         sources.add(a)
         sources.update(x for x, _ in before.get(a, ()))
-    known = store.relation(pred).__contains__
-    # the pairs of distinct sources are distinct
-    added: list[tuple[str, str]] = []
+    pairs: list[tuple[str, str]] = []
     for s in sources:
         seen: set[str] = set()
         stack = [s]
@@ -585,10 +584,8 @@ def _close(store: FactStore, pred: str, succ: dict[str, list[str]], edges: Itera
                 if n not in seen:
                     seen.add(n)
                     stack.append(n)
-        added.extend(filterfalse(known, zip(repeat(s), seen)))
-    if added:
-        store.add_tuples(pred, added)
-    return added
+        pairs.extend(zip(repeat(s), seen))
+    return store.add_tuples(pred, pairs) if pairs else []
 
 
 def evaluate_fixpoint(store: FactStore, catalogue: RuleCatalogue | Sequence[Rule]) -> EvalStats:
@@ -629,7 +626,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
         for a in rule.body:
             store._check_arity(a.pred, len(a.args))
         if not rule.body and store.add_tuples(rule.head.pred, [rule.head.args]):
-            stats.facts_derived[rule.head.pred] = stats.facts_derived.get(rule.head.pred, 0) + 1
+            stats.facts_derived[rule.head.pred] += 1
     read = {a.pred for rule in rules for a in rule.body}
     # pred -> generating edges of each relation kept transitively closed
     closed: dict[str, dict[str, list[str]]] = {rule.head.pred: {} for rule in rules if _transitive(rule)}
@@ -641,29 +638,27 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
     }
     uses = {id(rule): _uses(rule.head.args, rule.body) for rule in recursive}
 
-    def merge(new: dict[str, set[tuple[str, ...]]], mine=()) -> dict[str, list[tuple[str, ...]]]:
-        # `new` (emptied as it goes) holds what the rules derived, `mine`
-        # what each pivot rule derived that is not in the store; a delta
-        # is the list of the distinct tuples it adds
+    def merge(new: dict[str, set[tuple[str, ...]]]) -> dict[str, list[tuple[str, ...]]]:
+        # `new` (emptied as it goes) holds what the rules derived; a delta
+        # is the list of the tuples the store added
         delta = {}
         for pred in list(new):
             fresh = new.pop(pred)
-            fresh.update(*(own for rule, own in mine if rule.head.pred == pred))
-            fresh -= store.relation(pred)
-            if fresh:
-                if pred in closed:
+            if pred in closed:
+                fresh -= store.relation(pred)  # an edge `pred` holds adds nothing to `succ`
+                if fresh:
                     fresh = _close(store, pred, closed[pred], fresh)
-                else:
-                    store.add_tuples(pred, fresh)
-                    fresh = list(fresh)
+            elif fresh:
+                fresh = store.add_tuples(pred, fresh)
+            if fresh:
                 delta[pred] = fresh
-                stats.facts_derived[pred] = stats.facts_derived.get(pred, 0) + len(fresh)
+                stats.facts_derived[pred] += len(fresh)
         return delta
 
     for pred, succ in closed.items():
         added = _close(store, pred, succ, store.relation(pred))
         if added:
-            stats.facts_derived[pred] = stats.facts_derived.get(pred, 0) + len(added)
+            stats.facts_derived[pred] += len(added)
 
     # None: the first round, whose delta is the whole store
     delta: dict[str, list[tuple[str, ...]]] | None = None
@@ -675,7 +670,8 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
         # Every join of the round reads the store as it stood at the
         # round's start; what they derive is merged only afterwards.
         new: dict[str, set[tuple[str, ...]]] = {}
-        mine = []  # (pivot rule, what it derived that is not in the store)
+        # id(pivot rule) -> its head and what it derived that is not in the store
+        mine: dict[int, tuple[str, set[tuple[str, ...]]]] = {}
         for rule in recursive:
             pivot = pivots.get(id(rule))
             shared = new.setdefault(rule.head.pred, set())
@@ -693,14 +689,15 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
                         tasks[(id(rule), pos)] = task
                     task(store, seed, out)
             if pivot is not None:
-                mine.append((rule, out - store.relation(rule.head.pred)))
-        delta = merge(new, mine)
+                own = out - store.relation(rule.head.pred)
+                shared |= own
+                mine[id(rule)] = (rule.head.pred, own)
+        delta = merge(new)
         if not delta:
             break
         # what a pivot rule derived is in the store, so in its head's delta
         trimmed = {
-            id(rule): [t for t in delta[rule.head.pred] if t not in own] if own else delta.get(rule.head.pred)
-            for rule, own in mine
+            i: [t for t in delta[pred] if t not in own] if own else delta.get(pred) for i, (pred, own) in mine.items()
         }
 
     new = {}
@@ -727,8 +724,12 @@ def _check_query(store: FactStore, q: ConjunctiveQuery):
 
 
 def _chain(store: FactStore, q: ConjunctiveQuery):
-    """Compile `q` and keep its (run, plan) on `store` until it grows."""
-    chain = store._chains[q] = _compile(q.answer_vars, q.body, store, query=True)
+    """The (run, plan) kept on `store` for `q`; on a miss, check `q`,
+    compile it and keep it there until the store grows."""
+    chain = store._chains.get(q)
+    if chain is None:
+        _check_query(store, q)
+        chain = store._chains[q] = _compile(q.answer_vars, q.body, store, query=True)
     return chain
 
 
@@ -740,13 +741,10 @@ def answer_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[tupl
     store, which `evaluate_fixpoint` froze, so it makes no cycle the
     collector would never free; it looks up the store's relations, indexes
     and value sets at each run, so its answers are exact."""
-    chain = store._chains.get(q)
-    if chain is None:
+    if not all(store.relations.get(a.pred) for a in q.body):
         _check_query(store, q)
-        if not all(store.relations.get(a.pred) for a in q.body):
-            return []
-        chain = _chain(store, q)
-    rows = chain[0](store, None)
+        return []
+    rows = _chain(store, q)[0](store, None)
     return list(zip(sorted(rows))) if len(q.answer_vars) == 1 else sorted(rows)
 
 
@@ -773,11 +771,7 @@ def explain_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[Pla
     So on a step with a dead variable, the estimate counts its values and
     the actual rows do not.
     """
-    chain = store._chains.get(q)
-    if chain is None:
-        _check_query(store, q)
-        chain = _chain(store, q)
-    run, plan = chain
+    run, plan = _chain(store, q)
     counts: list[int] = []
     run(store, None, None, counts)
     estimates = accumulate((cost for _, _, cost in plan), mul)

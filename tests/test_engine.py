@@ -83,6 +83,17 @@ def test_arity_mismatch_on_dynamic_predicates():
         store.add_tuples("aux", [(1, 2, 3)])
 
 
+def test_add_tuples_returns_the_tuples_it_added_in_input_order():
+    # Duplicates within the call and tuples already in the relation are
+    # left out; `assert_facts` still counts.
+    store = FactStore()
+    assert store.add_tuples("p", [(E[3],), (E[1],)]) == [(E[3],), (E[1],)]
+    assert store.add_tuples("p", [(E[2],), (E[1],), (E[0],), (E[2],), (E[3],), (E[4],)]) == [(E[2],), (E[0],), (E[4],)]
+    assert store.add_tuples("p", [(E[0],)]) == []
+    assert store.relation("p") == {(E[i],) for i in range(5)}
+    assert store.assert_facts([fact("p", E[5]), fact("p", E[5]), fact("p", E[0])]) == 1
+
+
 def test_an_atom_is_not_a_fact():
     # Facts are (predicate, IRI tuple) pairs; an Atom, ground or not, fails.
     store = FactStore()
@@ -191,15 +202,16 @@ def _program_with_a_bodiless_fact(rng):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_derived_counts_are_the_growth_of_the_model(program, seed):
     # Every tuple a round adds is counted once, whichever rules derived it,
-    # and so is the fact of a rule with an empty body.
+    # and so is the fact of a rule with an empty body; a predicate that
+    # did not grow has no entry, so the counts equal a plain dict.
     facts, rules = program(random.Random(seed))
     store = FactStore()
     store.assert_facts(facts)
     before = {pred: len(rel) for pred, rel in store.relations.items()}
     size = store.size()
     stats = evaluate_fixpoint(store, rules)
-    for pred, rel in store.relations.items():
-        assert stats.facts_derived.get(pred, 0) == len(rel) - before.get(pred, 0), pred
+    growth = {pred: len(rel) - before.get(pred, 0) for pred, rel in store.relations.items()}
+    assert stats.facts_derived == {pred: n for pred, n in growth.items() if n}
     assert stats.total_derived() == store.size() - size
 
 
@@ -245,6 +257,28 @@ def test_sink_rule_reads_facts_of_the_last_round():
     assert store.string_facts() == naive_evaluate(facts, rules)
     assert ("done", (E[0],)) in store.string_facts()
     assert stats.facts_derived["done"] == 1
+
+
+def test_a_recursive_head_that_derives_nothing_has_no_relation():
+    # `q` is read by a body, and `t` is kept transitively closed; neither
+    # derives a fact, so neither gets a relation, and a query over either
+    # is still about an unknown predicate.
+    rules = [
+        _rule(atom("q", "X"), atom("p", "X"), atom("r", "X")),
+        _rule(atom("s", "X"), atom("q", "X"), atom("p", "X")),
+        _rule(atom("t", "X", "Y"), atom("e", "X", "Y"), atom("r", "X")),
+        _rule(atom("t", "X", "Y"), atom("t", "X", "M"), atom("t", "M", "Y")),
+    ]
+    store = FactStore()
+    store.assert_facts([fact("p", E[0]), fact("e", E[0], E[1])])
+    evaluate_fixpoint(store, rules)
+    assert set(store.relations) == {"p", "e"}
+    for body in ((atom("q", "X"),), (atom("t", "X", "Y"),)):
+        q = ConjunctiveQuery((Var("X"),), body)
+        with pytest.raises(UnknownPredicate):
+            store_answers(store, q)
+        with pytest.raises(UnknownPredicate):
+            explain_conjunctive_query(store, q)
 
 
 def test_two_atom_body_with_constant_and_repeated_variable():
@@ -776,9 +810,9 @@ def test_the_plan_is_the_one_a_full_rescan_picks():
 
 def test_a_meta_query_reads_the_keys_of_an_index_it_finds_and_builds_none():
     # `?x a ?c` selecting `?c`: `?x` is dead, so with `instc(0,)` in the
-    # store the step reads its keys, one row per class; without it, every
-    # tuple, and no index is built.  Either way `--explain` counts the
-    # distinct classes.
+    # store the step reads its keys, one row per class; without it, a value
+    # set of the classes, and no index is built.  Either way `--explain`
+    # counts the distinct classes.
     from metaql import parse_query, to_conjunctive_query
 
     store = FactStore()
@@ -786,7 +820,7 @@ def test_a_meta_query_reads_the_keys_of_an_index_it_finds_and_builds_none():
     q = to_conjunctive_query(parse_query("SELECT ?c WHERE { ?x a ?c }"))
     assert store_answers(store, q) == brute_force_answers(store, q) == [(E[0],), (E[1],), (E[2],)]
     assert [step.actual for step in explain_conjunctive_query(store, q)] == [3]
-    assert not store._indexes
+    assert not store._indexes and store._values == {"instc": {((), (), (0,)): {E[0], E[1], E[2]}}}
     store.index("instc", (0,))
     indexes = set(store._indexes)
     assert store_answers(store, q) == brute_force_answers(store, q)
@@ -1067,27 +1101,73 @@ def _shapes_store(indexed):
     "text, rows, listed",
     [
         # two properties from `e0`: its rows collapse to one answer
-        ("SELECT ?x WHERE { ?x ?p ?y }", [(E[0],), (E[2],)], (False, True)),
-        ("SELECT ?x ?x WHERE { ?x a <http://t#e10> }", [(E[0], E[0]), (E[1], E[1])], (True, True)),
-        ("SELECT ?x WHERE { ?x a <http://t#e10> }", [(E[0],), (E[1],)], (True, True)),
-        ("SELECT ?x WHERE { ?x a <http://t#e10> . ?x <http://t#e20> ?y }", [(E[0],)], (False, False)),
-        ("SELECT ?y WHERE { ?x a ?y }", [(E[10],), (E[11],)], (False, True)),
+        ("SELECT ?x WHERE { ?x ?p ?y }", [(E[0],), (E[2],)], True),
+        ("SELECT ?x ?x WHERE { ?x a <http://t#e10> }", [(E[0], E[0]), (E[1], E[1])], True),
+        ("SELECT ?x WHERE { ?x a <http://t#e10> }", [(E[0],), (E[1],)], True),
+        ("SELECT ?x WHERE { ?x a <http://t#e10> . ?x <http://t#e20> ?y }", [(E[0],)], False),
+        ("SELECT ?y WHERE { ?x a ?y }", [(E[10],), (E[11],)], True),
     ],
 )
 @pytest.mark.parametrize("indexed", [False, True])
 def test_answers_are_collected_in_the_shape_of_the_answer(text, rows, listed, indexed):
     # A one-variable head emits the IRI string, and rows whose every
     # column is an answer variable go into a list, since they are
-    # distinct already; other rows go into a set.  With the indexes that
-    # `_project` reads, `?x ?p ?y` and `?x a ?y` carry no dead column.
+    # distinct already; other rows go into a set.  `?x ?p ?y` and `?x a ?y`
+    # read a value set and carry no dead column, whether or not the store
+    # holds the indexes on their live columns.
     from metaql import parse_query, to_conjunctive_query
 
     store = _shapes_store([("instc", (0,)), ("instr", (1,))] if indexed else [])
     q = to_conjunctive_query(parse_query(text))
     assert store_answers(store, q) == brute_force_answers(store, q) == rows
     got = store._chains[q][0](store, None)
-    assert type(got) is (list if listed[indexed] else set)
+    assert type(got) is (list if listed else set)
     assert all(isinstance(r, str) for r in got) is (len(q.answer_vars) == 1)
+
+
+def _single_column_indexes(store):
+    """Build every one-column index of every relation of `store`."""
+    for pred, rel in store.relations.items():
+        for pos in range(len(next(iter(rel), ()))):
+            store.index(pred, (pos,))
+    return store
+
+
+def test_a_plan_does_not_depend_on_which_indexes_the_store_holds():
+    # Each query is compiled on the freshly saturated store (which the
+    # earlier queries' estimates add indexes to), on a copy of its model
+    # with no index, and on a copy with every one-column index built
+    # first: the plan, the collected type and the answers are the same.
+    from metaql import parse_query, to_conjunctive_query
+
+    def chain(store, q):
+        run, plan = _compile(q.answer_vars, q.body, store, query=True)
+        rows = run(store, None)
+        return plan, type(rows), sorted(rows)
+
+    q = to_conjunctive_query(parse_query("SELECT ?y WHERE { ?x a ?y }"))
+    assert chain(_shapes_store([]), q) == chain(_single_column_indexes(_shapes_store([])), q)
+    rng = random.Random(6161)
+    checked = 0
+    for _ in range(40):
+        o = random_ontology(rng, max_tbox=6, max_abox=12)
+        store = FactStore()
+        store.assert_facts(translate_ontology(o).facts)
+        evaluate_fixpoint(store, builtin_rules())
+        bare, indexed = FactStore(), FactStore()
+        for copy in (bare, indexed):
+            copy.assert_facts(store.string_facts())
+        _single_column_indexes(indexed)
+        for _ in range(3):
+            drawn = random_query(rng, o, 3)
+            # the first answer variable alone leaves more variables dead
+            for q in dict.fromkeys((drawn, ConjunctiveQuery(drawn.answer_vars[:1], drawn.body))):
+                expected = chain(store, q)
+                assert chain(bare, q) == chain(indexed, q) == expected
+                rows = [r if isinstance(r, tuple) else (r,) for r in expected[2]]
+                assert rows == brute_force_answers(store, q)
+                checked += bool(rows)
+    assert checked >= 10
 
 
 def _membership_store():
@@ -1135,19 +1215,21 @@ def test_a_membership_step_on_a_constant_with_no_bucket_keeps_no_row():
     assert store._values == {"instc": {((0,), "http://e#Z", (1,)): set()}}
 
 
-def test_a_membership_step_whose_constants_have_no_index_tests_the_relation():
+def test_a_pinned_membership_step_reads_the_value_set_of_its_constants():
     # Pinned first, `?x a ?c` binds the variable of `?x :p ?x`, so its
     # constant is never estimated alone and the store has no index on it:
-    # the step tests each key in the relation and builds no index.
+    # the step still reads the value set of the constant's bucket, built
+    # on the index it asks for.
     store = _membership_store()
     body = (atom("instc", "C", "X"), Atom("instr", ("http://e#p", Var("X"), Var("X"))))
     q = ConjunctiveQuery((Var("X"),), body)
-    keys = set(store._indexes)
+    assert ("instr", (0,)) not in store._indexes
     run, _ = _compile(q.answer_vars, body, store, 0)
     out = set()
     run(store, list(store.relation("instc")), out)
     assert sorted(out) == brute_force_answers(store, q) == [("http://e#a0",)]
-    assert set(store._indexes) == keys and not store._values
+    assert list(store._values) == ["instr"] and list(store._values["instr"]) == [((0,), "http://e#p", (1, 2))]
+    assert ("instr", (0,)) in store._indexes
 
 
 def test_insertion_order_does_not_change_the_model():
