@@ -39,17 +39,20 @@ when a relation of the body is empty.
 
 A query's chain is compiled on its first answer and kept on the store,
 one per query value, until `add_tuples` next adds to the store; nothing
-else drops it.  A chain holds no store: it is given the store at each run
-and looks up its relations, indexes and value sets then, so a kept
-chain's answers are exact.  It must not hold the store either, since
-`evaluate_fixpoint` freezes the saturated store (below): a cycle from the
-store through a kept chain back to it would never be collected.  A
-query's chain collects its rows in the shape of the answer: a head of one
-variable emits the IRI string itself, not a 1-tuple, and when every
-variable with a row column is in the head, the rows are distinct
-already, so they go into a list, not a set.  `explain_conjunctive_query`
-runs the same kept chain once and counts, for each stage, the distinct
-bindings of the variables still read, those placed less the dead ones.
+else drops it.  An answer looks its kept chain up before anything else,
+so a warm answer is one hash lookup and the chain's run, whose own test
+of the body's relations is the only one.  A chain holds no store: it is
+given the store at each run and looks up its relations, indexes and
+value sets then, so a kept chain's answers are exact.  It must not hold
+the store either, since `evaluate_fixpoint` freezes the saturated store
+(below): a cycle from the store through a kept chain back to it would
+never be collected.  A query's chain collects its rows in the shape of
+the answer: a head of one variable emits the IRI string itself, not a
+1-tuple, and when every variable with a row column is in the head, the
+rows are distinct already, so they go into a list, not a set.
+`explain_conjunctive_query` runs the same kept chain once and counts,
+for each stage, the distinct bindings of the variables still read, those
+placed less the dead ones.
 
 The fixpoint is computed semi-naive.  In the first round the delta is
 the whole store, so each rule joins once, planned like a query.  Every
@@ -59,7 +62,9 @@ from scratch.  A delta is the list of the tuples its round added, as
 `add_tuples` returns them, not a second hash set beside the store's: the
 store alone decides which derived tuples are new.  Rules whose head no
 body reads (the consistency rules) cannot feed the fixpoint; they run
-once after it, planned like queries.
+once after it, planned like queries.  Each of these rule runs gets its
+chain from one task table, keyed by the rule and its pinned body
+position (none for a run with no seed), which compiles it on first use.
 
 A rule of the shape `p(X, Y) :- p(X, M), p(M, Y)` (in the catalogue,
 `isacCC` and `isarRR`) gets no join tasks: joined, it emits every pair
@@ -379,25 +384,11 @@ def _project(pred: str, live: tuple[int, ...]):
     return stage
 
 
-def _uses(head_terms: Sequence[Var | str], body: Sequence[Atom]) -> tuple[dict[str, list[int]], set[str]]:
-    """Each variable of `body` with the atom of each of its occurrences, and
-    the dead variables: those that occur once in `body` and not in
-    `head_terms`, which nothing reads."""
-    occurs: dict[str, list[int]] = {}
-    for i, a in enumerate(body):
-        for t in a.args:
-            if isinstance(t, Var):
-                occurs.setdefault(t.name, []).append(i)
-    dead = {name for name, at in occurs.items() if len(at) == 1} - {t.name for t in head_terms if isinstance(t, Var)}
-    return occurs, dead
-
-
 def _compile(
     head_terms: Sequence[Var | str],
     body: Sequence[Atom],
     store: FactStore,
     first: int | None = None,
-    uses: tuple[dict[str, list[int]], set[str]] | None = None,
     query: bool = False,
 ):
     """Plan `body` and compile it, in one walk, to one left-deep chain of
@@ -405,8 +396,7 @@ def _compile(
     adds the tuple of `head_terms` of every match to `out`.  Returns `run`
     and the plan, one (atom index, key columns, estimated rows per binding)
     per step; `first`, the delta atom of a fixpoint round, is pinned first.
-    `uses` is `_uses(head_terms, body)`, for a caller that compiles one
-    rule several times.  The callers check the body's arities.
+    The callers check the body's arities.
 
     The chain reads the store it is given at each run and holds none, so
     a caller may keep it as long as the plan holds: queries keep theirs on
@@ -447,7 +437,14 @@ def _compile(
     appended to `counts`.  No stage emits a row twice, so with no seed,
     when the row carries no dead column, that is its number of rows.
     """
-    occurs, dead = uses or _uses(head_terms, body)
+    # each variable with the atom of each of its occurrences, and the dead
+    # ones: those that occur once in the body and not in the head
+    occurs: dict[str, list[int]] = {}
+    for i, a in enumerate(body):
+        for t in a.args:
+            if isinstance(t, Var):
+                occurs.setdefault(t.name, []).append(i)
+    dead = {name for name, at in occurs.items() if len(at) == 1} - {t.name for t in head_terms if isinstance(t, Var)}
     left = set(range(len(body)))
     # each candidate's estimate given the variables with a column, a
     # candidate being an atom with no variable or one with a column (a dead
@@ -636,7 +633,14 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
     pivots = {
         id(r): s[0] for r in recursive if (s := _pivot(r)) and r.body[1 - s[0]].pred in closed.keys() - {r.head.pred}
     }
-    uses = {id(rule): _uses(rule.head.args, rule.body) for rule in recursive}
+    # (id(rule), pinned body position or None for a run with no seed) -> chain
+    tasks: dict[tuple[int, int | None], Callable] = {}
+
+    def task(rule: Rule, pos: int | None) -> Callable:
+        run = tasks.get((id(rule), pos))
+        if run is None:
+            run = tasks[(id(rule), pos)] = _compile(rule.head.args, rule.body, store, pos)[0]
+        return run
 
     def merge(new: dict[str, set[tuple[str, ...]]]) -> dict[str, list[tuple[str, ...]]]:
         # `new` (emptied as it goes) holds what the rules derived; a delta
@@ -663,7 +667,6 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
     # None: the first round, whose delta is the whole store
     delta: dict[str, list[tuple[str, ...]]] | None = None
     trimmed: dict[int, list[tuple[str, ...]] | None] = {}  # id(rule) -> its q atom's delta
-    tasks: dict[tuple[int, int], Callable] = {}
 
     while True:
         stats.rounds += 1
@@ -677,17 +680,12 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
             shared = new.setdefault(rule.head.pred, set())
             out = shared if pivot is None else set()
             if delta is None:
-                _compile(rule.head.args, rule.body, store, None, uses[id(rule)])[0](store, None, out)
+                task(rule, None)(store, None, out)
             else:
                 for pos, a in enumerate(rule.body):
                     seed = trimmed[id(rule)] if pos == pivot else delta.get(a.pred)
-                    if not seed:
-                        continue
-                    task = tasks.get((id(rule), pos))
-                    if task is None:
-                        task = _compile(rule.head.args, rule.body, store, pos, uses[id(rule)])[0]
-                        tasks[(id(rule), pos)] = task
-                    task(store, seed, out)
+                    if seed:
+                        task(rule, pos)(store, seed, out)
             if pivot is not None:
                 own = out - store.relation(rule.head.pred)
                 shared |= own
@@ -702,7 +700,7 @@ def _saturate(store: FactStore, rules: Sequence[Rule]) -> EvalStats:
 
     new = {}
     for rule in sinks:
-        _compile(rule.head.args, rule.body, store)[0](store, None, new.setdefault(rule.head.pred, set()))
+        task(rule, None)(store, None, new.setdefault(rule.head.pred, set()))
     merge(new)
 
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -734,17 +732,18 @@ def _chain(store: FactStore, q: ConjunctiveQuery):
 
 
 def answer_conjunctive_query(store: FactStore, q: ConjunctiveQuery) -> list[tuple[str, ...]]:
-    """Distinct answer bindings, sorted lexicographically by IRI.  A query
-    over an empty relation is answered before it is planned.  Otherwise
-    its chain is compiled on the first call and kept on the store until
-    `add_tuples` next adds to it.  The chain holds no reference to the
-    store, which `evaluate_fixpoint` froze, so it makes no cycle the
-    collector would never free; it looks up the store's relations, indexes
-    and value sets at each run, so its answers are exact."""
-    if not all(store.relations.get(a.pred) for a in q.body):
+    """Distinct answer bindings, sorted lexicographically by IRI.  The
+    chain kept on the store for `q` is looked up first and run at once,
+    so its own test of the body's relations is the only one.  On a miss,
+    a query over an empty relation is checked and answered before it is
+    planned; any other is checked, compiled and kept on the store until
+    `add_tuples` next adds to it.  A chain reads the store's relations,
+    indexes and value sets at each run, so its answers are exact."""
+    chain = store._chains.get(q)
+    if chain is None and not all(store.relations.get(a.pred) for a in q.body):
         _check_query(store, q)
         return []
-    rows = _chain(store, q)[0](store, None)
+    rows = (chain or _chain(store, q))[0](store, None)
     return list(zip(sorted(rows))) if len(q.answer_vars) == 1 else sorted(rows)
 
 

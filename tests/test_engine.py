@@ -174,6 +174,43 @@ def test_builtin_catalogue_agrees_with_naive_twin(check_consistency):
     assert inconsistent > 0 if check_consistency else inconsistent == 0
 
 
+@pytest.mark.parametrize("check_consistency", [False, True])
+def test_each_rule_run_compiles_its_chain_once_and_a_repeated_rule_changes_nothing(check_consistency, monkeypatch):
+    # Every run of a rule, unseeded in round 1 or after the loop, or pinned
+    # at a body position in a later round, takes its chain from one table:
+    # one fixpoint compiles each (rule, pinned position) at most once.  Two
+    # rules may compile alike, so a key may be compiled once per such rule.
+    # A rule listed twice, as the same object or as an equal copy, derives
+    # nothing more and is counted once.
+    from metaql import engine
+
+    calls = Counter()
+
+    def counting(head_terms, body, store, first=None, query=False):
+        calls[(head_terms, body, first)] += 1
+        return _compile(head_terms, body, store, first, query)
+
+    monkeypatch.setattr(engine, "_compile", counting)
+    rules = builtin_rules(check_consistency).rules
+    alike = Counter((r.head.args, r.body) for r in rules)
+    rng = random.Random(3737)
+    for n, rule in enumerate(rules):
+        facts = translate_ontology(random_ontology(rng, max_tbox=6, max_abox=12)).facts
+        calls.clear()
+        store = FactStore()
+        store.assert_facts(facts)
+        stats = evaluate_fixpoint(store, rules)
+        assert calls and all(k <= alike[(args, body)] for (args, body, _), k in calls.items())
+        model = store.string_facts()
+        if n % 4 == 0:
+            assert model == naive_evaluate(facts, rules)
+        for twice in (rules + (rule,), rules + (Rule(rule.head, rule.body),)):
+            again = FactStore()
+            again.assert_facts(facts)
+            assert evaluate_fixpoint(again, twice).facts_derived == stats.facts_derived
+            assert again.string_facts() == model
+
+
 def _catalogue_over_ontology(check_consistency):
     def program(rng):
         return translate_ontology(random_ontology(rng)).facts, builtin_rules(check_consistency)
@@ -1062,6 +1099,38 @@ def test_a_kept_chain_answers_without_compiling_until_the_store_grows(seed):
             answers = store_answers(store, q)
             assert answers == brute_force_answers(store, q)
             assert tuple(env[v.name] for v in q.answer_vars) in answers
+
+
+class _CountedGets(dict):
+    """A dict that counts its `get` calls."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_a_warm_answer_tests_the_relations_only_in_its_kept_chain():
+    # A warm answer looks its kept chain up before anything else, so it
+    # reads the relations exactly as often as the chain's own run does.
+    from metaql import parse_query, to_conjunctive_query
+    from metaql.synthetic import simple_meta_queries, standard_queries, university_ontology
+
+    _, store, _ = saturate(university_ontology(1))
+    store.relations = counted = _CountedGets(store.relations)
+    texts = standard_queries() + simple_meta_queries()
+    assert len(texts) == 18
+    for _, text in texts:
+        q = to_conjunctive_query(parse_query(text))
+        expected = store_answers(store, q)
+        assert q in store._chains
+        before = counted.gets
+        assert store_answers(store, q) == expected
+        answering = counted.gets - before
+        before = counted.gets
+        store._chains[q][0](store, None)
+        assert answering == counted.gets - before >= len(q.body)
 
 
 def test_a_store_that_answered_a_query_is_freed_once_dropped():
